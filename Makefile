@@ -2,9 +2,10 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test test-race determinism validate conservation bench-smoke profile-smoke service-smoke fuzz-smoke bench bench-engine bench-trace bench-sweepd clean
+.PHONY: check vet fmt build test test-race determinism validate bench-smoke profile-smoke service-smoke fuzz-smoke bench clean
 
-## check: everything CI enforces — vet, formatting, build, tests under -race,
+## check: everything CI enforces — vet (the root module and the separate
+## bench/ module, which `./...` does not reach), formatting, build, tests under -race,
 ## the sequential-vs-parallel determinism gate, the invariant/metamorphic
 ## validation battery, the engine allocation gate, the profiler conservation
 ## gate, and the sweep-service smoke.
@@ -12,6 +13,7 @@ check: vet fmt build test-race determinism validate bench-smoke profile-smoke se
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 ## fmt: fails if any file needs gofmt; prints the offenders.
 fmt:
@@ -39,14 +41,9 @@ determinism:
 ## FR-FCFS starvation bound, address-map bijection) over every bundled
 ## workload, both L2 organizations, and the optimal scheme, plus the
 ## metamorphic relations (faster DRAM / ideal NoC / optimal scheme never
-## slower; seeds never change totals). Subsumes the old `conservation`
-## target, whose identities now live in check.VerifyTotals.
+## slower; seeds never change totals).
 validate:
 	$(GO) test -race ./internal/check
-	$(GO) test -run Conservation -race -count=2 ./internal/sim
-
-## conservation: legacy alias for the conservation half of `validate`.
-conservation:
 	$(GO) test -run Conservation -race -count=2 ./internal/sim
 
 ## bench-smoke: the allocation-regression gates on the hot paths. Runs the
@@ -84,26 +81,11 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseMigrationSpec -fuzztime=$(FUZZTIME) ./internal/mem
 	$(GO) test -run=^$$ -fuzz=FuzzParseMixSpec -fuzztime=$(FUZZTIME) ./internal/workloads
 
-## bench: record the event-kernel wall-clock and allocation numbers into
-## BENCH_engine.json, then run the per-figure benchmarks plus the obs
-## overhead guards.
-bench: bench-engine
-	$(GO) test -bench=. -benchmem ./...
-
-## bench-engine: time `-exp all` end to end and the engine micro-benchmarks,
-## and write BENCH_engine.json (see README "Performance" for how to read it).
-bench-engine:
-	$(GO) run ./cmd/benchtab -bench-engine BENCH_engine.json
-
-## bench-trace: time `-exp all` exact vs trace-cached + sampled and write
-## BENCH_trace.json (see README "Performance").
-bench-trace:
-	$(GO) run ./cmd/benchtab -bench-trace BENCH_trace.json
-
-## bench-sweepd: time the example sweep in-process vs on a worker-process
-## fleet and write BENCH_sweepd.json (see README "Performance").
-bench-sweepd:
-	$(GO) run ./cmd/benchtab -bench-sweepd BENCH_sweepd.json -parallel 2
+## bench: the Go benchmarks of every package (per-figure benches, engine
+## micro-benchmarks, obs overhead guards). The repo's end-to-end benchmark
+## is `bash bench/run.sh`, declared in BENCHMARK.json (see bench/README.md).
+bench:
+	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
 clean:
 	$(GO) clean ./...

@@ -23,10 +23,11 @@ import (
 
 // BenchmarkFullSweep is the end-to-end engine regression benchmark: one full
 // (untruncated) application simulation per iteration, reporting wall-clock
-// ns per simulated event and allocations. This is the number BENCH_engine.json
-// tracks across engine changes — the micro-benchmarks in internal/engine
-// isolate the queue, this one includes the caches, NoC, and DRAM model the
-// events drive.
+// ns per simulated event and allocations. The micro-benchmarks in
+// internal/engine isolate the queue; this one includes the caches, NoC, and
+// DRAM model the events drive. The repo's recorded end-to-end benchmark is
+// `bash bench/run.sh` (declared in BENCHMARK.json), whose traced pass
+// reports the same ns-per-event figure per layer.
 func BenchmarkFullSweep(b *testing.B) {
 	app, ok := workloads.ByName("apsi")
 	if !ok {

@@ -12,7 +12,6 @@
 //	benchtab -sweep -parallel 8 -progress    # app × scheme example sweep
 //	benchtab -jobs                           # print the sweep's job IDs
 //	benchtab -replay '<job-id>'              # re-run one job, bit-exact
-//	benchtab -bench-runner BENCH_runner.json # record 1-vs-N wall clocks
 //
 // Sweep observability (see EXPERIMENTS.md "Profiling a sweep"):
 //
@@ -31,31 +30,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"offchip/internal/core"
 	"offchip/internal/experiments"
-	"offchip/internal/layout"
 	"offchip/internal/mem"
 	"offchip/internal/obs"
 	"offchip/internal/prof"
 	"offchip/internal/runner"
 	"offchip/internal/sim"
-	"offchip/internal/sweepq"
 	"offchip/internal/tracecache"
-	"offchip/internal/workloads"
 )
 
 func main() {
-	// -bench-sweepd spawns this binary as its own worker fleet; the children
-	// enter the protocol loop here and never parse flags.
-	sweepq.MaybeWorker()
 	exp := flag.String("exp", "all", "experiment id (fig3..fig25, table2, figmig, figmix, figtune) or 'all'")
 	apps := flag.String("apps", "", "comma-separated application subset (default: all 13)")
 	quick := flag.Bool("quick", false, "sampled short traces (fast smoke run; numbers not meaningful)")
@@ -66,10 +56,6 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the app × layout-scheme example sweep")
 	jobs := flag.Bool("jobs", false, "print the example sweep's job IDs (replay handles) without running")
 	progress := flag.Bool("progress", false, "print one line per finished job")
-	benchRunner := flag.String("bench-runner", "", "measure the sweep at 1 and -parallel workers; write wall clocks to this JSON file")
-	benchEngine := flag.String("bench-engine", "", "time the full experiment suite and a representative simulation against the pre-overhaul engine baseline; write the record to this JSON file")
-	benchTrace := flag.String("bench-trace", "", "time the full experiment suite exact vs trace-cached + sampled; write the record to this JSON file")
-	benchSweepd := flag.String("bench-sweepd", "", "measure the sweep in-process vs on a worker-process fleet; write wall clocks to this JSON file")
 	cacheFlag := flag.String("trace-cache", "", `memoize trace generation across experiments: "mem" (in-process) or a directory for a persistent cache`)
 	sampleFlag := flag.String("sample", "", `sampled simulation for job-sharded experiments: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
 	migrateFlag := flag.String("migrate", "", `hot-page migration spec for figmig/figmix dynamic and hybrid runs: on | h<thr>w<win>c<cool>f<flits>t<stall>[g<pages>] (default: "on" for figmig; figmix retunes to per-page granularity)`)
@@ -130,26 +116,6 @@ func main() {
 		}
 		for _, s := range specs {
 			fmt.Println(s.ID())
-		}
-		return
-	case *benchRunner != "":
-		if err := benchRunnerRun(cfg, *parallel, *benchRunner); err != nil {
-			fail(err)
-		}
-		return
-	case *benchEngine != "":
-		if err := benchEngineRun(cfg, *benchEngine); err != nil {
-			fail(err)
-		}
-		return
-	case *benchTrace != "":
-		if err := benchTraceRun(cfg, *benchTrace); err != nil {
-			fail(err)
-		}
-		return
-	case *benchSweepd != "":
-		if err := benchSweepdRun(cfg, *parallel, *benchSweepd); err != nil {
-			fail(err)
 		}
 		return
 	case *sweep:
@@ -375,355 +341,4 @@ func replayJob(id string, withProf bool) error {
 		}
 	}
 	return nil
-}
-
-// benchRunnerRun times the example sweep at 1 worker and at `workers`
-// workers and records both wall clocks. On a single-CPU host the speedup
-// is honestly ~1×; the numbers exist to track the scaling, not to flatter
-// it.
-func benchRunnerRun(cfg experiments.Config, workers int, path string) error {
-	if workers <= 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	time1, jobs, err := timeSweep(cfg, 1)
-	if err != nil {
-		return err
-	}
-	timeN, _, err := timeSweep(cfg, workers)
-	if err != nil {
-		return err
-	}
-	rec := map[string]any{
-		"bench":        "runner-sweep",
-		"jobs":         jobs,
-		"apps":         cfg.Apps,
-		"cap":          cfg.MaxAccessesPerThread,
-		"numcpu":       runtime.NumCPU(),
-		"gomaxprocs":   runtime.GOMAXPROCS(0),
-		"workers":      workers,
-		"seconds_1":    time1.Seconds(),
-		"seconds_n":    timeN.Seconds(),
-		"speedup":      time1.Seconds() / timeN.Seconds(),
-		"generated_at": time.Now().UTC().Format(time.RFC3339),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("runner sweep: %d jobs, 1 worker %.1fs, %d workers %.1fs (%.2fx, %d CPUs) -> %s\n",
-		jobs, time1.Seconds(), workers, timeN.Seconds(),
-		time1.Seconds()/timeN.Seconds(), runtime.NumCPU(), path)
-	return nil
-}
-
-// benchSweepdRun times the example sweep in-process (1 worker, the
-// reference) and on a worker-process fleet (this binary re-executed, the
-// sweep service's execution path), checks the merged registries are
-// identical, and records both wall clocks. Process spawn and JSON framing
-// are pure overhead on a single CPU; the record tracks what the isolation
-// costs, not a speedup.
-func benchSweepdRun(cfg experiments.Config, workers int, path string) error {
-	if workers <= 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	specs, err := cfg.ExampleSweep()
-	if err != nil {
-		return err
-	}
-
-	start := time.Now()
-	local, err := runner.Run(specs, runner.Options{Workers: 1})
-	if err != nil {
-		return err
-	}
-	if err := local.FirstError(); err != nil {
-		return err
-	}
-	localWall := time.Since(start)
-
-	fleet, err := sweepq.NewFleet(sweepq.FleetConfig{Workers: workers})
-	if err != nil {
-		return err
-	}
-	defer fleet.Close()
-	start = time.Now()
-	remote, err := runner.Run(specs, runner.Options{Workers: workers, Executor: fleet})
-	if err != nil {
-		return err
-	}
-	if err := remote.FirstError(); err != nil {
-		return err
-	}
-	fleetWall := time.Since(start)
-
-	horizon := int64(1) << 40
-	if !reflect.DeepEqual(local.Merged().Snapshot(horizon), remote.Merged().Snapshot(horizon)) {
-		return fmt.Errorf("bench-sweepd: fleet sweep diverged from in-process sweep")
-	}
-
-	rec := map[string]any{
-		"bench":            "sweepd-fleet",
-		"jobs":             len(specs),
-		"apps":             cfg.Apps,
-		"cap":              cfg.MaxAccessesPerThread,
-		"numcpu":           runtime.NumCPU(),
-		"gomaxprocs":       runtime.GOMAXPROCS(0),
-		"fleet_workers":    workers,
-		"seconds_inproc":   localWall.Seconds(),
-		"seconds_fleet":    fleetWall.Seconds(),
-		"fleet_overhead":   fleetWall.Seconds() / localWall.Seconds(),
-		"merged_identical": true,
-		"generated_at":     time.Now().UTC().Format(time.RFC3339),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("sweepd fleet: %d jobs, in-process %.1fs, %d-worker fleet %.1fs (%.2fx overhead, identical results) -> %s\n",
-		len(specs), localWall.Seconds(), workers, fleetWall.Seconds(),
-		fleetWall.Seconds()/localWall.Seconds(), path)
-	return nil
-}
-
-// Pre-overhaul engine baseline, measured on the commit immediately before
-// the timing-wheel rewrite (container/heap event queue, closure events,
-// same host, GOMAXPROCS unchanged, `benchtab -exp all` at 1 worker). The
-// micro numbers are BenchmarkSteadyStateDispatchHeapOracle, which still
-// runs the original queue verbatim: `go test -bench HeapOracle ./internal/engine`.
-const (
-	baselineExpAllSeconds    = 413.74
-	baselineMicroNsPerEvent  = 222.1
-	baselineMicroAllocsPerOp = 2
-)
-
-// benchEngineRun records the engine-overhaul regression numbers: wall clock
-// of the full experiment suite (the acceptance metric), plus end-to-end ns
-// and heap allocations per simulated event on a representative full
-// application run, all against the pinned pre-overhaul baseline.
-func benchEngineRun(cfg experiments.Config, path string) error {
-	// Representative simulation: apsi baseline trace, full length — the same
-	// machine BenchmarkFullSweep drives.
-	app, ok := workloads.ByName("apsi")
-	if !ok {
-		return fmt.Errorf("bench-engine: apsi workload missing")
-	}
-	m := layout.Default8x8()
-	cm, err := layout.MappingM1(m, layout.PlacementCorners(m.MeshX, m.MeshY))
-	if err != nil {
-		return err
-	}
-	base, _, _, err := core.Workloads(app, m, cm, core.Options{})
-	if err != nil {
-		return err
-	}
-	simCfg := core.SimConfig(m, cm, core.Options{})
-	if _, err := sim.Run(simCfg, base); err != nil { // warm-up
-		return err
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	simStart := time.Now()
-	r, err := sim.Run(simCfg, base)
-	if err != nil {
-		return err
-	}
-	simWall := time.Since(simStart)
-	runtime.ReadMemStats(&after)
-	nsPerEvent := float64(simWall.Nanoseconds()) / float64(r.Events)
-	allocsPerEvent := float64(after.Mallocs-before.Mallocs) / float64(r.Events)
-
-	// The acceptance metric: the full suite, same worker count as the
-	// baseline measurement (1).
-	fmt.Fprintln(os.Stderr, "bench-engine: running the full experiment suite (several minutes)...")
-	suiteStart := time.Now()
-	for _, id := range experiments.AllIDs() {
-		if _, err := experiments.Run(id, cfg); err != nil {
-			return fmt.Errorf("bench-engine: %s: %w", id, err)
-		}
-	}
-	suiteWall := time.Since(suiteStart)
-
-	rec := map[string]any{
-		"bench":      "engine-overhaul",
-		"numcpu":     runtime.NumCPU(),
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"baseline": map[string]any{
-			"queue":                  "container/heap + closure events",
-			"expall_seconds":         baselineExpAllSeconds,
-			"micro_ns_per_event":     baselineMicroNsPerEvent,
-			"micro_allocs_per_event": baselineMicroAllocsPerOp,
-		},
-		"current": map[string]any{
-			"queue":                  "timing wheel + pooled typed events",
-			"expall_seconds":         suiteWall.Seconds(),
-			"sim_events":             r.Events,
-			"sim_ns_per_event":       nsPerEvent,
-			"sim_allocs_per_event":   allocsPerEvent,
-			"micro_allocs_per_event": 0,
-			"micro_bench":            "go test -bench SteadyStateDispatch -benchmem ./internal/engine",
-		},
-		"expall_speedup": baselineExpAllSeconds / suiteWall.Seconds(),
-		"generated_at":   time.Now().UTC().Format(time.RFC3339),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("engine: suite %.1fs vs baseline %.1fs (%.2fx); sim %.1f ns/event, %.4f allocs/event -> %s\n",
-		suiteWall.Seconds(), baselineExpAllSeconds, baselineExpAllSeconds/suiteWall.Seconds(),
-		nsPerEvent, allocsPerEvent, path)
-	return nil
-}
-
-// benchTraceRun records the trace-cache + sampled-simulation speedup: wall
-// clock of the full experiment suite exact and uncached (every job
-// regenerates its traces and simulates end to end) versus the same suite
-// trace-cached + sampled, measured twice — once against an empty persistent
-// cache (the cold pass pays every unique generation once and fills the
-// cache) and once against the populated cache (the steady state of a
-// recurring sweep: every trace decodes from disk, no generation at all).
-// Exact numbers are the acceptance baseline; the cached+sampled passes
-// trade bit-exactness for wall clock, and the sampled battery
-// (internal/check) separately pins how far the estimates may stray.
-func benchTraceRun(cfg experiments.Config, path string) error {
-	sample := cfg.Sample
-	if sample == "" {
-		sample = sim.DefaultSampleSpec().String()
-	}
-
-	exact := cfg
-	exact.TraceCache = nil
-	exact.Sample = ""
-	fmt.Fprintln(os.Stderr, "bench-trace: running the full suite exact and uncached (several minutes)...")
-	exactWall, err := timeSuite(exact)
-	if err != nil {
-		return err
-	}
-
-	dir, err := os.MkdirTemp("", "offchip-bench-trace-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	fast := cfg
-	tc, err := tracecache.New(dir) // empty cache: every miss generates once
-	if err != nil {
-		return err
-	}
-	fast.TraceCache = tc
-	fast.Sample = sample
-	fmt.Fprintln(os.Stderr, "bench-trace: running the suite trace-cached + sampled (cold cache)...")
-	coldWall, err := timeSuite(fast)
-	if err != nil {
-		return err
-	}
-	cold := tc.Stats()
-
-	// Steady state: a fresh in-process layer over the now-full on-disk
-	// cache, as a recurring sweep (CI, a sweep service) would see it.
-	tc, err = tracecache.New(dir)
-	if err != nil {
-		return err
-	}
-	fast.TraceCache = tc
-	fmt.Fprintln(os.Stderr, "bench-trace: running the suite trace-cached + sampled (warm cache)...")
-	warmWall, err := timeSuite(fast)
-	if err != nil {
-		return err
-	}
-	warm := tc.Stats()
-
-	rec := map[string]any{
-		"bench":      "trace-cache-sampled",
-		"numcpu":     runtime.NumCPU(),
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"sample":     sample,
-		"exact": map[string]any{
-			"expall_seconds": exactWall.Seconds(),
-		},
-		"cached_sampled_cold": map[string]any{
-			"expall_seconds":    coldWall.Seconds(),
-			"cache_hits":        cold.Hits,
-			"cache_misses":      cold.Misses,
-			"cache_disk_hits":   cold.DiskHits,
-			"cache_disk_writes": cold.DiskWrites,
-		},
-		"cached_sampled_warm": map[string]any{
-			"expall_seconds":  warmWall.Seconds(),
-			"cache_hits":      warm.Hits,
-			"cache_misses":    warm.Misses,
-			"cache_disk_hits": warm.DiskHits,
-		},
-		"expall_speedup_cold": exactWall.Seconds() / coldWall.Seconds(),
-		"expall_speedup_warm": exactWall.Seconds() / warmWall.Seconds(),
-		"generated_at":        time.Now().UTC().Format(time.RFC3339),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("trace: suite exact %.1fs vs cached+sampled(%s) cold %.1fs (%.2fx) / warm %.1fs (%.2fx; %d disk hits) -> %s\n",
-		exactWall.Seconds(), sample,
-		coldWall.Seconds(), exactWall.Seconds()/coldWall.Seconds(),
-		warmWall.Seconds(), exactWall.Seconds()/warmWall.Seconds(),
-		warm.DiskHits, path)
-	return nil
-}
-
-// timeSuite runs every experiment once under cfg and returns the wall clock.
-func timeSuite(cfg experiments.Config) (time.Duration, error) {
-	start := time.Now()
-	for _, id := range experiments.AllIDs() {
-		if _, err := experiments.Run(id, cfg); err != nil {
-			return 0, fmt.Errorf("bench-trace: %s: %w", id, err)
-		}
-	}
-	return time.Since(start), nil
-}
-
-func timeSweep(cfg experiments.Config, workers int) (time.Duration, int, error) {
-	cfg.Parallel = workers
-	start := time.Now()
-	res, err := experiments.RunSweep(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	return time.Since(start), len(res.Specs), nil
 }

@@ -1,8 +1,9 @@
 // Package cache provides the set-associative LRU caches of the simulated
 // manycore (per-node L1s, private or shared-SNUCA L2 banks) and the
 // centralized L2 tag directory that private-L2 systems cache at the memory
-// controllers (Figure 2a). Caches optionally publish hit/miss/eviction
-// counters and trace events through the observability layer (Instrument).
+// controllers (Figure 2a). Caches count hits, misses and evictions in plain
+// fields and optionally mirror them, plus trace events, into the
+// observability layer (Instrument, Publish).
 package cache
 
 import (
@@ -26,24 +27,22 @@ type Cache struct {
 	lastUse [][]int64
 	tick    int64
 
-	Hits, Misses int64
+	Hits, Misses, Evictions int64
 
-	// Observability (set by Instrument; handle methods are nil-safe, so an
-	// uninstrumented cache pays only nil checks).
-	comp      string
-	tracer    *obs.Tracer
-	clock     engine.Clock
-	hitC      *obs.Counter
-	missC     *obs.Counter
-	evictC    *obs.Counter
-	Evictions int64
+	// Observability (set by Instrument; the tracer is nil-safe and a nil
+	// feed publishes nothing, so an uninstrumented cache pays only a check).
+	comp   string
+	tracer *obs.Tracer
+	clock  engine.Clock
+	feed   *obs.Feed
 }
 
 // Instrument attaches the cache to an observer under the component name
-// (e.g. "l1.3"): hit/miss/eviction counters in the registry plus, when a
-// tracer is present, per-access trace events stamped from the clock.
-// Taking engine.Clock (not a func) keeps the attachment allocation-free:
-// a *Sim converts to the interface directly, with no closure.
+// (e.g. "l1.3"): Publish mirrors the hit/miss/eviction counts into the
+// registry, and when a tracer is present every access emits a trace event
+// stamped from the clock. Taking engine.Clock (not a func) keeps the
+// attachment allocation-free: a *Sim converts to the interface directly,
+// with no closure.
 func (c *Cache) Instrument(o *obs.Observer, comp string, clock engine.Clock) {
 	if o == nil {
 		return
@@ -51,10 +50,19 @@ func (c *Cache) Instrument(o *obs.Observer, comp string, clock engine.Clock) {
 	c.comp = comp
 	c.tracer = o.Tracer
 	c.clock = clock
+	c.feed = obs.NewFeed(o.Reg)
 	label := "comp=" + comp
-	c.hitC = o.Reg.Counter("cache", "hits", label)
-	c.missC = o.Reg.Counter("cache", "misses", label)
-	c.evictC = o.Reg.Counter("cache", "evictions", label)
+	c.feed.Counter(&c.Hits, "cache", "hits", label)
+	c.feed.Counter(&c.Misses, "cache", "misses", label)
+	c.feed.Counter(&c.Evictions, "cache", "evictions", label)
+}
+
+// Publish mirrors the counts into the registry of the Instrument observer
+// (see obs.Feed); call it on the goroutine that drives Access.
+func (c *Cache) Publish() {
+	if c.feed != nil {
+		c.feed.Publish()
+	}
 }
 
 // New builds a cache of the given total capacity. Capacity must be a
@@ -114,7 +122,6 @@ func (c *Cache) Access(addr int64) (hit bool, evicted int64) {
 		if c.valid[s][w] && c.tags[s][w] == line {
 			c.lastUse[s][w] = c.tick
 			c.Hits++
-			c.hitC.Inc()
 			if c.tracer.Enabled() {
 				c.tracer.Emit(c.clock.Now(), "cache", "hit", c.comp, 0)
 			}
@@ -127,12 +134,10 @@ func (c *Cache) Access(addr int64) (hit bool, evicted int64) {
 		}
 	}
 	c.Misses++
-	c.missC.Inc()
 	evicted = -1
 	if c.valid[s][victim] {
 		evicted = c.tags[s][victim]
 		c.Evictions++
-		c.evictC.Inc()
 	}
 	c.tags[s][victim] = line
 	c.valid[s][victim] = true
@@ -161,7 +166,8 @@ func (c *Cache) Contains(addr int64) bool {
 
 // ResetStats zeroes the hit/miss/eviction counters while leaving the tag
 // and LRU state intact, so statistics after a functional warm-up pass
-// reflect only the timed accesses that follow.
+// reflect only the timed accesses that follow. It must not follow a
+// Publish: the registry only ever adds.
 func (c *Cache) ResetStats() {
 	c.Hits, c.Misses, c.Evictions = 0, 0, 0
 }

@@ -1,8 +1,8 @@
 // Package check is the simulator-wide validation subsystem: cross-layer
-// invariant probes that hook the engine, the NoC, the DRAM controllers, and
-// the sim front end at run time, plus closed-form analytical oracles and a
-// metamorphic test battery that `make validate` sweeps over every bundled
-// workload.
+// invariant probes that consume the simulator's probe stream (internal/probe)
+// and the engine's dispatch hook at run time, plus closed-form analytical
+// oracles and a metamorphic test battery that `make validate` sweeps over
+// every bundled workload.
 //
 // The probes enforce the properties the paper's figures silently rely on:
 //
@@ -10,8 +10,8 @@
 //     every stage of the Figure 2 flow monotone in time, and every started
 //     access retired exactly once;
 //   - request conservation generalized across cache/NoC/DRAM (the
-//     RunTotals/VerifyTotals identities the old bespoke conservation test
-//     asserted, now shared by tests, the CLI, and the battery);
+//     VerifyTotals identities over probe.Totals, shared by tests, the CLI,
+//     and the battery);
 //   - XY-route validity — every transit's hop count equals the Manhattan
 //     distance and never exceeds the mesh diameter (MeshX−1)+(MeshY−1) —
 //     and a zero-load latency lower bound per message;
@@ -21,11 +21,10 @@
 //     than the configured cap in favor of younger row-buffer hits;
 //   - engine clock monotonicity — dispatched event times never rewind.
 //
-// A Checker is bound to one run (sim.Config.Check; sim.Run calls Bind and
-// FinishRun itself) and is not safe for concurrent use — the simulator is
-// single-goroutine, and concurrent sweeps attach one Checker per run. When
-// no Checker is attached every probe site costs a single nil check, like
-// the disabled tracer.
+// A Checker is bound to one run (sim.Config.Check; sim.Run calls Bind, and
+// the stream ends with Finish) and is not safe for concurrent use — the
+// simulator is single-goroutine, and concurrent sweeps attach one Checker
+// per run.
 package check
 
 import (
@@ -34,7 +33,7 @@ import (
 	"offchip/internal/dram"
 	"offchip/internal/mem"
 	"offchip/internal/noc"
-	"offchip/internal/obs"
+	"offchip/internal/probe"
 )
 
 // Violation is one detected invariant breach.
@@ -59,14 +58,12 @@ type Params struct {
 	Mem          mem.Config
 	// Optimal marks a Section 2 optimal-scheme run (controllers bypassed).
 	Optimal bool
-	// Obs, when set, lets FinishRun cross-check the metrics registry
-	// against the run totals.
-	Obs *obs.Observer
 }
 
-// stageRec tracks one in-flight access for the causality probe.
+// stageRec tracks one in-flight access for the causality probe: the name
+// and time of its latest stage.
 type stageRec struct {
-	stage Stage
+	stage string
 	t     int64
 }
 
@@ -81,7 +78,6 @@ type Checker struct {
 	total      int64 // including violations dropped past maxRecorded
 
 	// Causality probe state.
-	nextID    int64
 	inflight  map[int64]stageRec
 	started   int64
 	completed int64
@@ -113,7 +109,6 @@ func (c *Checker) Bind(p Params) {
 	c.starve = dram.EffectiveStarveLimit(p.DRAM)
 	c.violations = nil
 	c.total = 0
-	c.nextID = 0
 	c.inflight = map[int64]stageRec{}
 	c.started, c.completed = 0, 0
 	c.lastTick = 0
@@ -163,10 +158,10 @@ func (c *Checker) Err() error {
 	return fmt.Errorf("check: %d violation(s), first: %s", c.total, first)
 }
 
-// FinishRun runs the end-of-run checks: the generalized conservation
-// identities over the run totals, the no-access-left-in-flight drain
-// check, and (when an observer is bound) the registry cross-check.
-func (c *Checker) FinishRun(tot RunTotals) {
+// Finish runs the end-of-run checks: the generalized conservation
+// identities over the run totals and the no-access-left-in-flight drain
+// check.
+func (c *Checker) Finish(tot probe.Totals) {
 	if n := len(c.inflight); n != 0 {
 		c.Report("causality", "%d accesses still in flight at drain (started %d, completed %d)",
 			n, c.started, c.completed)
@@ -177,18 +172,13 @@ func (c *Checker) FinishRun(tot RunTotals) {
 	if c.dramEnq != c.dramServed {
 		c.Report("conservation", "controllers enqueued %d requests but served %d", c.dramEnq, c.dramServed)
 	}
-	// Probe counts must agree with the run totals when the probes were
-	// attached (a standalone checker that never saw NoC traffic skips this).
+	// Stream counts must agree with the run totals (a standalone checker
+	// that never saw NoC traffic skips this).
 	if c.nocMsgs != 0 && c.nocMsgs != tot.NetMsgs[0]+tot.NetMsgs[1] {
 		c.Report("conservation", "NoC probe saw %d messages, run totals say %d",
 			c.nocMsgs, tot.NetMsgs[0]+tot.NetMsgs[1])
 	}
 	for _, v := range VerifyTotals(tot) {
 		c.Report(v.Probe, "%s", v.Msg)
-	}
-	if c.p.Obs != nil {
-		for _, v := range CrossCheckRegistry(c.p.Obs.Reg, tot) {
-			c.Report(v.Probe, "%s", v.Msg)
-		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"offchip/internal/dram"
 	"offchip/internal/mesh"
 	"offchip/internal/noc"
+	"offchip/internal/probe"
 )
 
 // bound returns a Checker bound to a small 4×4 machine, ready to probe.
@@ -18,6 +19,20 @@ func bound() *Checker {
 		DRAM: dram.DefaultConfig(),
 	})
 	return c
+}
+
+// at is a stage report of kind k at time t.
+func at(k probe.Kind, t int64) probe.Stage { return probe.Stage{Kind: k, T: t} }
+
+// msg is a request transit from src to dst.
+func msg(src, dst mesh.Node, depart, arrive int64, hops int) probe.Stage {
+	return probe.Stage{Kind: probe.Req, T: arrive, Depart: depart, From: src, To: dst, Hops: hops}
+}
+
+// served is a DRAM completion at finish of a request on mc 0.
+func served(bank int, arrive, start, finish int64, bypassed int) probe.Stage {
+	return probe.Stage{Kind: probe.DRAMDone, T: finish,
+		Service: dram.Service{Bank: bank, Arrive: arrive, Start: start, Bypassed: bypassed}}
 }
 
 // wantProbe asserts the checker recorded at least one violation from the
@@ -34,14 +49,11 @@ func wantProbe(t *testing.T, c *Checker, probe string) {
 
 func TestCausalityCleanFlow(t *testing.T) {
 	c := bound()
-	id := c.StartAccess(10)
-	if id == 0 {
-		t.Fatal("probe ID 0 — zero must mean untracked")
-	}
-	c.Stage(id, StageL1, 12)
-	c.Stage(id, StageL2, 12) // equal times are legal (same-cycle handoff)
-	c.Stage(id, StageNoCReq, 20)
-	c.EndAccess(id, 25)
+	c.Begin(1, 0, 10)
+	c.Stage(1, at(probe.L1, 12))
+	c.Stage(1, at(probe.L2, 12)) // equal times are legal (same-cycle handoff)
+	c.Stage(1, at(probe.Dir, 20))
+	c.End(1, 25)
 	if !c.Ok() {
 		t.Errorf("clean flow flagged: %v", c.Violations())
 	}
@@ -49,29 +61,29 @@ func TestCausalityCleanFlow(t *testing.T) {
 
 func TestCausalityStageRewind(t *testing.T) {
 	c := bound()
-	id := c.StartAccess(10)
-	c.Stage(id, StageL1, 5) // precedes issue
+	c.Begin(1, 0, 10)
+	c.Stage(1, at(probe.L1, 5)) // precedes issue
 	wantProbe(t, c, "causality")
 }
 
 func TestCausalityDoubleRetire(t *testing.T) {
 	c := bound()
-	id := c.StartAccess(0)
-	c.EndAccess(id, 5)
-	c.EndAccess(id, 6)
+	c.Begin(1, 0, 0)
+	c.End(1, 5)
+	c.End(1, 6)
 	wantProbe(t, c, "causality")
 }
 
 func TestCausalityUnknownAccess(t *testing.T) {
 	c := bound()
-	c.Stage(99, StageL1, 0)
+	c.Stage(99, at(probe.L1, 0))
 	wantProbe(t, c, "causality")
 }
 
 func TestCausalityInflightAtDrain(t *testing.T) {
 	c := bound()
-	c.StartAccess(0) // never retired
-	c.FinishRun(RunTotals{MaxHops: -1})
+	c.Begin(1, 0, 0) // never retired
+	c.Finish(probe.Totals{MaxHops: -1})
 	wantProbe(t, c, "causality")
 }
 
@@ -87,7 +99,7 @@ func TestTransitClean(t *testing.T) {
 	c := bound()
 	src, dst := mesh.Node{X: 0, Y: 0}, mesh.Node{X: 2, Y: 1}
 	zero := NoCZeroLoadBetween(c.p.NoC, src, dst)
-	c.Transit(src, dst, noc.OnChip, 100, 100+zero, 3)
+	c.Stage(0, msg(src, dst, 100, 100+zero, 3))
 	if !c.Ok() {
 		t.Errorf("clean transit flagged: %v", c.Violations())
 	}
@@ -96,21 +108,21 @@ func TestTransitClean(t *testing.T) {
 func TestTransitWrongHops(t *testing.T) {
 	c := bound()
 	// Manhattan distance 0→(2,1) is 3, not 4.
-	c.Transit(mesh.Node{}, mesh.Node{X: 2, Y: 1}, noc.OnChip, 0, 100, 4)
+	c.Stage(0, msg(mesh.Node{}, mesh.Node{X: 2, Y: 1}, 0, 100, 4))
 	wantProbe(t, c, "xy-route")
 }
 
 func TestTransitHopBound(t *testing.T) {
 	c := bound()
 	// A destination outside the 4×4 mesh: distance 10 exceeds diameter 6.
-	c.Transit(mesh.Node{}, mesh.Node{X: 5, Y: 5}, noc.OnChip, 0, 1000, 10)
+	c.Stage(0, msg(mesh.Node{}, mesh.Node{X: 5, Y: 5}, 0, 1000, 10))
 	wantProbe(t, c, "hop-bound")
 }
 
 func TestTransitBelowZeroLoad(t *testing.T) {
 	c := bound()
 	// 3 hops arriving after 1 cycle: below any per-hop cost.
-	c.Transit(mesh.Node{}, mesh.Node{X: 2, Y: 1}, noc.OnChip, 0, 1, 3)
+	c.Stage(0, msg(mesh.Node{}, mesh.Node{X: 2, Y: 1}, 0, 1, 3))
 	wantProbe(t, c, "zero-load")
 }
 
@@ -121,15 +133,15 @@ func TestTransitIdealMustBeExact(t *testing.T) {
 	c.Bind(Params{MeshX: 4, MeshY: 4, NoC: cfg, DRAM: dram.DefaultConfig()})
 	zero := NoCZeroLoad(cfg, 3)
 	// On an ideal network any latency above zero-load is also a violation.
-	c.Transit(mesh.Node{}, mesh.Node{X: 2, Y: 1}, noc.OnChip, 0, zero+1, 3)
+	c.Stage(0, msg(mesh.Node{}, mesh.Node{X: 2, Y: 1}, 0, zero+1, 3))
 	wantProbe(t, c, "zero-load")
 }
 
 func TestServeClean(t *testing.T) {
 	c := bound()
 	d := c.p.DRAM
-	c.Enqueue(0, 3, 10)
-	c.Serve(0, 3, 10, 15, 15+d.TRowHit, 2)
+	c.Stage(0, at(probe.DRAMSubmit, 10))
+	c.Stage(0, served(3, 10, 15, 15+d.TRowHit, 2))
 	if !c.Ok() {
 		t.Errorf("clean service flagged: %v", c.Violations())
 	}
@@ -140,36 +152,36 @@ func TestServeClean(t *testing.T) {
 
 func TestServeBeforeArrive(t *testing.T) {
 	c := bound()
-	c.Serve(0, 0, 20, 10, 30, 0)
+	c.Stage(0, served(0, 20, 10, 30, 0))
 	wantProbe(t, c, "dram")
 }
 
 func TestServeBadDuration(t *testing.T) {
 	c := bound()
-	c.Serve(0, 0, 0, 0, 17, 0) // 17 matches none of hit/miss/conflict
+	c.Stage(0, served(0, 0, 0, 17, 0)) // 17 matches none of hit/miss/conflict
 	wantProbe(t, c, "dram")
 }
 
 func TestServeStarvationBound(t *testing.T) {
 	c := bound()
 	limit := dram.EffectiveStarveLimit(c.p.DRAM)
-	c.Serve(0, 0, 0, 0, c.p.DRAM.TRowHit, limit) // at the bound: legal
+	c.Stage(0, served(0, 0, 0, c.p.DRAM.TRowHit, limit)) // at the bound: legal
 	if !c.Ok() {
 		t.Errorf("at-bound service flagged: %v", c.Violations())
 	}
-	c.Serve(0, 0, 0, 0, c.p.DRAM.TRowHit, limit+1)
+	c.Stage(0, served(0, 0, 0, c.p.DRAM.TRowHit, limit+1))
 	wantProbe(t, c, "starvation")
 }
 
 func TestFinishRunEnqueueServeMismatch(t *testing.T) {
 	c := bound()
-	c.Enqueue(0, 0, 0)
-	c.FinishRun(RunTotals{MaxHops: -1})
+	c.Stage(0, at(probe.DRAMSubmit, 0))
+	c.Finish(probe.Totals{MaxHops: -1})
 	wantProbe(t, c, "conservation")
 }
 
 func TestVerifyTotals(t *testing.T) {
-	clean := RunTotals{
+	clean := probe.Totals{
 		TraceAccesses: 10, Injected: 10, Completed: 10,
 		L1Hits: 4, L2LocalHits: 3, OnChipRemote: 1, OffChip: 2,
 		NetMsgs:      [2]int64{3, 2},
@@ -183,18 +195,18 @@ func TestVerifyTotals(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		mutate func(*RunTotals)
+		mutate func(*probe.Totals)
 		want   string
 	}{
-		{"dropped-injection", func(r *RunTotals) { r.Injected = 9; r.Completed = 9; r.L1Hits = 3 }, "injected"},
-		{"lost-completion", func(r *RunTotals) { r.Completed = 9 }, "completed"},
-		{"outcome-partition", func(r *RunTotals) { r.L1Hits = 5 }, "partition"},
-		{"dram-mismatch", func(r *RunTotals) { r.MemServed = 1 }, "DRAM requests"},
-		{"optimal-touched-controllers", func(r *RunTotals) { r.Optimal = true }, "optimal scheme submitted"},
-		{"served-vs-offchip", func(r *RunTotals) { r.MemSubmitted = 3; r.MemServed = 3 }, "off-chip accesses"},
-		{"cdf-wrong-length", func(r *RunTotals) { r.HopCDF[0] = []float64{0.5, 1} }, "entries"},
-		{"cdf-not-closed", func(r *RunTotals) { r.HopCDF[1] = []float64{0, 0.5, 0.9} }, "close at 1"},
-		{"too-few-events", func(r *RunTotals) { r.Events = 10 }, "multi-stage"},
+		{"dropped-injection", func(r *probe.Totals) { r.Injected = 9; r.Completed = 9; r.L1Hits = 3 }, "injected"},
+		{"lost-completion", func(r *probe.Totals) { r.Completed = 9 }, "completed"},
+		{"outcome-partition", func(r *probe.Totals) { r.L1Hits = 5 }, "partition"},
+		{"dram-mismatch", func(r *probe.Totals) { r.MemServed = 1 }, "DRAM requests"},
+		{"optimal-touched-controllers", func(r *probe.Totals) { r.Optimal = true }, "optimal scheme submitted"},
+		{"served-vs-offchip", func(r *probe.Totals) { r.MemSubmitted = 3; r.MemServed = 3 }, "off-chip accesses"},
+		{"cdf-wrong-length", func(r *probe.Totals) { r.HopCDF[0] = []float64{0.5, 1} }, "entries"},
+		{"cdf-not-closed", func(r *probe.Totals) { r.HopCDF[1] = []float64{0, 0.5, 0.9} }, "close at 1"},
+		{"too-few-events", func(r *probe.Totals) { r.Events = 10 }, "multi-stage"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -250,7 +262,7 @@ func TestNilCheckerAccessors(t *testing.T) {
 func TestBindResets(t *testing.T) {
 	c := bound()
 	c.Report("test", "stale")
-	c.StartAccess(0)
+	c.Begin(1, 0, 0)
 	c.EngineTick(50)
 	c.Bind(c.p)
 	if !c.Ok() || len(c.inflight) != 0 || c.lastTick != 0 || c.started != 0 {

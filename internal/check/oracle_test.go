@@ -7,6 +7,7 @@ import (
 	"offchip/internal/engine"
 	"offchip/internal/mesh"
 	"offchip/internal/noc"
+	"offchip/internal/probe"
 )
 
 // TestNoCZeroLoadOracleMatchesNetwork sends lone messages across an
@@ -73,28 +74,33 @@ func TestDRAMSingleStreamOracleMatchesController(t *testing.T) {
 	}
 }
 
-// TestCheckerAcceptsQuietRealSubstrate wires a bound Checker as the actual
-// NoC and DRAM probe and drives idle-substrate traffic through it: the
-// probes must stay silent on correct hardware models.
+// TestCheckerAcceptsQuietRealSubstrate drives idle-substrate traffic
+// through a real NoC and DRAM controller and feeds the Checker the stage
+// reports the simulator would: the probes must stay silent on correct
+// hardware models.
 func TestCheckerAcceptsQuietRealSubstrate(t *testing.T) {
 	nocCfg := noc.DefaultConfig(4, 4)
 	c := New()
 	c.Bind(Params{MeshX: 4, MeshY: 4, NoC: nocCfg, DRAM: dram.DefaultConfig()})
-	nocCfg.Probe = c
 	n := noc.New(nocCfg)
 	for i := 0; i < 5; i++ {
-		n.Transit(int64(i)*10_000, mesh.Node{X: 0, Y: 0}, mesh.Node{X: 3, Y: i % 4}, noc.OffChip)
+		src, dst, depart := mesh.Node{X: 0, Y: 0}, mesh.Node{X: 3, Y: i % 4}, int64(i)*10_000
+		arrive, hops := n.Transit(depart, src, dst, noc.OffChip)
+		c.Stage(0, probe.Stage{Kind: probe.Req, T: arrive, Depart: depart, From: src, To: dst, Hops: hops})
 	}
 
 	var s engine.Sim
 	mc := dram.New(0, c.p.DRAM, &s, nil)
-	mc.Probe = c
 	s.At(0, func() {
 		for i := 0; i < 8; i++ {
-			mc.Submit(int64(i)*64, func(int64) {})
+			c.Stage(0, probe.Stage{Kind: probe.DRAMSubmit, T: s.Now()})
+			mc.Submit(int64(i)*64, func(finish int64) {
+				c.Stage(0, probe.Stage{Kind: probe.DRAMDone, T: finish, Service: mc.LastService()})
+			})
 		}
 	})
 	s.Run()
+	c.Finish(probe.Totals{MaxHops: -1, NetMsgs: [2]int64{0, 5}})
 	if !c.Ok() {
 		t.Errorf("quiet substrate flagged: %v", c.Violations())
 	}

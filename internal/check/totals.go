@@ -3,49 +3,13 @@ package check
 import (
 	"fmt"
 
-	"offchip/internal/obs"
+	"offchip/internal/probe"
 )
-
-// RunTotals summarizes a drained simulation run for the generalized
-// conservation check. sim.(*Result).Totals builds it; VerifyTotals asserts
-// the flow identities that hold for every correct run: nothing dropped,
-// duplicated, or left in flight anywhere in the cache/NoC/DRAM pipeline.
-type RunTotals struct {
-	// TraceAccesses is the workload's access count (the injection target).
-	TraceAccesses int64
-	// Injected and Completed are the accesses the machine issued and retired.
-	Injected  int64
-	Completed int64
-
-	// Outcome partition: every access is exactly one of these.
-	L1Hits       int64
-	L2LocalHits  int64
-	OnChipRemote int64
-	OffChip      int64
-
-	// Network totals per class (on-chip, off-chip).
-	NetMsgs [2]int64
-	HopCDF  [2][]float64
-	// MaxHops is the mesh diameter (MeshX−1)+(MeshY−1); each HopCDF must
-	// have exactly one entry per reachable hop count, 0..MaxHops.
-	MaxHops int
-
-	// Controller totals.
-	MemSubmitted int64
-	MemServed    int64
-
-	// Events is the engine's processed-event count.
-	Events int64
-
-	// Optimal marks a Section 2 optimal-scheme run, where the controllers
-	// are bypassed (MemServed is the synthetic row-hit count).
-	Optimal bool
-}
 
 // VerifyTotals checks the conservation identities on a drained run and
 // returns one violation per broken identity (nil when clean). It subsumes
 // the bespoke assertions the old internal/sim conservation tests carried.
-func VerifyTotals(tot RunTotals) []Violation {
+func VerifyTotals(tot probe.Totals) []Violation {
 	var vs []Violation
 	badf := func(format string, args ...any) {
 		vs = append(vs, Violation{Probe: "conservation", Msg: fmt.Sprintf(format, args...)})
@@ -93,40 +57,6 @@ func VerifyTotals(tot RunTotals) []Violation {
 	if tot.Injected > 0 && tot.Events <= tot.Injected {
 		badf("processed %d events for %d accesses (multi-stage flow missing)",
 			tot.Events, tot.Injected)
-	}
-	return vs
-}
-
-// CrossCheckRegistry verifies that the observability registry agrees with
-// the run totals — the counters every figure renders from must describe the
-// same run the Result does. The registry must be private to the run (sim
-// only enables this when it created the observer itself).
-func CrossCheckRegistry(reg *obs.Registry, tot RunTotals) []Violation {
-	var vs []Violation
-	badf := func(format string, args ...any) {
-		vs = append(vs, Violation{Probe: "registry", Msg: fmt.Sprintf(format, args...)})
-	}
-	if got := reg.Sum("sim", "accesses"); got != tot.Injected {
-		badf("sim/accesses counter %d, result says %d", got, tot.Injected)
-	}
-	if got := reg.Sum("noc", "messages"); got != tot.NetMsgs[0]+tot.NetMsgs[1] {
-		badf("noc/messages counter %d, result says %d", got, tot.NetMsgs[0]+tot.NetMsgs[1])
-	}
-	if got := reg.Sum("sim", "offchip_requests"); got != tot.OffChip {
-		badf("sim/offchip_requests map sums to %d, result says %d off-chip", got, tot.OffChip)
-	}
-	wantServed := tot.MemServed
-	if tot.Optimal {
-		wantServed = 0 // synthetic services never touch the dram counters
-	}
-	if got := reg.Sum("dram", "served"); got != wantServed {
-		badf("dram/served counter %d, result says %d", got, wantServed)
-	}
-	// Cache lookups: every access probes an L1 (Injected lookups) and every
-	// L1 miss probes exactly one L2 (local or home bank), so total cache
-	// hits+misses must equal 2·Injected − L1Hits.
-	if got, want := reg.Sum("cache", "hits")+reg.Sum("cache", "misses"), 2*tot.Injected-tot.L1Hits; got != want {
-		badf("cache hit+miss counters sum to %d, flow identity says %d", got, want)
 	}
 	return vs
 }

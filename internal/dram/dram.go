@@ -5,11 +5,12 @@
 // paper's Table 1 DDR3-1600 part: a row-buffer hit costs one CAS, a closed
 // bank adds activation, and a conflict adds precharge.
 //
-// Controllers publish through the observability registry: request mix
-// counters (row hits/misses/conflicts), per-bank served counts for the
-// -report hottest-bank table, and the Figure 18 queue occupancy as a
-// time-weighted gauge. With a tracer attached, every enqueue and every
-// bank service (tagged with its row outcome) becomes a trace event.
+// Controllers keep their statistics in plain fields — request mix (row
+// hits/misses/conflicts), per-bank served counts for the -report
+// hottest-bank table, and the Figure 18 queue-length integral — and Publish
+// mirrors them into the observability registry. With a tracer attached,
+// every enqueue and every bank service (tagged with its row outcome) becomes
+// a trace event.
 package dram
 
 import (
@@ -89,16 +90,14 @@ type Completion interface {
 	MemDone(finish int64)
 }
 
-// Probe observes controller activity for the invariant checker
-// (internal/check implements it); attach via the Controller.Probe field
-// before submitting requests.
-type Probe interface {
-	// Enqueue fires on every accepted request.
-	Enqueue(mc, bank int, at int64)
-	// Serve fires when a bank starts servicing a request: arrive is the
-	// enqueue time, start/finish the service interval, bypassed how many
-	// times younger row hits were served ahead of this request.
-	Serve(mc, bank int, arrive, start, finish int64, bypassed int)
+// Service is the bank-service record of one request: its bank, its enqueue
+// time, the start of its bank service, and how many times younger row hits
+// were served ahead of it.
+type Service struct {
+	Bank     int
+	Arrive   int64
+	Start    int64
+	Bypassed int
 }
 
 // funcCompletion adapts a legacy callback to Completion. Func values are
@@ -115,6 +114,7 @@ type request struct {
 	arrive   int64
 	bank     int
 	row      int64
+	start    int64
 	finish   int64
 	bypassed int // times a younger row hit was served ahead of this request
 	done     Completion
@@ -128,6 +128,7 @@ type request struct {
 // new request, which is allowed to reuse this node.
 func (r *request) Handle(int64) {
 	c, done, finish := r.c, r.done, r.finish
+	c.last = Service{Bank: r.bank, Arrive: r.arrive, Start: r.start, Bypassed: r.bypassed}
 	c.freeReq(r)
 	done.MemDone(finish)
 	c.dispatch()
@@ -150,40 +151,26 @@ type Controller struct {
 	pending  []*request
 	freeReqs *request // recycled request nodes
 
-	// OnSubmit, when set, observes every submitted (local) address; used by
-	// tests and diagnostics.
-	OnSubmit func(addr int64)
+	starve int     // effective StarveLimit
+	last   Service // record of the request whose completion is being delivered
 
-	// Probe, when set, observes every enqueue and service — the invariant
-	// checker's timing and starvation-bound hook. Nil costs one check per
-	// request.
-	Probe Probe
-
-	starve int // effective StarveLimit
-
-	// Aggregate stats, mirrored into registry counters.
+	// Aggregate stats.
 	Submitted       int64 // requests accepted (conservation: Submitted == Served at drain)
 	Served          int64 // requests completed
 	TotalMemLatency int64 // Σ (finish − arrive): the "memory latency" of Figure 4
 	TotalQueueWait  int64 // Σ (service start − arrive)
 	RowHits         int64
+	rowMisses       int64
+	rowConflicts    int64
+	bankServed      []int64
 
-	// Plain time-weighted queue-length accumulator. It mirrors the registry
-	// gauge so QueueOccupancy survives runs with a null observer (sampled
-	// quiet windows), which register no metrics at all.
+	// Figure 18's time-weighted queue length: Σ length·dt up to qLast, the
+	// time of the latest change, and the length qCur since then.
 	qInt  int64
 	qLast int64
 	qCur  int64
 
-	// Registry-backed statistics.
-	servedC    *obs.Counter
-	rowHitC    *obs.Counter
-	rowMissC   *obs.Counter
-	rowConflC  *obs.Counter
-	queueWaitC *obs.Counter
-	memLatC    *obs.Counter
-	queueLen   *obs.TimeWeighted // Figure 18's time-averaged queue length
-	bankServed []*obs.Counter
+	feed *obs.Feed
 }
 
 // New returns a controller bound to the simulation clock, publishing into
@@ -195,27 +182,36 @@ func New(id int, cfg Config, sim *engine.Sim, o *obs.Observer) *Controller {
 	o = obs.OrNew(o)
 	c := &Controller{
 		ID: id, cfg: cfg, sim: sim, obs: o,
-		comp:   "mc" + strconv.Itoa(id),
-		banks:  make([]bank, cfg.BanksPerMC),
-		starve: EffectiveStarveLimit(cfg),
+		comp:       "mc" + strconv.Itoa(id),
+		banks:      make([]bank, cfg.BanksPerMC),
+		starve:     EffectiveStarveLimit(cfg),
+		bankServed: make([]int64, cfg.BanksPerMC),
+		feed:       obs.NewFeed(o.Reg),
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
 	}
 	mcLabel := "mc=" + strconv.Itoa(id)
-	c.servedC = o.Reg.Counter("dram", "served", mcLabel)
-	c.rowHitC = o.Reg.Counter("dram", "row_hits", mcLabel)
-	c.rowMissC = o.Reg.Counter("dram", "row_misses", mcLabel)
-	c.rowConflC = o.Reg.Counter("dram", "row_conflicts", mcLabel)
-	c.queueWaitC = o.Reg.Counter("dram", "queue_wait_cycles", mcLabel)
-	c.memLatC = o.Reg.Counter("dram", "mem_latency_cycles", mcLabel)
-	c.queueLen = o.Reg.TimeWeighted("dram", "queue_len", mcLabel)
-	c.bankServed = make([]*obs.Counter, cfg.BanksPerMC)
+	c.feed.Counter(&c.Served, "dram", "served", mcLabel)
+	c.feed.Counter(&c.RowHits, "dram", "row_hits", mcLabel)
+	c.feed.Counter(&c.rowMisses, "dram", "row_misses", mcLabel)
+	c.feed.Counter(&c.rowConflicts, "dram", "row_conflicts", mcLabel)
+	c.feed.Counter(&c.TotalQueueWait, "dram", "queue_wait_cycles", mcLabel)
+	c.feed.Counter(&c.TotalMemLatency, "dram", "mem_latency_cycles", mcLabel)
+	c.feed.TimeWeighted(&c.qInt, &c.qLast, &c.qCur, "dram", "queue_len", mcLabel)
 	for b := range c.bankServed {
-		c.bankServed[b] = o.Reg.Counter("dram", "bank_served", mcLabel, "bank="+strconv.Itoa(b))
+		c.feed.Counter(&c.bankServed[b], "dram", "bank_served", mcLabel, "bank="+strconv.Itoa(b))
 	}
 	return c
 }
+
+// Publish mirrors the statistics into the registry (see obs.Feed); call it
+// on the goroutine that drives the simulation.
+func (c *Controller) Publish() { c.feed.Publish() }
+
+// LastService returns the service record of the request whose completion is
+// being delivered. It is valid only inside Completion.MemDone.
+func (c *Controller) LastService() Service { return c.last }
 
 // bankOf maps a local address to its bank and row using permutation-based
 // (XOR-folded) bank interleaving, the standard defense against bank
@@ -250,9 +246,6 @@ func (c *Controller) freeReq(r *request) {
 // request node comes from the controller's pool and doubles as the
 // completion event.
 func (c *Controller) SubmitTo(addr int64, done Completion) {
-	if c.OnSubmit != nil {
-		c.OnSubmit(addr)
-	}
 	b, row := c.bankOf(addr)
 	now := c.sim.Now()
 	r := c.allocReq()
@@ -261,9 +254,6 @@ func (c *Controller) SubmitTo(addr int64, done Completion) {
 	c.Submitted++
 	c.pending = append(c.pending, r)
 	c.setQueueLen(now)
-	if c.Probe != nil {
-		c.Probe.Enqueue(c.ID, b, now)
-	}
 	if tr := c.obs.Tracer; tr.Enabled() {
 		tr.Emit(now, "dram", "enqueue", c.comp, 0,
 			"bank="+strconv.Itoa(b), "addr="+strconv.FormatInt(addr, 16))
@@ -300,15 +290,14 @@ func (c *Controller) dispatch() {
 			dur = c.cfg.TRowHit
 			outcome = "row-hit"
 			c.RowHits++
-			c.rowHitC.Inc()
 		case c.banks[bi].openRow == -1:
 			dur = c.cfg.TRowMiss
 			outcome = "row-miss"
-			c.rowMissC.Inc()
+			c.rowMisses++
 		default:
 			dur = c.cfg.TRowConflict
 			outcome = "row-conflict"
-			c.rowConflC.Inc()
+			c.rowConflicts++
 		}
 		c.banks[bi].openRow = r.row
 		c.banks[bi].freeAt = now + dur
@@ -317,17 +306,11 @@ func (c *Controller) dispatch() {
 		c.Served++
 		c.TotalQueueWait += now - r.arrive
 		c.TotalMemLatency += finish - r.arrive
-		c.servedC.Inc()
-		c.bankServed[bi].Inc()
-		c.queueWaitC.Add(now - r.arrive)
-		c.memLatC.Add(finish - r.arrive)
+		c.bankServed[bi]++
 		if tr := c.obs.Tracer; tr.Enabled() {
 			tr.Emit(now, "dram", outcome, c.comp, dur, "bank="+strconv.Itoa(bi))
 		}
-		if c.Probe != nil {
-			c.Probe.Serve(c.ID, bi, r.arrive, now, finish, r.bypassed)
-		}
-		r.finish = finish
+		r.start, r.finish = now, finish
 		c.sim.Schedule(finish, r)
 	}
 }
@@ -369,28 +352,22 @@ func (c *Controller) pick(bank int) int {
 }
 
 // setQueueLen folds the elapsed interval at the previous queue length into
-// the plain accumulator and mirrors the new length into the registry gauge.
+// the time-weighted accumulator.
 func (c *Controller) setQueueLen(now int64) {
-	n := int64(len(c.pending))
 	c.qInt += c.qCur * (now - c.qLast)
 	c.qLast = now
-	c.qCur = n
-	c.queueLen.Set(now, n)
+	c.qCur = int64(len(c.pending))
 }
 
 // QueueOccupancy returns the time-averaged queue length over [0, until]
 // (the bank queue utilization of Figure 18), extending the last recorded
-// length to until. It reads the controller's own accumulator, not the
-// registry gauge, so it holds under a null observer.
+// length to until.
 func (c *Controller) QueueOccupancy(until int64) float64 {
 	if until <= 0 {
 		return 0
 	}
 	return float64(c.qInt+c.qCur*(until-c.qLast)) / float64(until)
 }
-
-// BankServed returns the number of requests the bank has completed.
-func (c *Controller) BankServed(bank int) int64 { return c.bankServed[bank].Value() }
 
 // AvgMemLatency returns the mean request latency (queue + service).
 func (c *Controller) AvgMemLatency() float64 {

@@ -6,24 +6,21 @@ import (
 	"offchip/internal/engine"
 )
 
-// recordingProbe implements Probe and tracks the worst bypass count seen at
-// service time — the quantity the invariant checker bounds on every run.
-type recordingProbe struct {
-	enqueues   int
+// serviceLog reads each completion's service record and tracks the worst
+// bypass count — the quantity the invariant checker bounds on every run.
+type serviceLog struct {
 	serves     int
 	maxBypass  int
 	orderBreak bool // start before arrive, or finish before start
 }
 
-func (p *recordingProbe) Enqueue(mc, bank int, at int64) { p.enqueues++ }
-
-func (p *recordingProbe) Serve(mc, bank int, arrive, start, finish int64, bypassed int) {
-	p.serves++
-	if bypassed > p.maxBypass {
-		p.maxBypass = bypassed
+func (l *serviceLog) record(s Service, finish int64) {
+	l.serves++
+	if s.Bypassed > l.maxBypass {
+		l.maxBypass = s.Bypassed
 	}
-	if start < arrive || finish < start {
-		p.orderBreak = true
+	if s.Start < s.Arrive || finish < s.Start {
+		l.orderBreak = true
 	}
 }
 
@@ -111,13 +108,15 @@ func TestFRFCFSStarvationBound(t *testing.T) {
 			addrs["r0d"], addrs["r0e"], addrs["r0f"] = 192, 256, 320
 			var s engine.Sim
 			c := New(0, cfg, &s, nil)
-			probe := &recordingProbe{}
-			c.Probe = probe
+			probe := &serviceLog{}
 			finishes := make([]int64, len(tc.reqs))
 			for i, r := range tc.reqs {
 				i, r := i, r
 				s.At(r.at, func() {
-					c.Submit(addrs[r.addr], func(f int64) { finishes[i] = f })
+					c.Submit(addrs[r.addr], func(f int64) {
+						finishes[i] = f
+						probe.record(c.LastService(), f)
+					})
 				})
 			}
 			s.Run()
@@ -136,9 +135,9 @@ func TestFRFCFSStarvationBound(t *testing.T) {
 			if limit := EffectiveStarveLimit(cfg); probe.maxBypass > limit {
 				t.Errorf("starvation bound violated: bypassed %d > limit %d", probe.maxBypass, limit)
 			}
-			if probe.enqueues != len(tc.reqs) || probe.serves != len(tc.reqs) {
-				t.Errorf("probe saw %d enqueues, %d serves, want %d of each",
-					probe.enqueues, probe.serves, len(tc.reqs))
+			if c.Submitted != int64(len(tc.reqs)) || probe.serves != len(tc.reqs) {
+				t.Errorf("%d submitted, %d served, want %d of each",
+					c.Submitted, probe.serves, len(tc.reqs))
 			}
 			if probe.orderBreak {
 				t.Error("probe saw a service interval out of order (start<arrive or finish<start)")

@@ -6,11 +6,11 @@
 // paper measures (off-chip and on-chip traffic fighting over the same
 // links) at a fraction of the cost of flit-level simulation.
 //
-// All statistics publish through the observability registry: the Figure 15
-// hop histograms are registry histograms, and every directed link carries a
-// traversal counter that feeds the -report heat grid. When a tracer is
-// attached, each message emits a send event and each link traversal a
-// per-link event.
+// Statistics live in plain fields — per-class message, hop and latency
+// totals, the Figure 15 hop histograms, and a traversal count per directed
+// link — and Publish mirrors them into the observability registry, where
+// the link counts feed the -report heat grid. When a tracer is attached,
+// each message emits a send event and each link traversal a per-link event.
 package noc
 
 import (
@@ -36,17 +36,6 @@ type Config struct {
 	// Obs supplies the metrics registry and tracer. Nil gets the network a
 	// private registry, so standalone use stays fully observable.
 	Obs *obs.Observer
-	// Probe, when set, observes every completed transit — the invariant
-	// checker's routing and zero-load-latency hook (internal/check
-	// implements it). Nil costs one check per message.
-	Probe Probe
-}
-
-// Probe observes network activity for the invariant checker.
-type Probe interface {
-	// Transit fires once per message after its links are booked: depart is
-	// the send time, arrive the delivery time, hops the XY route length.
-	Transit(src, dst mesh.Node, class Class, depart, arrive int64, hops int)
 }
 
 // DefaultConfig returns the paper's Table 1 network for the given mesh.
@@ -82,20 +71,15 @@ type Network struct {
 	obs   *obs.Observer
 	links []engine.Resource // directed links, indexed by linkIndex
 
-	// Aggregate stats, split by message class; mirrored into the registry
-	// counters below.
+	// Aggregate stats, split by message class.
 	Messages [2]int64 // message count
 	Hops     [2]int64 // total hops
 	Latency  [2]int64 // total network cycles (incl. contention stalls)
 
-	// Registry-backed statistics: the Figure 15 hop histograms and the
-	// per-link traversal counters behind the -report heat grid.
-	hopHist   [2]*obs.Histogram
-	msgCount  [2]*obs.Counter
-	hopCount  [2]*obs.Counter
-	latCount  [2]*obs.Counter
-	linkCount []*obs.Counter
-	linkName  []string // precomputed "(x,y)->(x,y)" for trace events
+	hopCounts  [2][]int64 // Figure 15: messages per hop count 0..diameter, plus overflow
+	traversals []int64    // per directed link, indexed by linkIndex
+	linkName   []string   // precomputed "(x,y)->(x,y)" for trace events
+	feed       *obs.Feed
 }
 
 // New builds a network. It panics on a non-positive mesh.
@@ -111,18 +95,20 @@ func New(cfg Config) *Network {
 	maxHops := cfg.MeshX + cfg.MeshY - 2
 	o := obs.OrNew(cfg.Obs)
 	n := &Network{
-		cfg:       cfg,
-		obs:       o,
-		links:     make([]engine.Resource, cfg.MeshX*cfg.MeshY*4),
-		linkCount: make([]*obs.Counter, cfg.MeshX*cfg.MeshY*4),
-		linkName:  make([]string, cfg.MeshX*cfg.MeshY*4),
+		cfg:        cfg,
+		obs:        o,
+		links:      make([]engine.Resource, cfg.MeshX*cfg.MeshY*4),
+		traversals: make([]int64, cfg.MeshX*cfg.MeshY*4),
+		linkName:   make([]string, cfg.MeshX*cfg.MeshY*4),
+		feed:       obs.NewFeed(o.Reg),
 	}
 	for c := 0; c < 2; c++ {
 		label := "class=" + Class(c).String()
-		n.hopHist[c] = o.Reg.Histogram("noc", "hops", obs.LinearBuckets(0, 1, maxHops+1), label)
-		n.msgCount[c] = o.Reg.Counter("noc", "messages", label)
-		n.hopCount[c] = o.Reg.Counter("noc", "hops_total", label)
-		n.latCount[c] = o.Reg.Counter("noc", "latency_cycles", label)
+		n.hopCounts[c] = make([]int64, maxHops+2)
+		n.feed.Histogram(n.hopCounts[c], &n.Hops[c], &n.Messages[c], "noc", "hops", obs.LinearBuckets(0, 1, maxHops+1), label)
+		n.feed.Counter(&n.Messages[c], "noc", "messages", label)
+		n.feed.Counter(&n.Hops[c], "noc", "hops_total", label)
+		n.feed.Counter(&n.Latency[c], "noc", "latency_cycles", label)
 	}
 	dirDelta := [4]mesh.Node{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}}
 	for y := 0; y < cfg.MeshY; y++ {
@@ -134,7 +120,7 @@ func New(cfg Config) *Network {
 				if to.X < 0 || to.X >= cfg.MeshX || to.Y < 0 || to.Y >= cfg.MeshY {
 					continue // mesh edge: no link in this direction
 				}
-				n.linkCount[base+d] = o.Reg.Counter("noc", "link_traversals",
+				n.feed.Counter(&n.traversals[base+d], "noc", "link_traversals",
 					"from="+from.String(), "to="+to.String())
 				n.linkName[base+d] = from.String() + "->" + to.String()
 			}
@@ -181,7 +167,7 @@ func (n *Network) Transit(now int64, src, dst mesh.Node, class Class) (arrival i
 	prev := src
 	for _, next := range path {
 		li := n.linkIndex(prev, next)
-		n.linkCount[li].Inc()
+		n.traversals[li]++
 		if n.cfg.Contention {
 			start := n.links[li].Reserve(t, n.cfg.LinkOccupancy)
 			if tr.Enabled() {
@@ -206,13 +192,7 @@ func (n *Network) Transit(now int64, src, dst mesh.Node, class Class) (arrival i
 	n.Messages[class]++
 	n.Hops[class] += int64(hops)
 	n.Latency[class] += t - now
-	n.msgCount[class].Inc()
-	n.hopCount[class].Add(int64(hops))
-	n.latCount[class].Add(t - now)
-	n.hopHist[class].Observe(int64(hops))
-	if n.cfg.Probe != nil {
-		n.cfg.Probe.Transit(src, dst, class, now, t, hops)
-	}
+	n.hopCounts[class][min(hops, len(n.hopCounts[class])-1)]++
 	if tr.Enabled() {
 		tr.Emit(now, "noc", "msg", src.String()+"->"+dst.String(), t-now,
 			"class="+class.String(), fmt.Sprintf("hops=%d", hops))
@@ -237,39 +217,34 @@ func (n *Network) AvgHops(class Class) float64 {
 }
 
 // HopCDF returns the cumulative fraction of the class's messages that
-// traverse x or fewer links, for x = 0..len-1 (Figure 15). It is rendered
-// from the registry histogram.
+// traverse x or fewer links, for x = 0..diameter (Figure 15). An unused
+// class yields all zeros.
 func (n *Network) HopCDF(class Class) []float64 {
-	cdf := n.hopHist[class].CDF()
-	if len(cdf) == 0 {
-		// Under a null observer (quiet sampled-window runs) the histogram
-		// was never registered; there is no distribution to render.
-		return nil
+	// XY routing never exceeds the mesh diameter, so the overflow bucket is
+	// left out: one entry per reachable hop count.
+	counts := n.hopCounts[class]
+	out := make([]float64, len(counts)-1)
+	if n.Messages[class] == 0 {
+		return out
 	}
-	// The histogram carries an overflow bucket beyond the 0..maxHops
-	// bounds; XY routing can never exceed the mesh diameter, so fold it
-	// away to preserve the historical shape (one entry per hop count).
-	return cdf[:len(cdf)-1]
+	var cum int64
+	for i := range out {
+		cum += counts[i]
+		out[i] = float64(cum) / float64(n.Messages[class])
+	}
+	return out
 }
 
-// HopHistogram returns the registry histogram of the class's hop counts.
-func (n *Network) HopHistogram(class Class) *obs.Histogram { return n.hopHist[class] }
-
-// LinkTraversals returns the traversal count of the directed link from→to.
-func (n *Network) LinkTraversals(from, to mesh.Node) int64 {
-	return n.linkCount[n.linkIndex(from, to)].Value()
-}
+// Publish mirrors the statistics into the registry (see obs.Feed); call it
+// on the goroutine that drives Transit.
+func (n *Network) Publish() { n.feed.Publish() }
 
 // ResetStats clears the accumulated statistics (links keep their horizon).
+// It must not follow a Publish: the registry only ever adds.
 func (n *Network) ResetStats() {
 	for c := 0; c < 2; c++ {
 		n.Messages[c], n.Hops[c], n.Latency[c] = 0, 0, 0
-		n.hopHist[c].Reset()
-		n.msgCount[c].Reset()
-		n.hopCount[c].Reset()
-		n.latCount[c].Reset()
+		clear(n.hopCounts[c])
 	}
-	for _, lc := range n.linkCount {
-		lc.Reset()
-	}
+	clear(n.traversals)
 }

@@ -323,7 +323,7 @@ func keyOf(component, name string, labels []string) (string, map[string]string) 
 	return b.String(), lm
 }
 
-func (r *Registry) register(component, name, kind string, labels []string) *metric {
+func (r *Registry) register(component, name, kind string, labels []string, bounds []int64) *metric {
 	key, lm := keyOf(component, name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -333,7 +333,19 @@ func (r *Registry) register(component, name, kind string, labels []string) *metr
 		}
 		return m
 	}
+	// The handle is built under the lock, so a concurrent Snapshot never
+	// sees a half-registered metric.
 	m := &metric{component: component, name: name, labels: lm, kind: kind}
+	switch kind {
+	case "counter":
+		m.counter = &Counter{}
+	case "gauge":
+		m.gauge = &Gauge{}
+	case "timeweighted":
+		m.tw = &TimeWeighted{}
+	case "histogram":
+		m.hist = newHistogram(bounds)
+	}
 	r.metrics[key] = m
 	return m
 }
@@ -343,11 +355,7 @@ func (r *Registry) Counter(component, name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	m := r.register(component, name, "counter", labels)
-	if m.counter == nil {
-		m.counter = &Counter{}
-	}
-	return m.counter
+	return r.register(component, name, "counter", labels, nil).counter
 }
 
 // Gauge registers (or finds) a gauge.
@@ -355,11 +363,7 @@ func (r *Registry) Gauge(component, name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	m := r.register(component, name, "gauge", labels)
-	if m.gauge == nil {
-		m.gauge = &Gauge{}
-	}
-	return m.gauge
+	return r.register(component, name, "gauge", labels, nil).gauge
 }
 
 // TimeWeighted registers (or finds) a time-weighted gauge.
@@ -367,11 +371,7 @@ func (r *Registry) TimeWeighted(component, name string, labels ...string) *TimeW
 	if r == nil {
 		return nil
 	}
-	m := r.register(component, name, "timeweighted", labels)
-	if m.tw == nil {
-		m.tw = &TimeWeighted{}
-	}
-	return m.tw
+	return r.register(component, name, "timeweighted", labels, nil).tw
 }
 
 // Histogram registers (or finds) a histogram with the given bucket bounds.
@@ -380,11 +380,7 @@ func (r *Registry) Histogram(component, name string, bounds []int64, labels ...s
 	if r == nil {
 		return nil
 	}
-	m := r.register(component, name, "histogram", labels)
-	if m.hist == nil {
-		m.hist = newHistogram(bounds)
-	}
-	return m.hist
+	return r.register(component, name, "histogram", labels, bounds).hist
 }
 
 // Point is one metric's exported state, as serialized to the JSONL metrics

@@ -1,7 +1,7 @@
-// Package prof is the cycle-level latency-attribution profiler: it rides
-// the same per-access probe surface the invariant checker uses
-// (sim.Config stage callbacks, per-transit hop counts, the controllers'
-// queue/service split) and decomposes every access's end-to-end latency
+// Package prof is the cycle-level latency-attribution profiler: it consumes
+// the simulator's probe stream (internal/probe) — the same one the
+// invariant checker reads, with per-transit hop counts and the controllers'
+// queue/service split — and decomposes every access's end-to-end latency
 // into exclusive per-stage components — L1 lookup, L2 lookup, NoC request
 // traversal split into zero-load hops vs link queueing, directory lookup
 // and forwarding, DRAM queue wait vs bank service, NoC reply traversal.
@@ -13,8 +13,8 @@
 //
 // Aggregates land per (core, component) and per MC, with registry-backed
 // latency histograms per stage (p50/p95/p99 via obs.Histogram.Quantile).
-// A detached profiler (sim.Config.Prof == nil) costs one nil check per
-// probe site, like the checker and the tracer.
+// A detached profiler (sim.Config.Prof == nil) costs nothing: the stream
+// has one nil check per hook site whatever is attached.
 package prof
 
 import (
@@ -23,6 +23,7 @@ import (
 	"offchip/internal/check"
 	"offchip/internal/noc"
 	"offchip/internal/obs"
+	"offchip/internal/probe"
 )
 
 // Component is one exclusive slice of an access's end-to-end latency.
@@ -100,24 +101,6 @@ var stageIndex = func() map[string]int {
 	return m
 }()
 
-// TransitKind classifies a network traversal for attribution.
-type TransitKind int
-
-const (
-	// TransitReq is a request-side traversal (L1/L2 toward directory or MC).
-	TransitReq TransitKind = iota
-	// TransitFwd is the directory→owner forward of an L2-to-L2 transfer.
-	TransitFwd
-	// TransitResp is a response-side traversal (data heading back).
-	TransitResp
-)
-
-var transitComps = [...][2]Component{
-	TransitReq:  {CompNoCReqHops, CompNoCReqQueue},
-	TransitFwd:  {CompFwdHops, CompFwdQueue},
-	TransitResp: {CompNoCRespHops, CompNoCRespQueue},
-}
-
 // Params binds a profiler to one simulated machine.
 type Params struct {
 	Cores int
@@ -138,22 +121,6 @@ type accessRec struct {
 	last  int64
 }
 
-// servedSplit is one controller service record waiting for its access's
-// completion event: the queue/service split dram.Probe.Serve reported.
-type servedSplit struct {
-	queue   int64
-	service int64
-}
-
-// serveKey correlates a Serve record with the completion the controller
-// schedules for it: completions for one (mc, finish) time dispatch in the
-// same order the controller emitted them (the engine's (time, seq) order),
-// so a per-key FIFO resolves even same-cycle collisions across banks.
-type serveKey struct {
-	mc     int
-	finish int64
-}
-
 // Profiler decomposes per-access latency. It is bound to one run at a time
 // (Bind resets all state) and is not safe for concurrent runs — give each
 // simulation its own, exactly like check.Checker.
@@ -161,9 +128,7 @@ type Profiler struct {
 	p      Params
 	perHop int64 // zero-load cycles per hop
 
-	nextID   int64
 	inflight map[int64]accessRec
-	pending  map[serveKey][]servedSplit
 
 	// Aggregates, plain int64 on the hot path; published to the registry
 	// by FinishRun.
@@ -198,9 +163,7 @@ func histBounds() []int64 { return obs.ExponentialBuckets(1, 2, 20) }
 func (p *Profiler) Bind(params Params) {
 	p.p = params
 	p.perHop = check.NoCZeroLoad(params.NoC, 1)
-	p.nextID = 0
 	p.inflight = make(map[int64]accessRec)
-	p.pending = make(map[serveKey][]servedSplit)
 	p.comp = [NumComponents]int64{}
 	p.perCore = make([][NumComponents]int64, params.Cores)
 	p.mcQueue = make([]int64, params.MCs)
@@ -219,7 +182,7 @@ func (p *Profiler) Bind(params Params) {
 }
 
 // violate records an internal consistency failure (attribution running
-// backwards, an uncorrelated DRAM completion). A clean run records none;
+// backwards, a DRAM split that disagrees with the elapsed window). A clean run records none;
 // the profile-smoke gate asserts that.
 func (p *Profiler) violate(format string, args ...any) {
 	if len(p.violations) < 64 {
@@ -230,12 +193,33 @@ func (p *Profiler) violate(format string, args ...any) {
 // Violations returns the internal consistency failures of the bound run.
 func (p *Profiler) Violations() []string { return p.violations }
 
-// Start registers a new access issued by core at time t and returns its
-// profiler ID (≥ 1; 0 means "untracked", matching the checker convention).
-func (p *Profiler) Start(core int, t int64) int64 {
-	p.nextID++
-	p.inflight[p.nextID] = accessRec{core: core, start: t, last: t}
-	return p.nextID
+// Begin registers access id, issued by core at time t.
+func (p *Profiler) Begin(id int64, core int, t int64) {
+	p.inflight[id] = accessRec{core: core, start: t, last: t}
+}
+
+// Stage attributes the cycles since the access's previous event to the
+// stage's component(s). Stages that carry no latency of their own — DRAM
+// submission, migration copy flits — are ignored.
+func (p *Profiler) Stage(id int64, s probe.Stage) {
+	switch s.Kind {
+	case probe.L1:
+		p.stageAt(id, CompL1, s.T)
+	case probe.L2:
+		p.stageAt(id, CompL2, s.T)
+	case probe.Dir:
+		p.stageAt(id, CompDirLookup, s.T)
+	case probe.Req:
+		p.transitAt(id, CompNoCReqHops, CompNoCReqQueue, s.T, s.Hops)
+	case probe.Fwd:
+		p.transitAt(id, CompFwdHops, CompFwdQueue, s.T, s.Hops)
+	case probe.Resp:
+		p.transitAt(id, CompNoCRespHops, CompNoCRespQueue, s.T, s.Hops)
+	case probe.DRAMDone:
+		p.dramDone(id, s.MC, s.Service.Start-s.Service.Arrive, s.T-s.Service.Start, s.T)
+	case probe.DRAMIdeal:
+		p.dramDone(id, -1, 0, -1, s.T)
+	}
 }
 
 // attribute charges delta cycles to component c on the access's core.
@@ -250,9 +234,9 @@ func (p *Profiler) attribute(rec *accessRec, c Component, delta int64) {
 	}
 }
 
-// StageAt records that the access finished component c at time t,
+// stageAt records that the access finished component c at time t,
 // attributing all cycles since its previous event to c.
-func (p *Profiler) StageAt(id int64, c Component, t int64) {
+func (p *Profiler) stageAt(id int64, c Component, t int64) {
 	rec, ok := p.inflight[id]
 	if !ok {
 		p.violate("stage %v reported for unknown access %d", c, id)
@@ -267,11 +251,10 @@ func (p *Profiler) StageAt(id int64, c Component, t int64) {
 	p.inflight[id] = rec
 }
 
-// TransitAt records one network traversal of hops links departing at
-// depart and arriving at arrive, splitting the cycles since the access's
-// previous event into the zero-load hop cost and link queueing. kind
-// selects the request, forward, or response component pair.
-func (p *Profiler) TransitAt(id int64, kind TransitKind, depart, arrive int64, hops int) {
+// transitAt records one network traversal of hops links arriving at
+// arrive, splitting the cycles since the access's previous event into the
+// zero-load hop cost (component hopsC) and link queueing (queueC).
+func (p *Profiler) transitAt(id int64, hopsC, queueC Component, arrive int64, hops int) {
 	rec, ok := p.inflight[id]
 	if !ok {
 		p.violate("transit reported for unknown access %d", id)
@@ -285,87 +268,46 @@ func (p *Profiler) TransitAt(id int64, kind TransitKind, depart, arrive int64, h
 		p.violate("transit of access %d: zero-load %d exceeds elapsed %d", id, zero, delta)
 		zero = delta
 	}
-	comps := transitComps[kind]
-	p.attribute(&rec, comps[0], zero)
-	p.attribute(&rec, comps[1], delta-zero)
+	p.attribute(&rec, hopsC, zero)
+	p.attribute(&rec, queueC, delta-zero)
 	if delta >= 0 {
-		p.stageHists[stageIndex[compStage[comps[0]]]].Observe(delta)
+		p.stageHists[stageIndex[compStage[hopsC]]].Observe(delta)
 	}
 	rec.last = arrive
 	p.inflight[id] = rec
 }
 
-// Enqueue implements dram.Probe; arrival time is already the access's
-// cursor (the submit stage fires at the same cycle), so nothing to record.
-func (p *Profiler) Enqueue(mc, bank int, at int64) {}
-
-// Serve implements dram.Probe: remember the request's queue-wait and bank
-// service split until its completion event reaches DRAMDone. Service
-// records for one (mc, finish) cycle complete in emission order, so a
-// per-key FIFO correlates them exactly.
-func (p *Profiler) Serve(mc, bank int, arrive, start, finish int64, bypassed int) {
-	k := serveKey{mc: mc, finish: finish}
-	p.pending[k] = append(p.pending[k], servedSplit{queue: start - arrive, service: finish - start})
-}
-
-// DRAMDone records that the access's controller request finished at finish
-// on controller mc, attributing the cycles since the previous event to
-// DRAM queue wait and bank service using the controller's own split.
-func (p *Profiler) DRAMDone(id int64, mc int, finish int64) {
+// dramDone records that the access's memory request finished at finish,
+// attributing the cycles since the previous event to DRAM queue wait and
+// bank service by the controller's own split. mc < 0 marks the optimal
+// scheme's contention-free service (service < 0: all elapsed cycles are
+// service), which belongs to no controller.
+func (p *Profiler) dramDone(id int64, mc int, queue, service, finish int64) {
 	rec, ok := p.inflight[id]
 	if !ok {
 		p.violate("DRAM completion for unknown access %d", id)
 		return
 	}
 	delta := finish - rec.last
-	k := serveKey{mc: mc, finish: finish}
-	q := p.pending[k]
-	var split servedSplit
-	if len(q) > 0 {
-		split = q[0]
-		if len(q) == 1 {
-			delete(p.pending, k)
-		} else {
-			p.pending[k] = q[1:]
-		}
-	} else {
-		p.violate("access %d: no service record at mc%d finish=%d", id, mc, finish)
-		split = servedSplit{queue: 0, service: delta}
+	if service < 0 {
+		service = delta
 	}
-	if split.queue+split.service != delta {
+	if queue+service != delta {
 		// The submit stage and the controller's arrive stamp coincide by
-		// construction; a mismatch means the correlation picked the wrong
-		// record. Keep conservation: trust the service time, absorb the
-		// difference into queueing.
-		p.violate("access %d: mc%d split %d+%d != elapsed %d", id, mc, split.queue, split.service, delta)
-		split.queue = delta - split.service
+		// construction; a mismatch means a stage went missing. Keep
+		// conservation: trust the service time, absorb the difference into
+		// queueing.
+		p.violate("access %d: mc%d split %d+%d != elapsed %d", id, mc, queue, service, delta)
+		queue = delta - service
 	}
-	p.attribute(&rec, CompDRAMQueue, split.queue)
-	p.attribute(&rec, CompDRAMService, split.service)
+	p.attribute(&rec, CompDRAMQueue, queue)
+	p.attribute(&rec, CompDRAMService, service)
 	if delta >= 0 {
 		p.stageHists[stageIndex["dram"]].Observe(delta)
 	}
-	if mc >= 0 && mc < len(p.mcQueue) && split.queue >= 0 && split.service >= 0 {
-		p.mcQueue[mc] += split.queue
-		p.mcService[mc] += split.service
-	}
-	rec.last = finish
-	p.inflight[id] = rec
-}
-
-// DRAMOptimal records the Section 2 optimal scheme's contention-free
-// service finishing at finish: all elapsed cycles are bank service (the
-// optimal scheme has no queue by definition).
-func (p *Profiler) DRAMOptimal(id int64, finish int64) {
-	rec, ok := p.inflight[id]
-	if !ok {
-		p.violate("optimal DRAM completion for unknown access %d", id)
-		return
-	}
-	delta := finish - rec.last
-	p.attribute(&rec, CompDRAMService, delta)
-	if delta >= 0 {
-		p.stageHists[stageIndex["dram"]].Observe(delta)
+	if mc >= 0 && mc < len(p.mcQueue) && queue >= 0 && service >= 0 {
+		p.mcQueue[mc] += queue
+		p.mcService[mc] += service
 	}
 	rec.last = finish
 	p.inflight[id] = rec
@@ -389,29 +331,24 @@ func (p *Profiler) End(id int64, t int64) {
 	p.endHist.Observe(total)
 }
 
-// Migration records one committed page migration: copyCycles is the copy's
-// transit time (launch to last flit landing), stallCycles the total TLB
-// shootdown charged across the sharer cores. The cost lands in the
-// "migration" stage histogram and the migration aggregates — deliberately
-// outside the per-access components, whose exclusive sum must stay equal to
-// the end-to-end latency.
-func (p *Profiler) Migration(copyCycles, stallCycles int64) {
+// Migrate records one committed page migration: its copy transit time
+// (launch to last flit landing) and the total TLB shootdown charged across
+// the sharer cores. The cost lands in the "migration" stage histogram and
+// the migration aggregates — deliberately outside the per-access
+// components, whose exclusive sum must stay equal to the end-to-end latency.
+func (p *Profiler) Migrate(m probe.Migration) {
 	p.migrations++
-	p.migCycles += copyCycles + stallCycles
-	if copyCycles >= 0 {
-		p.stageHists[stageIndex["migration"]].Observe(copyCycles)
+	p.migCycles += m.Copy + m.Stall
+	if m.Copy >= 0 {
+		p.stageHists[stageIndex["migration"]].Observe(m.Copy)
 	}
 }
 
-// FinishRun publishes the aggregates into the bound registry and verifies
-// the run drained: every started access ended and every controller service
-// record was claimed by a completion.
-func (p *Profiler) FinishRun() {
+// Finish publishes the aggregates into the bound registry and verifies the
+// run drained: every started access ended.
+func (p *Profiler) Finish(probe.Totals) {
 	if n := len(p.inflight); n > 0 {
 		p.violate("%d accesses still in flight at end of run", n)
-	}
-	if n := len(p.pending); n > 0 {
-		p.violate("%d DRAM service records never matched a completion", n)
 	}
 	reg := p.obs.Reg
 	reg.Counter("prof", "accesses").Add(p.accesses)

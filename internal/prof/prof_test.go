@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"offchip/internal/dram"
 	"offchip/internal/noc"
+	"offchip/internal/probe"
 )
 
 func testParams() Params {
@@ -18,27 +20,41 @@ func testParams() Params {
 	}
 }
 
-// driveAccess replays one synthetic off-chip access through every hook the
-// simulator fires: L1 miss, L2 miss, request transit, directory, DRAM
-// queue+service, response transit, retire.
-func driveAccess(p *Profiler, core int, issue int64) {
-	id := p.Start(core, issue)
+// at is a stage report of kind k at time t.
+func at(k probe.Kind, t int64) probe.Stage { return probe.Stage{Kind: k, T: t} }
+
+// hop is a transit of kind k arriving at arrive after hops links.
+func hop(k probe.Kind, depart, arrive int64, hops int) probe.Stage {
+	return probe.Stage{Kind: k, T: arrive, Depart: depart, Hops: hops}
+}
+
+// served is a completion on mc 0 at finish of a request that arrived at
+// arrive and started service at start.
+func served(arrive, start, finish int64) probe.Stage {
+	return probe.Stage{Kind: probe.DRAMDone, T: finish, Service: dram.Service{Arrive: arrive, Start: start}}
+}
+
+// driveAccess replays one synthetic off-chip access through every stage the
+// simulator reports: L1 miss, L2 miss, request transit, directory, DRAM
+// submit and queue+service, response transit, retire.
+func driveAccess(p *Profiler, id int64, core int, issue int64) {
+	p.Begin(id, core, issue)
 	t := issue + 3 // L1 lookup
-	p.StageAt(id, CompL1, t)
+	p.Stage(id, at(probe.L1, t))
 	t += 7 // L2 lookup
-	p.StageAt(id, CompL2, t)
+	p.Stage(id, at(probe.L2, t))
 	// 4 hops, 12 zero-load cycles (perHop=3), 5 cycles of link queueing.
-	p.TransitAt(id, TransitReq, t, t+17, 4)
+	p.Stage(id, hop(probe.Req, t, t+17, 4))
 	t += 17
 	t += 2 // directory lookup
-	p.StageAt(id, CompDirLookup, t)
+	p.Stage(id, at(probe.Dir, t))
+	p.Stage(id, at(probe.DRAMSubmit, t))
 	// DRAM: arrives at t, waits 6, serves 20.
 	finish := t + 26
-	p.Serve(0, 0, t, t+6, finish, 0)
-	p.DRAMDone(id, 0, finish)
+	p.Stage(id, served(t, t+6, finish))
 	t = finish
 	// Response: 4 hops, no queueing.
-	p.TransitAt(id, TransitResp, t, t+12, 4)
+	p.Stage(id, hop(probe.Resp, t, t+12, 4))
 	t += 12
 	p.End(id, t)
 }
@@ -49,9 +65,9 @@ func TestSyntheticConservation(t *testing.T) {
 	if p.perHop != 3 {
 		t.Fatalf("perHop = %d, want 3 (HopLatency+LinkOccupancy)", p.perHop)
 	}
-	driveAccess(p, 0, 100)
-	driveAccess(p, 1, 250)
-	p.FinishRun()
+	driveAccess(p, 1, 0, 100)
+	driveAccess(p, 2, 1, 250)
+	p.Finish(probe.Totals{})
 	if v := p.Violations(); len(v) != 0 {
 		t.Fatalf("clean run recorded violations: %v", v)
 	}
@@ -96,11 +112,11 @@ func TestSyntheticConservation(t *testing.T) {
 func TestTransitZeroLoadClamped(t *testing.T) {
 	p := New()
 	p.Bind(testParams())
-	id := p.Start(0, 0)
+	p.Begin(1, 0, 0)
 	// 10 hops would be 30 zero-load cycles, but only 12 elapsed: the split
 	// must clamp (and record the inconsistency).
-	p.TransitAt(id, TransitReq, 0, 12, 10)
-	p.End(id, 12)
+	p.Stage(1, hop(probe.Req, 0, 12, 10))
+	p.End(1, 12)
 	if p.comp[CompNoCReqHops] != 12 || p.comp[CompNoCReqQueue] != 0 {
 		t.Fatalf("clamped split = %d/%d, want 12/0", p.comp[CompNoCReqHops], p.comp[CompNoCReqQueue])
 	}
@@ -112,11 +128,11 @@ func TestTransitZeroLoadClamped(t *testing.T) {
 func TestUncorrelatedDRAMDoneKeepsConservation(t *testing.T) {
 	p := New()
 	p.Bind(testParams())
-	id := p.Start(0, 0)
-	p.DRAMDone(id, 0, 40) // no Serve record
-	p.End(id, 40)
+	p.Begin(1, 0, 0)
+	p.Stage(1, served(5, 20, 40)) // arrival disagrees with the access's cursor (0)
+	p.End(1, 40)
 	if len(p.Violations()) == 0 {
-		t.Fatal("missing service record should record a violation")
+		t.Fatal("a service record that disagrees with the elapsed window should record a violation")
 	}
 	prof := p.Profile()
 	if prof.Attributed() != prof.EndToEnd {
@@ -128,7 +144,7 @@ func TestProfileAdd(t *testing.T) {
 	mk := func(issue int64) *Profile {
 		p := New()
 		p.Bind(testParams())
-		driveAccess(p, 0, issue)
+		driveAccess(p, 1, 0, issue)
 		return p.Profile()
 	}
 	a, b := mk(0), mk(1000)
@@ -155,7 +171,7 @@ func TestProfileAdd(t *testing.T) {
 func TestFoldedStacks(t *testing.T) {
 	p := New()
 	p.Bind(testParams())
-	driveAccess(p, 1, 0)
+	driveAccess(p, 1, 1, 0)
 	folded := p.Profile().FoldedStacks("apsi")
 	if !strings.Contains(folded, "apsi;core1;dram;service 20\n") {
 		t.Fatalf("folded stacks missing dram service line:\n%s", folded)
@@ -173,7 +189,7 @@ func TestFoldedStacks(t *testing.T) {
 func TestWritePprofIsGzippedProto(t *testing.T) {
 	p := New()
 	p.Bind(testParams())
-	driveAccess(p, 0, 0)
+	driveAccess(p, 1, 0, 0)
 	var buf bytes.Buffer
 	if err := p.Profile().WritePprof(&buf); err != nil {
 		t.Fatal(err)
@@ -199,19 +215,18 @@ func TestWritePprofIsGzippedProto(t *testing.T) {
 func TestDiffTableSharesSumToTotal(t *testing.T) {
 	base := New()
 	base.Bind(testParams())
-	driveAccess(base, 0, 0)
+	driveAccess(base, 1, 0, 0)
 	opt := New()
 	opt.Bind(testParams())
 	// The "optimized" run: same access with less DRAM queueing.
-	id := opt.Start(0, 0)
-	opt.StageAt(id, CompL1, 3)
-	opt.StageAt(id, CompL2, 10)
-	opt.TransitAt(id, TransitReq, 10, 27, 4)
-	opt.StageAt(id, CompDirLookup, 29)
-	opt.Serve(0, 0, 29, 30, 50, 0)
-	opt.DRAMDone(id, 0, 50)
-	opt.TransitAt(id, TransitResp, 50, 62, 4)
-	opt.End(id, 62)
+	opt.Begin(1, 0, 0)
+	opt.Stage(1, at(probe.L1, 3))
+	opt.Stage(1, at(probe.L2, 10))
+	opt.Stage(1, hop(probe.Req, 10, 27, 4))
+	opt.Stage(1, at(probe.Dir, 29))
+	opt.Stage(1, served(29, 30, 50))
+	opt.Stage(1, hop(probe.Resp, 50, 62, 4))
+	opt.End(1, 62)
 
 	tbl := DiffTable("diff", base.Profile(), opt.Profile())
 	s := tbl.String()
@@ -226,7 +241,7 @@ func TestDiffTableSharesSumToTotal(t *testing.T) {
 func TestQuantileTable(t *testing.T) {
 	p := New()
 	p.Bind(testParams())
-	driveAccess(p, 0, 0)
+	driveAccess(p, 1, 0, 0)
 	s := QuantileTable("quantiles", p.Profile()).String()
 	for _, want := range []string{"l1", "dram", "end-to-end", "p99"} {
 		if !strings.Contains(s, want) {
@@ -238,7 +253,7 @@ func TestQuantileTable(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	p := New()
 	p.Bind(testParams())
-	driveAccess(p, 0, 0)
+	driveAccess(p, 1, 0, 0)
 	sum := p.Profile().Summarize()
 	if sum.Accesses != 1 || sum.Attributed != sum.EndToEnd {
 		t.Fatalf("summary %+v not conservative", sum)

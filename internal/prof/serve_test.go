@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"offchip/internal/obs"
+	"offchip/internal/probe"
 )
 
 func expositionFixture() map[string]*obs.Registry {
@@ -74,8 +75,8 @@ func TestNewServerBadAddrFailsFast(t *testing.T) {
 func TestServerEndpoints(t *testing.T) {
 	p := New()
 	p.Bind(testParams())
-	driveAccess(p, 0, 0)
-	p.FinishRun()
+	driveAccess(p, 1, 0, 0)
+	p.Finish(probe.Totals{})
 	prof := p.Profile()
 	reg := p.obs.Reg
 

@@ -4,7 +4,7 @@ import (
 	"offchip/internal/mem"
 	"offchip/internal/mesh"
 	"offchip/internal/noc"
-	"offchip/internal/obs"
+	"offchip/internal/probe"
 )
 
 // migState drives online page migration inside one run: it feeds every timed
@@ -23,11 +23,7 @@ type migState struct {
 
 	copyFlits int   // resolved: spec value, or PageBytes/LineBytes
 	windowEnd int64 // absolute cycle the open window closes at
-
-	// Registry counters, created on the first committed migration so a run
-	// that never migrates leaves the registry byte-identical to one without
-	// the engine.
-	migC, copyC, stallC *obs.Counter
+	fed       bool  // the mig/* registry counters are registered
 }
 
 // nearestMCOf maps a core to the controller nearest its mesh node — the
@@ -102,7 +98,7 @@ func (g *migState) launch(now int64, mg mem.Migration) {
 		pages = append(pages, v)
 		from := m.cfg.Mapping.Placement.NodeOf(mc)
 		for i := 0; i < g.copyFlits; i++ {
-			t, _ := m.net.Transit(now, from, to, noc.OffChip)
+			t := m.transit(0, probe.Copy, now, from, to, noc.OffChip)
 			if t > finish {
 				finish = t
 			}
@@ -123,8 +119,8 @@ func (g *migState) launch(now int64, mg mem.Migration) {
 // the page's home — so the remap is atomic and the address map is a
 // bijection at every instant. A cluster commits as one unit: its member
 // remaps apply back to back at the same instant, the sharers pay ONE
-// shootdown for the whole cluster, and the bijection probe runs once after
-// the last member.
+// shootdown for the whole cluster, and the probe stream reports the commit
+// once, after the last member.
 type remapEvent struct {
 	g     *migState
 	mg    mem.Migration
@@ -156,22 +152,9 @@ func (e *remapEvent) Handle(now int64) {
 		m.res.Migrations++
 		m.res.MigCopyMsgs += int64(g.copyFlits * remapped)
 		m.res.MigStallCycles += stall
-		if g.migC == nil {
-			g.migC = m.obs.Reg.Counter("mig", "migrations")
-			g.copyC = m.obs.Reg.Counter("mig", "copy_msgs")
-			g.stallC = m.obs.Reg.Counter("mig", "stall_cycles")
-		}
-		g.migC.Inc()
-		g.copyC.Add(int64(g.copyFlits * remapped))
-		g.stallC.Add(stall)
-		if pf := m.pf; pf != nil {
-			pf.Migration(now-e.start, stall)
-		}
-		if ck := m.ck; ck != nil {
-			if err := sp.VerifyBijection(); err != nil {
-				ck.Report("migration", "after remap of app %d vpage %d (+%d pages) MC %d→%d: %v",
-					mg.Page.App, mg.Page.VPage, remapped-1, mg.From, mg.To, err)
-			}
+		if p := m.probe; p != nil {
+			p.Migrate(probe.Migration{App: mg.Page.App, VPage: mg.Page.VPage, Pages: remapped,
+				From: mg.From, To: mg.To, Copy: now - e.start, Stall: stall, Space: sp})
 		}
 	}
 	g.eng.Completed(mg.Page)

@@ -28,9 +28,9 @@ func manyAccesses(cores, perCore int) *Workload {
 	return w
 }
 
-// TestRegistryMatchesResult is the regression test behind the acceptance
-// criterion: the Figure 13/15/18 numbers the observability registry holds
-// must equal the (historically bespoke) stat fields in Result.
+// TestRegistryMatchesResult checks the publish step: the Figure 13/15/18
+// numbers the run mirrors into the observability registry must equal the
+// plain statistics Result reports.
 func TestRegistryMatchesResult(t *testing.T) {
 	cfg := testConfig(t)
 	o := obs.New()
@@ -243,5 +243,49 @@ func TestProgressCallback(t *testing.T) {
 		if samples[i].Cycles < samples[i-1].Cycles {
 			t.Errorf("cycles went backward")
 		}
+	}
+}
+
+// TestLiveRegistryScrape scrapes the registry from another goroutine while
+// the run is in progress — the -serve /metrics path. Under -race it proves
+// the run publishes into the registry without racing its readers; the
+// handshake at the first progress tick proves the scrape sees the run
+// advance mid-run, not only at its end.
+func TestLiveRegistryScrape(t *testing.T) {
+	cfg := testConfig(t)
+	o := obs.New()
+	cfg.Obs = o
+	cfg.ProgressEvery = 100
+	tick, scraped := make(chan struct{}), make(chan int64)
+	mid := int64(-1)
+	cfg.OnProgress = func(Progress) {
+		if mid < 0 {
+			tick <- struct{}{}
+			mid = <-scraped
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		for {
+			select {
+			case <-tick:
+				scraped <- o.Reg.Sum("sim", "accesses")
+			case <-done:
+				return
+			default:
+				o.Reg.Snapshot(0)
+			}
+		}
+	}()
+	r, err := Run(cfg, manyAccesses(16, 50))
+	close(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid <= 0 || mid >= r.Total {
+		t.Errorf("mid-run scrape saw %d accesses, want between 0 and %d", mid, r.Total)
+	}
+	if got := o.Reg.Sum("sim", "accesses"); got != r.Total {
+		t.Errorf("final registry has %d accesses, Result %d", got, r.Total)
 	}
 }

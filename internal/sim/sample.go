@@ -336,17 +336,12 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 		return sr, nil
 	}
 
+	// Null observer: with no registry, the quiet runs skip building and
+	// publishing hundreds of labeled metrics nobody will read.
 	quiet := cfg
-	quiet.Obs = nil
+	quiet.Obs = &obs.Observer{}
 	quiet.OnProgress = nil
 	quiet.ProgressEvery = 0
-	if cfg.Check == nil {
-		// Null observer: every registration site sees a nil registry and
-		// returns nil handles (all nil-safe), skipping the per-run cost of
-		// building hundreds of labeled metrics nobody will read. The checker
-		// path keeps a real registry for its end-of-run cross-check.
-		quiet.Obs = &obs.Observer{}
-	}
 
 	est := newEstimator()
 	appSamples := map[int]*metricSamples{}
@@ -367,13 +362,22 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 		for win := 0; win < spec.Windows; win++ {
 			span, warm, half := spec.windowWorkloads(w, rep, win, warmK, pages)
 			runCfg := quiet
-			if rep == 0 && win == 0 {
+			representative := rep == 0 && win == 0
+			if representative {
 				// One representative window feeds the observability sink.
 				runCfg.Obs = cfg.Obs
 			}
 			spanR, err := Run(runCfg, span)
 			if err != nil {
 				return nil, fmt.Errorf("sim: sampled window r%dw%d: %w", rep, win, err)
+			}
+			if !representative {
+				// The distributional metrics come from the representative
+				// window alone — the one the observability sink sees.
+				spanR.HopCDF = [2][]float64{}
+				for _, row := range spanR.AccessMap {
+					clear(row)
+				}
 			}
 			var warmR, halfR *Result
 			if warm.TotalAccesses() > 0 {
@@ -752,9 +756,9 @@ func aggregate(rs []*Result) *Result {
 		}
 		agg.AvgQueueOcc += r.AvgQueueOcc * float64(r.ExecTime)
 	}
-	// CDF: message-weighted average of the per-run CDFs. Quiet window runs
-	// carry no histogram (null observer) and hence no CDF; the average is
-	// over the instrumented runs only, weighted by their own message counts.
+	// CDF: message-weighted average of the per-run CDFs that carry one
+	// (RunSampled keeps only the representative window's), weighted by
+	// their own message counts.
 	for cls := 0; cls < 2; cls++ {
 		var maxLen int
 		var msgs int64

@@ -22,6 +22,7 @@ import (
 	"offchip/internal/mesh"
 	"offchip/internal/noc"
 	"offchip/internal/obs"
+	"offchip/internal/probe"
 	"offchip/internal/prof"
 )
 
@@ -100,12 +101,10 @@ type Config struct {
 	// OptimalOffchip turns on the Section 2 optimal scheme.
 	OptimalOffchip bool
 
-	// DebugMC0, when set, observes every local address submitted to MC0.
-	DebugMC0 func(addr int64)
-
-	// Obs supplies the observability layer (metrics registry + tracer) every
-	// substrate publishes through. Nil gets the run a private registry, so
-	// the Figure 13/15/18 statistics are always registry-backed.
+	// Obs supplies the observability layer (metrics registry + tracer). Nil
+	// gets the run a private registry. The substrates count in plain fields,
+	// and the run publishes them into the registry every ProgressEvery
+	// processed events and at its end, so a live scrape advances mid-run.
 	Obs *obs.Observer
 
 	// OnProgress, when set, is called from the simulation loop every
@@ -113,20 +112,14 @@ type Config struct {
 	OnProgress    func(Progress)
 	ProgressEvery int64
 
-	// Check attaches the cross-layer invariant checker: Run binds it to this
-	// machine, hooks it into the engine, the NoC, and the controllers, feeds
-	// it every stage of every access, and finishes it with the run's
-	// conservation totals. Nil (the default) disables every probe at the
-	// cost of one nil check per site, like the tracer.
+	// Check attaches the cross-layer invariant checker and Prof the
+	// latency-attribution profiler. Run binds each to this machine and
+	// feeds both the one probe stream (internal/probe): every stage of every
+	// access, each committed migration, and the drained run's totals. The
+	// checker also watches the engine's dispatch clock. Nil (the default)
+	// leaves the stream detached at the cost of one nil check per hook site.
 	Check *check.Checker
-
-	// Prof attaches the latency-attribution profiler: Run binds it to this
-	// machine and feeds it the same per-access stage stream the checker
-	// sees, plus per-transit hop counts and the controllers' queue/service
-	// splits, so every access's end-to-end latency decomposes into
-	// exclusive per-stage components. Nil (the default) disables every
-	// hook at the cost of one nil check per site.
-	Prof *prof.Profiler
+	Prof  *prof.Profiler
 }
 
 // Progress is a live status sample of a running simulation.
@@ -375,20 +368,14 @@ type machine struct {
 	spaces map[int]*mem.AddressSpace
 	cores  []*coreState
 	res    *Result
-	ck     *check.Checker // nil when checking is off
-	pf     *prof.Profiler // nil when profiling is off
-	mig    *migState      // nil when migration is off
-	seq    bool           // Workload.Sequential: no per-core round-robin
+	probe  probe.Probe // nil when nothing observes the run
+	nextID int64       // last probe ID handed to an access
+	mig    *migState   // nil when migration is off
+	seq    bool        // Workload.Sequential: no per-core round-robin
 
-	// Registry-backed statistics: the Figure 13 access map plus the access
-	// outcome counters; coreComp holds precomputed trace component names.
-	accessMap [][]*obs.Counter
-	totalC    *obs.Counter
-	l2LocalC  *obs.Counter
-	remoteC   *obs.Counter
-	offChipC  *obs.Counter
-	coreComp  []string
-	seedMix   uint64 // Seed pre-mixed for the jitter hash (0 when Seed is 0)
+	feed     *obs.Feed // the access outcome counters and the Figure 13 access map
+	coreComp []string  // precomputed trace component names
+	seedMix  uint64    // Seed pre-mixed for the jitter hash (0 when Seed is 0)
 
 	freeEvents *accessEvent // recycled access events
 
@@ -427,9 +414,9 @@ type accessEvent struct {
 	mcID  int
 	acc   Access
 	t     int64 // stage-specific captured time (e.g. the optimal scheme's finish)
+	paddr int64 // physical address of an off-chip request
 	local int64 // controller-local address
-	ckID  int64 // invariant-checker access ID (0 when checking is off)
-	pfID  int64 // profiler access ID (0 when profiling is off)
+	id    int64 // probe ID (meaningful only while a probe is attached)
 
 	coreNode mesh.Node
 	mcNode   mesh.Node
@@ -469,89 +456,46 @@ func (e *accessEvent) Handle(now int64) {
 		m.process(e)
 	case stComplete:
 		core, app, last := e.core, e.app, e.last
-		if ck := m.ck; ck != nil {
-			ck.EndAccess(e.ckID, now)
-		}
-		if pf := m.pf; pf != nil {
-			pf.End(e.pfID, now)
+		if p := m.probe; p != nil {
+			p.End(e.id, now)
 		}
 		m.freeEvent(e)
 		m.complete(core, app, last)
 	case stPrivOptFinish:
-		tBack, hops := m.net.Transit(e.t, e.mcNode, e.coreNode, noc.OffChip)
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageNoCResp, tBack)
-		}
-		if pf := m.pf; pf != nil {
-			pf.TransitAt(e.pfID, prof.TransitResp, e.t, tBack, hops)
-		}
+		tBack := m.transit(e.id, probe.Resp, e.t, e.mcNode, e.coreNode, noc.OffChip)
 		e.stage = stComplete
 		m.sim.Schedule(tBack, e)
-	case stPrivSubmit:
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageDRAMSub, now)
+	case stPrivSubmit, stSharedSubmit:
+		if p := m.probe; p != nil {
+			p.Stage(e.id, probe.Stage{Kind: probe.DRAMSubmit, T: now, MC: e.mcID, Addr: e.paddr, Local: e.local})
 		}
 		m.mcs[e.mcID].SubmitTo(e.local, e)
 	case stSharedHomeHit:
 		// Path 5: home bank → L1.
-		tData, hops := m.net.Transit(now, e.homeNode, e.coreNode, noc.OnChip)
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageNoCResp, tData)
-		}
-		if pf := m.pf; pf != nil {
-			pf.TransitAt(e.pfID, prof.TransitResp, now, tData, hops)
-		}
+		tData := m.transit(e.id, probe.Resp, now, e.homeNode, e.coreNode, noc.OnChip)
 		e.stage = stComplete
 		m.sim.Schedule(tData, e)
 	case stSharedBank:
 		// Paths 2–4, issued by the home bank.
-		tReq, hops := m.net.Transit(now, e.homeNode, e.mcNode, noc.OffChip)
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageNoCReq, tReq)
-		}
-		if pf := m.pf; pf != nil {
-			pf.TransitAt(e.pfID, prof.TransitReq, now, tReq, hops)
-		}
+		tReq := m.transit(e.id, probe.Req, now, e.homeNode, e.mcNode, noc.OffChip)
 		if m.cfg.OptimalOffchip {
 			finish := tReq + m.cfg.DRAM.TRowHit
 			m.res.MemLatency += m.cfg.DRAM.TRowHit
 			m.res.MemServed++
-			if ck := m.ck; ck != nil {
-				ck.Stage(e.ckID, check.StageDRAMDone, finish)
-			}
-			if pf := m.pf; pf != nil {
-				pf.DRAMOptimal(e.pfID, finish)
-			}
+			m.stage(e, probe.DRAMIdeal, finish)
 			e.stage, e.t = stSharedOptServe, finish
 			m.sim.Schedule(finish, e)
 			return
 		}
 		e.stage = stSharedSubmit
 		m.sim.Schedule(tReq, e)
-	case stSharedSubmit:
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageDRAMSub, now)
-		}
-		m.mcs[e.mcID].SubmitTo(e.local, e)
 	case stSharedOptServe:
-		tFill, hops := m.net.Transit(e.t, e.mcNode, e.homeNode, noc.OffChip)
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageNoCResp, tFill)
-		}
-		if pf := m.pf; pf != nil {
-			pf.TransitAt(e.pfID, prof.TransitResp, e.t, tFill, hops)
-		}
+		tFill := m.transit(e.id, probe.Resp, e.t, e.mcNode, e.homeNode, noc.OffChip)
 		e.stage = stSharedFill
 		m.sim.Schedule(tFill, e)
 	case stSharedFill:
 		// Path 5: home bank → L1.
-		tData, hops := m.net.Transit(now, e.homeNode, e.coreNode, noc.OnChip)
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageNoCResp, tData)
-		}
-		if pf := m.pf; pf != nil {
-			pf.TransitAt(e.pfID, prof.TransitResp, now, tData, hops)
-		}
+		tData := m.transit(e.id, probe.Resp, now, e.homeNode, e.coreNode, noc.OnChip)
 		e.stage = stComplete
 		m.sim.Schedule(tData, e)
 	default:
@@ -564,36 +508,61 @@ func (e *accessEvent) Handle(now int64) {
 // still holds the submit stage that handed the event to the controller.
 func (e *accessEvent) MemDone(finish int64) {
 	m := e.m
-	if ck := m.ck; ck != nil {
-		ck.Stage(e.ckID, check.StageDRAMDone, finish)
-	}
-	if pf := m.pf; pf != nil {
-		pf.DRAMDone(e.pfID, e.mcID, finish)
+	if p := m.probe; p != nil {
+		p.Stage(e.id, probe.Stage{Kind: probe.DRAMDone, T: finish, MC: e.mcID, Service: m.mcs[e.mcID].LastService()})
 	}
 	switch e.stage {
 	case stPrivSubmit:
-		tBack, hops := m.net.Transit(finish, e.mcNode, e.coreNode, noc.OffChip)
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageNoCResp, tBack)
-		}
-		if pf := m.pf; pf != nil {
-			pf.TransitAt(e.pfID, prof.TransitResp, finish, tBack, hops)
-		}
+		tBack := m.transit(e.id, probe.Resp, finish, e.mcNode, e.coreNode, noc.OffChip)
 		e.stage = stComplete
 		m.sim.Schedule(tBack, e)
 	case stSharedSubmit:
-		tFill, hops := m.net.Transit(finish, e.mcNode, e.homeNode, noc.OffChip)
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageNoCResp, tFill)
-		}
-		if pf := m.pf; pf != nil {
-			pf.TransitAt(e.pfID, prof.TransitResp, finish, tFill, hops)
-		}
+		tFill := m.transit(e.id, probe.Resp, finish, e.mcNode, e.homeNode, noc.OffChip)
 		e.stage = stSharedFill
 		m.sim.Schedule(tFill, e)
 	default:
 		panic("sim: MemDone in unknown stage")
 	}
+}
+
+// stage reports that access e reached stage k at time t.
+func (m *machine) stage(e *accessEvent, k probe.Kind, t int64) {
+	if p := m.probe; p != nil {
+		p.Stage(e.id, probe.Stage{Kind: k, T: t})
+	}
+}
+
+// transit sends one message from src to dst at time t and reports it as
+// stage k of access id (0: a message outside any access). It returns the
+// arrival time.
+func (m *machine) transit(id int64, k probe.Kind, t int64, src, dst mesh.Node, class noc.Class) int64 {
+	arrive, hops := m.net.Transit(t, src, dst, class)
+	if p := m.probe; p != nil {
+		p.Stage(id, probe.Stage{Kind: k, T: arrive, Depart: t, From: src, To: dst, Hops: hops})
+	}
+	return arrive
+}
+
+// publish mirrors every plain statistic of the run into the registry: the
+// substrates' and the machine's own.
+func (m *machine) publish() {
+	m.net.Publish()
+	for _, mc := range m.mcs {
+		mc.Publish()
+	}
+	for i := range m.l1s {
+		m.l1s[i].Publish()
+		m.l2s[i].Publish()
+	}
+	if g := m.mig; g != nil && !g.fed && m.res.Migrations != 0 {
+		// Registered on the first committed migration, so a run that never
+		// migrates leaves the registry identical to one without the engine.
+		g.fed = true
+		m.feed.Counter(&m.res.Migrations, "mig", "migrations")
+		m.feed.Counter(&m.res.MigCopyMsgs, "mig", "copy_msgs")
+		m.feed.Counter(&m.res.MigStallCycles, "mig", "stall_cycles")
+	}
+	m.feed.Publish()
 }
 
 // totalOutstanding sums in-flight accesses across cores (live reporting).
@@ -606,7 +575,10 @@ func (m *machine) totalOutstanding() int {
 }
 
 // Run simulates the workload on the configured machine.
-func Run(cfg Config, w *Workload) (*Result, error) {
+func Run(cfg Config, w *Workload) (*Result, error) { return run(cfg, w, nil) }
+
+// run is Run with an extra consumer on the probe stream (nil: none).
+func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -626,24 +598,23 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 	}
 	nocCfg := cfg.NoC
 	nocCfg.Obs = o
+	var consumers []probe.Probe
 	if cfg.Check != nil {
-		p := check.Params{
+		cfg.Check.Bind(check.Params{
 			MeshX: cfg.Machine.MeshX, MeshY: cfg.Machine.MeshY,
 			NoC: nocCfg, DRAM: cfg.DRAM, Mem: memCfg,
 			Optimal: cfg.OptimalOffchip,
-		}
-		if cfg.Obs == nil {
-			// Only a private registry is guaranteed to describe this run
-			// alone, which the end-of-run registry cross-check requires.
-			p.Obs = o
-		}
-		cfg.Check.Bind(p)
-		nocCfg.Probe = cfg.Check
+		})
+		consumers = append(consumers, cfg.Check)
 	}
 	if cfg.Prof != nil {
 		cfg.Prof.Bind(prof.Params{
 			Cores: cores, MCs: cfg.Machine.NumMCs, NoC: nocCfg, Obs: o,
 		})
+		consumers = append(consumers, cfg.Prof)
+	}
+	if extra != nil {
+		consumers = append(consumers, extra)
 	}
 	m := &machine{
 		cfg:    cfg,
@@ -653,8 +624,8 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 		net:    noc.New(nocCfg),
 		dir:    cache.NewDirectory(),
 		spaces: map[int]*mem.AddressSpace{},
-		ck:     cfg.Check,
-		pf:     cfg.Prof,
+		probe:  probe.Join(consumers...),
+		feed:   obs.NewFeed(o.Reg),
 		res: &Result{
 			AppExecTime: map[int]int64{},
 			AccessMap:   make([][]int64, cores),
@@ -671,28 +642,19 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		m.seedMix = z ^ (z >> 31)
 	}
-	m.totalC = o.Reg.Counter("sim", "accesses")
-	m.l2LocalC = o.Reg.Counter("sim", "l2_local_hits")
-	m.remoteC = o.Reg.Counter("sim", "onchip_remote")
-	m.offChipC = o.Reg.Counter("sim", "offchip")
-	m.accessMap = make([][]*obs.Counter, cores)
+	m.feed.Counter(&m.res.Total, "sim", "accesses")
+	m.feed.Counter(&m.res.L2LocalHits, "sim", "l2_local_hits")
+	m.feed.Counter(&m.res.OnChipRemote, "sim", "onchip_remote")
+	m.feed.Counter(&m.res.OffChip, "sim", "offchip")
 	for i := range m.res.AccessMap {
 		m.res.AccessMap[i] = make([]int64, cfg.Machine.NumMCs)
-		m.accessMap[i] = make([]*obs.Counter, cfg.Machine.NumMCs)
-		for mc := range m.accessMap[i] {
-			m.accessMap[i][mc] = o.Reg.Counter("sim", "offchip_requests",
+		for mc := range m.res.AccessMap[i] {
+			m.feed.Counter(&m.res.AccessMap[i][mc], "sim", "offchip_requests",
 				fmt.Sprintf("node=%d", i), fmt.Sprintf("mc=%d", mc))
 		}
 	}
 	for i := 0; i < cfg.Machine.NumMCs; i++ {
-		mc := dram.New(i, cfg.DRAM, m.sim, o)
-		if pr := dramProbeFor(cfg.Check, cfg.Prof); pr != nil {
-			mc.Probe = pr
-		}
-		m.mcs = append(m.mcs, mc)
-	}
-	if cfg.DebugMC0 != nil {
-		m.mcs[0].OnSubmit = cfg.DebugMC0
+		m.mcs = append(m.mcs, dram.New(i, cfg.DRAM, m.sim, o))
 	}
 	if cfg.Migrate != nil {
 		m.mig = newMigState(m, *cfg.Migrate)
@@ -708,14 +670,17 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 		m.cores = append(m.cores, &coreState{})
 		m.coreComp = append(m.coreComp, fmt.Sprintf("core%d", i))
 	}
-	if cfg.OnProgress != nil {
+	if cfg.OnProgress != nil || o.Reg != nil {
 		every := cfg.ProgressEvery
 		if every <= 0 {
 			every = 1 << 16
 		}
 		m.sim.ProgressEvery = every
 		m.sim.OnProgress = func(now, processed int64) {
-			cfg.OnProgress(Progress{Cycles: now, Events: processed, Outstanding: m.totalOutstanding()})
+			m.publish()
+			if cfg.OnProgress != nil {
+				cfg.OnProgress(Progress{Cycles: now, Events: processed, Outstanding: m.totalOutstanding()})
+			}
 		}
 	}
 
@@ -795,50 +760,19 @@ func Run(cfg Config, w *Workload) (*Result, error) {
 	}
 	m.sim.Run()
 
-	m.finishStats(w)
-	if cfg.Check != nil {
-		cfg.Check.FinishRun(m.res.Totals(w, &cfg))
-	}
-	if cfg.Prof != nil {
-		cfg.Prof.FinishRun()
+	m.finishStats()
+	m.publish()
+	if p := m.probe; p != nil {
+		p.Finish(m.res.Totals(w, &cfg))
 	}
 	return m.res, nil
-}
-
-// dramProbeFor selects the controller probe for the attached observers:
-// the checker, the profiler, or a fan-out to both. Returning a concrete
-// nil through the interface would read as non-nil at the call site, so
-// absent observers yield an explicit nil.
-func dramProbeFor(ck *check.Checker, pf *prof.Profiler) dram.Probe {
-	switch {
-	case ck != nil && pf != nil:
-		return dramProbes{a: ck, b: pf}
-	case ck != nil:
-		return ck
-	case pf != nil:
-		return pf
-	}
-	return nil
-}
-
-// dramProbes duplicates the controller probe stream to two observers.
-type dramProbes struct{ a, b dram.Probe }
-
-func (d dramProbes) Enqueue(mc, bank int, at int64) {
-	d.a.Enqueue(mc, bank, at)
-	d.b.Enqueue(mc, bank, at)
-}
-
-func (d dramProbes) Serve(mc, bank int, arrive, start, finish int64, bypassed int) {
-	d.a.Serve(mc, bank, arrive, start, finish, bypassed)
-	d.b.Serve(mc, bank, arrive, start, finish, bypassed)
 }
 
 // Totals summarizes a drained run for check.VerifyTotals — the generalized
 // conservation identities shared by the conservation tests, the validation
 // battery, and the CLI's -check mode.
-func (r *Result) Totals(w *Workload, cfg *Config) check.RunTotals {
-	return check.RunTotals{
+func (r *Result) Totals(w *Workload, cfg *Config) probe.Totals {
+	return probe.Totals{
 		TraceAccesses: w.TotalAccesses(),
 		Injected:      r.Total,
 		Completed:     r.Completed,
@@ -1051,12 +985,10 @@ func (m *machine) complete(core, app int, last bool) {
 // pooled event for its next stage.
 func (m *machine) process(e *accessEvent) {
 	m.res.Total++
-	m.totalC.Inc()
-	if ck := m.ck; ck != nil {
-		e.ckID = ck.StartAccess(m.sim.Now())
-	}
-	if pf := m.pf; pf != nil {
-		e.pfID = pf.Start(e.core, m.sim.Now())
+	if p := m.probe; p != nil {
+		m.nextID++
+		e.id = m.nextID
+		p.Begin(e.id, e.core, m.sim.Now())
 	}
 	if g := m.mig; g != nil {
 		// Every timed reference counts toward the page's access distribution
@@ -1068,12 +1000,7 @@ func (m *machine) process(e *accessEvent) {
 
 	// L1.
 	if hit, _ := m.l1s[e.core].Access(paddr); hit {
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageL1, m.sim.Now()+m.cfg.L1Latency)
-		}
-		if pf := m.pf; pf != nil {
-			pf.StageAt(e.pfID, prof.CompL1, m.sim.Now()+m.cfg.L1Latency)
-		}
+		m.stage(e, probe.L1, m.sim.Now()+m.cfg.L1Latency)
 		e.stage = stComplete
 		m.sim.ScheduleAfter(m.cfg.L1Latency, e)
 		return
@@ -1090,67 +1017,44 @@ func (m *machine) process(e *accessEvent) {
 func (m *machine) processPrivate(e *accessEvent, paddr int64) {
 	core, app := e.core, e.app
 	t0 := m.sim.Now() + m.cfg.L1Latency
-	if ck := m.ck; ck != nil {
-		ck.Stage(e.ckID, check.StageL1, t0)
-	}
-	if pf := m.pf; pf != nil {
-		pf.StageAt(e.pfID, prof.CompL1, t0)
-	}
+	m.stage(e, probe.L1, t0)
 	line := m.l2s[core].LineAddr(paddr)
+	t1 := t0 + m.cfg.L2Latency
+	m.stage(e, probe.L2, t1)
 	if hit, evicted := m.l2s[core].Access(paddr); hit {
 		m.res.L2LocalHits++
-		m.l2LocalC.Inc()
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageL2, t0+m.cfg.L2Latency)
-		}
-		if pf := m.pf; pf != nil {
-			pf.StageAt(e.pfID, prof.CompL2, t0+m.cfg.L2Latency)
-		}
 		e.stage = stComplete
-		m.sim.Schedule(t0+m.cfg.L2Latency, e)
+		m.sim.Schedule(t1, e)
 		return
 	} else if evicted >= 0 {
 		m.dir.Remove(evicted, core)
 	}
 	m.dir.Add(line, core) // the fill just performed by Access
 
-	t1 := t0 + m.cfg.L2Latency
-	if ck := m.ck; ck != nil {
-		ck.Stage(e.ckID, check.StageL2, t1)
-	}
-	if pf := m.pf; pf != nil {
-		pf.StageAt(e.pfID, prof.CompL2, t1)
-	}
 	mcID := m.spaces[app].MCOf(paddr)
 	mcNode := m.cfg.Mapping.Placement.NodeOf(mcID)
 	coreNode := mesh.CoordOf(core, m.cfg.Machine.MeshX)
 
-	// Peek the directory to classify the request's traffic, then send
-	// path 1 (L2 → directory at the MC).
-	owner := m.ownerOf(line, core)
-	if owner >= 0 {
+	// Peek the directory for the sharer nearest the requester to classify
+	// the request's traffic, then send path 1 (L2 → directory at the MC).
+	if owner := m.dir.Owner(line, core, m.cfg.Machine.MeshX); owner >= 0 {
 		// On-chip: directory forwards to the owning L2, which sends the
 		// line to the requester.
 		m.res.OnChipRemote++
-		m.remoteC.Inc()
-		tArr, reqHops := m.net.Transit(t1, coreNode, mcNode, noc.OnChip)
+		tArr := m.transit(e.id, probe.Req, t1, coreNode, mcNode, noc.OnChip)
 		tDir := tArr + m.cfg.DirLatency
+		m.stage(e, probe.Dir, tDir)
 		ownerNode := mesh.CoordOf(owner, m.cfg.Machine.MeshX)
-		tFwd, fwdHops := m.net.Transit(tDir, mcNode, ownerNode, noc.OnChip)
+		tFwd, hops := m.net.Transit(tDir, mcNode, ownerNode, noc.OnChip)
+		if p := m.probe; p != nil {
+			// The directory must never go stale: every eviction removes
+			// its sharer bit, so the owner's L2 holds the line.
+			p.Stage(e.id, probe.Stage{Kind: probe.Fwd, T: tFwd, Depart: tDir, From: mcNode, To: ownerNode,
+				Hops: hops, Addr: line, Stale: !m.l2s[owner].Contains(line)})
+		}
 		tOwn := tFwd + m.cfg.L2Latency
-		tData, respHops := m.net.Transit(tOwn, ownerNode, coreNode, noc.OnChip)
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageNoCReq, tArr)
-			ck.Stage(e.ckID, check.StageDir, tDir)
-			ck.Stage(e.ckID, check.StageNoCResp, tData)
-		}
-		if pf := m.pf; pf != nil {
-			pf.TransitAt(e.pfID, prof.TransitReq, t1, tArr, reqHops)
-			pf.StageAt(e.pfID, prof.CompDirLookup, tDir)
-			pf.TransitAt(e.pfID, prof.TransitFwd, tDir, tFwd, fwdHops)
-			pf.StageAt(e.pfID, prof.CompL2, tOwn)
-			pf.TransitAt(e.pfID, prof.TransitResp, tOwn, tData, respHops)
-		}
+		m.stage(e, probe.L2, tOwn)
+		tData := m.transit(e.id, probe.Resp, tOwn, ownerNode, coreNode, noc.OnChip)
 		e.stage = stComplete
 		m.sim.Schedule(tData, e)
 		return
@@ -1158,61 +1062,29 @@ func (m *machine) processPrivate(e *accessEvent, paddr int64) {
 
 	// Off-chip (paths 1–3 of Figure 2a).
 	m.res.OffChip++
-	m.offChipC.Inc()
 	e.coreNode = coreNode
 	if m.cfg.OptimalOffchip {
 		// Section 2 optimal scheme: nearest controller, no bank contention.
 		nearest := m.cfg.Mapping.Placement.NearestMC(coreNode)
 		nearNode := m.cfg.Mapping.Placement.NodeOf(nearest)
-		m.accessMap[core][nearest].Inc()
-		tArr, hops := m.net.Transit(t1, coreNode, nearNode, noc.OffChip)
+		m.res.AccessMap[core][nearest]++
+		tArr := m.transit(e.id, probe.Req, t1, coreNode, nearNode, noc.OffChip)
+		m.stage(e, probe.Dir, tArr+m.cfg.DirLatency)
 		finish := tArr + m.cfg.DirLatency + m.cfg.DRAM.TRowHit
 		m.res.MemLatency += m.cfg.DRAM.TRowHit
 		m.res.MemServed++
-		if ck := m.ck; ck != nil {
-			ck.Stage(e.ckID, check.StageNoCReq, tArr)
-			ck.Stage(e.ckID, check.StageDRAMDone, finish)
-		}
-		if pf := m.pf; pf != nil {
-			pf.TransitAt(e.pfID, prof.TransitReq, t1, tArr, hops)
-			pf.StageAt(e.pfID, prof.CompDirLookup, tArr+m.cfg.DirLatency)
-			pf.DRAMOptimal(e.pfID, finish)
-		}
+		m.stage(e, probe.DRAMIdeal, finish)
 		e.stage, e.t, e.mcNode = stPrivOptFinish, finish, nearNode
 		m.sim.Schedule(finish, e)
 		return
 	}
-	m.accessMap[core][mcID].Inc()
-	tArr, hops := m.net.Transit(t1, coreNode, mcNode, noc.OffChip)
+	m.res.AccessMap[core][mcID]++
+	tArr := m.transit(e.id, probe.Req, t1, coreNode, mcNode, noc.OffChip)
 	tDir := tArr + m.cfg.DirLatency
+	m.stage(e, probe.Dir, tDir)
 	e.stage, e.mcID, e.mcNode = stPrivSubmit, mcID, mcNode
-	e.local = mem.LocalAddr(paddr, m.memCfg)
-	if ck := m.ck; ck != nil {
-		ck.Stage(e.ckID, check.StageNoCReq, tArr)
-		ck.Stage(e.ckID, check.StageDir, tDir)
-		ck.AddrOwner(paddr, mcID, e.local)
-	}
-	if pf := m.pf; pf != nil {
-		pf.TransitAt(e.pfID, prof.TransitReq, t1, tArr, hops)
-		pf.StageAt(e.pfID, prof.CompDirLookup, tDir)
-	}
+	e.paddr, e.local = paddr, mem.LocalAddr(paddr, m.memCfg)
 	m.sim.Schedule(tDir, e)
-}
-
-// ownerOf returns the core (≠ requester) nearest to the requester whose L2
-// holds the line, or -1. It delegates to the directory's distance-aware
-// Owner; when the checker is attached, it also verifies that the chosen
-// core's L2 really holds the line — the directory must never go stale,
-// since every eviction removes its sharer bit.
-func (m *machine) ownerOf(line int64, requester int) int {
-	owner := m.dir.Owner(line, requester, m.cfg.Machine.MeshX)
-	if owner >= 0 {
-		if ck := m.ck; ck != nil && !m.l2s[owner].Contains(line) {
-			ck.Report("directory", "core %d recorded as sharer of line %#x but its L2 does not hold it",
-				owner, line)
-		}
-	}
-	return owner
 }
 
 // processShared follows Figure 2b: the home L2 bank, then the controller.
@@ -1228,21 +1100,12 @@ func (m *machine) processShared(e *accessEvent, paddr int64) {
 	e.coreNode, e.homeNode = coreNode, homeNode
 
 	// Path 1: L1 → home bank.
-	tArr, hops := m.net.Transit(t0, coreNode, homeNode, noc.OnChip)
+	m.stage(e, probe.L1, t0)
+	tArr := m.transit(e.id, probe.Req, t0, coreNode, homeNode, noc.OnChip)
 	tBank := tArr + m.cfg.L2Latency
-	if ck := m.ck; ck != nil {
-		ck.Stage(e.ckID, check.StageL1, t0)
-		ck.Stage(e.ckID, check.StageNoCReq, tArr)
-		ck.Stage(e.ckID, check.StageL2, tBank)
-	}
-	if pf := m.pf; pf != nil {
-		pf.StageAt(e.pfID, prof.CompL1, t0)
-		pf.TransitAt(e.pfID, prof.TransitReq, t0, tArr, hops)
-		pf.StageAt(e.pfID, prof.CompL2, tBank)
-	}
+	m.stage(e, probe.L2, tBank)
 	if hit, _ := m.l2s[home].Access(paddr); hit {
 		m.res.L2LocalHits++
-		m.l2LocalC.Inc()
 		e.stage = stSharedHomeHit
 		m.sim.Schedule(tBank, e)
 		return
@@ -1250,25 +1113,19 @@ func (m *machine) processShared(e *accessEvent, paddr int64) {
 
 	// Off-chip (paths 2–4), issued by the home bank.
 	m.res.OffChip++
-	m.offChipC.Inc()
 	mcID := m.spaces[app].MCOf(paddr)
 	if m.cfg.OptimalOffchip {
 		mcID = m.cfg.Mapping.Placement.NearestMC(homeNode)
 	}
 	mcNode := m.cfg.Mapping.Placement.NodeOf(mcID)
-	m.accessMap[home][mcID].Inc()
+	m.res.AccessMap[home][mcID]++
 	e.stage, e.mcID, e.mcNode = stSharedBank, mcID, mcNode
-	e.local = mem.LocalAddr(paddr, m.memCfg)
-	if ck := m.ck; ck != nil && !m.cfg.OptimalOffchip {
-		// The optimal scheme routes to the nearest MC, not the owner, so
-		// the address-map agreement probe only applies to real runs.
-		ck.AddrOwner(paddr, mcID, e.local)
-	}
+	e.paddr, e.local = paddr, mem.LocalAddr(paddr, m.memCfg)
 	m.sim.Schedule(tBank, e)
 }
 
 // finishStats folds substrate statistics into the result.
-func (m *machine) finishStats(w *Workload) {
+func (m *machine) finishStats() {
 	r := m.res
 	// ExecTime was tracked at each completion (idle start-stagger events
 	// on streamless cores must not count).
@@ -1301,12 +1158,6 @@ func (m *machine) finishStats(w *Workload) {
 	}
 	if len(r.QueueOcc) > 0 {
 		r.AvgQueueOcc /= float64(len(r.QueueOcc))
-	}
-	// Figure 13: render the per-node per-MC access map from the registry.
-	for node := range m.accessMap {
-		for mc, c := range m.accessMap[node] {
-			r.AccessMap[node][mc] = c.Value()
-		}
 	}
 	for _, sp := range m.spaces {
 		r.PageSpills += sp.Spills

@@ -5,6 +5,7 @@ import (
 
 	"offchip/internal/layout"
 	"offchip/internal/noc"
+	"offchip/internal/probe"
 )
 
 func testConfig(t *testing.T) Config {
@@ -389,15 +390,30 @@ func TestSharedL2OptimalScheme(t *testing.T) {
 	}
 }
 
+// submitLog is a probe consumer that records the controller-local address
+// of every request submitted to controller 0.
+type submitLog struct{ mc0 []int64 }
+
+func (l *submitLog) Begin(int64, int, int64) {}
+func (l *submitLog) End(int64, int64)        {}
+func (l *submitLog) Migrate(probe.Migration) {}
+func (l *submitLog) Finish(probe.Totals)     {}
+func (l *submitLog) Stage(_ int64, s probe.Stage) {
+	if s.Kind == probe.DRAMSubmit && s.MC == 0 {
+		l.mc0 = append(l.mc0, s.Local)
+	}
+}
+
+// TestDebugMC0Hook observes controller 0's submissions through the probe
+// stream's DRAM-submit stage.
 func TestDebugMC0Hook(t *testing.T) {
 	cfg := testConfig(t)
-	var seen []int64
-	cfg.DebugMC0 = func(a int64) { seen = append(seen, a) }
-	if _, err := Run(cfg, oneAccess(0, 0)); err != nil {
+	var log submitLog
+	if _, err := run(cfg, oneAccess(0, 0), &log); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 1 {
-		t.Errorf("hook observed %d submissions, want 1", len(seen))
+	if len(log.mc0) != 1 {
+		t.Errorf("stream reported %d submissions to mc0, want 1", len(log.mc0))
 	}
 }
 
@@ -405,8 +421,6 @@ func TestLocalAddressCompaction(t *testing.T) {
 	// Two consecutive units of MC0's stripe must be contiguous in the
 	// controller's local address space (so they share a DRAM row).
 	cfg := testConfig(t)
-	var seen []int64
-	cfg.DebugMC0 = func(a int64) { seen = append(seen, a) }
 	unit := cfg.Machine.LineUnit()
 	stripe := unit * int64(cfg.Machine.NumMCs)
 	w := &Workload{Streams: []Stream{{Core: 0, Accesses: []Access{
@@ -414,9 +428,11 @@ func TestLocalAddressCompaction(t *testing.T) {
 		{VAddr: stripe, DesiredMC: -1}, // next MC0 unit
 	}}}}
 	cfg.MLPWindow = 1
-	if _, err := Run(cfg, w); err != nil {
+	var log submitLog
+	if _, err := run(cfg, w, &log); err != nil {
 		t.Fatal(err)
 	}
+	seen := log.mc0
 	if len(seen) != 2 {
 		t.Fatalf("submissions = %v", seen)
 	}

@@ -43,7 +43,7 @@ type FleetStats struct {
 // Fleet owns a pool of worker processes and dispatches jobs to them over
 // the length-prefixed protocol. It implements runner.Executor, so a
 // work-stealing sweep can run its jobs out-of-process by setting
-// Options.Executor — the shape benchtab's -bench-sweepd measures.
+// Options.Executor.
 type Fleet struct {
 	cfg  FleetConfig
 	idle chan *workerProc

@@ -56,7 +56,8 @@ func TestFleetExecutesJobs(t *testing.T) {
 
 // TestFleetAsRunnerExecutor runs a whole work-stealing sweep through the
 // fleet and asserts the merged registry is identical to the in-process
-// sweep's — the differential test behind benchtab -bench-sweepd.
+// sweep's. (Host timing of sweeps is the benchmark's job: `bash bench/run.sh`,
+// declared in BENCHMARK.json.)
 func TestFleetAsRunnerExecutor(t *testing.T) {
 	specs := []runner.JobSpec{
 		{Mode: runner.ModeBaseline, App: "apsi", Cap: 60},
