@@ -7,8 +7,8 @@ GO ?= go
 ## check: everything CI enforces — vet (the root module and the separate
 ## bench/ module, which `./...` does not reach), formatting, build, tests under -race,
 ## the sequential-vs-parallel determinism gate, the invariant/metamorphic
-## validation battery, the engine allocation gate, the profiler conservation
-## gate, and the sweep-service smoke.
+## validation battery, the hot-path allocation gates, the profiler
+## conservation gate, and the sweep-service smoke.
 check: vet fmt build test-race determinism validate bench-smoke profile-smoke service-smoke
 
 vet:
@@ -46,17 +46,22 @@ validate:
 	$(GO) test -race ./internal/check
 	$(GO) test -run Conservation -race -count=2 ./internal/sim
 
-## bench-smoke: the allocation-regression gates on the hot paths. Runs the
-## engine micro-benchmarks briefly and fails if the steady-state dispatch
-## path allocates at all (pinned ceiling: 0 allocs/op), then pins the
-## trace-cache hit path — decoding a memoized workload from its delta-encoded
-## blob — to the same ceiling, so cache hits stay allocation-free no matter
-## how the encoding evolves.
+## bench-smoke: the allocation-regression gates on the hot paths, each
+## pinned at 0 allocs/op: the engine's steady-state dispatch path; the
+## trace-cache hit path (decoding a memoized workload from its delta-encoded
+## blob), so cache hits stay allocation-free no matter how the encoding
+## evolves; a NoC transit, which walks its XY route in place; and one
+## reference of trace generation (compiled subscripts, then the layout's
+## Offset and DesiredMC over apsi's optimized layouts).
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SteadyStateDispatch|ScheduleOnly' -benchtime=100x -benchmem ./internal/engine \
 		| $(GO) run ./cmd/benchgate -bench 'SteadyStateDispatchTyped$$|ScheduleOnly$$' -max-allocs 0
 	$(GO) test -run='^$$' -bench='DecodeCacheHit' -benchtime=1000x -benchmem ./internal/tracecache \
 		| $(GO) run ./cmd/benchgate -bench 'DecodeCacheHit$$' -max-allocs 0
+	$(GO) test -run='^$$' -bench='Transit' -benchtime=10000x -benchmem ./internal/noc \
+		| $(GO) run ./cmd/benchgate -bench 'Transit$$' -max-allocs 0
+	$(GO) test -run='^$$' -bench='RefEval' -benchtime=10000x -benchmem ./internal/trace \
+		| $(GO) run ./cmd/benchgate -bench 'RefEval$$' -max-allocs 0
 
 ## profile-smoke: the latency-attribution conservation gate — a small
 ## three-way comparison with the profiler attached must attribute every

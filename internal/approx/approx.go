@@ -82,20 +82,17 @@ func (pr *Profiler) Approximate(r *ir.Ref, nest *ir.LoopNest) (*linalg.Mat, bool
 	var iters [][]float64 // sampled iteration vectors (with 1 appended)
 	var coords [][]int64  // touched element coordinates
 	var k int64
-	nest.Iterate(func(env map[string]int64) bool {
+	cn := nest.Compile(pr.Store)
+	cr := cn.CompileRef(r)
+	cn.Iterate(func(iv []int64) bool {
 		if k%stride == 0 {
-			row := make([]float64, len(vars)+1)
-			for i, v := range vars {
-				row[i] = float64(env[v])
+			row := make([]float64, len(iv)+1)
+			for i, x := range iv {
+				row[i] = float64(x)
 			}
-			row[len(vars)] = 1
+			row[len(iv)] = 1
 			iters = append(iters, row)
-			c := ir.EvalRef(r, env, pr.Store)
-			ic := make([]int64, len(c))
-			for i, x := range c {
-				ic[i] = x
-			}
-			coords = append(coords, ic)
+			coords = append(coords, cr.Coord(iv, make(linalg.Vec, len(r.Subs))))
 		}
 		k++
 		return true

@@ -3,11 +3,12 @@
 // bounds, and array references of the form r = A·i + o where A is the access
 // matrix over the iteration vector i.
 //
-// Programs can be built programmatically (see Builder) or parsed from a small
-// textual affine-loop language (see Parse). An interpreter enumerates
-// iterations under an OpenMP-static-style block distribution of the parallel
-// loop across threads, which is how the trace generator derives per-core
-// address streams.
+// Programs can be built programmatically or parsed from a small textual
+// affine-loop language (see Parse). A loop nest compiles (LoopNest.Compile)
+// to dense integer rows over its loop positions, and the compiled nest's
+// walker enumerates iterations under an OpenMP-static-style block
+// distribution of the parallel loop across threads, which is how the trace
+// generator derives per-core address streams.
 package ir
 
 import (
@@ -49,7 +50,7 @@ func (a *Array) SizeBytes() int64 { return a.NumElems() * a.ElemSize }
 // It panics if the coordinate has the wrong arity; out-of-bounds components
 // are clamped into range (affine approximations of indexed references may
 // slightly over-approximate the data space, which must not crash the
-// interpreter — see Section 5.4 of the paper).
+// trace generator — see Section 5.4 of the paper).
 func (a *Array) LinearIndex(coord linalg.Vec) int64 {
 	if len(coord) != len(a.Dims) {
 		panic(fmt.Sprintf("ir: coordinate arity %d for %d-dimensional array %s", len(coord), len(a.Dims), a.Name))
@@ -178,7 +179,7 @@ func (e LinExpr) String() string {
 //
 // An indexed reference (Section 5.4) has at least one subscript read through
 // an index array; those subscript positions are recorded in IndexSubs and
-// resolved at interpretation time from a DataStore.
+// resolved from a DataStore's contents when the nest is compiled.
 type Ref struct {
 	Array *Array
 	Subs  []LinExpr

@@ -203,15 +203,15 @@ parfor i = 0 .. 16 {
 		t.Errorf("String = %q", got)
 	}
 
-	// Interpreting with store contents resolves through col.
+	// The compiled reference resolves through col's stored contents.
 	store := NewDataStore()
 	colVals := make([]int64, 32)
 	for i := range colVals {
 		colVals[i] = int64((i * 7) % 16)
 	}
 	store.SetContents(p.Array("col"), colVals)
-	env := map[string]int64{"i": 3, "k": 6}
-	coord := EvalRef(indexed, env, store)
+	cr := p.Nests[0].Compile(store).CompileRef(indexed)
+	coord := cr.Coord([]int64{3, 6}, make(linalg.Vec, 1)) // i=3, k=6
 	if coord[0] != colVals[6] {
 		t.Errorf("coord = %v, want %d", coord, colVals[6])
 	}
@@ -244,12 +244,12 @@ func TestLinExprAlgebra(t *testing.T) {
 
 func TestIterate(t *testing.T) {
 	p := MustParse(stencilSrc)
-	n := p.Nests[0]
+	n := p.Nests[0].Compile(nil)
 	count := 0
-	n.Iterate(func(env map[string]int64) bool {
+	n.Iterate(func(iv []int64) bool {
 		count++
-		if env["i"] < 2 || env["i"] >= 7 || env["j"] < 2 || env["j"] >= 7 {
-			t.Fatalf("iteration out of bounds: %v", env)
+		if iv[0] < 2 || iv[0] >= 7 || iv[1] < 2 || iv[1] >= 7 {
+			t.Fatalf("iteration out of bounds: %v", iv)
 		}
 		return true
 	})
@@ -259,7 +259,7 @@ func TestIterate(t *testing.T) {
 
 	// Early exit.
 	count = 0
-	completed := n.Iterate(func(env map[string]int64) bool {
+	completed := n.Iterate(func([]int64) bool {
 		count++
 		return count < 3
 	})
@@ -316,11 +316,11 @@ func TestThreadChunksPartition(t *testing.T) {
 
 func TestIterateThread(t *testing.T) {
 	p := MustParse(stencilSrc)
-	n := p.Nests[0]
+	n := p.Nests[0].Compile(nil)
 	seen := map[[2]int64]int{}
 	for th := 0; th < 4; th++ {
-		n.IterateThread(th, 4, func(env map[string]int64) bool {
-			seen[[2]int64{env["i"], env["j"]}]++
+		n.Walk([]int{0, 1}, th, 4, func(iv []int64) bool {
+			seen[[2]int64{iv[0], iv[1]}]++
 			return true
 		})
 	}
@@ -332,6 +332,29 @@ func TestIterateThread(t *testing.T) {
 			t.Errorf("iteration %v visited %d times", it, c)
 		}
 	}
+}
+
+// touched returns, for each thread, the set of linear element indices of
+// arr that thread touches across all nests of the program.
+func touched(p *Program, arr *Array, nthreads int, store *DataStore) []map[int64]bool {
+	out := make([]map[int64]bool, nthreads)
+	for t := range out {
+		out[t] = map[int64]bool{}
+	}
+	for _, nest := range p.Nests {
+		cn := nest.Compile(store)
+		for t := 0; t < nthreads; t++ {
+			cn.Walk(cn.identity, t, nthreads, func(iv []int64) bool {
+				for _, r := range cn.Refs {
+					if r.Ref.Array == arr {
+						out[t][arr.LinearIndex(r.Coord(iv, make(linalg.Vec, arr.NumDims())))] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
 }
 
 func TestTouchedDisjointWhenParallel(t *testing.T) {
@@ -347,11 +370,11 @@ parfor i = 0 .. 16 {
   }
 }
 `)
-	touched := Touched(p, p.Array("A"), 4, nil)
+	sets := touched(p, p.Array("A"), 4, nil)
 	for a := 0; a < 4; a++ {
 		for b := a + 1; b < 4; b++ {
-			for e := range touched[a] {
-				if touched[b][e] {
+			for e := range sets[a] {
+				if sets[b][e] {
 					t.Fatalf("threads %d and %d share element %d", a, b, e)
 				}
 			}

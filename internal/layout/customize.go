@@ -21,8 +21,9 @@ type ArrayLayout struct {
 
 	elemSize int64
 
-	// Transformed geometry: a' = U·a + shift lies in [0, newDims).
-	u       *linalg.Mat
+	// Transformed geometry: a' = U·a + shift lies in [0, newDims), with U
+	// held as dense rows.
+	uRows   [][]int64
 	shift   linalg.Vec
 	newDims []int64
 	strides []int64 // row-major strides of newDims[1:] within a row
@@ -56,16 +57,19 @@ type ArrayLayout struct {
 func (al *ArrayLayout) SizeBytes() int64 { return al.sizeBytes }
 
 // Offset maps an original element coordinate to its byte offset within the
-// array's virtual allocation under this layout.
+// array's virtual allocation under this layout. It does not allocate: the
+// transformed coordinate is computed and clamped one dimension at a time.
 func (al *ArrayLayout) Offset(coord linalg.Vec) int64 {
 	if !al.Optimized {
 		return al.Array.LinearIndex(coord) * al.elemSize
 	}
-	ap := al.u.MulVec(coord).Add(al.shift)
-	r0 := clamp(ap[0], 0, al.newDims[0]-1)
+	if len(coord) != len(al.uRows) {
+		panic(fmt.Sprintf("layout: coordinate arity %d for %d-dimensional array %s", len(coord), len(al.uRows), al.Array.Name))
+	}
+	r0 := clamp(al.transformed(0, coord), 0, al.newDims[0]-1)
 	var inRow int64
-	for d := 1; d < len(ap); d++ {
-		inRow += clamp(ap[d], 0, al.newDims[d]-1) * al.strides[d-1]
+	for d := 1; d < len(al.uRows); d++ {
+		inRow += clamp(al.transformed(d, coord), 0, al.newDims[d]-1) * al.strides[d-1]
 	}
 	pos := al.rowRank[r0]*al.rowSize + inRow
 	q, w := pos/al.grain, pos%al.grain
@@ -90,6 +94,15 @@ func (al *ArrayLayout) DesiredMC(byteOff int64) int {
 	ord := (lin / al.grain) % int64(al.groups)
 	j := (lin % al.grain) / al.unitElems
 	return int(ord)*al.k + int(j)
+}
+
+// transformed returns dimension d of a' = U·a + shift.
+func (al *ArrayLayout) transformed(d int, coord linalg.Vec) int64 {
+	v := al.shift[d]
+	for j, k := range al.uRows[d] {
+		v += k * coord[j]
+	}
+	return v
 }
 
 func clamp(x, lo, hi int64) int64 {
@@ -125,7 +138,6 @@ func customize(d2c *DataToCore, m Machine, cm *ClusterMapping, threads int) (*Ar
 		Optimized: true,
 		D2C:       d2c,
 		elemSize:  arr.ElemSize,
-		u:         d2c.U,
 		k:         cm.K,
 		numMCs:    cm.NumMCs(),
 	}
@@ -157,6 +169,10 @@ func customize(d2c *DataToCore, m Machine, cm *ClusterMapping, threads int) (*Ar
 			}
 		}
 		first = false
+	}
+	al.uRows = make([][]int64, n)
+	for d := range al.uRows {
+		al.uRows[d] = d2c.U.Row(d)
 	}
 	al.shift = lo.Scale(-1)
 	al.newDims = make([]int64, n)

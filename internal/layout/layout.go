@@ -164,7 +164,7 @@ func (al *ArrayLayout) TransformedSubs(r *ir.Ref) []ir.LinExpr {
 	for d := 0; d < n; d++ {
 		e := ir.ConstExpr(0)
 		for e2 := 0; e2 < n; e2++ {
-			e = e.Plus(r.Subs[e2].Scaled(al.u.At(d, e2)))
+			e = e.Plus(r.Subs[e2].Scaled(al.uRows[d][e2]))
 		}
 		out[d] = e
 	}

@@ -173,7 +173,7 @@ func (al *ArrayLayout) RewriteRef(r *ir.Ref) (*CustomRef, error) {
 	for d := 0; d < n; d++ {
 		e := ir.ConstExpr(al.shift[d])
 		for k := 0; k < n; k++ {
-			e = e.Plus(r.Subs[k].Scaled(al.u.At(d, k)))
+			e = e.Plus(r.Subs[k].Scaled(al.uRows[d][k]))
 		}
 		lins[d] = e
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"offchip/internal/ir"
+	"offchip/internal/linalg"
 )
 
 // rewriteEquiv checks the central rewrite property on every iteration of
@@ -19,27 +20,32 @@ func rewriteEquiv(t *testing.T, m Machine, cm *ClusterMapping, src string) {
 		t.Fatal(err)
 	}
 	for ni, nest := range p.Nests {
-		for si, s := range nest.Body {
-			for ri, r := range s.Refs() {
-				al := res.Layout(r.Array)
-				cr, err := al.RewriteRef(r)
-				if err != nil {
-					t.Fatalf("nest %d stmt %d ref %d (%s): %v", ni, si, ri, r, err)
+		cn := nest.Compile(nil)
+		vars := nest.Vars()
+		for ri := range cn.Refs {
+			r := cn.Refs[ri].Ref
+			al := res.Layout(r.Array)
+			cr, err := al.RewriteRef(r)
+			if err != nil {
+				t.Fatalf("nest %d ref %d (%s): %v", ni, ri, r, err)
+			}
+			checked := 0
+			env := map[string]int64{}
+			cn.Iterate(func(iv []int64) bool {
+				for j, v := range vars {
+					env[v] = iv[j]
 				}
-				checked := 0
-				nest.Iterate(func(env map[string]int64) bool {
-					want := al.Offset(ir.EvalRef(r, env, nil))
-					got := cr.Offset(env, r.Array.ElemSize)
-					if got != want {
-						t.Fatalf("ref %s at %v: rewrite %d != remap %d\nform: %s",
-							r, env, got, want, cr)
-					}
-					checked++
-					return checked < 5000 // bounded but dense coverage
-				})
-				if checked == 0 {
-					t.Fatalf("ref %s never evaluated", r)
+				want := al.Offset(cn.Refs[ri].Coord(iv, make(linalg.Vec, len(r.Subs))))
+				got := cr.Offset(env, r.Array.ElemSize)
+				if got != want {
+					t.Fatalf("ref %s at %v: rewrite %d != remap %d\nform: %s",
+						r, env, got, want, cr)
 				}
+				checked++
+				return checked < 5000 // bounded but dense coverage
+			})
+			if checked == 0 {
+				t.Fatalf("ref %s never evaluated", r)
 			}
 		}
 	}

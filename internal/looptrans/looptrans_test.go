@@ -16,11 +16,20 @@ func nestOf(t *testing.T, src string) *ir.LoopNest {
 // iterSet enumerates the nest's iterations projected onto the given
 // variables, as a sorted multiset fingerprint.
 func iterSet(n *ir.LoopNest, vars []string) []string {
+	pos := map[string]int{}
+	for j, v := range n.Vars() {
+		pos[v] = j
+	}
 	var out []string
-	n.Iterate(func(env map[string]int64) bool {
+	n.Compile(nil).Iterate(func(iv []int64) bool {
 		s := ""
 		for _, v := range vars {
-			s += fmt.Sprintf("%d,", env[v])
+			j, ok := pos[v]
+			if !ok {
+				s += "0,"
+				continue
+			}
+			s += fmt.Sprintf("%d,", iv[j])
 		}
 		out = append(out, s)
 		return true

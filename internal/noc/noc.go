@@ -69,7 +69,7 @@ func (c Class) String() string {
 type Network struct {
 	cfg   Config
 	obs   *obs.Observer
-	links []engine.Resource // directed links, indexed by linkIndex
+	links []engine.Resource // directed links, indexed by node·4 + direction
 
 	// Aggregate stats, split by message class.
 	Messages [2]int64 // message count
@@ -77,7 +77,7 @@ type Network struct {
 	Latency  [2]int64 // total network cycles (incl. contention stalls)
 
 	hopCounts  [2][]int64 // Figure 15: messages per hop count 0..diameter, plus overflow
-	traversals []int64    // per directed link, indexed by linkIndex
+	traversals []int64    // per directed link, indexed like links
 	linkName   []string   // precomputed "(x,y)->(x,y)" for trace events
 	feed       *obs.Feed
 }
@@ -132,63 +132,41 @@ func New(cfg Config) *Network {
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
+// Directed links leaving a node, in link-index order (see New's dirDelta).
 const (
-	dirEast = iota
-	dirWest
-	dirSouth
-	dirNorth
+	dirEast  = iota // X+1
+	dirWest         // X−1
+	dirSouth        // Y+1
+	dirNorth        // Y−1
 )
 
-// linkIndex identifies the directed link leaving `from` toward `to`
-// (adjacent nodes).
-func (n *Network) linkIndex(from, to mesh.Node) int {
-	base := mesh.CoreID(from, n.cfg.MeshX) * 4
-	switch {
-	case to.X == from.X+1:
-		return base + dirEast
-	case to.X == from.X-1:
-		return base + dirWest
-	case to.Y == from.Y+1:
-		return base + dirSouth
-	case to.Y == from.Y-1:
-		return base + dirNorth
-	default:
-		panic(fmt.Sprintf("noc: %v and %v are not adjacent", from, to))
-	}
-}
-
 // Transit sends a message from src to dst at time now, reserving each link
-// of the XY route in order, and returns the arrival time and hop count.
-// A zero-hop transit (src == dst) arrives immediately.
+// of the XY route in order — every X step first, then every Y step — and
+// returns the arrival time and hop count. A zero-hop transit (src == dst)
+// arrives immediately. The route is walked in place, so a transit does not
+// allocate.
 func (n *Network) Transit(now int64, src, dst mesh.Node, class Class) (arrival int64, hops int) {
-	path := mesh.XYPath(src, dst)
 	tr := n.obs.Tracer
 	t := now
-	prev := src
-	for _, next := range path {
-		li := n.linkIndex(prev, next)
-		n.traversals[li]++
-		if n.cfg.Contention {
-			start := n.links[li].Reserve(t, n.cfg.LinkOccupancy)
-			if tr.Enabled() {
-				tr.Emit(start, "noc", "link", n.linkName[li], n.cfg.LinkOccupancy+n.cfg.HopLatency)
-			}
-			// The serialization time the message holds the link is part of
-			// its own delivery time, not only a stall imposed on followers:
-			// the tail flit lands LinkOccupancy after the link grant. This
-			// makes a quiet contended network slower than the ideal one by
-			// exactly LinkOccupancy per hop (the check package's zero-load
-			// oracle pins that identity).
-			t = start + n.cfg.LinkOccupancy + n.cfg.HopLatency
-		} else {
-			if tr.Enabled() {
-				tr.Emit(t, "noc", "link", n.linkName[li], n.cfg.HopLatency)
-			}
-			t += n.cfg.HopLatency
+	cur := src
+	for cur.X != dst.X {
+		dir, step := dirEast, 1
+		if cur.X > dst.X {
+			dir, step = dirWest, -1
 		}
-		prev = next
+		t = n.hop(mesh.CoreID(cur, n.cfg.MeshX)*4+dir, t, tr)
+		cur.X += step
+		hops++
 	}
-	hops = len(path)
+	for cur.Y != dst.Y {
+		dir, step := dirSouth, 1
+		if cur.Y > dst.Y {
+			dir, step = dirNorth, -1
+		}
+		t = n.hop(mesh.CoreID(cur, n.cfg.MeshX)*4+dir, t, tr)
+		cur.Y += step
+		hops++
+	}
 	n.Messages[class]++
 	n.Hops[class] += int64(hops)
 	n.Latency[class] += t - now
@@ -198,6 +176,28 @@ func (n *Network) Transit(now int64, src, dst mesh.Node, class Class) (arrival i
 			"class="+class.String(), fmt.Sprintf("hops=%d", hops))
 	}
 	return t, hops
+}
+
+// hop carries a message that reaches link li's router at time t across the
+// link, and returns when it reaches the next router.
+func (n *Network) hop(li int, t int64, tr *obs.Tracer) int64 {
+	n.traversals[li]++
+	if !n.cfg.Contention {
+		if tr.Enabled() {
+			tr.Emit(t, "noc", "link", n.linkName[li], n.cfg.HopLatency)
+		}
+		return t + n.cfg.HopLatency
+	}
+	start := n.links[li].Reserve(t, n.cfg.LinkOccupancy)
+	if tr.Enabled() {
+		tr.Emit(start, "noc", "link", n.linkName[li], n.cfg.LinkOccupancy+n.cfg.HopLatency)
+	}
+	// The serialization time the message holds the link is part of its own
+	// delivery time, not only a stall imposed on followers: the tail flit
+	// lands LinkOccupancy after the link grant. This makes a quiet contended
+	// network slower than the ideal one by exactly LinkOccupancy per hop
+	// (the check package's zero-load oracle pins that identity).
+	return start + n.cfg.LinkOccupancy + n.cfg.HopLatency
 }
 
 // AvgLatency returns the mean network latency of the class (0 if unused).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"offchip/internal/mesh"
+	"offchip/internal/obs"
 )
 
 func TestTransitLatencyUncontended(t *testing.T) {
@@ -154,5 +155,75 @@ func TestAvgStatsAndReset(t *testing.T) {
 func TestClassString(t *testing.T) {
 	if OnChip.String() != "on-chip" || OffChip.String() != "off-chip" {
 		t.Error("class strings")
+	}
+}
+
+// TestTransitFollowsXYPath pins the in-place route walk to mesh.XYPath: for
+// every src/dst pair of an 8×8 mesh, one Transit crosses exactly the links
+// of the XY path, each once, in path order, and reports its length as the
+// hop count.
+func TestTransitFollowsXYPath(t *testing.T) {
+	const x, y = 8, 8
+	tr := obs.NewTracer(obs.TracerOptions{Ring: 32})
+	n := New(Config{MeshX: x, MeshY: y, HopLatency: 4, LinkOccupancy: 1, Contention: true,
+		Obs: &obs.Observer{Reg: obs.NewRegistry(), Tracer: tr}})
+	for s := 0; s < x*y; s++ {
+		for d := 0; d < x*y; d++ {
+			src, dst := mesh.CoordOf(s, x), mesh.CoordOf(d, x)
+			n.ResetStats()
+			seen := tr.Seen()
+			_, hops := n.Transit(0, src, dst, OffChip)
+
+			var want []string
+			prev := src
+			for _, next := range mesh.XYPath(src, dst) {
+				want = append(want, prev.String()+"->"+next.String())
+				prev = next
+			}
+			if hops != len(want) {
+				t.Fatalf("%v->%v: %d hops, XYPath has %d links", src, dst, hops, len(want))
+			}
+			got := map[string]int64{}
+			for li, c := range n.traversals {
+				if c != 0 {
+					got[n.linkName[li]] = c
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v->%v: traversed %v, want %v", src, dst, got, want)
+			}
+			for _, l := range want {
+				if got[l] != 1 {
+					t.Fatalf("%v->%v: link %s traversed %d times, want 1", src, dst, l, got[l])
+				}
+			}
+			// One link event per hop, in path order, then the message.
+			if emitted := tr.Seen() - seen; emitted != int64(len(want))+1 {
+				t.Fatalf("%v->%v: %d tracer events, want %d", src, dst, emitted, len(want)+1)
+			}
+			evs := tr.Events()
+			evs = evs[len(evs)-len(want)-1:]
+			for i, l := range want {
+				if evs[i].Name != "link" || evs[i].Comp != l {
+					t.Fatalf("%v->%v: event %d = %s %s, want link %s", src, dst, i, evs[i].Name, evs[i].Comp, l)
+				}
+			}
+			if last := evs[len(want)]; last.Name != "msg" || last.Comp != src.String()+"->"+dst.String() {
+				t.Fatalf("%v->%v: last event %s %s", src, dst, last.Name, last.Comp)
+			}
+		}
+	}
+}
+
+// BenchmarkTransit measures one contended transit over a spread of routes;
+// make bench-smoke pins it at 0 allocs/op.
+func BenchmarkTransit(b *testing.B) {
+	const x, y = 8, 8
+	n := New(DefaultConfig(x, y))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src := mesh.CoordOf(i%(x*y), x)
+		dst := mesh.CoordOf((i*37+11)%(x*y), x)
+		n.Transit(int64(i/4), src, dst, OffChip)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"offchip/internal/deps"
 	"offchip/internal/ir"
 	"offchip/internal/layout"
+	"offchip/internal/linalg"
 	"offchip/internal/sim"
 )
 
@@ -63,12 +64,33 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 		return nil, err
 	}
 
-	// Per-nest access count per iteration, to compute sampling strides.
+	// Compile every nest once and fix its loop order and per-reference
+	// layout and base address, so the per-thread walks below only evaluate
+	// dense rows.
+	plans := make([]nestPlan, len(p.Nests))
+	maxDims := 0
+	for ni, nest := range p.Nests {
+		cn := nest.Compile(store)
+		pl := &plans[ni]
+		pl.nest, pl.trip = cn, nest.TripCount()
+		pl.refs = make([]refPlan, len(cn.Refs))
+		for i := range cn.Refs {
+			arr := cn.Refs[i].Ref.Array
+			pl.refs[i] = refPlan{ref: &cn.Refs[i], layout: res.Layout(arr), base: bases[arr]}
+			maxDims = max(maxDims, arr.NumDims())
+		}
+	}
+	coord := make(linalg.Vec, maxDims)
+	for ni := range plans {
+		plans[ni].order = loopOrder(&plans[ni], coord)
+	}
+
 	w := &sim.Workload{Name: p.Name}
 	for t := 0; t < threads; t++ {
 		stream := sim.Stream{Core: t % cores, AppID: opt.AppID}
 		budget := maxAcc
-		for _, nest := range p.Nests {
+		for ni := range plans {
+			pl := &plans[ni]
 			stream.Phases = append(stream.Phases, len(stream.Accesses))
 			if budget <= 0 {
 				// Budget exhausted: the nest contributes no accesses, but
@@ -76,14 +98,13 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 				// across streams whose budgets ran out at different points.
 				continue
 			}
-			nestBudget := budget / remainingNests(p, nest)
+			// Split the remaining budget over the remaining nests, so
+			// earlier nests don't consume the whole budget.
+			nestBudget := budget / (len(plans) - ni)
 			if nestBudget == 0 {
 				nestBudget = 1
 			}
-			refsPerIter := 0
-			for _, s := range nest.Body {
-				refsPerIter += len(s.Refs())
-			}
+			refsPerIter := len(pl.refs)
 			if refsPerIter == 0 {
 				continue
 			}
@@ -92,7 +113,7 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 				iterBudget = 1
 			}
 			// Thread's share of the nest's iterations.
-			totalIters := nest.TripCount() / int64(threads)
+			totalIters := pl.trip / int64(threads)
 			if totalIters == 0 {
 				totalIters = 1
 			}
@@ -100,27 +121,23 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 			if totalIters > int64(iterBudget) {
 				stride = totalIters / int64(iterBudget)
 			}
-			order := loopOrder(nest, res, store)
 			var k int64
-			iterateOrdered(nest, order, t, threads, func(env map[string]int64) bool {
+			pl.nest.Walk(pl.order, t, threads, func(iv []int64) bool {
 				if k%stride != 0 {
 					k++
 					return true
 				}
 				k++
-				for _, s := range nest.Body {
-					for _, r := range s.Refs() {
-						if len(stream.Accesses) >= maxAcc {
-							return false
-						}
-						al := res.Layout(r.Array)
-						coord := ir.EvalRef(r, env, store)
-						off := al.Offset(coord)
-						stream.Accesses = append(stream.Accesses, sim.Access{
-							VAddr:     bases[r.Array] + off,
-							DesiredMC: int8(al.DesiredMC(off)),
-						})
+				for i := range pl.refs {
+					if len(stream.Accesses) >= maxAcc {
+						return false
 					}
+					r := &pl.refs[i]
+					off := r.layout.Offset(r.ref.Coord(iv, coord))
+					stream.Accesses = append(stream.Accesses, sim.Access{
+						VAddr:     r.base + off,
+						DesiredMC: int8(r.layout.DesiredMC(off)),
+					})
 				}
 				return len(stream.Accesses) < maxAcc
 			})
@@ -131,15 +148,19 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 	return w, nil
 }
 
-// remainingNests counts nests from the given one to the end, so earlier
-// nests don't consume the whole budget.
-func remainingNests(p *ir.Program, from *ir.LoopNest) int {
-	for i, n := range p.Nests {
-		if n == from {
-			return len(p.Nests) - i
-		}
-	}
-	return 1
+// nestPlan is one nest prepared for generation: compiled, with its loop
+// order chosen and its references bound to their layouts and bases.
+type nestPlan struct {
+	nest  *ir.CompiledNest
+	order []int
+	trip  int64
+	refs  []refPlan
+}
+
+type refPlan struct {
+	ref    *ir.CompiledRef
+	layout *layout.ArrayLayout
+	base   int64
 }
 
 // PlaceArrays assigns each array a base virtual address aligned so that the
@@ -189,15 +210,17 @@ func Merge(name string, ws ...*sim.Workload) *sim.Workload {
 // Candidates are filtered for legality: the moved loop's variable must not
 // appear in another loop's bounds, and the permutation must preserve every
 // data dependence (checked with internal/deps).
-func loopOrder(nest *ir.LoopNest, res *layout.Result, store *ir.DataStore) []int {
+func loopOrder(pl *nestPlan, coord linalg.Vec) []int {
+	cn := pl.nest
+	nest := cn.Nest
 	m := nest.Depth()
 	order := make([]int, 0, m)
 	// Representative iteration: the midpoint of each loop's bounds under
 	// an all-midpoint environment (evaluated outside-in).
-	env := map[string]int64{}
-	for _, l := range nest.Loops {
-		lo, hi := l.Lower.Eval(env), l.Upper.Eval(env)
-		env[l.Var] = (lo + hi) / 2
+	iv := make([]int64, m)
+	for li := range nest.Loops {
+		lo, hi := cn.Bounds(li, iv)
+		iv[li] = (lo + hi) / 2
 	}
 	best, bestCost := m-1, int64(-1)
 	for li := m - 1; li >= 0; li-- {
@@ -225,19 +248,16 @@ func loopOrder(nest *ir.LoopNest, res *layout.Result, store *ir.DataStore) []int
 			continue
 		}
 		var cost int64
-		for _, s := range nest.Body {
-			for _, r := range s.Refs() {
-				al := res.Layout(r.Array)
-				base := ir.EvalRef(r, env, store)
-				env[v]++
-				next := ir.EvalRef(r, env, store)
-				env[v]--
-				d := al.Offset(next) - al.Offset(base)
-				if d < 0 {
-					d = -d
-				}
-				cost += d
+		for _, r := range pl.refs {
+			base := r.layout.Offset(r.ref.Coord(iv, coord))
+			iv[li]++
+			next := r.layout.Offset(r.ref.Coord(iv, coord))
+			iv[li]--
+			d := next - base
+			if d < 0 {
+				d = -d
 			}
+			cost += d
 		}
 		if bestCost == -1 || cost < bestCost {
 			best, bestCost = li, cost
@@ -249,32 +269,4 @@ func loopOrder(nest *ir.LoopNest, res *layout.Result, store *ir.DataStore) []int
 		}
 	}
 	return append(order, best)
-}
-
-// iterateOrdered enumerates the thread's chunk of the nest with the loops
-// visited in the given order (a permutation of loop indices). Bounds are
-// evaluated when a loop is entered; the order produced by loopOrder keeps
-// every bound's dependencies already bound.
-func iterateOrdered(nest *ir.LoopNest, order []int, t, threads int, yield func(map[string]int64) bool) bool {
-	env := make(map[string]int64, nest.Depth())
-	var rec func(d int) bool
-	rec = func(d int) bool {
-		if d == len(order) {
-			return yield(env)
-		}
-		l := nest.Loops[order[d]]
-		lo, hi := l.Lower.Eval(env), l.Upper.Eval(env)
-		if order[d] == nest.ParDepth {
-			lo, hi = ir.ThreadChunk(lo, hi, t, threads)
-		}
-		for v := lo; v < hi; v++ {
-			env[l.Var] = v
-			if !rec(d + 1) {
-				return false
-			}
-		}
-		delete(env, l.Var)
-		return true
-	}
-	return rec(0)
 }
