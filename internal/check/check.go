@@ -21,10 +21,11 @@
 //     than the configured cap in favor of younger row-buffer hits;
 //   - engine clock monotonicity — dispatched event times never rewind.
 //
-// A Checker is bound to one run (sim.Config.Check; sim.Run calls Bind, and
-// the stream ends with Finish) and is not safe for concurrent use — the
-// simulator is single-goroutine, and concurrent sweeps attach one Checker
-// per run.
+// A Checker is bound to one run at a time (sim.Config.Check; sim.Run calls
+// Bind, and the stream ends with Finish). Violations accumulate across
+// Binds, so one Checker validates a sequence of runs — every window run of
+// a sampled simulation. It is not safe for concurrent use — the simulator
+// is single-goroutine, and concurrent sweeps attach one Checker per run.
 package check
 
 import (
@@ -67,7 +68,7 @@ type stageRec struct {
 	t     int64
 }
 
-// Checker collects invariant violations for one simulation run.
+// Checker collects invariant violations for the simulation runs bound to it.
 type Checker struct {
 	bound  bool
 	p      Params
@@ -100,15 +101,14 @@ func New() *Checker {
 	return &Checker{inflight: map[int64]stageRec{}}
 }
 
-// Bind attaches the Checker to one machine configuration. Binding resets
-// all probe state, so a Checker instance validates exactly one run.
+// Bind attaches the Checker to one machine configuration for the next run.
+// Binding resets the per-run probe state but keeps the violations recorded
+// so far, so a Checker bound to several runs reports all of them.
 func (c *Checker) Bind(p Params) {
 	c.bound = true
 	c.p = p
 	c.diam = p.MeshX + p.MeshY - 2
 	c.starve = dram.EffectiveStarveLimit(p.DRAM)
-	c.violations = nil
-	c.total = 0
 	c.inflight = map[int64]stageRec{}
 	c.started, c.completed = 0, 0
 	c.lastTick = 0
@@ -145,7 +145,7 @@ func (c *Checker) Count() int64 {
 	return c.total
 }
 
-// Ok reports whether the run passed every probe.
+// Ok reports whether every bound run passed every probe.
 func (c *Checker) Ok() bool { return c.Count() == 0 }
 
 // Err returns nil when the run is clean, or an error summarizing the first

@@ -44,6 +44,16 @@ func TestNoCZeroLoadOracleMatchesNetwork(t *testing.T) {
 	}
 }
 
+// funcEvent and funcCompletion adapt test closures to the engine's Handler
+// and the controller's Completion; the simulator passes pooled typed values.
+type funcEvent func()
+
+func (f funcEvent) Handle(int64) { f() }
+
+type funcCompletion func(finish int64)
+
+func (f funcCompletion) MemDone(finish int64) { f(finish) }
+
 // TestDRAMSingleStreamOracleMatchesController submits back-to-back same-row
 // requests to one bank of an idle controller and requires the last finish
 // time to equal the closed-form single-stream service time: one row miss to
@@ -54,16 +64,16 @@ func TestDRAMSingleStreamOracleMatchesController(t *testing.T) {
 		var s engine.Sim
 		c := dram.New(0, cfg, &s, nil)
 		var last int64
-		s.At(0, func() {
+		s.Schedule(0, funcEvent(func() {
 			for i := 0; i < n; i++ {
 				// Same row (offsets < RowBytes): the stream never changes banks.
-				c.Submit(int64(i)*64%cfg.RowBytes, func(f int64) {
+				c.SubmitTo(int64(i)*64%cfg.RowBytes, funcCompletion(func(f int64) {
 					if f > last {
 						last = f
 					}
-				})
+				}))
 			}
-		})
+		}))
 		s.Run()
 		if want := DRAMSingleStream(cfg, n); last != want {
 			t.Errorf("n=%d: stream drained at %d, oracle says %d", n, last, want)
@@ -91,14 +101,14 @@ func TestCheckerAcceptsQuietRealSubstrate(t *testing.T) {
 
 	var s engine.Sim
 	mc := dram.New(0, c.p.DRAM, &s, nil)
-	s.At(0, func() {
+	s.Schedule(0, funcEvent(func() {
 		for i := 0; i < 8; i++ {
 			c.Stage(0, probe.Stage{Kind: probe.DRAMSubmit, T: s.Now()})
-			mc.Submit(int64(i)*64, func(finish int64) {
+			mc.SubmitTo(int64(i)*64, funcCompletion(func(finish int64) {
 				c.Stage(0, probe.Stage{Kind: probe.DRAMDone, T: finish, Service: mc.LastService()})
-			})
+			}))
 		}
-	})
+	}))
 	s.Run()
 	c.Finish(probe.Totals{MaxHops: -1, NetMsgs: [2]int64{0, 5}})
 	if !c.Ok() {

@@ -100,12 +100,6 @@ type Service struct {
 	Bypassed int
 }
 
-// funcCompletion adapts a legacy callback to Completion. Func values are
-// pointer-shaped, so the conversion itself does not allocate.
-type funcCompletion func(finish int64)
-
-func (f funcCompletion) MemDone(finish int64) { f(finish) }
-
 // request is one in-flight controller request. Requests are pooled on the
 // controller and double as the engine event for their own completion
 // (engine.Handler), so steady-state service allocates nothing.
@@ -259,13 +253,6 @@ func (c *Controller) SubmitTo(addr int64, done Completion) {
 			"bank="+strconv.Itoa(b), "addr="+strconv.FormatInt(addr, 16))
 	}
 	c.dispatch()
-}
-
-// Submit enqueues a request with a func callback — the compatibility shim
-// over SubmitTo for call sites that have not migrated to pooled Completions;
-// the closure costs one allocation per call.
-func (c *Controller) Submit(addr int64, onDone func(finish int64)) {
-	c.SubmitTo(addr, funcCompletion(onDone))
 }
 
 // dispatch serves every idle bank its FR-FCFS pick.

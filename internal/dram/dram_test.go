@@ -6,12 +6,30 @@ import (
 	"offchip/internal/engine"
 )
 
+// funcEvent and funcCompletion adapt test closures to the engine's Handler
+// and the controller's Completion; the simulator passes pooled typed values.
+type funcEvent func()
+
+func (f funcEvent) Handle(int64) { f() }
+
+type funcCompletion func(finish int64)
+
+func (f funcCompletion) MemDone(finish int64) { f(finish) }
+
+// at schedules fn at cycle t.
+func at(s *engine.Sim, t int64, fn func()) { s.Schedule(t, funcEvent(fn)) }
+
+// submit enqueues a request for addr whose completion calls onDone.
+func submit(c *Controller, addr int64, onDone func(finish int64)) {
+	c.SubmitTo(addr, funcCompletion(onDone))
+}
+
 func TestSingleRequestClosedBank(t *testing.T) {
 	var s engine.Sim
 	c := New(0, DefaultConfig(), &s, nil)
 	var done int64 = -1
-	s.At(0, func() {
-		c.Submit(0, func(finish int64) { done = finish })
+	at(&s, 0, func() {
+		submit(c, 0, func(finish int64) { done = finish })
 	})
 	s.Run()
 	if done != DefaultConfig().TRowMiss {
@@ -28,9 +46,9 @@ func TestRowBufferHitFasterThanConflict(t *testing.T) {
 		var s engine.Sim
 		c := New(0, cfg, &s, nil)
 		var t1, t2 int64
-		s.At(0, func() { c.Submit(0, func(f int64) { t1 = f }) })
+		at(&s, 0, func() { submit(c, 0, func(f int64) { t1 = f }) })
 		// Submit the second after the first completes, so no queueing.
-		s.At(cfg.TRowMiss, func() { c.Submit(second, func(f int64) { t2 = f }) })
+		at(&s, cfg.TRowMiss, func() { submit(c, second, func(f int64) { t2 = f }) })
 		s.Run()
 		return t2 - t1
 	}
@@ -63,11 +81,11 @@ func TestBanksServeInParallel(t *testing.T) {
 	var s engine.Sim
 	c := New(0, cfg, &s, nil)
 	finishes := make([]int64, cfg.BanksPerMC)
-	s.At(0, func() {
+	at(&s, 0, func() {
 		for b := 0; b < cfg.BanksPerMC; b++ {
 			bb := b
 			// One request per bank: bank b gets row-id b.
-			c.Submit(int64(b)*cfg.RowBytes, func(f int64) { finishes[bb] = f })
+			submit(c, int64(b)*cfg.RowBytes, func(f int64) { finishes[bb] = f })
 		}
 	})
 	s.Run()
@@ -95,12 +113,12 @@ func TestFRFCFSPrefersRowHit(t *testing.T) {
 	if conflictAddr < 0 {
 		t.Fatal("no conflicting address found")
 	}
-	s.At(0, func() {
+	at(&s, 0, func() {
 		// Occupy bank 0 with row 0.
-		c.Submit(0, func(int64) { order = append(order, "first") })
+		submit(c, 0, func(int64) { order = append(order, "first") })
 		// Then queue: a conflict request (older) and a row-hit (younger).
-		c.Submit(conflictAddr, func(int64) { order = append(order, "conflict") })
-		c.Submit(128, func(int64) { order = append(order, "hit") })
+		submit(c, conflictAddr, func(int64) { order = append(order, "conflict") })
+		submit(c, 128, func(int64) { order = append(order, "hit") })
 	})
 	s.Run()
 	if len(order) != 3 || order[0] != "first" || order[1] != "hit" || order[2] != "conflict" {
@@ -116,9 +134,9 @@ func TestQueueWaitAccounted(t *testing.T) {
 	var s engine.Sim
 	c := New(0, cfg, &s, nil)
 	var secondFinish int64
-	s.At(0, func() {
-		c.Submit(0, func(int64) {})
-		c.Submit(64, func(f int64) { secondFinish = f }) // same bank, row hit after wait
+	at(&s, 0, func() {
+		submit(c, 0, func(int64) {})
+		submit(c, 64, func(f int64) { secondFinish = f }) // same bank, row hit after wait
 	})
 	s.Run()
 	// Second waits TRowMiss then is served as a hit.
@@ -138,9 +156,9 @@ func TestQueueOccupancy(t *testing.T) {
 	cfg := DefaultConfig()
 	var s engine.Sim
 	c := New(0, cfg, &s, nil)
-	s.At(0, func() {
+	at(&s, 0, func() {
 		for i := 0; i < 8; i++ {
-			c.Submit(int64(i)*64, func(int64) {}) // all same bank/row area
+			submit(c, int64(i)*64, func(int64) {}) // all same bank/row area
 		}
 	})
 	end := s.Run()

@@ -138,8 +138,8 @@ func TestFRFCFSEdgeCases(t *testing.T) {
 			finishes := make([]int64, len(tc.reqs))
 			for i, r := range tc.reqs {
 				i, r := i, r
-				s.At(r.at, func() {
-					c.Submit(addrs[r.addr], func(f int64) { finishes[i] = f })
+				at(&s, r.at, func() {
+					submit(c, addrs[r.addr], func(f int64) { finishes[i] = f })
 				})
 			}
 			s.Run()

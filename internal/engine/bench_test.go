@@ -52,28 +52,6 @@ func BenchmarkSteadyStateDispatchTyped(b *testing.B) {
 	seed(b.N)
 }
 
-// BenchmarkSteadyStateDispatchClosure measures the same loop through the
-// At(func()) compatibility shim with a hoisted (reused) closure: the shim
-// itself adds no allocation over Schedule. Real unmigrated call sites that
-// capture per-event state still pay one closure allocation per event —
-// that cost lives at the caller, which is why the simulator's hot paths
-// use pooled typed Handlers.
-func BenchmarkSteadyStateDispatchClosure(b *testing.B) {
-	var s Sim
-	b.ReportAllocs()
-	b.ResetTimer()
-	remaining := b.N
-	var step func()
-	step = func() {
-		if remaining > 0 {
-			remaining--
-			s.After(int64(1+remaining%200), step)
-		}
-	}
-	s.After(1, step)
-	s.Run()
-}
-
 // benchOracleHandler mirrors benchHandler on the container/heap oracle.
 type benchOracleHandler struct {
 	s         *heapSim

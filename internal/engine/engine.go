@@ -20,11 +20,8 @@
 // tests drive both implementations with identical random schedules and
 // require identical dispatch logs.
 //
-// Handler is the fast path: callers keep a pooled event object per logical
-// operation and reschedule it stage by stage. At/After(func()) remain as
-// compatibility shims for cold paths — they cost the closure allocation the
-// typed interface exists to avoid, but queue nodes still come from the
-// free-list.
+// Handler is the only way in: callers keep a pooled event object per
+// logical operation and reschedule it stage by stage.
 package engine
 
 import (
@@ -146,22 +143,6 @@ func (s *Sim) Schedule(t int64, h Handler) {
 
 // ScheduleAfter arranges for h.Handle to run d cycles from now.
 func (s *Sim) ScheduleAfter(d int64, h Handler) { s.Schedule(s.now+d, h) }
-
-// funcEvent adapts the legacy func() call sites to Handler. The func value
-// is pointer-shaped, so the interface conversion itself does not allocate —
-// only the caller's closure does.
-type funcEvent func()
-
-func (f funcEvent) Handle(int64) { f() }
-
-// At schedules fn to run at absolute time t. It is the compatibility shim
-// over Schedule for call sites that have not migrated to typed events; the
-// closure costs one allocation per call, which is why hot paths use
-// Schedule with pooled Handlers instead.
-func (s *Sim) At(t int64, fn func()) { s.Schedule(t, funcEvent(fn)) }
-
-// After schedules fn to run d cycles from now.
-func (s *Sim) After(d int64, fn func()) { s.Schedule(s.now+d, funcEvent(fn)) }
 
 // Run processes events until the queue is empty and returns the final time.
 func (s *Sim) Run() int64 {

@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// funcEvent adapts a test closure to Handler; the tests schedule closures
+// through At and After, the production code pooled typed Handlers.
+type funcEvent func()
+
+func (f funcEvent) Handle(int64) { f() }
+
+// At schedules fn to run at absolute time t.
+func (s *Sim) At(t int64, fn func()) { s.Schedule(t, funcEvent(fn)) }
+
+// After schedules fn to run d cycles from now.
+func (s *Sim) After(d int64, fn func()) { s.ScheduleAfter(d, funcEvent(fn)) }
+
 func TestEventOrdering(t *testing.T) {
 	var s Sim
 	var order []int

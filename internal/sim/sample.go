@@ -175,9 +175,10 @@ type SampledResult struct {
 	Est         SampledEstimates
 	AppExecTime map[int]int64 // extrapolated per-application exec times
 
-	// Aggregate sums the span runs — the distributional metrics (hop CDFs,
-	// the node×MC access map) that have no per-window scalar estimator.
-	// Warmup accesses are included here; their share is WarmupFrac/(1+WarmupFrac).
+	// Aggregate sums the span runs' counters; its distributional metrics
+	// (hop CDFs, the node×MC access map), which have no per-window scalar
+	// estimator, are the representative first window's. Warmup accesses are
+	// included here; their share is WarmupFrac/(1+WarmupFrac).
 	Aggregate *Result
 	// SpanResults/SpanWorkloads are the measured-window runs and their
 	// inputs, in (replicate, window) order — each is a complete drained
@@ -249,34 +250,28 @@ func sliceStream(st *Stream, start, length int) Stream {
 	return out
 }
 
-// windowWorkloads builds the three workloads of one (replicate, window)
-// cell: span (warmup + measured accesses), warm (the warmup prefixes alone),
-// and half (the first half of each warmup prefix). span − warm isolates the
-// measured window; warm − half isolates the second half of the warmup — a
-// partially-warmed control segment whose distance from the measured values
-// observes the local warming gradient, which sizes the bias allowance in
-// the bounds.
+// windowWorkloads builds the two workloads of one (replicate, window)
+// cell: span (warmup + measured accesses) and warm (the warmup prefixes
+// alone). span − warm isolates the measured window; warm alone is the
+// control segment whose distance from the measured values sizes the bias
+// allowance in the bounds.
 //
-// All three share one WarmState: the full workload as the page universe
+// Both share one WarmState: the full workload as the page universe
 // (identical page placement to the full run) and, when warmK > 0, up to
 // warmK accesses of each stream's pre-window prefix replayed functionally
 // so the caches and the directory approximate their mid-run contents. The
-// shared state cancels exactly in the span − warm and warm − half
-// subtractions.
-func (s SampleSpec) windowWorkloads(w *Workload, rep, win, warmK int, pages *PageMemo) (span, warm, half *Workload) {
+// shared state cancels exactly in the span − warm subtraction.
+func (s SampleSpec) windowWorkloads(w *Workload, rep, win, warmK int, pages *PageMemo) (span, warm *Workload) {
 	span = &Workload{Name: w.Name}
 	warm = &Workload{Name: w.Name}
-	half = &Workload{Name: w.Name}
 	span.Streams = make([]Stream, len(w.Streams))
 	warm.Streams = make([]Stream, len(w.Streams))
-	half.Streams = make([]Stream, len(w.Streams))
 	ws := &WarmState{PageUniverse: w, Pages: pages}
 	for i := range w.Streams {
 		st := &w.Streams[i]
 		start, wu, wlen, _ := s.streamWindow(len(st.Accesses), rep, win)
 		span.Streams[i] = sliceStream(st, start, wu+wlen)
 		warm.Streams[i] = sliceStream(st, start, wu)
-		half.Streams[i] = sliceStream(st, start, wu/2)
 		if warmK > 0 && start > 0 {
 			from := start - warmK
 			if from < 0 {
@@ -285,8 +280,8 @@ func (s SampleSpec) windowWorkloads(w *Workload, rep, win, warmK int, pages *Pag
 			ws.CacheStreams = append(ws.CacheStreams, sliceStream(st, from, start-from))
 		}
 	}
-	span.Warm, warm.Warm, half.Warm = ws, ws, ws
-	return span, warm, half
+	span.Warm, warm.Warm = ws, ws
+	return span, warm
 }
 
 // warmDepth is how much trace each window replays functionally before the
@@ -296,13 +291,14 @@ func (s SampleSpec) windowWorkloads(w *Workload, rep, win, warmK int, pages *Pag
 const warmDepth = 4
 
 // RunSampled runs the sampled simulation: spec.Replicates × spec.Windows
-// measured windows, each simulated as warmup+measure and warmup-only runs
-// whose difference isolates the measured window's contribution to every
-// additive counter. Scalar metrics are estimated as the mean over windows
-// with a t-distribution confidence half-width (plus a relative floor that
-// owns the method's residual bias); window runs inherit cfg's Check and
-// Prof hooks, while the observability sink and progress callbacks attach to
-// the first span run only (a sampled run has no single coherent timeline).
+// measured windows, each simulated twice — warmup+measure (the span) and
+// warmup alone — so the difference isolates the measured window's
+// contribution to every additive counter. Scalar metrics are estimated as
+// the mean over windows with a confidence half-width (metricSamples.bound).
+// Every window run carries cfg's Check hook, so the Checker validates all
+// of them. The observability sink and the profiler attach to the first span
+// run only, and progress callbacks to none: a sampled run has no single
+// coherent timeline, and the profile is one complete window.
 func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error) {
 	spec = spec.normalized()
 	if err := spec.Validate(); err != nil {
@@ -340,10 +336,11 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 	// publishing hundreds of labeled metrics nobody will read.
 	quiet := cfg
 	quiet.Obs = &obs.Observer{}
+	quiet.Prof = nil
 	quiet.OnProgress = nil
 	quiet.ProgressEvery = 0
 
-	est := newEstimator()
+	est := &estimator{}
 	appSamples := map[int]*metricSamples{}
 	// Functional cache warming depth: enough pre-window trace to overwrite
 	// the cold L1, L2 and directory state several times over.
@@ -352,54 +349,33 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 		cacheLines = float64(cfg.L1Bytes+cfg.L2Bytes) / float64(lb)
 	}
 	warmK := int(cacheLines) * warmDepth
-	if n := len(w.Streams); n > 0 {
-		est.setGrowthFactor(spec, int(sr.FullAccesses)/n)
-	}
 	// Every window run shares one page universe and machine config, so the
 	// first-touch walk happens once and is snapshot-restored into the rest.
 	pages := &PageMemo{}
 	for rep := 0; rep < spec.Replicates; rep++ {
 		for win := 0; win < spec.Windows; win++ {
-			span, warm, half := spec.windowWorkloads(w, rep, win, warmK, pages)
+			span, warm := spec.windowWorkloads(w, rep, win, warmK, pages)
 			runCfg := quiet
-			representative := rep == 0 && win == 0
-			if representative {
-				// One representative window feeds the observability sink.
-				runCfg.Obs = cfg.Obs
+			if rep == 0 && win == 0 {
+				// One representative window feeds the observability sink
+				// and the profiler, and supplies the distributional metrics.
+				runCfg.Obs, runCfg.Prof = cfg.Obs, cfg.Prof
 			}
 			spanR, err := Run(runCfg, span)
 			if err != nil {
 				return nil, fmt.Errorf("sim: sampled window r%dw%d: %w", rep, win, err)
 			}
-			if !representative {
-				// The distributional metrics come from the representative
-				// window alone — the one the observability sink sees.
-				spanR.HopCDF = [2][]float64{}
-				for _, row := range spanR.AccessMap {
-					clear(row)
-				}
-			}
-			var warmR, halfR *Result
+			warmR := &Result{}
 			if warm.TotalAccesses() > 0 {
-				warmR, err = Run(quiet, warm)
-				if err != nil {
+				if warmR, err = Run(quiet, warm); err != nil {
 					return nil, fmt.Errorf("sim: sampled warmup r%dw%d: %w", rep, win, err)
 				}
-			} else {
-				warmR = &Result{}
-			}
-			if halfAcc := half.TotalAccesses(); halfAcc > 0 && halfAcc < warm.TotalAccesses() {
-				halfR, err = Run(quiet, half)
-				if err != nil {
-					return nil, fmt.Errorf("sim: sampled half-warmup r%dw%d: %w", rep, win, err)
-				}
-				sr.SimulatedAccesses += halfAcc
 			}
 			sr.SpanResults = append(sr.SpanResults, spanR)
 			sr.SpanWorkloads = append(sr.SpanWorkloads, span)
 			sr.MeasuredAccesses += span.TotalAccesses() - warm.TotalAccesses()
 			sr.SimulatedAccesses += span.TotalAccesses() + warm.TotalAccesses()
-			est.addWindow(spanR, warmR, halfR, sr.FullAccesses, appSamples)
+			est.addWindow(spanR, warmR, sr.FullAccesses, appSamples)
 		}
 	}
 	sr.Aggregate = aggregate(sr.SpanResults)
@@ -431,38 +407,6 @@ func exactEstimates(r *Result) SampledEstimates {
 // estimator accumulates per-window scalar samples.
 type estimator struct {
 	exec, onNet, offNet, mem, queue, share, occ metricSamples
-}
-
-func newEstimator() *estimator { return &estimator{} }
-
-// setGrowthFactor derives the congestion-growth extrapolation factor from
-// the window geometry on a typical stream of n accesses. The control
-// segment (second half of the warmup) and the measured segment sit one
-// gradient step apart — midpoint distance wu/4 + wlen/2 in accesses — while
-// the run-average machine age sits (n/2 − wu − wlen/2) accesses beyond the
-// measured midpoint. Their ratio converts the observed per-step gradient
-// into the bias a persistent linear ramp (unstable NoC or controller
-// queues) would accumulate by mid-run. Stationary workloads have a
-// near-zero mean gradient, so the allowance only engages when windows
-// consistently age while running.
-func (e *estimator) setGrowthFactor(spec SampleSpec, n int) {
-	start, wu, wlen, covered := spec.streamWindow(n, 0, 0)
-	_ = start
-	if covered {
-		return
-	}
-	gap := float64(wu)/4 + float64(wlen)/2
-	if gap <= 0 {
-		return
-	}
-	remaining := float64(n)/2 - float64(wu) - float64(wlen)/2
-	if remaining <= 0 {
-		return
-	}
-	gf := remaining / gap
-	for _, m := range []*metricSamples{&e.exec, &e.onNet, &e.offNet, &e.mem, &e.queue, &e.share, &e.occ} {
-		m.growthFactor = gf
-	}
 }
 
 // sub clamps a counter difference at zero: the warmup-only run is a
@@ -521,13 +465,9 @@ func deltaVals(base, prefix *Result, fullAcc int64) windowVals {
 }
 
 // addWindow folds one window's measured (span − warm) values into the
-// samples, and contrasts them against a control segment to size the bias
-// allowance. The control is the second half of the warmup (warm − half) —
-// partially warmed like the measured window, so its gap from the measured
-// values observes the local warming gradient rather than the full cold-start
-// distance. When no half-warmup run exists (degenerate short warmups), the
-// whole warmup run serves as a cruder, fully-cold control.
-func (e *estimator) addWindow(span, warm, half *Result, fullAcc int64, app map[int]*metricSamples) {
+// samples, and contrasts them against the warmup-only run — the control
+// segment, timed from a cold start — to size the bias allowance.
+func (e *estimator) addWindow(span, warm *Result, fullAcc int64, app map[int]*metricSamples) {
 	meas := deltaVals(span, warm, fullAcc)
 	if !meas.valid {
 		return
@@ -548,13 +488,7 @@ func (e *estimator) addWindow(span, warm, half *Result, fullAcc int64, app map[i
 		e.occ.add(meas.occ)
 	}
 
-	var ctrl windowVals
-	if half != nil {
-		ctrl = deltaVals(warm, half, fullAcc)
-	} else if warm.Total > 0 {
-		ctrl = deltaVals(warm, &Result{}, fullAcc)
-	}
-	if ctrl.valid {
+	if ctrl := deltaVals(warm, &Result{}, fullAcc); ctrl.valid {
 		if ctrl.okExec {
 			e.exec.addContrast(ctrl.exec, meas.exec)
 		}
@@ -624,30 +558,16 @@ const boundBiasFactor = 2.0
 type metricSamples struct {
 	xs        []float64
 	contrasts []float64
-	growths   []float64
-	// growthFactor extrapolates a persistent within-window growth gradient
-	// to the full run. Window runs restart from empty queues, so when the
-	// machine operates past a queueing knee (the NoC and the controllers
-	// congest over the whole run, never reaching the window's young state
-	// again), every window under-observes the steady congestion by an
-	// amount the measured-vs-control gradient reveals: the gradient is one
-	// congestion-growth step, and growthFactor counts how many such steps
-	// separate a young window from the run-average machine age.
-	growthFactor float64
 }
 
 func (m *metricSamples) add(x float64) { m.xs = append(m.xs, x) }
 
-// addContrast records one window's control-vs-measured gap: the magnitude
-// widens the bias allowance directly, the signed gradient feeds the
-// congestion-growth extrapolation.
+// addContrast records the magnitude of one window's control-vs-measured gap.
 func (m *metricSamples) addContrast(ctrl, measured float64) {
 	m.contrasts = append(m.contrasts, math.Abs(ctrl-measured))
-	m.growths = append(m.growths, measured-ctrl)
 }
 
-// bound returns mean ± max(t·stderr, bias allowance, growth allowance,
-// relative floor).
+// bound returns mean ± max(t·stderr, bias allowance, relative floor).
 func (m *metricSamples) bound() Bound {
 	k := len(m.xs)
 	if k == 0 {
@@ -677,15 +597,6 @@ func (m *metricSamples) bound() Bound {
 			half = b
 		}
 	}
-	if m.growthFactor > 0 && len(m.growths) > 0 {
-		var g float64
-		for _, x := range m.growths {
-			g += x
-		}
-		if b := m.growthFactor * g / float64(len(m.growths)); b > half {
-			half = b
-		}
-	}
 	if fl := boundRelFloor * math.Abs(mean); fl > half {
 		half = fl
 	}
@@ -705,11 +616,17 @@ func tcrit(df int) float64 {
 	return 1.96
 }
 
-// aggregate sums span runs into one Result for the distributional metrics.
-// Counters add; CDFs combine weighted by message counts; time-averaged
-// occupancies combine weighted by exec time.
+// aggregate sums span runs into one Result. Counters add and time-averaged
+// occupancies combine weighted by exec time; the distributional metrics are
+// the representative first run's — its access map, and its hop CDF of each
+// class it sent messages in (nil otherwise).
 func aggregate(rs []*Result) *Result {
-	agg := &Result{AppExecTime: map[int]int64{}}
+	agg := &Result{AppExecTime: map[int]int64{}, AccessMap: rs[0].AccessMap}
+	for cls := 0; cls < 2; cls++ {
+		if rs[0].NetMsgs[cls] > 0 {
+			agg.HopCDF[cls] = rs[0].HopCDF[cls]
+		}
+	}
 	for _, r := range rs {
 		agg.ExecTime += r.ExecTime
 		agg.Total += r.Total
@@ -733,19 +650,6 @@ func aggregate(rs []*Result) *Result {
 			agg.NetHops[cls] += r.NetHops[cls]
 			agg.NetLatency[cls] += r.NetLatency[cls]
 		}
-		if r.AccessMap != nil {
-			if agg.AccessMap == nil {
-				agg.AccessMap = make([][]int64, len(r.AccessMap))
-				for n := range r.AccessMap {
-					agg.AccessMap[n] = make([]int64, len(r.AccessMap[n]))
-				}
-			}
-			for n := range r.AccessMap {
-				for mc := range r.AccessMap[n] {
-					agg.AccessMap[n][mc] += r.AccessMap[n][mc]
-				}
-			}
-		}
 		if r.QueueOcc != nil {
 			if agg.QueueOcc == nil {
 				agg.QueueOcc = make([]float64, len(r.QueueOcc))
@@ -755,39 +659,6 @@ func aggregate(rs []*Result) *Result {
 			}
 		}
 		agg.AvgQueueOcc += r.AvgQueueOcc * float64(r.ExecTime)
-	}
-	// CDF: message-weighted average of the per-run CDFs that carry one
-	// (RunSampled keeps only the representative window's), weighted by
-	// their own message counts.
-	for cls := 0; cls < 2; cls++ {
-		var maxLen int
-		var msgs int64
-		for _, r := range rs {
-			if len(r.HopCDF[cls]) > maxLen {
-				maxLen = len(r.HopCDF[cls])
-			}
-			if len(r.HopCDF[cls]) > 0 {
-				msgs += r.NetMsgs[cls]
-			}
-		}
-		if maxLen == 0 || msgs == 0 {
-			continue
-		}
-		cdf := make([]float64, maxLen)
-		for _, r := range rs {
-			if len(r.HopCDF[cls]) == 0 {
-				continue
-			}
-			w := float64(r.NetMsgs[cls]) / float64(msgs)
-			for h := 0; h < maxLen; h++ {
-				v := 1.0 // a CDF stays at 1 past its last bin
-				if h < len(r.HopCDF[cls]) {
-					v = r.HopCDF[cls][h]
-				}
-				cdf[h] += w * v
-			}
-		}
-		agg.HopCDF[cls] = cdf
 	}
 	if agg.ExecTime > 0 {
 		for mc := range agg.QueueOcc {

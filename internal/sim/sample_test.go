@@ -9,6 +9,7 @@ import (
 	"offchip/internal/check"
 	"offchip/internal/layout"
 	"offchip/internal/mem"
+	"offchip/internal/prof"
 )
 
 func TestParseSampleSpec(t *testing.T) {
@@ -173,10 +174,62 @@ func TestRunSampledConservation(t *testing.T) {
 	if sr.MeasuredAccesses <= 0 || sr.MeasuredAccesses >= sr.FullAccesses {
 		t.Errorf("measured %d of %d accesses", sr.MeasuredAccesses, sr.FullAccesses)
 	}
-	// Default spec: 10% measured + 10% warmup simulated twice + the
-	// half-warmup control ≈ 35%.
-	if frac := float64(sr.SimulatedAccesses) / float64(sr.FullAccesses); frac > 0.4 {
+	// Each window runs twice: the span, and its warmup prefixes alone.
+	spec := DefaultSampleSpec()
+	var want int64
+	for win, sw := range sr.SpanWorkloads {
+		want += sw.TotalAccesses()
+		for i := range w.Streams {
+			_, warm, _, _ := spec.streamWindow(len(w.Streams[i].Accesses), 0, win)
+			want += int64(warm)
+		}
+	}
+	if sr.SimulatedAccesses != want {
+		t.Errorf("simulated %d accesses, want %d (span + warmup-only runs)", sr.SimulatedAccesses, want)
+	}
+	// Default spec: 10% measured + 10% warmup simulated twice = 30%.
+	if frac := float64(sr.SimulatedAccesses) / float64(sr.FullAccesses); frac > 0.31 {
 		t.Errorf("simulated %.0f%% of the workload — sampling is not buying wall clock", 100*frac)
+	}
+}
+
+// TestRunSampledProfilesOneWindow: the profiler attaches to the
+// representative span run alone, so a sampled profile is one complete
+// window with every cycle attributed — not whichever run bound it last.
+func TestRunSampledProfilesOneWindow(t *testing.T) {
+	cfg := testConfig(t)
+	pf := prof.New()
+	cfg.Prof = pf
+	sr, err := RunSampled(cfg, sampleWorkload(16, 2000), DefaultSampleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pf.Profile()
+	if want := sr.SpanWorkloads[0].TotalAccesses(); p.Accesses != want {
+		t.Errorf("profiled %d accesses, want the representative window's %d", p.Accesses, want)
+	}
+	if p.Attributed() != p.EndToEnd || len(p.Violations) != 0 {
+		t.Errorf("attributed %d of %d cycles, violations %v", p.Attributed(), p.EndToEnd, p.Violations)
+	}
+}
+
+// TestRunSampledChecksEveryWindow: every window run rebinds the one
+// Checker, and a rebind keeps what was recorded before it — here a sentinel
+// reported before the sampled run starts.
+func TestRunSampledChecksEveryWindow(t *testing.T) {
+	cfg := testConfig(t)
+	ck := check.New()
+	cfg.Check = ck
+	ck.Report("sentinel", "recorded before RunSampled")
+	if _, err := RunSampled(cfg, sampleWorkload(16, 2000), DefaultSampleSpec()); err != nil {
+		t.Fatal(err)
+	}
+	vs := ck.Violations()
+	if len(vs) == 0 || vs[0].Probe != "sentinel" {
+		t.Fatalf("the sentinel did not survive the window runs: %v", vs)
+	}
+	if ck.Count() != 1 {
+		t.Errorf("window runs reported violations: %v", vs[1:])
 	}
 }
 
@@ -205,7 +258,7 @@ func TestRunSampledDeterminism(t *testing.T) {
 // state (page tables via PageMemo, caches/directory via the per-WarmState
 // memo) must be indistinguishable from re-walking preTouch and replaying
 // CacheStreams — the estimator's span − warm subtraction relies on the
-// three runs of a window starting from identical machine state.
+// two runs of a window starting from identical machine state.
 func TestWarmMemoRestoreEqualsReplay(t *testing.T) {
 	cfg := testConfig(t)
 	// Page interleaving so the run preTouches and the PageMemo layer is
@@ -215,14 +268,14 @@ func TestWarmMemoRestoreEqualsReplay(t *testing.T) {
 	spec := DefaultSampleSpec()
 
 	// Replay path: fresh WarmState (and no PageMemo) per run.
-	span1, _, _ := spec.windowWorkloads(w, 0, 1, 512, nil)
+	span1, _ := spec.windowWorkloads(w, 0, 1, 512, nil)
 	fresh, err := Run(cfg, span1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Memoized path: the first run replays and captures, the second restores.
-	span2, _, _ := spec.windowWorkloads(w, 0, 1, 512, &PageMemo{})
+	span2, _ := spec.windowWorkloads(w, 0, 1, 512, &PageMemo{})
 	if _, err := Run(cfg, span2); err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +323,10 @@ func TestRunSampledBoundsCoverFullRun(t *testing.T) {
 	}
 }
 
-// TestMetricSamplesBound: the t-bound math on a known sample set, and the
-// relative floor taking over when the variance is tiny.
+// TestMetricSamplesBound: the t-bound math on a known sample set, the
+// relative floor taking over when the variance is tiny, and the bias
+// allowance taking over when the control runs sit far from the measured
+// values.
 func TestMetricSamplesBound(t *testing.T) {
 	var m metricSamples
 	for _, x := range []float64{10, 14, 6, 10} {
@@ -294,20 +349,36 @@ func TestMetricSamplesBound(t *testing.T) {
 	if b := c.bound(); b.Half != boundRelFloor*100 {
 		t.Errorf("zero-variance half = %v, want the %v floor", b.Half, boundRelFloor*100)
 	}
+	// Low variance (t-bound ≈ 1.30) and a floor of 3, but the controls sit
+	// 4 and 2 away from the measured values: 2 × mean contrast 3 = 6 wins.
+	var d metricSamples
+	for _, x := range []float64{10, 11, 9, 10} {
+		d.add(x)
+	}
+	d.addContrast(14, 10)
+	d.addContrast(8, 10)
+	if b := d.bound(); b.Mean != 10 || b.Half != boundBiasFactor*3 {
+		t.Errorf("contrast-dominated bound = %+v, want 10 ± %v", b, boundBiasFactor*3)
+	}
 	if (metricSamples{}).xs != nil {
 		t.Fatal("zero value not empty")
 	}
 }
 
-// TestAggregateWeighting: aggregate sums counters and weights the CDFs by
-// messages and occupancies by time.
+// TestAggregateWeighting: aggregate sums counters and weights occupancies
+// by time, and takes the distributional metrics from the first run.
 func TestAggregateWeighting(t *testing.T) {
-	a := &Result{ExecTime: 100, Total: 10, AvgQueueOcc: 2, QueueOcc: []float64{2, 0}}
+	a := &Result{ExecTime: 100, Total: 10, AvgQueueOcc: 2, QueueOcc: []float64{2, 0},
+		AccessMap: [][]int64{{1, 2}, {3, 4}}}
 	a.NetMsgs[0] = 10
 	a.HopCDF[0] = []float64{0.5, 1}
-	b := &Result{ExecTime: 300, Total: 30, AvgQueueOcc: 4, QueueOcc: []float64{4, 0}}
+	a.HopCDF[1] = []float64{0, 0} // no class-1 message: the all-zero CDF
+	b := &Result{ExecTime: 300, Total: 30, AvgQueueOcc: 4, QueueOcc: []float64{4, 0},
+		AccessMap: [][]int64{{5, 6}, {7, 8}}}
 	b.NetMsgs[0] = 30
+	b.NetMsgs[1] = 5
 	b.HopCDF[0] = []float64{0.9, 1}
+	b.HopCDF[1] = []float64{0.2, 1}
 	agg := aggregate([]*Result{a, b})
 	if agg.ExecTime != 400 || agg.Total != 40 || agg.NetMsgs[0] != 40 {
 		t.Errorf("sums wrong: %+v", agg)
@@ -316,9 +387,13 @@ func TestAggregateWeighting(t *testing.T) {
 	if math.Abs(agg.AvgQueueOcc-3.5) > 1e-12 || math.Abs(agg.QueueOcc[0]-3.5) > 1e-12 {
 		t.Errorf("occupancy = %v / %v, want 3.5", agg.AvgQueueOcc, agg.QueueOcc[0])
 	}
-	// CDF bin 0: 0.25·0.5 + 0.75·0.9 = 0.8, message-weighted.
-	if math.Abs(agg.HopCDF[0][0]-0.8) > 1e-12 || math.Abs(agg.HopCDF[0][1]-1) > 1e-12 {
-		t.Errorf("CDF = %v", agg.HopCDF[0])
+	// The hop CDFs and the access map are the first (representative)
+	// run's, and a class it sent no message in has no CDF.
+	if !reflect.DeepEqual(agg.HopCDF[0], a.HopCDF[0]) || agg.HopCDF[1] != nil {
+		t.Errorf("CDFs = %v, want the first run's %v and nil", agg.HopCDF, a.HopCDF[0])
+	}
+	if !reflect.DeepEqual(agg.AccessMap, a.AccessMap) {
+		t.Errorf("access map = %v, want the first run's %v", agg.AccessMap, a.AccessMap)
 	}
 }
 

@@ -244,10 +244,10 @@ type WarmState struct {
 	// is exact state, so restored runs are bit-identical to replayed ones.
 	Pages *PageMemo
 
-	// memo is the per-WarmState cache/directory snapshot: the three runs of
-	// one sampling window (span, warm-only, half-warm control) share a
-	// WarmState and therefore an identical CacheStreams replay, so the first
-	// run replays and captures, and the rest restore.
+	// memo is the per-WarmState cache/directory snapshot: the two runs of
+	// one sampling window (span and warm-only) share a WarmState and
+	// therefore an identical CacheStreams replay, so the first run replays
+	// and captures, and the second restores.
 	memo *warmSnapshot
 }
 
