@@ -87,8 +87,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseMixSpec -fuzztime=$(FUZZTIME) ./internal/workloads
 
 ## bench: the Go benchmarks of every package (per-figure benches, engine
-## micro-benchmarks, obs overhead guards). The repo's end-to-end benchmark
-## is `bash bench/run.sh`, declared in BENCHMARK.json (see bench/README.md).
+## and obs registry micro-benchmarks). The repo's end-to-end benchmark is
+## `bash bench/run.sh`, declared in BENCHMARK.json (see bench/README.md).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 

@@ -15,7 +15,7 @@
 // Observability (see README "Observing a run"):
 //
 //	offchip -app apsi -progress            # live one-line run status
-//	offchip -app apsi -trace t.json        # Chrome trace of the optimized run
+//	offchip -app apsi -trace t.json        # per-access attribution of the optimized run, Chrome trace
 //	offchip -app apsi -metrics m.jsonl     # metrics registry dump, all runs
 //	offchip -app apsi -report              # post-run text dashboard
 //	offchip -app apsi -pprof :6060         # serve net/http/pprof while running
@@ -52,6 +52,7 @@ import (
 	"time"
 
 	"offchip/internal/approx"
+	"offchip/internal/check"
 	"offchip/internal/core"
 	"offchip/internal/experiments"
 	"offchip/internal/ir"
@@ -84,8 +85,8 @@ func run() error {
 	migrate := flag.String("migrate", "off", `online hot-page migration for the baseline and optimized runs (requires -interleave page): off | on | h<thr>w<win>c<cool>f<flits>t<stall>[g<pages>]`)
 	show := flag.Bool("show", false, "print the transformed reference forms")
 	simulate := flag.Bool("sim", true, "run the baseline/optimized/optimal simulation")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event file of the optimized run (chrome://tracing, Perfetto)")
-	traceSample := flag.Int64("trace-sample", 1, "keep every Nth trace event")
+	traceOut := flag.String("trace", "", "write the optimized run's per-access latency attribution as a Chrome trace_event file (chrome://tracing, Perfetto)")
+	traceSample := flag.Int64("trace-sample", 1, "-trace: keep only the accesses whose probe ID is a multiple of N, each with all its slices")
 	metricsOut := flag.String("metrics", "", "write a JSONL metrics dump of all three runs")
 	progress := flag.Bool("progress", false, "print a live one-line status during simulation")
 	report := flag.Bool("report", false, "print the post-run observability dashboard")
@@ -238,7 +239,7 @@ func run() error {
 	}
 
 	wantProf := *profFlag || *profFolded != "" || *profPprof != ""
-	opt := core.Options{Concurrent: *parallel, Seed: *seed, Check: *checkRun, Prof: wantProf}
+	opt := core.Options{Concurrent: *parallel, Seed: *seed}
 	switch *policy {
 	case "interleaved":
 	case "firsttouch":
@@ -271,23 +272,22 @@ func run() error {
 		return err
 	}
 	opt.Sample = sampleSpec
-	var tracer *obs.Tracer
+	// -trace renders the optimized run's profiler as a Chrome trace; with
+	// -prof that profiler is also the run's attribution profile.
+	var traced *prof.Profiler
+	var traceFile *os.File
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+		traceFile, err = os.Create(*traceOut)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		tracer = obs.NewTracer(obs.TracerOptions{Chrome: f, Sample: *traceSample})
-		opt.Observer = func(run string) *obs.Observer {
-			if run == "optimized" {
-				return &obs.Observer{Reg: obs.NewRegistry(), Tracer: tracer}
-			}
-			return nil
-		}
+		defer traceFile.Close()
+		traced = prof.New()
+		traced.TraceTo(traceFile, *traceSample)
 	}
+	var onProgress func(run string, p sim.Progress)
 	if *progress {
-		opt.OnProgress = liveProgress()
+		onProgress = liveProgress()
 	}
 
 	// The live observability plane binds before the runs start and watches
@@ -299,18 +299,6 @@ func run() error {
 		liveProfs = map[string]*prof.Profile{}
 	)
 	if *serveAddr != "" {
-		prev := opt.Observer
-		opt.Observer = func(run string) *obs.Observer {
-			var o *obs.Observer
-			if prev != nil {
-				o = prev(run)
-			}
-			o = obs.OrNew(o)
-			liveMu.Lock()
-			liveRegs[run] = o.Reg
-			liveMu.Unlock()
-			return o
-		}
 		srv, err := prof.NewServer(prof.ServerConfig{
 			Addr: *serveAddr,
 			Registries: func() map[string]*obs.Registry {
@@ -340,6 +328,28 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "offchip: observability plane on http://%s\n", srv.Addr())
 	}
 
+	// Every observer the flags ask for attaches here, per run.
+	opt.Attach = func(run string, cfg *sim.Config) {
+		if *checkRun {
+			cfg.Check = check.New()
+		}
+		if wantProf {
+			cfg.Prof = prof.New()
+		}
+		if traced != nil && run == "optimized" {
+			cfg.Prof = traced
+		}
+		if onProgress != nil {
+			cfg.OnProgress = func(p sim.Progress) { onProgress(run, p) }
+		}
+		if *serveAddr != "" {
+			cfg.Obs = obs.New()
+			liveMu.Lock()
+			liveRegs[run] = cfg.Obs.Reg
+			liveMu.Unlock()
+		}
+	}
+
 	manifest := prof.NewManifest()
 	manifest.Seed = *seed
 	manifest.Config = map[string]string{
@@ -361,12 +371,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if tracer != nil {
-		if err := tracer.Close(); err != nil {
+	if traced != nil {
+		if err := traced.Close(); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "offchip: wrote %d trace events to %s (load in chrome://tracing or Perfetto)\n",
-			tracer.Kept(), *traceOut)
+		if err := traceFile.Close(); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		fmt.Fprintf(os.Stderr, "offchip: wrote the optimized run's access trace to %s (load in chrome://tracing or Perfetto)\n",
+			*traceOut)
 	}
 	if *checkRun {
 		bad := 0

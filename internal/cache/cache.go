@@ -2,14 +2,13 @@
 // manycore (per-node L1s, private or shared-SNUCA L2 banks) and the
 // centralized L2 tag directory that private-L2 systems cache at the memory
 // controllers (Figure 2a). Caches count hits, misses and evictions in plain
-// fields and optionally mirror them, plus trace events, into the
-// observability layer (Instrument, Publish).
+// fields and optionally mirror them into the metrics registry (Instrument,
+// Publish).
 package cache
 
 import (
 	"fmt"
 
-	"offchip/internal/engine"
 	"offchip/internal/mesh"
 	"offchip/internal/obs"
 )
@@ -29,27 +28,16 @@ type Cache struct {
 
 	Hits, Misses, Evictions int64
 
-	// Observability (set by Instrument; the tracer is nil-safe and a nil
-	// feed publishes nothing, so an uninstrumented cache pays only a check).
-	comp   string
-	tracer *obs.Tracer
-	clock  engine.Clock
-	feed   *obs.Feed
+	feed *obs.Feed // set by Instrument; nil publishes nothing
 }
 
 // Instrument attaches the cache to an observer under the component name
 // (e.g. "l1.3"): Publish mirrors the hit/miss/eviction counts into the
-// registry, and when a tracer is present every access emits a trace event
-// stamped from the clock. Taking engine.Clock (not a func) keeps the
-// attachment allocation-free: a *Sim converts to the interface directly,
-// with no closure.
-func (c *Cache) Instrument(o *obs.Observer, comp string, clock engine.Clock) {
+// registry.
+func (c *Cache) Instrument(o *obs.Observer, comp string) {
 	if o == nil {
 		return
 	}
-	c.comp = comp
-	c.tracer = o.Tracer
-	c.clock = clock
 	c.feed = obs.NewFeed(o.Reg)
 	label := "comp=" + comp
 	c.feed.Counter(&c.Hits, "cache", "hits", label)
@@ -122,9 +110,6 @@ func (c *Cache) Access(addr int64) (hit bool, evicted int64) {
 		if c.valid[s][w] && c.tags[s][w] == line {
 			c.lastUse[s][w] = c.tick
 			c.Hits++
-			if c.tracer.Enabled() {
-				c.tracer.Emit(c.clock.Now(), "cache", "hit", c.comp, 0)
-			}
 			return true, -1
 		}
 		if !c.valid[s][w] {
@@ -142,12 +127,6 @@ func (c *Cache) Access(addr int64) (hit bool, evicted int64) {
 	c.tags[s][victim] = line
 	c.valid[s][victim] = true
 	c.lastUse[s][victim] = c.tick
-	if c.tracer.Enabled() {
-		c.tracer.Emit(c.clock.Now(), "cache", "miss", c.comp, 0)
-		if evicted >= 0 {
-			c.tracer.Emit(c.clock.Now(), "cache", "evict", c.comp, 0)
-		}
-	}
 	return false, evicted
 }
 

@@ -55,25 +55,14 @@ type Options struct {
 	// order — the simulations share no mutable state — so this is purely a
 	// wall-clock lever for multi-core hosts.
 	Concurrent bool
-	// Check attaches a fresh invariant checker (internal/check) to each of
-	// the three runs; per-run violations land in Comparison.Checks. The
-	// probes cost a few percent of runtime, so experiments leave this off
-	// and `offchip -check` / `make validate` turn it on.
-	Check bool
-	// Prof attaches a fresh latency-attribution profiler (internal/prof)
-	// to each of the three runs; per-run profiles land in
-	// Comparison.Profiles. Like Check, it rides the probe surfaces and is
-	// off by default.
-	Prof bool
-	// Observer, when set, supplies the observability sink for each of the
-	// three runs ("baseline", "optimized", "optimal") — the hook the CLI
-	// uses to attach a tracer to one run. When it returns nil (or is unset)
-	// the run still gets a fresh registry-backed observer.
-	Observer func(run string) *obs.Observer
-	// OnProgress and ProgressEvery forward to sim.Config for live reporting;
-	// the run name is prepended so interleaved runs stay distinguishable.
-	OnProgress    func(run string, p sim.Progress)
-	ProgressEvery int64
+	// Attach, when set, is called once per run ("baseline", "optimized",
+	// "optimal") before any run starts, with that run's own configuration:
+	// the hook for everything that observes a run — the registry (Obs),
+	// the invariant checker (Check), the latency profiler (Prof) and live
+	// progress (OnProgress). Compare collects whatever each run carries
+	// into Comparison.Observers, Checks and Profiles; a run left without
+	// Obs gets a fresh registry.
+	Attach func(run string, cfg *sim.Config)
 	// TraceCache, when set, memoizes trace generation across runs and jobs
 	// (see internal/tracecache): each per-core stream is generated once per
 	// (program, threads, cap, machine, layout fingerprint) and shared.
@@ -154,11 +143,12 @@ type Comparison struct {
 	// -metrics dump read from.
 	Observers map[string]*obs.Observer
 
-	// Checks holds each run's invariant violations (Options.Check only;
-	// nil slices mean the run was clean).
+	// Checks holds the invariant violations of each run that carried a
+	// checker (nil slices mean the run was clean; nil when none did).
 	Checks map[string][]check.Violation
 
-	// Profiles holds each run's latency attribution (Options.Prof only).
+	// Profiles holds the latency attribution of each run that carried a
+	// profiler (nil when none did).
 	Profiles map[string]*prof.Profile
 
 	// Sampled holds each run's sampled-simulation outcome — estimates with
@@ -321,54 +311,21 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 		return nil, fmt.Errorf("core: %s: %w", app.Name, err)
 	}
 
-	observers := map[string]*obs.Observer{}
-	checkers := map[string]*check.Checker{}
-	profilers := map[string]*prof.Profiler{}
-	attach := func(cfg *sim.Config, run string) {
-		var o *obs.Observer
-		if opt.Observer != nil {
-			o = opt.Observer(run)
-		}
-		o = obs.OrNew(o)
-		observers[run] = o
-		cfg.Obs = o
-		if opt.Check {
-			ck := check.New()
-			checkers[run] = ck
-			cfg.Check = ck
-		}
-		if opt.Prof {
-			pf := prof.New()
-			profilers[run] = pf
-			cfg.Prof = pf
-		}
-		if opt.OnProgress != nil {
-			cfg.ProgressEvery = opt.ProgressEvery
-			cfg.OnProgress = func(p sim.Progress) { opt.OnProgress(run, p) }
-		}
-	}
-
-	// Configure all three runs up front (observer registration order stays
-	// deterministic), then execute — concurrently when requested. The runs
-	// share only immutable inputs (the traces), so concurrent execution is
-	// bit-identical to sequential.
+	// Configure all three runs up front, then execute — concurrently when
+	// requested. The runs share only immutable inputs (the traces), so
+	// concurrent execution is bit-identical to sequential.
 	cfg := SimConfig(m, cm, opt)
 	cfg.Policy = opt.BaselinePolicy
-	attach(&cfg, "baseline")
-
 	optCfg := cfg
 	if m.Interleave == layout.PageInterleave {
 		// The optimized run needs the OS-assisted policy (Section 5.3).
 		optCfg.Policy = sim.PolicyOSAssisted
 	}
-	attach(&optCfg, "optimized")
-
 	idealCfg := cfg
 	idealCfg.OptimalOffchip = true
 	// The optimal scheme is the migration engine's fixed point — every
 	// request already goes to the nearest controller — so it never migrates.
 	idealCfg.Migrate = nil
-	attach(&idealCfg, "optimal")
 
 	type simJob struct {
 		name    string
@@ -382,6 +339,10 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 		{name: "baseline", cfg: cfg, w: baseW},
 		{name: "optimized", cfg: optCfg, w: optW},
 		{name: "optimal", cfg: idealCfg, w: baseW},
+	}
+	// Attach every run, in run order, before any starts.
+	for _, j := range jobs {
+		AttachRun(opt, j.name, &j.cfg)
 	}
 	runJob := func(j *simJob) {
 		if opt.Sample != nil {
@@ -424,18 +385,22 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 		}
 	}
 
+	observers := map[string]*obs.Observer{}
 	var checks map[string][]check.Violation
-	if opt.Check {
-		checks = map[string][]check.Violation{}
-		for run, ck := range checkers {
-			checks[run] = ck.Violations()
-		}
-	}
 	var profiles map[string]*prof.Profile
-	if opt.Prof {
-		profiles = map[string]*prof.Profile{}
-		for run, pf := range profilers {
-			profiles[run] = pf.Profile()
+	for _, j := range jobs {
+		observers[j.name] = j.cfg.Obs
+		if ck := j.cfg.Check; ck != nil {
+			if checks == nil {
+				checks = map[string][]check.Violation{}
+			}
+			checks[j.name] = ck.Violations()
+		}
+		if pf := j.cfg.Prof; pf != nil {
+			if profiles == nil {
+				profiles = map[string]*prof.Profile{}
+			}
+			profiles[j.name] = pf.Profile()
 		}
 	}
 
@@ -453,6 +418,18 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 		PctArraysOptimized: res.PctArraysOptimized(),
 		PctRefsSatisfied:   res.PctRefsSatisfied(),
 	}, nil
+}
+
+// AttachRun clears whatever observes the run's configuration — a copy of
+// another run's config would otherwise share its registry, checker and
+// profiler — hands it to opt.Attach, and gives the run a fresh registry when
+// Attach left it without one.
+func AttachRun(opt Options, run string, cfg *sim.Config) {
+	cfg.Obs, cfg.Check, cfg.Prof, cfg.OnProgress = nil, nil, nil, nil
+	if opt.Attach != nil {
+		opt.Attach(run, cfg)
+	}
+	cfg.Obs = obs.OrNew(cfg.Obs)
 }
 
 // distillSampled projects a sampled run onto Metrics: scalar metrics take

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 
+	"offchip/internal/check"
 	"offchip/internal/layout"
+	"offchip/internal/mem"
+	"offchip/internal/prof"
 	"offchip/internal/sim"
 	"offchip/internal/workloads"
 )
@@ -179,5 +185,80 @@ func TestNoContentionAblation(t *testing.T) {
 	if ideal.ExecImprovement() >= withC.ExecImprovement() {
 		t.Errorf("ideal-network improvement %.1f%% >= contended %.1f%%",
 			100*ideal.ExecImprovement(), 100*withC.ExecImprovement())
+	}
+}
+
+// TestDeterminismConcurrentCompare: Options.Concurrent is purely a
+// wall-clock lever. A migrating comparison with a checker and a profiler
+// attached to every run gives the same metrics, registry snapshots and
+// latency attribution whether its three runs execute concurrently or in
+// sequence, and neither order trips an invariant.
+func TestDeterminismConcurrentCompare(t *testing.T) {
+	m, cm := setup8x8(t)
+	m.Interleave = layout.PageInterleave
+	app, _ := workloads.ByName("fma3d")
+	mig, err := mem.ParseMigrationSpec("on")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []string{"baseline", "optimized", "optimal"}
+	compare := func(concurrent bool) *Comparison {
+		c, err := Compare(app, m, cm, Options{
+			MaxAccessesPerThread: 400,
+			Migrate:              mig,
+			Concurrent:           concurrent,
+			Attach: func(_ string, cfg *sim.Config) {
+				cfg.Check = check.New()
+				cfg.Prof = prof.New()
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range runs {
+			if vs := c.Checks[run]; len(vs) != 0 {
+				t.Errorf("concurrent=%v %s: %d violations, first %v", concurrent, run, len(vs), vs[0])
+			}
+			if p := c.Profiles[run]; p == nil || len(p.Violations) != 0 {
+				t.Errorf("concurrent=%v %s: profile %v", concurrent, run, p)
+			}
+		}
+		return c
+	}
+	seq, par := compare(false), compare(true)
+	if seq.Baseline.Migrations+seq.Optimized.Migrations == 0 {
+		t.Fatal("no run migrated; the migrating path is not exercised")
+	}
+	until := map[string]int64{
+		"baseline": seq.Baseline.ExecTime, "optimized": seq.Optimized.ExecTime, "optimal": seq.Optimal.ExecTime,
+	}
+	for _, run := range runs {
+		a, err := json.Marshal(seq.Observers[run].Reg.Snapshot(until[run]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(par.Observers[run].Reg.Snapshot(until[run]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: registry snapshots differ", run)
+		}
+		sp, pp := seq.Profiles[run], par.Profiles[run]
+		if !reflect.DeepEqual(sp.Comp, pp.Comp) || !reflect.DeepEqual(sp.PerCore, pp.PerCore) {
+			t.Errorf("%s: profile components differ: %v vs %v", run, sp.Comp, pp.Comp)
+		}
+	}
+	for _, pair := range []struct {
+		run      string
+		seq, par Metrics
+	}{
+		{"baseline", seq.Baseline, par.Baseline},
+		{"optimized", seq.Optimized, par.Optimized},
+		{"optimal", seq.Optimal, par.Optimal},
+	} {
+		if !reflect.DeepEqual(pair.seq, pair.par) {
+			t.Errorf("%s: concurrent metrics differ:\n seq %+v\n par %+v", pair.run, pair.seq, pair.par)
+		}
 	}
 }

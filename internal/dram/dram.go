@@ -8,9 +8,9 @@
 // Controllers keep their statistics in plain fields — request mix (row
 // hits/misses/conflicts), per-bank served counts for the -report
 // hottest-bank table, and the Figure 18 queue-length integral — and Publish
-// mirrors them into the observability registry. With a tracer attached,
-// every enqueue and every bank service (tagged with its row outcome) becomes
-// a trace event.
+// mirrors them into the metrics registry. Each request's bank and its
+// queue/service split reach observers through the Service record
+// (LastService), which the simulator forwards on its probe stream.
 package dram
 
 import (
@@ -135,11 +135,9 @@ type bank struct {
 
 // Controller is one memory controller instance.
 type Controller struct {
-	ID   int
-	cfg  Config
-	sim  *engine.Sim
-	obs  *obs.Observer
-	comp string // trace component name, "mc0"…
+	ID  int
+	cfg Config
+	sim *engine.Sim
 
 	banks    []bank
 	pending  []*request
@@ -173,14 +171,12 @@ func New(id int, cfg Config, sim *engine.Sim, o *obs.Observer) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	o = obs.OrNew(o)
 	c := &Controller{
-		ID: id, cfg: cfg, sim: sim, obs: o,
-		comp:       "mc" + strconv.Itoa(id),
+		ID: id, cfg: cfg, sim: sim,
 		banks:      make([]bank, cfg.BanksPerMC),
 		starve:     EffectiveStarveLimit(cfg),
 		bankServed: make([]int64, cfg.BanksPerMC),
-		feed:       obs.NewFeed(o.Reg),
+		feed:       obs.NewFeed(obs.OrNew(o).Reg),
 	}
 	for i := range c.banks {
 		c.banks[i].openRow = -1
@@ -248,10 +244,6 @@ func (c *Controller) SubmitTo(addr int64, done Completion) {
 	c.Submitted++
 	c.pending = append(c.pending, r)
 	c.setQueueLen(now)
-	if tr := c.obs.Tracer; tr.Enabled() {
-		tr.Emit(now, "dram", "enqueue", c.comp, 0,
-			"bank="+strconv.Itoa(b), "addr="+strconv.FormatInt(addr, 16))
-	}
 	c.dispatch()
 }
 
@@ -271,19 +263,15 @@ func (c *Controller) dispatch() {
 		c.setQueueLen(now)
 
 		var dur int64
-		var outcome string
 		switch {
 		case c.banks[bi].openRow == r.row:
 			dur = c.cfg.TRowHit
-			outcome = "row-hit"
 			c.RowHits++
 		case c.banks[bi].openRow == -1:
 			dur = c.cfg.TRowMiss
-			outcome = "row-miss"
 			c.rowMisses++
 		default:
 			dur = c.cfg.TRowConflict
-			outcome = "row-conflict"
 			c.rowConflicts++
 		}
 		c.banks[bi].openRow = r.row
@@ -294,9 +282,6 @@ func (c *Controller) dispatch() {
 		c.TotalQueueWait += now - r.arrive
 		c.TotalMemLatency += finish - r.arrive
 		c.bankServed[bi]++
-		if tr := c.obs.Tracer; tr.Enabled() {
-			tr.Emit(now, "dram", outcome, c.comp, dur, "bank="+strconv.Itoa(bi))
-		}
 		r.start, r.finish = now, finish
 		c.sim.Schedule(finish, r)
 	}

@@ -37,12 +37,6 @@ type Handler interface {
 	Handle(now int64)
 }
 
-// Clock is the read-only face of the simulation clock, for substrates that
-// timestamp but never schedule (e.g. cache trace events).
-type Clock interface {
-	Now() int64
-}
-
 const (
 	// wheelBits sizes the calendar: the wheel covers [now, now+wheelSize).
 	// Simulated latencies (cache, hop, DRAM service) are tens to a few

@@ -8,9 +8,10 @@
 //
 // Statistics live in plain fields — per-class message, hop and latency
 // totals, the Figure 15 hop histograms, and a traversal count per directed
-// link — and Publish mirrors them into the observability registry, where
-// the link counts feed the -report heat grid. When a tracer is attached,
-// each message emits a send event and each link traversal a per-link event.
+// link — and Publish mirrors them into the metrics registry, where the link
+// counts feed the -report heat grid. Per-message timing reaches observers
+// through the simulator's probe stream, which reports each transit's
+// departure, arrival and hop count.
 package noc
 
 import (
@@ -33,8 +34,8 @@ type Config struct {
 	// Contention disables link reservation when false (the ablation knob:
 	// an ideal network with pure distance latency).
 	Contention bool
-	// Obs supplies the metrics registry and tracer. Nil gets the network a
-	// private registry, so standalone use stays fully observable.
+	// Obs supplies the metrics registry. Nil gets the network a private
+	// registry, so standalone use stays fully observable.
 	Obs *obs.Observer
 }
 
@@ -68,7 +69,6 @@ func (c Class) String() string {
 // Network is the mesh NoC.
 type Network struct {
 	cfg   Config
-	obs   *obs.Observer
 	links []engine.Resource // directed links, indexed by node·4 + direction
 
 	// Aggregate stats, split by message class.
@@ -78,7 +78,6 @@ type Network struct {
 
 	hopCounts  [2][]int64 // Figure 15: messages per hop count 0..diameter, plus overflow
 	traversals []int64    // per directed link, indexed like links
-	linkName   []string   // precomputed "(x,y)->(x,y)" for trace events
 	feed       *obs.Feed
 }
 
@@ -93,14 +92,11 @@ func New(cfg Config) *Network {
 	// CDF tables (and hide routing bugs that overshoot the diameter in the
 	// overflow bucket instead of failing the conservation check).
 	maxHops := cfg.MeshX + cfg.MeshY - 2
-	o := obs.OrNew(cfg.Obs)
 	n := &Network{
 		cfg:        cfg,
-		obs:        o,
 		links:      make([]engine.Resource, cfg.MeshX*cfg.MeshY*4),
 		traversals: make([]int64, cfg.MeshX*cfg.MeshY*4),
-		linkName:   make([]string, cfg.MeshX*cfg.MeshY*4),
-		feed:       obs.NewFeed(o.Reg),
+		feed:       obs.NewFeed(obs.OrNew(cfg.Obs).Reg),
 	}
 	for c := 0; c < 2; c++ {
 		label := "class=" + Class(c).String()
@@ -122,7 +118,6 @@ func New(cfg Config) *Network {
 				}
 				n.feed.Counter(&n.traversals[base+d], "noc", "link_traversals",
 					"from="+from.String(), "to="+to.String())
-				n.linkName[base+d] = from.String() + "->" + to.String()
 			}
 		}
 	}
@@ -146,7 +141,6 @@ const (
 // arrives immediately. The route is walked in place, so a transit does not
 // allocate.
 func (n *Network) Transit(now int64, src, dst mesh.Node, class Class) (arrival int64, hops int) {
-	tr := n.obs.Tracer
 	t := now
 	cur := src
 	for cur.X != dst.X {
@@ -154,7 +148,7 @@ func (n *Network) Transit(now int64, src, dst mesh.Node, class Class) (arrival i
 		if cur.X > dst.X {
 			dir, step = dirWest, -1
 		}
-		t = n.hop(mesh.CoreID(cur, n.cfg.MeshX)*4+dir, t, tr)
+		t = n.hop(mesh.CoreID(cur, n.cfg.MeshX)*4+dir, t)
 		cur.X += step
 		hops++
 	}
@@ -163,7 +157,7 @@ func (n *Network) Transit(now int64, src, dst mesh.Node, class Class) (arrival i
 		if cur.Y > dst.Y {
 			dir, step = dirNorth, -1
 		}
-		t = n.hop(mesh.CoreID(cur, n.cfg.MeshX)*4+dir, t, tr)
+		t = n.hop(mesh.CoreID(cur, n.cfg.MeshX)*4+dir, t)
 		cur.Y += step
 		hops++
 	}
@@ -171,27 +165,17 @@ func (n *Network) Transit(now int64, src, dst mesh.Node, class Class) (arrival i
 	n.Hops[class] += int64(hops)
 	n.Latency[class] += t - now
 	n.hopCounts[class][min(hops, len(n.hopCounts[class])-1)]++
-	if tr.Enabled() {
-		tr.Emit(now, "noc", "msg", src.String()+"->"+dst.String(), t-now,
-			"class="+class.String(), fmt.Sprintf("hops=%d", hops))
-	}
 	return t, hops
 }
 
 // hop carries a message that reaches link li's router at time t across the
 // link, and returns when it reaches the next router.
-func (n *Network) hop(li int, t int64, tr *obs.Tracer) int64 {
+func (n *Network) hop(li int, t int64) int64 {
 	n.traversals[li]++
 	if !n.cfg.Contention {
-		if tr.Enabled() {
-			tr.Emit(t, "noc", "link", n.linkName[li], n.cfg.HopLatency)
-		}
 		return t + n.cfg.HopLatency
 	}
 	start := n.links[li].Reserve(t, n.cfg.LinkOccupancy)
-	if tr.Enabled() {
-		tr.Emit(start, "noc", "link", n.linkName[li], n.cfg.LinkOccupancy+n.cfg.HopLatency)
-	}
 	// The serialization time the message holds the link is part of its own
 	// delivery time, not only a stall imposed on followers: the tail flit
 	// lands LinkOccupancy after the link grant. This makes a quiet contended

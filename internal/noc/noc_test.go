@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"offchip/internal/mesh"
-	"offchip/internal/obs"
 )
 
 func TestTransitLatencyUncontended(t *testing.T) {
@@ -159,60 +158,58 @@ func TestClassString(t *testing.T) {
 }
 
 // TestTransitFollowsXYPath pins the in-place route walk to mesh.XYPath: for
-// every src/dst pair of an 8×8 mesh, one Transit crosses exactly the links
-// of the XY path, each once, in path order, and reports its length as the
-// hop count.
+// every src/dst pair of an 8×8 mesh, one Transit on a fresh network crosses
+// exactly the links of the XY path, each once, and reports its length as the
+// hop count. Path order shows in the link horizons: at zero load, link k is
+// granted at k·(HopLatency+LinkOccupancy), so it frees LinkOccupancy later.
 func TestTransitFollowsXYPath(t *testing.T) {
 	const x, y = 8, 8
-	tr := obs.NewTracer(obs.TracerOptions{Ring: 32})
-	n := New(Config{MeshX: x, MeshY: y, HopLatency: 4, LinkOccupancy: 1, Contention: true,
-		Obs: &obs.Observer{Reg: obs.NewRegistry(), Tracer: tr}})
+	cfg := Config{MeshX: x, MeshY: y, HopLatency: 4, LinkOccupancy: 1, Contention: true}
 	for s := 0; s < x*y; s++ {
 		for d := 0; d < x*y; d++ {
 			src, dst := mesh.CoordOf(s, x), mesh.CoordOf(d, x)
-			n.ResetStats()
-			seen := tr.Seen()
+			n := New(cfg)
 			_, hops := n.Transit(0, src, dst, OffChip)
-
-			var want []string
+			path := mesh.XYPath(src, dst)
+			if hops != len(path) {
+				t.Fatalf("%v->%v: %d hops, XYPath has %d links", src, dst, hops, len(path))
+			}
+			onPath := map[int]bool{}
 			prev := src
-			for _, next := range mesh.XYPath(src, dst) {
-				want = append(want, prev.String()+"->"+next.String())
+			for k, next := range path {
+				li := linkIndex(prev, next, x)
+				onPath[li] = true
+				want := int64(k)*(cfg.HopLatency+cfg.LinkOccupancy) + cfg.LinkOccupancy
+				if got := n.links[li].FreeAt(); got != want {
+					t.Fatalf("%v->%v: link %d (%v->%v) frees at %d, want %d", src, dst, k, prev, next, got, want)
+				}
 				prev = next
 			}
-			if hops != len(want) {
-				t.Fatalf("%v->%v: %d hops, XYPath has %d links", src, dst, hops, len(want))
-			}
-			got := map[string]int64{}
 			for li, c := range n.traversals {
-				if c != 0 {
-					got[n.linkName[li]] = c
+				want := int64(0)
+				if onPath[li] {
+					want = 1
 				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%v->%v: traversed %v, want %v", src, dst, got, want)
-			}
-			for _, l := range want {
-				if got[l] != 1 {
-					t.Fatalf("%v->%v: link %s traversed %d times, want 1", src, dst, l, got[l])
+				if c != want {
+					t.Fatalf("%v->%v: link index %d traversed %d times, want %d", src, dst, li, c, want)
 				}
-			}
-			// One link event per hop, in path order, then the message.
-			if emitted := tr.Seen() - seen; emitted != int64(len(want))+1 {
-				t.Fatalf("%v->%v: %d tracer events, want %d", src, dst, emitted, len(want)+1)
-			}
-			evs := tr.Events()
-			evs = evs[len(evs)-len(want)-1:]
-			for i, l := range want {
-				if evs[i].Name != "link" || evs[i].Comp != l {
-					t.Fatalf("%v->%v: event %d = %s %s, want link %s", src, dst, i, evs[i].Name, evs[i].Comp, l)
-				}
-			}
-			if last := evs[len(want)]; last.Name != "msg" || last.Comp != src.String()+"->"+dst.String() {
-				t.Fatalf("%v->%v: last event %s %s", src, dst, last.Name, last.Comp)
 			}
 		}
 	}
+}
+
+// linkIndex returns the index of the directed link between adjacent nodes.
+func linkIndex(from, to mesh.Node, meshX int) int {
+	dir := dirEast
+	switch {
+	case to.X < from.X:
+		dir = dirWest
+	case to.Y > from.Y:
+		dir = dirSouth
+	case to.Y < from.Y:
+		dir = dirNorth
+	}
+	return mesh.CoreID(from, meshX)*4 + dir
 }
 
 // BenchmarkTransit measures one contended transit over a spread of routes;

@@ -1,36 +1,6 @@
 package obs
 
-import (
-	"io"
-	"testing"
-)
-
-// BenchmarkTracerDisabled measures the nil-tracer fast path: the cost every
-// instrumented site pays when tracing is off. The README's "Observing a
-// run" section cites this guard; TestDisabledTracerOverhead asserts the
-// documented < 5 ns/event budget.
-func BenchmarkTracerDisabled(b *testing.B) {
-	var tr *Tracer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Emit(int64(i), "noc", "msg", "comp", 0)
-	}
-}
-
-// BenchmarkTracerEnabledGuard measures the Enabled() guard hot paths use
-// before building label strings.
-func BenchmarkTracerEnabledGuard(b *testing.B) {
-	var tr *Tracer
-	n := 0
-	for i := 0; i < b.N; i++ {
-		if tr.Enabled() {
-			n++
-		}
-	}
-	if n != 0 {
-		b.Fatal("nil tracer enabled")
-	}
-}
+import "testing"
 
 // BenchmarkCounterAdd measures the registry counter hot path (one atomic
 // add), the cost every always-on metric pays.
@@ -38,7 +8,7 @@ func BenchmarkCounterAdd(b *testing.B) {
 	reg := NewRegistry()
 	c := reg.Counter("bench", "counter")
 	for i := 0; i < b.N; i++ {
-		c.Inc()
+		c.Add(1)
 	}
 }
 
@@ -48,47 +18,5 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	h := reg.Histogram("bench", "hist", LinearBuckets(0, 1, 16))
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i & 15))
-	}
-}
-
-// BenchmarkTracerRing measures the tracing-on path into a ring buffer (no
-// serialization).
-func BenchmarkTracerRing(b *testing.B) {
-	tr := NewTracer(TracerOptions{Ring: 1 << 12})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Emit(int64(i), "noc", "msg", "comp", 4)
-	}
-}
-
-// BenchmarkTracerSampled measures the tracing-on path with 1-in-1024
-// sampling to a discarded JSONL sink — the full-suite configuration.
-func BenchmarkTracerSampled(b *testing.B) {
-	tr := NewTracer(TracerOptions{JSONL: io.Discard, Sample: 1024})
-	for i := 0; i < b.N; i++ {
-		tr.Emit(int64(i), "noc", "msg", "comp", 4)
-	}
-}
-
-// TestDisabledTracerOverhead is the overhead guard the issue and README
-// reference: the disabled-tracer path must stay under 5 ns/event so that
-// leaving instrumentation compiled in never slows a full-suite run. The
-// bound is relaxed under -race, whose instrumentation dominates.
-func TestDisabledTracerOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping overhead measurement in -short mode")
-	}
-	res := testing.Benchmark(BenchmarkTracerDisabled)
-	ns := float64(res.T.Nanoseconds()) / float64(res.N)
-	limit := 5.0
-	if raceEnabled {
-		limit = 200.0
-	}
-	t.Logf("disabled tracer: %.2f ns/event (limit %.0f)", ns, limit)
-	if ns >= limit {
-		t.Errorf("disabled tracer costs %.2f ns/event, budget is %.0f", ns, limit)
-	}
-	if res.AllocedBytesPerOp() != 0 {
-		t.Errorf("disabled tracer allocates %d B/event", res.AllocedBytesPerOp())
 	}
 }

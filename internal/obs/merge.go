@@ -14,7 +14,7 @@ import (
 //
 // Merge semantics per metric kind:
 //
-//   - counters and gauges add;
+//   - counters add;
 //   - histograms add bucket-wise (bounds must match when keys collide);
 //   - time-weighted gauges are *finalized* at the until time passed to the
 //     merge — the integral is closed out over [0, until] and absorbed, so
@@ -107,8 +107,6 @@ func (r *Registry) MergeScoped(src *Registry, until int64, scope ...string) {
 		switch m.kind {
 		case "counter":
 			r.Counter(m.component, m.name, labels...).Add(m.counter.Value())
-		case "gauge":
-			r.Gauge(m.component, m.name, labels...).Add(m.gauge.Value())
 		case "timeweighted":
 			r.TimeWeighted(m.component, m.name, labels...).absorbIntegral(m.tw.finalized(until), until)
 		case "histogram":

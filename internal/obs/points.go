@@ -10,7 +10,7 @@ package obs
 //
 // Reconstruction per metric kind:
 //
-//   - counters and gauges restore Value;
+//   - counters restore Value;
 //   - time-weighted gauges restore the full (integral, last, current) state
 //     from Point.Integral/Last/Value, so any later finalization — at any
 //     until — matches the source gauge exactly;
@@ -26,8 +26,6 @@ func FromPoints(points []Point) *Registry {
 		switch p.Type {
 		case "counter":
 			r.Counter(p.Component, p.Name, labels...).Add(p.Value)
-		case "gauge":
-			r.Gauge(p.Component, p.Name, labels...).Add(p.Value)
 		case "timeweighted":
 			tw := r.TimeWeighted(p.Component, p.Name, labels...)
 			tw.mu.Lock()

@@ -13,7 +13,7 @@ func populated() *Registry {
 	r := NewRegistry()
 	r.Counter("noc", "link_traversals", "x=1", "y=2").Add(42)
 	r.Counter("dram", "requests", "mc=0").Add(7)
-	r.Gauge("sim", "outstanding").Set(3)
+	r.TimeWeighted("sim", "outstanding").Set(5, 3)
 	tw := r.TimeWeighted("dram", "queue_len", "mc=1")
 	tw.Set(10, 4)
 	tw.Set(30, 2)

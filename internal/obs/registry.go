@@ -1,16 +1,15 @@
-// Package obs is the simulator-wide observability layer: a lock-cheap
-// metrics registry (counters, gauges, time-weighted gauges, and fixed-bucket
-// histograms, keyed by component/name/labels) and a structured event tracer
-// that streams simulation events to JSONL and to Chrome trace_event format
-// (chrome://tracing, Perfetto). Every simulation substrate — engine, NoC,
-// caches, memory controllers, and the sim front end — publishes through it,
-// and the paper's Figure 13/15/18 data is rendered *from* this layer rather
-// than from bespoke per-component stat fields.
+// Package obs is the simulator-wide metrics layer: a lock-cheap registry of
+// counters, time-weighted gauges and fixed-bucket histograms, keyed by
+// component/name/labels. Every simulation substrate — NoC, caches, memory
+// controllers, and the sim front end — keeps its statistics in plain fields
+// and publishes them here through a Feed, and the paper's Figure 13/15/18
+// data and the -report dashboard are rendered from this layer. Per-access
+// observation (what one access did, stage by stage) is the probe stream's
+// job (internal/probe), not this package's.
 //
-// Handles are obtained once at component construction and updated with
-// atomic operations on the hot path; every handle method is nil-safe, so an
-// uninstrumented component pays only a nil check. The disabled-tracer path
-// is benchmarked to stay under 5 ns/event (see BenchmarkTracerDisabled).
+// Handles are obtained once at registration and updated atomically; every
+// handle method is nil-safe, so an uninstrumented component pays only a nil
+// check.
 package obs
 
 import (
@@ -35,49 +34,12 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count (0 for a nil counter).
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() {
-	if c != nil {
-		c.v.Store(0)
-	}
-}
-
-// Gauge is a point-in-time value. All methods are nil-safe.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // TimeWeighted is a gauge that integrates its value over simulated time, so
@@ -230,40 +192,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// CDF returns, for each bucket (overflow included), the cumulative fraction
-// of observations at or below its bound. Empty histograms yield all zeros.
-func (h *Histogram) CDF() []float64 {
-	if h == nil {
-		return nil
-	}
-	counts := h.Counts()
-	out := make([]float64, len(counts))
-	var total, cum int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return out
-	}
-	for i, c := range counts {
-		cum += c
-		out[i] = float64(cum) / float64(total)
-	}
-	return out
-}
-
-// Reset zeroes every bucket.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.sum.Store(0)
-	h.total.Store(0)
-}
-
 // metric is one registered instrument.
 type metric struct {
 	component string
@@ -272,7 +200,6 @@ type metric struct {
 	kind      string
 
 	counter *Counter
-	gauge   *Gauge
 	tw      *TimeWeighted
 	hist    *Histogram
 }
@@ -339,8 +266,6 @@ func (r *Registry) register(component, name, kind string, labels []string, bound
 	switch kind {
 	case "counter":
 		m.counter = &Counter{}
-	case "gauge":
-		m.gauge = &Gauge{}
 	case "timeweighted":
 		m.tw = &TimeWeighted{}
 	case "histogram":
@@ -356,14 +281,6 @@ func (r *Registry) Counter(component, name string, labels ...string) *Counter {
 		return nil
 	}
 	return r.register(component, name, "counter", labels, nil).counter
-}
-
-// Gauge registers (or finds) a gauge.
-func (r *Registry) Gauge(component, name string, labels ...string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.register(component, name, "gauge", labels, nil).gauge
 }
 
 // TimeWeighted registers (or finds) a time-weighted gauge.
@@ -384,7 +301,7 @@ func (r *Registry) Histogram(component, name string, bounds []int64, labels ...s
 }
 
 // Point is one metric's exported state, as serialized to the JSONL metrics
-// dump. Counters and gauges fill Value; time-weighted gauges also fill Avg
+// dump. Counters fill Value; time-weighted gauges fill Value and Avg
 // (over [0, until] as passed to Snapshot) plus the raw Integral/Last pair;
 // histograms fill Buckets, Counts, Sum, and Count. A point slice carries
 // everything a registry holds: FromPoints inverts Snapshot exactly, which is
@@ -430,8 +347,6 @@ func (r *Registry) Snapshot(until int64) []Point {
 		switch m.kind {
 		case "counter":
 			p.Value = m.counter.Value()
-		case "gauge":
-			p.Value = m.gauge.Value()
 		case "timeweighted":
 			p.Value = m.tw.Value()
 			p.Avg = m.tw.Avg(until)
@@ -475,14 +390,13 @@ func (r *Registry) Sum(component, name string) int64 {
 	return s
 }
 
-// Observer bundles the registry with an optional tracer; it is the single
-// handle the simulation substrates take.
+// Observer is the handle the simulation substrates take: the registry they
+// publish into.
 type Observer struct {
-	Reg    *Registry
-	Tracer *Tracer
+	Reg *Registry
 }
 
-// New returns an observer with a fresh registry and no tracer.
+// New returns an observer with a fresh registry.
 func New() *Observer { return &Observer{Reg: NewRegistry()} }
 
 // OrNew returns o, or a fresh observer when o is nil — the pattern every

@@ -19,7 +19,7 @@ func TestCounterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				c.Inc()
+				c.Add(1)
 			}
 		}()
 	}
@@ -78,13 +78,6 @@ func TestHistogramBucketEdges(t *testing.T) {
 	if h.Sum() != -3+0+1+2+3+4+5+6 {
 		t.Errorf("sum = %d", h.Sum())
 	}
-	cdf := h.CDF()
-	if cdf[len(cdf)-1] != 1.0 {
-		t.Errorf("CDF must end at 1: %v", cdf)
-	}
-	if cdf[0] != 2.0/8 {
-		t.Errorf("CDF[0] = %v", cdf[0])
-	}
 }
 
 func TestHistogramValidation(t *testing.T) {
@@ -136,31 +129,25 @@ func TestRegistryReregistrationAndKinds(t *testing.T) {
 			t.Error("kind mismatch accepted")
 		}
 	}()
-	reg.Gauge("c", "n", "k=v")
+	reg.TimeWeighted("c", "n", "k=v")
 }
 
 func TestNilSafety(t *testing.T) {
 	// Every handle must be a no-op when nil, so uninstrumented components
 	// need no branches of their own.
 	var c *Counter
-	c.Inc()
 	c.Add(5)
-	c.Reset()
 	if c.Value() != 0 {
 		t.Error("nil counter value")
 	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(1)
 	var tw *TimeWeighted
 	tw.Set(1, 2)
-	if tw.Avg(10) != 0 {
-		t.Error("nil timeweighted avg")
+	if tw.Avg(10) != 0 || tw.Value() != 0 {
+		t.Error("nil timeweighted")
 	}
 	var h *Histogram
 	h.Observe(1)
-	h.Reset()
-	if h.CDF() != nil || h.Total() != 0 {
+	if h.Counts() != nil || h.Total() != 0 {
 		t.Error("nil histogram")
 	}
 	var reg *Registry
@@ -172,7 +159,7 @@ func TestNilSafety(t *testing.T) {
 func TestSnapshotAndJSONL(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("noc", "messages", "class=on-chip").Add(7)
-	reg.Gauge("sim", "cores").Set(64)
+	reg.TimeWeighted("sim", "outstanding").Set(0, 64)
 	reg.TimeWeighted("dram", "queue_len", "mc=0").Set(0, 2)
 	reg.Histogram("noc", "hops", LinearBuckets(0, 1, 4)).Observe(2)
 

@@ -13,8 +13,10 @@
 //
 // Aggregates land per (core, component) and per MC, with registry-backed
 // latency histograms per stage (p50/p95/p99 via obs.Histogram.Quantile).
-// A detached profiler (sim.Config.Prof == nil) costs nothing: the stream
-// has one nil check per hook site whatever is attached.
+// TraceTo also writes every charge of the accesses it samples as a
+// per-access Chrome trace (offchip -trace). A detached profiler
+// (sim.Config.Prof == nil) costs nothing: the stream has one nil check per
+// hook site whatever is attached.
 package prof
 
 import (
@@ -148,6 +150,8 @@ type Profiler struct {
 
 	obs        *obs.Observer
 	violations []string
+
+	trace *chrome // nil unless TraceTo was called
 }
 
 // New returns an unbound profiler; sim.Run binds it via Config.Prof.
@@ -196,6 +200,9 @@ func (p *Profiler) Violations() []string { return p.violations }
 // Begin registers access id, issued by core at time t.
 func (p *Profiler) Begin(id int64, core int, t int64) {
 	p.inflight[id] = accessRec{core: core, start: t, last: t}
+	if p.trace.keeps(id) {
+		p.trace.event('b', "access", id, core, t, nil)
+	}
 }
 
 // Stage attributes the cycles since the access's previous event to the
@@ -204,26 +211,28 @@ func (p *Profiler) Begin(id int64, core int, t int64) {
 func (p *Profiler) Stage(id int64, s probe.Stage) {
 	switch s.Kind {
 	case probe.L1:
-		p.stageAt(id, CompL1, s.T)
+		p.stageAt(id, CompL1, &s)
 	case probe.L2:
-		p.stageAt(id, CompL2, s.T)
+		p.stageAt(id, CompL2, &s)
 	case probe.Dir:
-		p.stageAt(id, CompDirLookup, s.T)
+		p.stageAt(id, CompDirLookup, &s)
 	case probe.Req:
-		p.transitAt(id, CompNoCReqHops, CompNoCReqQueue, s.T, s.Hops)
+		p.transitAt(id, CompNoCReqHops, CompNoCReqQueue, &s)
 	case probe.Fwd:
-		p.transitAt(id, CompFwdHops, CompFwdQueue, s.T, s.Hops)
+		p.transitAt(id, CompFwdHops, CompFwdQueue, &s)
 	case probe.Resp:
-		p.transitAt(id, CompNoCRespHops, CompNoCRespQueue, s.T, s.Hops)
+		p.transitAt(id, CompNoCRespHops, CompNoCRespQueue, &s)
 	case probe.DRAMDone:
-		p.dramDone(id, s.MC, s.Service.Start-s.Service.Arrive, s.T-s.Service.Start, s.T)
+		p.dramDone(id, s.MC, s.Service.Start-s.Service.Arrive, s.T-s.Service.Start, &s)
 	case probe.DRAMIdeal:
-		p.dramDone(id, -1, 0, -1, s.T)
+		p.dramDone(id, -1, 0, -1, &s)
 	}
 }
 
-// attribute charges delta cycles to component c on the access's core.
-func (p *Profiler) attribute(rec *accessRec, c Component, delta int64) {
+// attribute charges the delta cycles starting at from to component c on
+// the access's core, and writes them as a trace slice when the access is
+// traced. s is the stage that ended them (nil at retirement).
+func (p *Profiler) attribute(id int64, rec *accessRec, c Component, from, delta int64, s *probe.Stage) {
 	if delta < 0 {
 		p.violate("component %v of access on core %d ran backwards (%d cycles)", c, rec.core, delta)
 		return
@@ -232,44 +241,49 @@ func (p *Profiler) attribute(rec *accessRec, c Component, delta int64) {
 	if rec.core >= 0 && rec.core < len(p.perCore) {
 		p.perCore[rec.core][c] += delta
 	}
+	if delta > 0 && p.trace.keeps(id) {
+		p.trace.event('b', c.String(), id, rec.core, from, s)
+		p.trace.event('e', c.String(), id, rec.core, from+delta, nil)
+	}
 }
 
-// stageAt records that the access finished component c at time t,
+// stageAt records that the access finished component c at stage s,
 // attributing all cycles since its previous event to c.
-func (p *Profiler) stageAt(id int64, c Component, t int64) {
+func (p *Profiler) stageAt(id int64, c Component, s *probe.Stage) {
 	rec, ok := p.inflight[id]
 	if !ok {
 		p.violate("stage %v reported for unknown access %d", c, id)
 		return
 	}
-	delta := t - rec.last
-	p.attribute(&rec, c, delta)
+	delta := s.T - rec.last
+	p.attribute(id, &rec, c, rec.last, delta, s)
 	if delta >= 0 {
 		p.stageHists[stageIndex[compStage[c]]].Observe(delta)
 	}
-	rec.last = t
+	rec.last = s.T
 	p.inflight[id] = rec
 }
 
-// transitAt records one network traversal of hops links arriving at
-// arrive, splitting the cycles since the access's previous event into the
-// zero-load hop cost (component hopsC) and link queueing (queueC).
-func (p *Profiler) transitAt(id int64, hopsC, queueC Component, arrive int64, hops int) {
+// transitAt records one network traversal s, splitting the cycles since the
+// access's previous event into the zero-load cost of its hops (component
+// hopsC) and link queueing (queueC).
+func (p *Profiler) transitAt(id int64, hopsC, queueC Component, s *probe.Stage) {
 	rec, ok := p.inflight[id]
 	if !ok {
 		p.violate("transit reported for unknown access %d", id)
 		return
 	}
+	arrive := s.T
 	delta := arrive - rec.last
-	zero := int64(hops) * p.perHop
+	zero := int64(s.Hops) * p.perHop
 	if zero > delta {
 		// Attribution never exceeds the elapsed window: a transit departing
 		// before the previous event would break exclusivity.
 		p.violate("transit of access %d: zero-load %d exceeds elapsed %d", id, zero, delta)
 		zero = delta
 	}
-	p.attribute(&rec, hopsC, zero)
-	p.attribute(&rec, queueC, delta-zero)
+	p.attribute(id, &rec, hopsC, rec.last, zero, s)
+	p.attribute(id, &rec, queueC, rec.last+zero, delta-zero, s)
 	if delta >= 0 {
 		p.stageHists[stageIndex[compStage[hopsC]]].Observe(delta)
 	}
@@ -277,17 +291,18 @@ func (p *Profiler) transitAt(id int64, hopsC, queueC Component, arrive int64, ho
 	p.inflight[id] = rec
 }
 
-// dramDone records that the access's memory request finished at finish,
+// dramDone records that the access's memory request finished at stage s,
 // attributing the cycles since the previous event to DRAM queue wait and
 // bank service by the controller's own split. mc < 0 marks the optimal
 // scheme's contention-free service (service < 0: all elapsed cycles are
 // service), which belongs to no controller.
-func (p *Profiler) dramDone(id int64, mc int, queue, service, finish int64) {
+func (p *Profiler) dramDone(id int64, mc int, queue, service int64, s *probe.Stage) {
 	rec, ok := p.inflight[id]
 	if !ok {
 		p.violate("DRAM completion for unknown access %d", id)
 		return
 	}
+	finish := s.T
 	delta := finish - rec.last
 	if service < 0 {
 		service = delta
@@ -300,8 +315,8 @@ func (p *Profiler) dramDone(id int64, mc int, queue, service, finish int64) {
 		p.violate("access %d: mc%d split %d+%d != elapsed %d", id, mc, queue, service, delta)
 		queue = delta - service
 	}
-	p.attribute(&rec, CompDRAMQueue, queue)
-	p.attribute(&rec, CompDRAMService, service)
+	p.attribute(id, &rec, CompDRAMQueue, rec.last, queue, s)
+	p.attribute(id, &rec, CompDRAMService, rec.last+queue, service, s)
 	if delta >= 0 {
 		p.stageHists[stageIndex["dram"]].Observe(delta)
 	}
@@ -323,8 +338,11 @@ func (p *Profiler) End(id int64, t int64) {
 		p.violate("access %d retired twice (or never started)", id)
 		return
 	}
-	p.attribute(&rec, CompRetire, t-rec.last)
+	p.attribute(id, &rec, CompRetire, rec.last, t-rec.last, nil)
 	delete(p.inflight, id)
+	if p.trace.keeps(id) {
+		p.trace.event('e', "access", id, rec.core, t, nil)
+	}
 	p.accesses++
 	total := t - rec.start
 	p.endToEnd += total

@@ -238,7 +238,7 @@ func WriteExposition(w io.Writer, sources map[string]*obs.Registry) {
 			switch p.Type {
 			case "counter":
 				add(name, "counter", fmt.Sprintf("%s%s %d", name, promLabels(p.Labels, srcLabel), p.Value))
-			case "gauge", "timeweighted":
+			case "timeweighted":
 				add(name, "gauge", fmt.Sprintf("%s%s %d", name, promLabels(p.Labels, srcLabel), p.Value))
 			case "histogram":
 				var cum int64

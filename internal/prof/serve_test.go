@@ -15,7 +15,7 @@ import (
 func expositionFixture() map[string]*obs.Registry {
 	r := obs.NewRegistry()
 	r.Counter("sim", "accesses", "node=3").Add(42)
-	r.Gauge("dram", "queue_depth", "mc=0").Set(7)
+	r.TimeWeighted("dram", "queue_depth", "mc=0").Set(5, 7)
 	h := r.Histogram("prof", "access_latency", obs.ExponentialBuckets(1, 2, 4))
 	h.Observe(3)
 	h.Observe(100)
@@ -29,6 +29,8 @@ func TestExpositionRoundTrip(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE offchip_sim_accesses counter",
 		`offchip_sim_accesses{node="3",source="baseline"} 42`,
+		"# TYPE offchip_dram_queue_depth gauge",
+		`offchip_dram_queue_depth{mc="0",source="baseline"} 7`,
 		"# TYPE offchip_prof_access_latency histogram",
 		`le="+Inf"`,
 		"offchip_prof_access_latency_sum",

@@ -510,9 +510,11 @@ func (s JobSpec) execute() (out *JobOutcome) {
 		out.Err = fmt.Errorf("runner: mix jobs run mode=baseline or mode=optimized, not %s (the per-app compiler analysis of compare/analyze has no composed counterpart)", n.Mode)
 		return out
 	}
+	if n.Prof {
+		opt.Attach = func(_ string, cfg *sim.Config) { cfg.Prof = prof.New() }
+	}
 	switch n.Mode {
 	case ModeCompare:
-		opt.Prof = n.Prof
 		c, err := core.Compare(app, m, cm, opt)
 		if err != nil {
 			out.Err = err
@@ -552,13 +554,7 @@ func (s JobSpec) execute() (out *JobOutcome) {
 				cfg.Policy = sim.PolicyOSAssisted
 			}
 		}
-		o := obs.OrNew(nil)
-		cfg.Obs = o
-		var pf *prof.Profiler
-		if n.Prof {
-			pf = prof.New()
-			cfg.Prof = pf
-		}
+		core.AttachRun(opt, run, &cfg)
 		if opt.Sample != nil {
 			// Sampled single-run mode: Run carries the aggregate of the
 			// measured windows (a deterministic projection), Sampled the
@@ -570,23 +566,19 @@ func (s JobSpec) execute() (out *JobOutcome) {
 			}
 			out.Run = sr.Aggregate
 			out.Sampled = map[string]*sim.SampledResult{run: sr}
-			out.Observers[run] = o
 			out.ExecTimes[run] = int64(sr.Est.ExecTime.Mean + 0.5)
-			if pf != nil {
-				out.Profiles = map[string]*prof.Profile{run: pf.Profile()}
+		} else {
+			r, err := sim.Run(cfg, w)
+			if err != nil {
+				out.Err = err
+				return out
 			}
-			return out
+			out.Run = r
+			out.ExecTimes[run] = r.ExecTime
 		}
-		r, err := sim.Run(cfg, w)
-		if err != nil {
-			out.Err = err
-			return out
-		}
-		out.Run = r
-		out.Observers[run] = o
-		out.ExecTimes[run] = r.ExecTime
-		if pf != nil {
-			out.Profiles = map[string]*prof.Profile{run: pf.Profile()}
+		out.Observers[run] = cfg.Obs
+		if cfg.Prof != nil {
+			out.Profiles = map[string]*prof.Profile{run: cfg.Prof.Profile()}
 		}
 	case ModeAnalyze:
 		p, store, err := app.Load()

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -149,73 +147,6 @@ func TestRegistryMatchesResult(t *testing.T) {
 	}
 	if got := points["sim/offchip"].Value; got != r.OffChip {
 		t.Errorf("offchip %d != %d", got, r.OffChip)
-	}
-}
-
-// TestTracingDoesNotPerturb verifies that attaching a tracer changes no
-// simulation outcome: observability must be read-only.
-func TestTracingDoesNotPerturb(t *testing.T) {
-	run := func(o *obs.Observer) *Result {
-		cfg := testConfig(t)
-		cfg.Obs = o
-		r, err := Run(cfg, manyAccesses(16, 40))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	plain := run(nil)
-	tr := obs.NewTracer(obs.TracerOptions{Ring: 64, Sample: 7})
-	traced := run(&obs.Observer{Reg: obs.NewRegistry(), Tracer: tr})
-	if plain.ExecTime != traced.ExecTime || plain.OffChip != traced.OffChip ||
-		plain.NetLatency != traced.NetLatency || plain.MemLatency != traced.MemLatency {
-		t.Errorf("tracing perturbed the run: %+v vs %+v", plain, traced)
-	}
-	if tr.Seen() == 0 {
-		t.Error("tracer saw no events")
-	}
-}
-
-// TestTraceEventsWellFormed runs a traced simulation and checks the JSONL
-// stream parses and covers every event category the issue names.
-func TestTraceEventsWellFormed(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := testConfig(t)
-	cfg.Obs = &obs.Observer{
-		Reg:    obs.NewRegistry(),
-		Tracer: obs.NewTracer(obs.TracerOptions{JSONL: &buf}),
-	}
-	if _, err := Run(cfg, manyAccesses(8, 30)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cfg.Obs.Tracer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cats := map[string]map[string]bool{}
-	dec := json.NewDecoder(&buf)
-	for dec.More() {
-		var ev obs.Event
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
-		}
-		if cats[ev.Cat] == nil {
-			cats[ev.Cat] = map[string]bool{}
-		}
-		cats[ev.Cat][ev.Name] = true
-	}
-	for _, want := range []struct{ cat, name string }{
-		{"noc", "msg"}, {"noc", "link"},
-		{"cache", "hit"}, {"cache", "miss"},
-		{"dram", "enqueue"},
-		{"core", "retire"}, {"core", "stall"},
-	} {
-		if !cats[want.cat][want.name] {
-			t.Errorf("no %s/%s events in trace (have %v)", want.cat, want.name, cats)
-		}
-	}
-	// At least one of the three row outcomes must appear.
-	if !cats["dram"]["row-hit"] && !cats["dram"]["row-miss"] && !cats["dram"]["row-conflict"] {
-		t.Errorf("no dram service events: %v", cats["dram"])
 	}
 }
 

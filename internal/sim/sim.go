@@ -101,10 +101,10 @@ type Config struct {
 	// OptimalOffchip turns on the Section 2 optimal scheme.
 	OptimalOffchip bool
 
-	// Obs supplies the observability layer (metrics registry + tracer). Nil
-	// gets the run a private registry. The substrates count in plain fields,
-	// and the run publishes them into the registry every ProgressEvery
-	// processed events and at its end, so a live scrape advances mid-run.
+	// Obs supplies the metrics registry. Nil gets the run a private
+	// registry. The substrates count in plain fields, and the run publishes
+	// them into the registry every ProgressEvery processed events and at
+	// its end, so a live scrape advances mid-run.
 	Obs *obs.Observer
 
 	// OnProgress, when set, is called from the simulation loop every
@@ -359,7 +359,6 @@ type machine struct {
 	cfg    Config
 	memCfg mem.Config
 	sim    *engine.Sim
-	obs    *obs.Observer
 	net    *noc.Network
 	mcs    []*dram.Controller
 	l1s    []*cache.Cache
@@ -373,9 +372,8 @@ type machine struct {
 	mig    *migState   // nil when migration is off
 	seq    bool        // Workload.Sequential: no per-core round-robin
 
-	feed     *obs.Feed // the access outcome counters and the Figure 13 access map
-	coreComp []string  // precomputed trace component names
-	seedMix  uint64    // Seed pre-mixed for the jitter hash (0 when Seed is 0)
+	feed    *obs.Feed // the access outcome counters and the Figure 13 access map
+	seedMix uint64    // Seed pre-mixed for the jitter hash (0 when Seed is 0)
 
 	freeEvents *accessEvent // recycled access events
 
@@ -620,7 +618,6 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 		cfg:    cfg,
 		memCfg: memCfg,
 		sim:    &engine.Sim{},
-		obs:    o,
 		net:    noc.New(nocCfg),
 		dir:    cache.NewDirectory(),
 		spaces: map[int]*mem.AddressSpace{},
@@ -663,12 +660,11 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 	for i := 0; i < cores; i++ {
 		l1 := cache.New(cfg.L1Bytes, cfg.Machine.LineBytes, cfg.L1Ways)
 		l2 := cache.New(cfg.L2Bytes, cfg.Machine.LineBytes, cfg.L2Ways)
-		l1.Instrument(o, fmt.Sprintf("l1.%d", i), m.sim)
-		l2.Instrument(o, fmt.Sprintf("l2.%d", i), m.sim)
+		l1.Instrument(o, fmt.Sprintf("l1.%d", i))
+		l2.Instrument(o, fmt.Sprintf("l2.%d", i))
 		m.l1s = append(m.l1s, l1)
 		m.l2s = append(m.l2s, l2)
 		m.cores = append(m.cores, &coreState{})
-		m.coreComp = append(m.coreComp, fmt.Sprintf("core%d", i))
 	}
 	if cfg.OnProgress != nil || o.Reg != nil {
 		every := cfg.ProgressEvery
@@ -924,17 +920,6 @@ func (m *machine) tryIssue(core int) {
 		e.stage, e.core, e.app, e.acc, e.last = stProcess, core, app, acc, ss.done
 		m.sim.Schedule(t, e)
 	}
-	// Window full with work remaining: the core stalls until a miss returns.
-	// (Do not use nextReady here — it advances the round-robin pointer, and
-	// tracing must never perturb the simulation.)
-	if tr := m.obs.Tracer; tr.Enabled() {
-		for _, ss := range cs.streams {
-			if !ss.done {
-				tr.Emit(m.sim.Now(), "core", "stall", m.coreComp[core], 0)
-				break
-			}
-		}
-	}
 }
 
 // nextReady picks the core's next stream with work: round-robin by default
@@ -966,9 +951,6 @@ func (m *machine) complete(core, app int, last bool) {
 	cs := m.cores[core]
 	cs.outstanding--
 	m.res.Completed++
-	if tr := m.obs.Tracer; tr.Enabled() {
-		tr.Emit(m.sim.Now(), "core", "retire", m.coreComp[core], 0)
-	}
 	if t := m.sim.Now(); t > m.res.AppExecTime[app] {
 		m.res.AppExecTime[app] = t
 	}
