@@ -50,9 +50,11 @@ validate:
 ## pinned at 0 allocs/op: the engine's steady-state dispatch path; the
 ## trace-cache hit path (decoding a memoized workload from its delta-encoded
 ## blob), so cache hits stay allocation-free no matter how the encoding
-## evolves; a NoC transit, which walks its XY route in place; and one
+## evolves; a NoC transit, which walks its XY route in place; one
 ## reference of trace generation (compiled subscripts, then the layout's
-## Offset and DesiredMC over apsi's optimized layouts).
+## Offset and DesiredMC over apsi's optimized layouts); and the per-access
+## tables: a cache Access, a directory Owner+Add+Remove, a page-interleaved
+## Translate, and a migration-engine Touch.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SteadyStateDispatch|ScheduleOnly' -benchtime=100x -benchmem ./internal/engine \
 		| $(GO) run ./cmd/benchgate -bench 'SteadyStateDispatchTyped$$|ScheduleOnly$$' -max-allocs 0
@@ -62,6 +64,10 @@ bench-smoke:
 		| $(GO) run ./cmd/benchgate -bench 'Transit$$' -max-allocs 0
 	$(GO) test -run='^$$' -bench='RefEval' -benchtime=10000x -benchmem ./internal/trace \
 		| $(GO) run ./cmd/benchgate -bench 'RefEval$$' -max-allocs 0
+	$(GO) test -run='^$$' -bench='^Benchmark(Access|Directory)$$' -benchtime=10000x -benchmem ./internal/cache \
+		| $(GO) run ./cmd/benchgate -bench 'Access$$|Directory$$' -max-allocs 0
+	$(GO) test -run='^$$' -bench='^Benchmark(Translate|MigratorTouch)$$' -benchtime=10000x -benchmem ./internal/mem \
+		| $(GO) run ./cmd/benchgate -bench 'Translate$$|MigratorTouch$$' -max-allocs 0
 
 ## profile-smoke: the latency-attribution conservation gate — a small
 ## three-way comparison with the profiler attached must attribute every

@@ -1,29 +1,44 @@
 // Package cache provides the set-associative LRU caches of the simulated
 // manycore (per-node L1s, private or shared-SNUCA L2 banks) and the
 // centralized L2 tag directory that private-L2 systems cache at the memory
-// controllers (Figure 2a). Caches count hits, misses and evictions in plain
-// fields and optionally mirror them into the metrics registry (Instrument,
-// Publish).
+// controllers (Figure 2a). A cache keeps its tags and LRU ticks in two flat
+// arrays indexed set·ways+way, and the directory is an open-addressed hash
+// table of line → sharer bitmask, so a lookup touches no Go map. Caches
+// count hits, misses and evictions in plain fields and optionally mirror
+// them into the metrics registry (Instrument, Publish).
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"offchip/internal/mesh"
 	"offchip/internal/obs"
 )
 
+// emptyTag marks a way that holds no line. Addresses are non-negative, so
+// no line address collides with it, and Access reports it as the evicted
+// line of a fill into an empty way.
+const emptyTag = -1
+
 // Cache is a set-associative cache with LRU replacement. It tracks only
 // tags (the simulator never stores data), which is all latency modeling
-// needs.
+// needs. Addresses must be non-negative.
 type Cache struct {
 	sets      int
 	ways      int
 	lineBytes int64
 
-	tags    [][]int64
-	valid   [][]bool
-	lastUse [][]int64
+	// lineShift and setMask replace the line-size division and the
+	// set-count modulus when those are powers of two; -1 otherwise.
+	lineShift int
+	setMask   int64
+
+	// Way w of set s lives at index s·ways+w. An empty way holds emptyTag
+	// with lastUse 0, below every valid line's tick, so the LRU scan fills
+	// empty ways before it evicts.
+	tags    []int64
+	lastUse []int64
 	tick    int64
 
 	Hits, Misses, Evictions int64
@@ -65,20 +80,20 @@ func New(capacityBytes, lineBytes int64, ways int) *Cache {
 	if sets == 0 {
 		sets = 1
 	}
-	c := &Cache{sets: sets, ways: ways, lineBytes: lineBytes}
-	c.tags = make([][]int64, sets)
-	c.valid = make([][]bool, sets)
-	c.lastUse = make([][]int64, sets)
-	// One backing array per field: a cache is allocated per core per run,
-	// and per-set slices would cost sets×3 allocations each time.
-	tags := make([]int64, sets*ways)
-	valid := make([]bool, sets*ways)
-	lastUse := make([]int64, sets*ways)
-	for s := 0; s < sets; s++ {
-		lo, hi := s*ways, (s+1)*ways
-		c.tags[s] = tags[lo:hi:hi]
-		c.valid[s] = valid[lo:hi:hi]
-		c.lastUse[s] = lastUse[lo:hi:hi]
+	c := &Cache{
+		sets: sets, ways: ways, lineBytes: lineBytes,
+		lineShift: -1, setMask: -1,
+		tags:    make([]int64, sets*ways),
+		lastUse: make([]int64, sets*ways),
+	}
+	if lineBytes&(lineBytes-1) == 0 {
+		c.lineShift = bits.TrailingZeros64(uint64(lineBytes))
+	}
+	if sets&(sets-1) == 0 {
+		c.setMask = int64(sets - 1)
+	}
+	for i := range c.tags {
+		c.tags[i] = emptyTag
 	}
 	return c
 }
@@ -87,15 +102,36 @@ func New(capacityBytes, lineBytes int64, ways int) *Cache {
 func (c *Cache) LineBytes() int64 { return c.lineBytes }
 
 // LineAddr returns the line-aligned address containing addr.
-func (c *Cache) LineAddr(addr int64) int64 { return addr - addr%c.lineBytes }
+func (c *Cache) LineAddr(addr int64) int64 {
+	if c.lineShift >= 0 {
+		return addr &^ (c.lineBytes - 1)
+	}
+	return addr - addr%c.lineBytes
+}
 
 func (c *Cache) setOf(line int64) int {
 	// XOR-folded set index, as in real L2 designs: strided access patterns
 	// (including the cluster-interleaved layouts this simulator exists to
 	// study) would otherwise alias a fraction of the sets and manufacture
 	// conflict misses the paper's hardware does not see.
-	x := line / c.lineBytes
-	return int((x ^ (x >> 5) ^ (x >> 11)) % int64(c.sets))
+	var x int64
+	if c.lineShift >= 0 {
+		x = line >> c.lineShift
+	} else {
+		x = line / c.lineBytes
+	}
+	x = x ^ (x >> 5) ^ (x >> 11)
+	if c.setMask >= 0 {
+		return int(x & c.setMask)
+	}
+	return int(x % int64(c.sets))
+}
+
+// set returns the tag and LRU-tick slices of the set holding line.
+func (c *Cache) set(line int64) (tags, lastUse []int64) {
+	lo := c.setOf(line) * c.ways
+	hi := lo + c.ways
+	return c.tags[lo:hi:hi], c.lastUse[lo:hi:hi]
 }
 
 // Access looks up the line containing addr, filling it on a miss. It
@@ -103,30 +139,27 @@ func (c *Cache) setOf(line int64) int {
 // make room (-1 when nothing valid was evicted).
 func (c *Cache) Access(addr int64) (hit bool, evicted int64) {
 	line := c.LineAddr(addr)
-	s := c.setOf(line)
+	tags, lastUse := c.set(line)
+	lastUse = lastUse[:len(tags)]
 	c.tick++
-	victim := 0
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == line {
-			c.lastUse[s][w] = c.tick
+	victim, oldest := 0, lastUse[0]
+	for w, tag := range tags {
+		if tag == line {
+			lastUse[w] = c.tick
 			c.Hits++
 			return true, -1
 		}
-		if !c.valid[s][w] {
-			victim = w
-		} else if c.valid[s][victim] && c.lastUse[s][w] < c.lastUse[s][victim] {
-			victim = w
+		if lastUse[w] < oldest {
+			victim, oldest = w, lastUse[w]
 		}
 	}
 	c.Misses++
-	evicted = -1
-	if c.valid[s][victim] {
-		evicted = c.tags[s][victim]
+	evicted = tags[victim]
+	if evicted != emptyTag {
 		c.Evictions++
 	}
-	c.tags[s][victim] = line
-	c.valid[s][victim] = true
-	c.lastUse[s][victim] = c.tick
+	tags[victim] = line
+	lastUse[victim] = c.tick
 	return false, evicted
 }
 
@@ -134,9 +167,9 @@ func (c *Cache) Access(addr int64) (hit bool, evicted int64) {
 // disturbing LRU state or statistics.
 func (c *Cache) Contains(addr int64) bool {
 	line := c.LineAddr(addr)
-	s := c.setOf(line)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == line {
+	tags, _ := c.set(line)
+	for _, tag := range tags {
+		if tag == line {
 			return true
 		}
 	}
@@ -151,55 +184,43 @@ func (c *Cache) ResetStats() {
 	c.Hits, c.Misses, c.Evictions = 0, 0, 0
 }
 
-// Snapshot captures the cache's tag, validity, and LRU state (not the
-// statistics counters) as a deep copy, so an identical warm state can be
-// restored into many runs without replaying the accesses that built it.
+// Snapshot captures the cache's tag and LRU state (not the statistics
+// counters) as a deep copy, so an identical warm state can be restored into
+// many runs without replaying the accesses that built it.
 type Snapshot struct {
 	tags    []int64
-	valid   []bool
 	lastUse []int64
 	tick    int64
 }
 
 // Snapshot captures the current tag/LRU state.
 func (c *Cache) Snapshot() *Snapshot {
-	n := c.sets * c.ways
-	s := &Snapshot{
-		tags:    make([]int64, 0, n),
-		valid:   make([]bool, 0, n),
-		lastUse: make([]int64, 0, n),
+	return &Snapshot{
+		tags:    append([]int64(nil), c.tags...),
+		lastUse: append([]int64(nil), c.lastUse...),
 		tick:    c.tick,
 	}
-	for set := 0; set < c.sets; set++ {
-		s.tags = append(s.tags, c.tags[set]...)
-		s.valid = append(s.valid, c.valid[set]...)
-		s.lastUse = append(s.lastUse, c.lastUse[set]...)
-	}
-	return s
 }
 
 // Restore overwrites the tag/LRU state with the snapshot's. The cache must
 // have the geometry the snapshot was taken from.
 func (c *Cache) Restore(s *Snapshot) {
-	if len(s.tags) != c.sets*c.ways {
+	if len(s.tags) != len(c.tags) {
 		panic(fmt.Sprintf("cache: restoring %d-line snapshot into %d-line cache",
-			len(s.tags), c.sets*c.ways))
+			len(s.tags), len(c.tags)))
 	}
-	for set := 0; set < c.sets; set++ {
-		copy(c.tags[set], s.tags[set*c.ways:])
-		copy(c.valid[set], s.valid[set*c.ways:])
-		copy(c.lastUse[set], s.lastUse[set*c.ways:])
-	}
+	copy(c.tags, s.tags)
+	copy(c.lastUse, s.lastUse)
 	c.tick = s.tick
 }
 
 // Invalidate drops the line containing addr if present.
 func (c *Cache) Invalidate(addr int64) {
 	line := c.LineAddr(addr)
-	s := c.setOf(line)
-	for w := 0; w < c.ways; w++ {
-		if c.valid[s][w] && c.tags[s][w] == line {
-			c.valid[s][w] = false
+	tags, lastUse := c.set(line)
+	for w, tag := range tags {
+		if tag == line {
+			tags[w], lastUse[w] = emptyTag, 0
 			return
 		}
 	}
@@ -217,17 +238,58 @@ func (c *Cache) MissRate() float64 {
 // MaxDirectoryCores bounds the sharer bitmask width of the directory.
 const MaxDirectoryCores = 64
 
+// dirInitSlots is a new directory's table size. The table doubles whenever
+// it passes half full; 64 cores' private L2s of 128 lines each need at most
+// 16 384 slots.
+const dirInitSlots = 1024
+
 // Directory is the centralized L2 tag directory of the private-L2 system,
 // logically partitioned across memory controllers: it records which
 // private L2s hold each line so a miss can be served by an on-chip
 // cache-to-cache transfer instead of going off-chip.
+//
+// It is an open-addressed hash table with linear probing over two parallel
+// arrays, keys (line addresses) and masks (sharer bitmasks). A zero mask
+// marks an empty slot: a line whose last sharer leaves is deleted by
+// shifting the rest of its probe run back, so the table needs no
+// tombstones.
 type Directory struct {
-	sharers map[int64]uint64
+	keys  []int64
+	masks []uint64
+	shift uint // 64 − log2(len(keys)): the hash keeps the product's top bits
+	n     int  // occupied slots
 }
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{sharers: map[int64]uint64{}}
+	d := &Directory{}
+	d.alloc(dirInitSlots)
+	return d
+}
+
+// alloc gives the directory an empty table of size slots (a power of two).
+func (d *Directory) alloc(size int) {
+	d.keys = make([]int64, size)
+	d.masks = make([]uint64, size)
+	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	d.n = 0
+}
+
+// home is the slot a line's probe run starts at: a Fibonacci hash of the
+// line address.
+func (d *Directory) home(line int64) int {
+	return int(uint64(line) * 0x9e3779b97f4a7c15 >> d.shift)
+}
+
+// slot returns the slot holding line, or the empty slot that ends its probe
+// run when the directory does not track it.
+func (d *Directory) slot(line int64) int {
+	mask := len(d.keys) - 1
+	i := d.home(line)
+	for d.masks[i] != 0 && d.keys[i] != line {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 // Owner returns the core whose L2 holds the line that is nearest to the
@@ -239,16 +301,15 @@ func NewDirectory() *Directory {
 // sharer would bias every cache-to-cache transfer toward core 0's corner
 // and turn it into a hotspot for widely shared lines.
 func (d *Directory) Owner(line int64, requester, meshX int) int {
-	m := d.sharers[line]
+	m := d.masks[d.slot(line)] &^ (1 << uint(requester))
 	if m == 0 {
 		return -1
 	}
 	reqNode := mesh.CoordOf(requester, meshX)
 	best, bestD := -1, 1<<30
-	for i := 0; i < MaxDirectoryCores; i++ {
-		if m&(1<<uint(i)) == 0 || i == requester {
-			continue
-		}
+	// Ascending core IDs with a strict < keep ties on the lowest ID.
+	for ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		if dist := mesh.Dist(reqNode, mesh.CoordOf(i, meshX)); dist < bestD {
 			best, bestD = i, dist
 		}
@@ -261,7 +322,28 @@ func (d *Directory) Add(line int64, core int) {
 	if core < 0 || core >= MaxDirectoryCores {
 		panic(fmt.Sprintf("cache: directory core %d out of range", core))
 	}
-	d.sharers[line] |= 1 << uint(core)
+	i := d.slot(line)
+	if d.masks[i] != 0 {
+		d.masks[i] |= 1 << uint(core)
+		return
+	}
+	d.keys[i], d.masks[i] = line, 1<<uint(core)
+	if d.n++; 2*d.n > len(d.keys) {
+		d.grow()
+	}
+}
+
+// grow doubles the table and reinserts every entry.
+func (d *Directory) grow() {
+	keys, masks := d.keys, d.masks
+	d.alloc(2 * len(keys))
+	for i, m := range masks {
+		if m != 0 {
+			j := d.slot(keys[i])
+			d.keys[j], d.masks[j] = keys[i], m
+			d.n++
+		}
+	}
 }
 
 // Remove records that core's L2 evicted the line.
@@ -269,33 +351,59 @@ func (d *Directory) Remove(line int64, core int) {
 	if core < 0 || core >= MaxDirectoryCores {
 		return
 	}
-	m := d.sharers[line] &^ (1 << uint(core))
-	if m == 0 {
-		delete(d.sharers, line)
-	} else {
-		d.sharers[line] = m
+	i := d.slot(line)
+	if d.masks[i] == 0 {
+		return
+	}
+	if d.masks[i] &^= 1 << uint(core); d.masks[i] == 0 {
+		d.delete(i)
 	}
 }
 
-// Snapshot returns a copy of the directory's sharer map.
-func (d *Directory) Snapshot() map[int64]uint64 {
-	s := make(map[int64]uint64, len(d.sharers))
-	for k, v := range d.sharers {
-		s[k] = v
+// delete empties slot i by backward-shift deletion: each later entry of the
+// probe run whose home lies at or before the hole (cyclically) moves into
+// it, and the hole moves on to where that entry was.
+func (d *Directory) delete(i int) {
+	mask := len(d.keys) - 1
+	for j := (i + 1) & mask; d.masks[j] != 0; j = (j + 1) & mask {
+		if (j-d.home(d.keys[j]))&mask >= (j-i)&mask {
+			d.keys[i], d.masks[i] = d.keys[j], d.masks[j]
+			i = j
+		}
 	}
-	return s
+	d.masks[i] = 0
+	d.n--
 }
 
-// Restore overwrites the directory's sharer map with a copy of s.
-func (d *Directory) Restore(s map[int64]uint64) {
-	d.sharers = make(map[int64]uint64, len(s))
-	for k, v := range s {
-		d.sharers[k] = v
+// DirectorySnapshot is a deep copy of a directory's table.
+type DirectorySnapshot struct {
+	keys  []int64
+	masks []uint64
+	n     int
+}
+
+// Snapshot returns a copy of the directory's table.
+func (d *Directory) Snapshot() *DirectorySnapshot {
+	return &DirectorySnapshot{
+		keys:  append([]int64(nil), d.keys...),
+		masks: append([]uint64(nil), d.masks...),
+		n:     d.n,
 	}
+}
+
+// Restore overwrites the directory's table with a copy of s, reusing the
+// directory's arrays when they are the snapshot's size.
+func (d *Directory) Restore(s *DirectorySnapshot) {
+	if len(d.keys) != len(s.keys) {
+		d.alloc(len(s.keys))
+	}
+	copy(d.keys, s.keys)
+	copy(d.masks, s.masks)
+	d.n = s.n
 }
 
 // Entries returns the number of tracked lines (for tests).
-func (d *Directory) Entries() int { return len(d.sharers) }
+func (d *Directory) Entries() int { return d.n }
 
 // Sharers returns the bitmask of cores whose L2s hold the line.
-func (d *Directory) Sharers(line int64) uint64 { return d.sharers[line] }
+func (d *Directory) Sharers(line int64) uint64 { return d.masks[d.slot(line)] }

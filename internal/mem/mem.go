@@ -9,6 +9,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"offchip/internal/layout"
 )
@@ -85,18 +86,27 @@ type Config struct {
 	PagesPerMC int64
 }
 
-// AddressSpace is one application's virtual address space.
+// AddressSpace is one application's virtual address space. Virtual
+// addresses must be non-negative: the page table is a dense array indexed
+// by virtual page, as long as the highest page touched. Applications place
+// their arrays back to back from address 0, so that is their footprint.
 type AddressSpace struct {
 	cfg    Config
 	base   int64 // physical base; isolates co-running applications
 	policy Policy
+	// pageShift replaces the division by PageBytes when it is a power of
+	// two; -1 otherwise.
+	pageShift int
 
-	pages   map[int64]int64 // vpage → physical page index (relative)
-	nextOf  []int64         // per-MC next page slot
-	allocOf []int64         // per-MC allocated (live) page count
-	freeOf  [][]int64       // per-MC FIFO of physical pages freed by Remap
-	Spills  int64           // allocations redirected by a full controller
+	pages   []int64   // vpage → physical page index (relative); −1: untouched
+	nextOf  []int64   // per-MC next page slot
+	allocOf []int64   // per-MC allocated (live) page count
+	freeOf  [][]int64 // per-MC FIFO of physical pages freed by Remap
+	Spills  int64     // allocations redirected by a full controller
 }
+
+// untouched marks a virtual page with no physical frame yet.
+const untouched = -1
 
 // NewAddressSpace builds an address space with the given allocation policy
 // (ignored under cache-line interleaving, where translation preserves the
@@ -108,15 +118,19 @@ func NewAddressSpace(cfg Config, base int64, policy Policy) *AddressSpace {
 	if base%(cfg.PageBytes*int64(cfg.NumMCs)) != 0 {
 		panic(fmt.Sprintf("mem: base %#x not aligned to %d pages", base, cfg.NumMCs))
 	}
-	return &AddressSpace{
-		cfg:     cfg,
-		base:    base,
-		policy:  policy,
-		pages:   map[int64]int64{},
-		nextOf:  make([]int64, cfg.NumMCs),
-		allocOf: make([]int64, cfg.NumMCs),
-		freeOf:  make([][]int64, cfg.NumMCs),
+	as := &AddressSpace{
+		cfg:       cfg,
+		base:      base,
+		policy:    policy,
+		pageShift: -1,
+		nextOf:    make([]int64, cfg.NumMCs),
+		allocOf:   make([]int64, cfg.NumMCs),
+		freeOf:    make([][]int64, cfg.NumMCs),
 	}
+	if pb := cfg.PageBytes; pb&(pb-1) == 0 {
+		as.pageShift = bits.TrailingZeros64(uint64(pb))
+	}
+	return as
 }
 
 // Translate maps a virtual address to a physical address, allocating the
@@ -128,13 +142,64 @@ func (as *AddressSpace) Translate(vaddr int64, core, desiredMC int) int64 {
 		// change them, so identity (plus the app base) models any layout.
 		return as.base + vaddr
 	}
-	vpage := vaddr / as.cfg.PageBytes
-	ppage, ok := as.pages[vpage]
-	if !ok {
+	vpage, off := as.split(vaddr)
+	if uint64(vpage) >= uint64(len(as.pages)) {
+		as.grow(vpage)
+	}
+	ppage := as.pages[vpage]
+	if ppage == untouched {
 		ppage = as.allocate(vpage, core, desiredMC)
 		as.pages[vpage] = ppage
 	}
-	return as.base + ppage*as.cfg.PageBytes + vaddr%as.cfg.PageBytes
+	return as.base + ppage*as.cfg.PageBytes + off
+}
+
+// split returns the virtual page holding vaddr and vaddr's offset in it.
+func (as *AddressSpace) split(vaddr int64) (vpage, off int64) {
+	if as.pageShift >= 0 {
+		return vaddr >> as.pageShift, vaddr & (as.cfg.PageBytes - 1)
+	}
+	return vaddr / as.cfg.PageBytes, vaddr % as.cfg.PageBytes
+}
+
+// VPage returns the virtual page holding vaddr.
+func (as *AddressSpace) VPage(vaddr int64) int64 {
+	vpage, _ := as.split(vaddr)
+	return vpage
+}
+
+// grow extends the page table to cover vpage.
+func (as *AddressSpace) grow(vpage int64) {
+	if vpage < 0 {
+		panic(fmt.Sprintf("mem: negative virtual page %d", vpage))
+	}
+	old := len(as.pages)
+	as.pages = append(as.pages, make([]int64, grownLen(old, vpage)-old)...)
+	for i := old; i < len(as.pages); i++ {
+		as.pages[i] = untouched
+	}
+}
+
+// grownLen is the length a dense table of length n grows to so that index i
+// fits: n doubled, from 64 when empty, until it exceeds i.
+func grownLen(n int, i int64) int {
+	m := int64(n)
+	if m == 0 {
+		m = 64
+	}
+	for m <= i {
+		m *= 2
+	}
+	return int(m)
+}
+
+// frame returns the physical page backing vpage, or false if the page has
+// never been touched.
+func (as *AddressSpace) frame(vpage int64) (int64, bool) {
+	if uint64(vpage) >= uint64(len(as.pages)) || as.pages[vpage] == untouched {
+		return 0, false
+	}
+	return as.pages[vpage], true
 }
 
 // allocate picks a physical page for vpage honoring the policy and per-MC
@@ -174,7 +239,7 @@ func (as *AddressSpace) allocate(vpage int64, core, desiredMC int) int64 {
 // if the page has never been touched. Only meaningful under page
 // interleaving, where a page lives wholly on one controller.
 func (as *AddressSpace) PageMC(vpage int64) (int, bool) {
-	ppage, ok := as.pages[vpage]
+	ppage, ok := as.frame(vpage)
 	if !ok {
 		return 0, false
 	}
@@ -188,7 +253,7 @@ func (as *AddressSpace) PageMC(vpage int64) (int, bool) {
 // double-homed or lost. Remap refuses (ok=false) when the page was never
 // touched, already lives on toMC, or toMC is at its PagesPerMC capacity.
 func (as *AddressSpace) Remap(vpage int64, toMC int) (from int, ok bool) {
-	ppage, touched := as.pages[vpage]
+	ppage, touched := as.frame(vpage)
 	if !touched {
 		return 0, false
 	}
@@ -234,9 +299,12 @@ func (as *AddressSpace) VerifyBijection() error {
 			free[pp] = true
 		}
 	}
-	seen := map[int64]int64{}
+	seen := map[int64]int{}
 	live := make([]int64, as.cfg.NumMCs)
 	for vp, pp := range as.pages {
+		if pp == untouched {
+			continue
+		}
 		if prev, dup := seen[pp]; dup {
 			return fmt.Errorf("mem: frame %d double-homed by vpages %d and %d", pp, prev, vp)
 		}
@@ -300,7 +368,7 @@ func LocalAddr(paddr int64, cfg Config) int64 {
 // workload. Snapshots deep-copy on capture and on restore, so the source
 // space, the snapshot, and every restored space diverge independently.
 type TranslationSnapshot struct {
-	pages   map[int64]int64
+	pages   []int64
 	nextOf  []int64
 	allocOf []int64
 	freeOf  [][]int64
@@ -314,7 +382,7 @@ type TranslationSnapshot struct {
 // stateless; a custom stateful Policy is not captured.
 func (as *AddressSpace) Snapshot() *TranslationSnapshot {
 	s := &TranslationSnapshot{
-		pages:   make(map[int64]int64, len(as.pages)),
+		pages:   append([]int64(nil), as.pages...),
 		nextOf:  append([]int64(nil), as.nextOf...),
 		allocOf: append([]int64(nil), as.allocOf...),
 		freeOf:  make([][]int64, len(as.freeOf)),
@@ -322,9 +390,6 @@ func (as *AddressSpace) Snapshot() *TranslationSnapshot {
 	}
 	for mc, fl := range as.freeOf {
 		s.freeOf[mc] = append([]int64(nil), fl...)
-	}
-	for k, v := range as.pages {
-		s.pages[k] = v
 	}
 	switch p := as.policy.(type) {
 	case *InterleavedPolicy:
@@ -337,11 +402,10 @@ func (as *AddressSpace) Snapshot() *TranslationSnapshot {
 
 // Restore overwrites the space's translation state with the snapshot's.
 // The space must have the same configuration the snapshot was taken under.
+// The page table is copied into the space's existing backing array when it
+// is large enough.
 func (as *AddressSpace) Restore(s *TranslationSnapshot) {
-	as.pages = make(map[int64]int64, len(s.pages))
-	for k, v := range s.pages {
-		as.pages[k] = v
-	}
+	as.pages = append(as.pages[:0], s.pages...)
 	as.nextOf = append(as.nextOf[:0], s.nextOf...)
 	as.allocOf = append(as.allocOf[:0], s.allocOf...)
 	as.freeOf = make([][]int64, as.cfg.NumMCs)

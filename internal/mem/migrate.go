@@ -13,6 +13,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -193,8 +194,9 @@ type Migration struct {
 
 // pageStat is one page's live migration state. Counters are reset lazily on
 // the first touch of a new window, so idle pages cost nothing per window.
+// The zero value is a page the engine has never seen.
 type pageStat struct {
-	counts []int32 // per-core touches within window `window`
+	counts []int32 // per-core touches within window `window` (nil: never touched)
 	hist   []int32 // exponentially-decayed per-core history (nil until
 	// the page survives its first window rollover; decays by 1/4 per window)
 	window        int64 // window index the counters belong to
@@ -232,6 +234,9 @@ type Migrator struct {
 	spec    MigrationSpec
 	cores   int
 	cluster int64 // migration granularity in pages (>= 1)
+	// clusterShift replaces the division by cluster when it is a power of
+	// two; -1 otherwise.
+	clusterShift int
 	// NearestMC maps a core to its nearest controller (by mesh hops) — the
 	// migration target of a page that core dominates.
 	nearestMC func(core int) int
@@ -241,8 +246,13 @@ type Migrator struct {
 	dist func(core, mc int) int
 
 	window int64 // index of the currently open window
-	pages  map[PageID]*pageStat
-	order  []PageID // first-touch order within the open window (determinism)
+	// units[app][u] is decision unit u of application app: the virtual page
+	// u at single-page granularity, the cluster of pages [u·cluster,
+	// (u+1)·cluster) otherwise. Each application's slice doubles to reach
+	// the highest unit touched; page IDs must be non-negative.
+	units [][]pageStat
+	order []PageID // first-touch order within the open window (determinism)
+	load  []int64  // Roll's per-controller traffic of the closing window
 }
 
 // NewMigrator builds the decision engine for a machine with the given core
@@ -253,14 +263,18 @@ func NewMigrator(spec MigrationSpec, cores int, nearestMC func(core int) int, di
 	if cluster < 1 {
 		cluster = 1
 	}
-	return &Migrator{
-		spec:      spec,
-		cores:     cores,
-		cluster:   cluster,
-		nearestMC: nearestMC,
-		dist:      dist,
-		pages:     map[PageID]*pageStat{},
+	g := &Migrator{
+		spec:         spec,
+		cores:        cores,
+		cluster:      cluster,
+		clusterShift: -1,
+		nearestMC:    nearestMC,
+		dist:         dist,
 	}
+	if cluster&(cluster-1) == 0 {
+		g.clusterShift = bits.TrailingZeros64(uint64(cluster))
+	}
+	return g
 }
 
 // Spec returns the engine's configuration.
@@ -275,31 +289,89 @@ func (g *Migrator) Window() int64 { return g.window }
 // key maps a page to its decision unit: itself at single-page granularity,
 // the aligned cluster base otherwise.
 func (g *Migrator) key(page PageID) PageID {
-	if g.cluster > 1 {
+	if g.clusterShift >= 0 {
+		page.VPage &^= g.cluster - 1
+	} else {
 		page.VPage -= page.VPage % g.cluster
 	}
 	return page
 }
 
+// unitOf returns the index of the page's decision unit.
+func (g *Migrator) unitOf(vpage int64) int64 {
+	if g.clusterShift >= 0 {
+		return vpage >> g.clusterShift
+	}
+	return vpage / g.cluster
+}
+
+// stat returns the page's decision-unit state, or nil when the engine has
+// never seen the unit.
+func (g *Migrator) stat(page PageID) *pageStat {
+	if uint(page.App) >= uint(len(g.units)) {
+		return nil
+	}
+	tab := g.units[page.App]
+	if u := g.unitOf(page.VPage); uint64(u) < uint64(len(tab)) && tab[u].counts != nil {
+		return &tab[u]
+	}
+	return nil
+}
+
+// slot returns the page's decision-unit state, growing the tables to reach
+// it. The pointer is valid until the next call.
+func (g *Migrator) slot(page PageID) *pageStat {
+	u := g.unitOf(page.VPage)
+	if uint(page.App) < uint(len(g.units)) && uint64(u) < uint64(len(g.units[page.App])) {
+		return &g.units[page.App][u]
+	}
+	if page.App < 0 || u < 0 {
+		panic(fmt.Sprintf("mem: migrator touched negative page %+v", page))
+	}
+	for page.App >= len(g.units) {
+		g.units = append(g.units, nil)
+	}
+	tab := g.units[page.App]
+	tab = append(tab, make([]pageStat, grownLen(len(tab), u)-len(tab))...)
+	g.units[page.App] = tab
+	return &tab[u]
+}
+
 // Touch counts one reference to the page by the core within the open window.
 // At cluster granularity the touch lands on the page's cluster.
 func (g *Migrator) Touch(page PageID, core int) {
-	page = g.key(page)
-	st := g.pages[page]
-	if st == nil {
-		st = &pageStat{counts: make([]int32, g.cores), candTo: -1}
+	st := g.slot(page)
+	if st.counts == nil {
+		st.counts = make([]int32, g.cores)
+		st.candTo = -1
 		st.window = g.window
-		g.pages[page] = st
-		g.order = append(g.order, page)
+		g.order = append(g.order, g.key(page))
 		st.counts[core]++
 		return
 	}
 	if st.window != g.window {
 		st.fold(g.window - st.window)
 		st.window = g.window
-		g.order = append(g.order, page)
+		g.order = append(g.order, g.key(page))
 	}
 	st.counts[core]++
+}
+
+// addLoad adds d to controller mc's traffic in Roll's load table, growing
+// the table to reach mc.
+func (g *Migrator) addLoad(mc int, d int64) {
+	if mc >= len(g.load) {
+		g.load = append(g.load, make([]int64, mc+1-len(g.load))...)
+	}
+	g.load[mc] += d
+}
+
+// loadOf returns controller mc's traffic in Roll's load table.
+func (g *Migrator) loadOf(mc int) int64 {
+	if mc < len(g.load) {
+		return g.load[mc]
+	}
+	return 0
 }
 
 // Roll closes the open window and returns the migrations it triggers, in
@@ -315,19 +387,19 @@ func (g *Migrator) Roll(curMC func(PageID) int) []Migration {
 	// page, attributed to its current home), the balance picture behind the
 	// queue guard below. Updated as migrations are approved so a burst of
 	// same-window candidates cannot collectively overload one target.
-	load := map[int]int64{}
+	clear(g.load)
 	for _, pg := range g.order {
-		if st := g.pages[pg]; st != nil && st.window == closed {
+		if st := g.stat(pg); st != nil && st.window == closed {
 			var tot int64
 			for _, c := range st.counts {
 				tot += int64(c)
 			}
-			load[curMC(pg)] += tot
+			g.addLoad(curMC(pg), tot)
 		}
 	}
 	var out []Migration
 	for _, pg := range g.order {
-		st := g.pages[pg]
+		st := g.stat(pg)
 		if st == nil || st.window != closed {
 			continue
 		}
@@ -387,7 +459,7 @@ func (g *Migrator) Roll(curMC func(PageID) int) []Migration {
 		// then flow toward colder controllers (a phase shift drains the old
 		// home) but never re-concentrate a spread that first-touch already
 		// balanced.
-		if load[to]+total > load[from] {
+		if g.loadOf(to)+total > g.loadOf(from) {
 			continue
 		}
 		// Confirmation: a single window's snapshot is myopic — rotating
@@ -407,8 +479,8 @@ func (g *Migrator) Roll(curMC func(PageID) int) []Migration {
 				sharers = append(sharers, core)
 			}
 		}
-		load[from] -= total
-		load[to] += total
+		g.addLoad(from, -total)
+		g.addLoad(to, total)
 		st.pending = true
 		st.cooldownUntil = closed + 1 + int64(g.spec.CooldownWindows)
 		out = append(out, Migration{
@@ -424,7 +496,7 @@ func (g *Migrator) Roll(curMC func(PageID) int) []Migration {
 // committed, unfreezing it for future windows (the cooldown stamped at
 // trigger time still holds).
 func (g *Migrator) Completed(page PageID) {
-	if st := g.pages[g.key(page)]; st != nil {
+	if st := g.stat(page); st != nil {
 		st.pending = false
 	}
 }

@@ -1,0 +1,81 @@
+package sim
+
+import (
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+
+	"offchip/internal/layout"
+)
+
+// TestNegativeAddressRejected: the machine indexes address spaces by app ID
+// and page tables by virtual page, so Run and RunSampled refuse a stream
+// with a negative virtual address or app ID, under both interleavings, and
+// name the stream.
+func TestNegativeAddressRejected(t *testing.T) {
+	for _, il := range []layout.Granularity{layout.LineInterleave, layout.PageInterleave} {
+		cfg := testConfig(t)
+		cfg.Machine.Interleave = il
+
+		deep := sampleWorkload(4, 2000)
+		deep.Streams[1].Accesses[1500].VAddr = -8
+		negApp := sampleWorkload(4, 2000)
+		negApp.Streams[2].AppID = -1
+		for name, tc := range map[string]struct {
+			w    *Workload
+			want string
+		}{
+			"one access":      {oneAccess(0, -8), "stream 0 (core 0, app 0) has negative address -8 at access 0"},
+			"deep in stream":  {deep, "stream 1 (core 1, app 0) has negative address -8 at access 1500"},
+			"negative app ID": {negApp, "stream 2 (core 2) has negative app ID -1"},
+		} {
+			if _, err := Run(cfg, tc.w); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v, %s: Run error %v, want one containing %q", il, name, err, tc.want)
+			}
+			if _, err := RunSampled(cfg, tc.w, DefaultSampleSpec()); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%v, %s: RunSampled error %v, want one containing %q", il, name, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestSparseAppIDs: app IDs need not be dense. The unused IDs get no
+// address space, and only the apps that ran report an exec time, in full
+// and sampled runs alike.
+func TestSparseAppIDs(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Machine.Interleave = layout.PageInterleave
+	w := sampleWorkload(4, 2000)
+	for i, app := range []int{5, 0, 5, 2} {
+		w.Streams[i].AppID = app
+	}
+	keys := func(m map[int]int64) []int {
+		var out []int
+		for k, v := range m {
+			if v <= 0 {
+				t.Errorf("app %d exec time %d", k, v)
+			}
+			out = append(out, k)
+		}
+		sort.Ints(out)
+		return out
+	}
+	r, err := Run(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keys(r.AppExecTime); !slices.Equal(got, []int{0, 2, 5}) {
+		t.Errorf("full run AppExecTime apps %v, want [0 2 5]", got)
+	}
+	sr, err := RunSampled(cfg, w, DefaultSampleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Exact {
+		t.Fatal("workload too small: the default spec covers it")
+	}
+	if got := keys(sr.AppExecTime); !slices.Equal(got, []int{0, 2, 5}) {
+		t.Errorf("sampled AppExecTime apps %v, want [0 2 5]", got)
+	}
+}

@@ -304,6 +304,9 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkAddresses(w); err != nil {
+		return nil, err
+	}
 	sr := &SampledResult{Spec: spec, FullAccesses: w.TotalAccesses()}
 
 	if cfg.Migrate != nil && !spec.coversAll(w) {
@@ -317,7 +320,7 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 	}
 
 	if spec.coversAll(w) {
-		r, err := Run(cfg, w)
+		r, err := run(cfg, w, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -361,13 +364,13 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 				// and the profiler, and supplies the distributional metrics.
 				runCfg.Obs, runCfg.Prof = cfg.Obs, cfg.Prof
 			}
-			spanR, err := Run(runCfg, span)
+			spanR, err := run(runCfg, span, nil)
 			if err != nil {
 				return nil, fmt.Errorf("sim: sampled window r%dw%d: %w", rep, win, err)
 			}
 			warmR := &Result{}
 			if warm.TotalAccesses() > 0 {
-				if warmR, err = Run(quiet, warm); err != nil {
+				if warmR, err = run(quiet, warm, nil); err != nil {
 					return nil, fmt.Errorf("sim: sampled warmup r%dw%d: %w", rep, win, err)
 				}
 			}

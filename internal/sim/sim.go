@@ -254,14 +254,14 @@ type WarmState struct {
 // PageMemo shares one preTouch walk across runs; see WarmState.Pages.
 // The zero value is ready to use. Not safe for concurrent runs.
 type PageMemo struct {
-	spaces map[int]*mem.TranslationSnapshot
+	spaces []*mem.TranslationSnapshot // by AppID, like machine.spaces
 }
 
 // warmSnapshot is the machine state warmCaches produces, captured once per
 // WarmState and restored into subsequent runs.
 type warmSnapshot struct {
 	l1s, l2s []*cache.Snapshot
-	dir      map[int64]uint64
+	dir      *cache.DirectorySnapshot
 }
 
 // TotalAccesses returns the workload's access count.
@@ -364,13 +364,15 @@ type machine struct {
 	l1s    []*cache.Cache
 	l2s    []*cache.Cache
 	dir    *cache.Directory
-	spaces map[int]*mem.AddressSpace
+	spaces []*mem.AddressSpace // by AppID; nil for an ID no stream uses
 	cores  []*coreState
 	res    *Result
 	probe  probe.Probe // nil when nothing observes the run
 	nextID int64       // last probe ID handed to an access
 	mig    *migState   // nil when migration is off
 	seq    bool        // Workload.Sequential: no per-core round-robin
+
+	appDone []int64 // by AppID: the latest completion time (Result.AppExecTime)
 
 	feed    *obs.Feed // the access outcome counters and the Figure 13 access map
 	seedMix uint64    // Seed pre-mixed for the jitter hash (0 when Seed is 0)
@@ -573,7 +575,48 @@ func (m *machine) totalOutstanding() int {
 }
 
 // Run simulates the workload on the configured machine.
-func Run(cfg Config, w *Workload) (*Result, error) { return run(cfg, w, nil) }
+func Run(cfg Config, w *Workload) (*Result, error) {
+	if err := checkAddresses(w); err != nil {
+		return nil, err
+	}
+	return run(cfg, w, nil)
+}
+
+// checkAddresses rejects a stream with a negative application ID or virtual
+// address, including the streams of the warm state: the machine indexes
+// address spaces by application ID and page tables by virtual page. Each
+// entry point checks its workload once; the window runs of a sampled
+// simulation reuse slices of the checked workload.
+func checkAddresses(w *Workload) error {
+	if err := checkStreams("stream", w.Streams); err != nil {
+		return err
+	}
+	if w.Warm == nil {
+		return nil
+	}
+	if u := w.Warm.PageUniverse; u != nil {
+		if err := checkStreams("page-universe stream", u.Streams); err != nil {
+			return err
+		}
+	}
+	return checkStreams("warm stream", w.Warm.CacheStreams)
+}
+
+func checkStreams(kind string, streams []Stream) error {
+	for i := range streams {
+		st := &streams[i]
+		if st.AppID < 0 {
+			return fmt.Errorf("sim: %s %d (core %d) has negative app ID %d", kind, i, st.Core, st.AppID)
+		}
+		for j, a := range st.Accesses {
+			if a.VAddr < 0 {
+				return fmt.Errorf("sim: %s %d (core %d, app %d) has negative address %d at access %d",
+					kind, i, st.Core, st.AppID, a.VAddr, j)
+			}
+		}
+	}
+	return nil
+}
 
 // run is Run with an extra consumer on the probe stream (nil: none).
 func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
@@ -620,7 +663,6 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 		sim:    &engine.Sim{},
 		net:    noc.New(nocCfg),
 		dir:    cache.NewDirectory(),
-		spaces: map[int]*mem.AddressSpace{},
 		probe:  probe.Join(consumers...),
 		feed:   obs.NewFeed(o.Reg),
 		res: &Result{
@@ -689,11 +731,15 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 	}
 	appBase := int64(0)
 	for _, s := range spaceStreams {
-		if _, ok := m.spaces[s.AppID]; !ok {
+		for s.AppID >= len(m.spaces) {
+			m.spaces = append(m.spaces, nil)
+		}
+		if m.spaces[s.AppID] == nil {
 			m.spaces[s.AppID] = mem.NewAddressSpace(memCfg, appBase, m.policy())
 			appBase += 1 << 34
 		}
 	}
+	m.appDone = make([]int64, len(m.spaces))
 
 	for i := range w.Streams {
 		s := &w.Streams[i]
@@ -716,18 +762,22 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 		}
 		if pm != nil && pm.spaces != nil {
 			for app, space := range m.spaces {
-				snap := pm.spaces[app]
-				if snap == nil {
+				if space == nil {
+					continue
+				}
+				if app >= len(pm.spaces) || pm.spaces[app] == nil {
 					panic(fmt.Sprintf("sim: PageMemo has no snapshot for app %d — shared across runs with different page universes", app))
 				}
-				space.Restore(snap)
+				space.Restore(pm.spaces[app])
 			}
 		} else {
 			m.preTouch(pu)
 			if pm != nil {
-				pm.spaces = make(map[int]*mem.TranslationSnapshot, len(m.spaces))
+				pm.spaces = make([]*mem.TranslationSnapshot, len(m.spaces))
 				for app, space := range m.spaces {
-					pm.spaces[app] = space.Snapshot()
+					if space != nil {
+						pm.spaces[app] = space.Snapshot()
+					}
 				}
 			}
 		}
@@ -951,10 +1001,11 @@ func (m *machine) complete(core, app int, last bool) {
 	cs := m.cores[core]
 	cs.outstanding--
 	m.res.Completed++
-	if t := m.sim.Now(); t > m.res.AppExecTime[app] {
-		m.res.AppExecTime[app] = t
+	t := m.sim.Now()
+	if t > m.appDone[app] {
+		m.appDone[app] = t
 	}
-	if t := m.sim.Now(); t > m.res.ExecTime {
+	if t > m.res.ExecTime {
 		m.res.ExecTime = t
 	}
 	if last {
@@ -972,13 +1023,14 @@ func (m *machine) process(e *accessEvent) {
 		e.id = m.nextID
 		p.Begin(e.id, e.core, m.sim.Now())
 	}
+	space := m.spaces[e.app]
 	if g := m.mig; g != nil {
 		// Every timed reference counts toward the page's access distribution
 		// (the engine watches the TLB, not the caches), and crossing a window
 		// boundary rolls the window before this access translates.
-		g.touch(m.sim.Now(), e.app, e.acc.VAddr/m.memCfg.PageBytes, e.core)
+		g.touch(m.sim.Now(), e.app, space.VPage(e.acc.VAddr), e.core)
 	}
-	paddr := m.spaces[e.app].Translate(e.acc.VAddr, e.core, int(e.acc.DesiredMC))
+	paddr := space.Translate(e.acc.VAddr, e.core, int(e.acc.DesiredMC))
 
 	// L1.
 	if hit, _ := m.l1s[e.core].Access(paddr); hit {
@@ -1141,7 +1193,14 @@ func (m *machine) finishStats() {
 	if len(r.QueueOcc) > 0 {
 		r.AvgQueueOcc /= float64(len(r.QueueOcc))
 	}
+	for app, t := range m.appDone {
+		if t > 0 {
+			r.AppExecTime[app] = t
+		}
+	}
 	for _, sp := range m.spaces {
-		r.PageSpills += sp.Spills
+		if sp != nil {
+			r.PageSpills += sp.Spills
+		}
 	}
 }
