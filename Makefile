@@ -52,9 +52,10 @@ validate:
 ## blob), so cache hits stay allocation-free no matter how the encoding
 ## evolves; a NoC transit, which walks its XY route in place; one
 ## reference of trace generation (compiled subscripts, then the layout's
-## Offset and DesiredMC over apsi's optimized layouts); and the per-access
+## Offset and DesiredMC over apsi's optimized layouts); the per-access
 ## tables: a cache Access, a directory Owner+Add+Remove, a page-interleaved
-## Translate, and a migration-engine Touch.
+## Translate, and a migration-engine Touch; and a DRAM controller's SubmitTo
+## plus completions, whose per-bank FR-FCFS queues reuse their capacity.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SteadyStateDispatch|ScheduleOnly' -benchtime=100x -benchmem ./internal/engine \
 		| $(GO) run ./cmd/benchgate -bench 'SteadyStateDispatchTyped$$|ScheduleOnly$$' -max-allocs 0
@@ -68,6 +69,8 @@ bench-smoke:
 		| $(GO) run ./cmd/benchgate -bench 'Access$$|Directory$$' -max-allocs 0
 	$(GO) test -run='^$$' -bench='^Benchmark(Translate|MigratorTouch)$$' -benchtime=10000x -benchmem ./internal/mem \
 		| $(GO) run ./cmd/benchgate -bench 'Translate$$|MigratorTouch$$' -max-allocs 0
+	$(GO) test -run='^$$' -bench='^BenchmarkSubmit$$' -benchtime=10000x -benchmem ./internal/dram \
+		| $(GO) run ./cmd/benchgate -bench 'Submit$$' -max-allocs 0
 
 ## profile-smoke: the latency-attribution conservation gate — a small
 ## three-way comparison with the profiler attached must attribute every

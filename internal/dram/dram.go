@@ -5,6 +5,10 @@
 // paper's Table 1 DDR3-1600 part: a row-buffer hit costs one CAS, a closed
 // bank adds activation, and a conflict adds precharge.
 //
+// Each bank keeps its own queue in arrival order, and a bitmap marks the
+// banks with queued requests, so finding work visits only those banks and
+// an FR-FCFS pick scans only its own bank's queue.
+//
 // Controllers keep their statistics in plain fields — request mix (row
 // hits/misses/conflicts), per-bank served counts for the -report
 // hottest-bank table, and the Figure 18 queue-length integral — and Publish
@@ -15,6 +19,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"offchip/internal/engine"
@@ -131,6 +136,7 @@ func (r *request) Handle(int64) {
 type bank struct {
 	openRow int64 // -1 when closed
 	freeAt  int64
+	queue   []*request // requests waiting for this bank, in arrival order
 }
 
 // Controller is one memory controller instance.
@@ -140,7 +146,8 @@ type Controller struct {
 	sim *engine.Sim
 
 	banks    []bank
-	pending  []*request
+	queued   []uint64 // bit b set while banks[b].queue is non-empty
+	pending  int      // requests queued across all banks
 	freeReqs *request // recycled request nodes
 
 	starve int     // effective StarveLimit
@@ -174,6 +181,7 @@ func New(id int, cfg Config, sim *engine.Sim, o *obs.Observer) *Controller {
 	c := &Controller{
 		ID: id, cfg: cfg, sim: sim,
 		banks:      make([]bank, cfg.BanksPerMC),
+		queued:     make([]uint64, (cfg.BanksPerMC+63)/64),
 		starve:     EffectiveStarveLimit(cfg),
 		bankServed: make([]int64, cfg.BanksPerMC),
 		feed:       obs.NewFeed(obs.OrNew(o).Reg),
@@ -242,83 +250,91 @@ func (c *Controller) SubmitTo(addr int64, done Completion) {
 	r.addr, r.arrive, r.bank, r.row, r.done = addr, now, b, row, done
 	r.bypassed = 0
 	c.Submitted++
-	c.pending = append(c.pending, r)
+	c.banks[b].queue = append(c.banks[b].queue, r)
+	c.queued[b>>6] |= 1 << uint(b&63)
+	c.pending++
 	c.setQueueLen(now)
 	c.dispatch()
 }
 
-// dispatch serves every idle bank its FR-FCFS pick.
+// dispatch serves every idle bank with queued requests its FR-FCFS pick, in
+// ascending bank order (the order their completions are scheduled in).
+// Serving a bank only clears its own bit and leaves it busy past now, so
+// each word's bits can be walked from a copy.
 func (c *Controller) dispatch() {
 	now := c.sim.Now()
-	for bi := range c.banks {
-		if c.banks[bi].freeAt > now {
-			continue
+	for w, word := range c.queued {
+		for word != 0 {
+			b := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if c.banks[b].freeAt <= now {
+				c.serve(b, now)
+			}
 		}
-		idx := c.pick(bi)
-		if idx < 0 {
-			continue
-		}
-		r := c.pending[idx]
-		c.pending = append(c.pending[:idx], c.pending[idx+1:]...)
-		c.setQueueLen(now)
-
-		var dur int64
-		switch {
-		case c.banks[bi].openRow == r.row:
-			dur = c.cfg.TRowHit
-			c.RowHits++
-		case c.banks[bi].openRow == -1:
-			dur = c.cfg.TRowMiss
-			c.rowMisses++
-		default:
-			dur = c.cfg.TRowConflict
-			c.rowConflicts++
-		}
-		c.banks[bi].openRow = r.row
-		c.banks[bi].freeAt = now + dur
-
-		finish := now + dur
-		c.Served++
-		c.TotalQueueWait += now - r.arrive
-		c.TotalMemLatency += finish - r.arrive
-		c.bankServed[bi]++
-		r.start, r.finish = now, finish
-		c.sim.Schedule(finish, r)
 	}
 }
 
-// pick returns the index of the FR-FCFS choice for the bank, or -1: the
-// oldest row-buffer hit if any, else the oldest request for the bank —
-// bounded by the starvation cap: once the oldest pending request for the
-// bank has been bypassed StarveLimit times by younger hits, the bank
-// serves strictly in arrival order until it drains.
-func (c *Controller) pick(bank int) int {
-	oldest, hit := -1, -1
-	for i, r := range c.pending {
-		if r.bank != bank {
-			continue
-		}
-		if oldest == -1 {
-			oldest = i
-		}
-		if r.row == c.banks[bank].openRow {
-			hit = i // pending is in arrival order: first hit is oldest hit
+// serve starts bank b's FR-FCFS pick at now and schedules its completion.
+func (c *Controller) serve(b int, now int64) {
+	bk := &c.banks[b]
+	i := c.pick(bk)
+	r := bk.queue[i]
+	bk.queue = append(bk.queue[:i], bk.queue[i+1:]...)
+	if len(bk.queue) == 0 {
+		c.queued[b>>6] &^= 1 << uint(b&63)
+	}
+	c.pending--
+	c.setQueueLen(now)
+
+	var dur int64
+	switch {
+	case bk.openRow == r.row:
+		dur = c.cfg.TRowHit
+		c.RowHits++
+	case bk.openRow == -1:
+		dur = c.cfg.TRowMiss
+		c.rowMisses++
+	default:
+		dur = c.cfg.TRowConflict
+		c.rowConflicts++
+	}
+	bk.openRow = r.row
+	bk.freeAt = now + dur
+
+	finish := now + dur
+	c.Served++
+	c.TotalQueueWait += now - r.arrive
+	c.TotalMemLatency += finish - r.arrive
+	c.bankServed[b]++
+	r.start, r.finish = now, finish
+	c.sim.Schedule(finish, r)
+}
+
+// pick returns the queue index of the bank's FR-FCFS choice: the oldest
+// row-buffer hit if any, else the oldest request — bounded by the
+// starvation cap: once the oldest request has been bypassed StarveLimit
+// times by younger hits, the bank serves strictly in arrival order until it
+// drains. The queue is non-empty.
+func (c *Controller) pick(bk *bank) int {
+	q := bk.queue
+	hit := -1
+	for i, r := range q {
+		if r.row == bk.openRow {
+			hit = i // the queue is in arrival order: first hit is oldest hit
 			break
 		}
 	}
-	if hit == -1 || hit == oldest {
-		return oldest
+	if hit <= 0 {
+		return 0
 	}
 	// Bypass counts are non-increasing in arrival order (every bypass
 	// increments all requests older than the served hit), so the oldest
-	// request's count alone decides whether the cap is hit for this bank.
-	if c.pending[oldest].bypassed >= c.starve {
-		return oldest
+	// request's count alone decides whether the cap is hit.
+	if q[0].bypassed >= c.starve {
+		return 0
 	}
-	for _, r := range c.pending[:hit] {
-		if r.bank == bank {
-			r.bypassed++
-		}
+	for _, r := range q[:hit] {
+		r.bypassed++
 	}
 	return hit
 }
@@ -328,7 +344,7 @@ func (c *Controller) pick(bank int) int {
 func (c *Controller) setQueueLen(now int64) {
 	c.qInt += c.qCur * (now - c.qLast)
 	c.qLast = now
-	c.qCur = int64(len(c.pending))
+	c.qCur = int64(c.pending)
 }
 
 // QueueOccupancy returns the time-averaged queue length over [0, until]
@@ -350,4 +366,4 @@ func (c *Controller) AvgMemLatency() float64 {
 }
 
 // Outstanding returns the current queue depth (for tests).
-func (c *Controller) Outstanding() int { return len(c.pending) }
+func (c *Controller) Outstanding() int { return c.pending }

@@ -84,12 +84,17 @@ type Sim struct {
 	free *node  // recycled nodes
 	slab []node // bulk-allocated nodes not yet handed out
 
-	// ProgressEvery, when positive, makes Run call OnProgress after every
-	// ProgressEvery processed events — the hook live run reporting hangs
-	// off. OnProgress runs on the simulation goroutine, so it may read
-	// simulator state without synchronization.
+	// ProgressEvery, when positive, makes Run call OnProgress each time the
+	// cumulative processed count reaches a multiple of ProgressEvery — the
+	// hook live run reporting hangs off. Run reads both when it starts.
+	// OnProgress runs on the simulation goroutine, so it may read simulator
+	// state without synchronization.
 	ProgressEvery int64
 	OnProgress    func(now, processed int64)
+	// nextProgress is the processed count of the next OnProgress call. A
+	// multiple of ProgressEvery past MaxInt64 wraps negative, which no
+	// count reaches.
+	nextProgress int64
 
 	// OnDispatch, when set, observes the time of every dispatched event just
 	// before its handler runs — the invariant checker's clock-monotonicity
@@ -140,6 +145,10 @@ func (s *Sim) ScheduleAfter(d int64, h Handler) { s.Schedule(s.now+d, h) }
 
 // Run processes events until the queue is empty and returns the final time.
 func (s *Sim) Run() int64 {
+	s.nextProgress = math.MaxInt64
+	if s.ProgressEvery > 0 && s.OnProgress != nil {
+		s.nextProgress = s.processed - s.processed%s.ProgressEvery + s.ProgressEvery
+	}
 	for s.pending > 0 {
 		var t int64
 		if s.wheelCnt > 0 {
@@ -182,7 +191,8 @@ func (s *Sim) dispatch(t int64) {
 		}
 		h.Handle(t)
 		s.processed++
-		if s.ProgressEvery > 0 && s.OnProgress != nil && s.processed%s.ProgressEvery == 0 {
+		if s.processed == s.nextProgress {
+			s.nextProgress += s.ProgressEvery
 			s.OnProgress(s.now, s.processed)
 		}
 	}

@@ -189,3 +189,86 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestProgressCadence pins when OnProgress fires: at exactly the cumulative
+// processed counts that are multiples of ProgressEvery, on one Sim reused
+// across Runs (the period may change between them), and never without a
+// hook or without a positive period.
+func TestProgressCadence(t *testing.T) {
+	type fired struct{ now, processed int64 }
+	// drain schedules n events, each at its own cycle after now, plus a
+	// same-cycle follow-up from every third one, and runs them.
+	drain := func(s *Sim, n int) {
+		base := s.Now()
+		for i := 0; i < n; i++ {
+			i := i
+			s.At(base+int64(i)+1, func() {
+				if i%3 == 0 {
+					s.After(0, func() {})
+				}
+			})
+		}
+		s.Run()
+	}
+	var s Sim
+	var got []fired
+	s.OnProgress = func(now, processed int64) {
+		if processed != s.Processed() {
+			t.Errorf("hook saw processed %d, Processed() = %d", processed, s.Processed())
+		}
+		got = append(got, fired{now, processed})
+	}
+	var want []fired
+	// expect replays drain's dispatch order: event i at cycle base+i+1, then
+	// its follow-up at the same cycle when i%3 == 0.
+	expect := func(every int64, n int) {
+		base, k := s.Now(), s.Processed()
+		for i := 0; i < n; i++ {
+			steps := 1
+			if i%3 == 0 {
+				steps = 2
+			}
+			for j := 0; j < steps; j++ {
+				k++
+				if every > 0 && k%every == 0 {
+					want = append(want, fired{base + int64(i) + 1, k})
+				}
+			}
+		}
+	}
+	for _, run := range []struct {
+		every int64
+		n     int
+	}{{4, 10}, {4, 13}, {5, 7}, {0, 9}, {-3, 9}, {7, 20}} {
+		s.ProgressEvery = run.every
+		expect(run.every, run.n)
+		drain(&s, run.n)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("hook fired %d times %v, want %d %v", len(got), got, len(want), want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d = %+v, want %+v (all: %v)", i, got[i], want[i], got)
+		}
+	}
+
+	// A positive period without a hook runs clean.
+	s.OnProgress = nil
+	s.ProgressEvery = 1
+	drain(&s, 5)
+
+	// Near the top of the count range: a multiple in range still fires,
+	// and one past MaxInt64 never does.
+	var top Sim
+	var at []int64
+	top.OnProgress = func(_, processed int64) { at = append(at, processed) }
+	top.ProgressEvery = 1 << 61
+	top.processed = 3<<61 - 2
+	drain(&top, 4)
+	top.ProgressEvery = 1 << 62
+	drain(&top, 4)
+	if len(at) != 1 || at[0] != 3<<61 {
+		t.Errorf("hook fired at %v near MaxInt64, want [%d]", at, int64(3<<61))
+	}
+}

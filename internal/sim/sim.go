@@ -342,17 +342,46 @@ func (r *Result) AvgMemLatency() float64 {
 }
 
 type coreState struct {
-	streams     []*streamState
-	nextStream  int // round-robin among the core's streams
+	streams     []streamState
+	nextStream  int // next stream to try: round-robin, or the first unfinished one
 	outstanding int
 	nextFree    int64 // earliest next issue (compute gap pacing)
 	issued      int64 // accesses issued so far (jitter hash input)
 }
 
+// streamBuf is how many accesses a stream cursor buffers. The cores'
+// streams interleave, so the host's prefetchers lose track of them and a
+// direct walk pays a cache miss every few accesses, one at a time; a refill
+// copies streamBuf accesses at once, and the host overlaps those misses.
+const streamBuf = 32
+
+// streamState is a cursor over one stream: pop hands out its accesses in
+// order, refilling a fixed buffer from the rest of the stream with one copy.
 type streamState struct {
-	stream *Stream
-	idx    int
-	done   bool
+	rest      []Access // accesses not yet buffered
+	head, end int      // buf[head:end] is buffered and not yet popped
+	app       int
+	buf       [streamBuf]Access
+}
+
+func newCursor(st *Stream) streamState {
+	return streamState{rest: st.Accesses, app: st.AppID}
+}
+
+// done reports whether every access has been popped.
+func (ss *streamState) done() bool { return ss.head == ss.end && len(ss.rest) == 0 }
+
+// pop returns the next access and whether it is the stream's last. The
+// cursor must not be done.
+func (ss *streamState) pop() (Access, bool) {
+	if ss.head == ss.end {
+		ss.end = copy(ss.buf[:], ss.rest)
+		ss.rest = ss.rest[ss.end:]
+		ss.head = 0
+	}
+	acc := ss.buf[ss.head]
+	ss.head++
+	return acc, ss.done()
 }
 
 type machine struct {
@@ -741,15 +770,7 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 	}
 	m.appDone = make([]int64, len(m.spaces))
 
-	for i := range w.Streams {
-		s := &w.Streams[i]
-		if len(s.Accesses) == 0 {
-			continue
-		}
-		ss := &streamState{stream: s}
-		m.cores[s.Core].streams = append(m.cores[s.Core].streams, ss)
-		m.running++
-	}
+	m.bindStreams(w.Streams)
 
 	if cfg.Machine.Interleave == layout.PageInterleave {
 		pu := w
@@ -866,17 +887,19 @@ func (m *machine) preTouch(w *Workload) {
 // approximating the issue order of the timed run. The hit/miss counters the
 // replay perturbs are reset afterwards so results count timed accesses only.
 func (m *machine) warmCaches(streams []Stream) {
-	idx := make([]int, len(streams))
+	curs := make([]streamState, len(streams))
+	for i := range streams {
+		curs[i] = newCursor(&streams[i])
+	}
 	for alive := true; alive; {
 		alive = false
-		for i := range streams {
-			st := &streams[i]
-			if idx[i] >= len(st.Accesses) {
+		for i := range curs {
+			cur, st := &curs[i], &streams[i]
+			if cur.done() {
 				continue
 			}
 			alive = true
-			acc := st.Accesses[idx[i]]
-			idx[i]++
+			acc, _ := cur.pop()
 			paddr := m.spaces[st.AppID].Translate(acc.VAddr, st.Core, int(acc.DesiredMC))
 			if hit, _ := m.l1s[st.Core].Access(paddr); hit {
 				continue
@@ -934,6 +957,20 @@ func (m *machine) policy() mem.Policy {
 	}
 }
 
+// bindStreams gives each stream with accesses a cursor on its core, in
+// declaration order, and counts it as running.
+func (m *machine) bindStreams(streams []Stream) {
+	for i := range streams {
+		st := &streams[i]
+		if len(st.Accesses) == 0 {
+			continue
+		}
+		cs := m.cores[st.Core]
+		cs.streams = append(cs.streams, newCursor(st))
+		m.running++
+	}
+}
+
 // tryIssue launches accesses for the core until its MLP window fills.
 func (m *machine) tryIssue(core int) {
 	cs := m.cores[core]
@@ -942,12 +979,7 @@ func (m *machine) tryIssue(core int) {
 		if ss == nil {
 			return
 		}
-		acc := ss.stream.Accesses[ss.idx]
-		ss.idx++
-		app := ss.stream.AppID
-		if ss.idx == len(ss.stream.Accesses) {
-			ss.done = true
-		}
+		acc, last := ss.pop()
 		cs.outstanding++
 		now := m.sim.Now()
 		t := now
@@ -967,7 +999,7 @@ func (m *machine) tryIssue(core int) {
 		cs.issued++
 		cs.nextFree = t + gap
 		e := m.allocEvent()
-		e.stage, e.core, e.app, e.acc, e.last = stProcess, core, app, acc, ss.done
+		e.stage, e.core, e.app, e.acc, e.last = stProcess, core, ss.app, acc, last
 		m.sim.Schedule(t, e)
 	}
 }
@@ -978,18 +1010,23 @@ func (m *machine) tryIssue(core int) {
 // epochs — the phase structure of a composed mix).
 func (m *machine) nextReady(cs *coreState) *streamState {
 	if m.seq {
-		for _, ss := range cs.streams {
-			if !ss.done {
+		// Only the first unfinished stream issues, so streams finish in
+		// declaration order and nextStream only moves forward.
+		for ; cs.nextStream < len(cs.streams); cs.nextStream++ {
+			if ss := &cs.streams[cs.nextStream]; !ss.done() {
 				return ss
 			}
 		}
 		return nil
 	}
-	n := len(cs.streams)
-	for i := 0; i < n; i++ {
-		ss := cs.streams[(cs.nextStream+i)%n]
-		if !ss.done {
-			cs.nextStream = (cs.nextStream + i + 1) % n
+	n, i := len(cs.streams), cs.nextStream
+	for k := 0; k < n; k++ {
+		ss := &cs.streams[i]
+		if i++; i == n {
+			i = 0
+		}
+		if !ss.done() {
+			cs.nextStream = i
 			return ss
 		}
 	}
