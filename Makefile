@@ -33,8 +33,12 @@ test-race:
 
 ## determinism: differential gate — every parallel run must be bit-identical
 ## to sequential. -count=2 defeats test caching so both runs actually execute.
+## The second line stresses the state core's goroutines share (a compare
+## job's three concurrent runs and two concurrent trace generations, and the
+## fork-join helper's panic hand-off) ten times over under the race detector.
 determinism:
 	$(GO) test -run Determinism -race -count=2 ./...
+	$(GO) test -run 'ConcurrentCompare|ComparePanic|ForkJoin' -race -count=10 ./internal/core
 
 ## validate: the simulator-wide validation battery — every runtime invariant
 ## probe (causality, conservation, XY routing, zero-load oracles, the

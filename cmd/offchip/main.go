@@ -24,9 +24,8 @@
 //	offchip -app apsi -prof-pprof p.pb.gz  # attribution as pprof protobuf
 //	offchip -app apsi -serve :9090         # live /metrics, /progress, /profile
 //
-// Parallelism and replay (see EXPERIMENTS.md "Parallel sweeps"):
+// Seeds and replay (see EXPERIMENTS.md "Parallel sweeps"):
 //
-//	offchip -app apsi -parallel            # run the three simulations concurrently
 //	offchip -app apsi -seed 7              # decorrelate the DRAM jitter stream
 //	offchip -replay '<job-id>'             # re-run one sweep job bit-exactly
 //
@@ -95,7 +94,6 @@ func run() error {
 	profFolded := flag.String("prof-folded", "", "write the optimized run's attribution as folded stacks (flamegraph.pl); implies -prof")
 	profPprof := flag.String("prof-pprof", "", "write the optimized run's attribution as a gzipped pprof protobuf (go tool pprof); implies -prof")
 	serveAddr := flag.String("serve", "", "serve the live observability plane (/metrics, /progress, /profile) on this address")
-	parallel := flag.Bool("parallel", false, "run the baseline/optimized/optimal simulations concurrently (identical results)")
 	checkRun := flag.Bool("check", false, "attach the invariant checker to every run and fail on any violation")
 	seed := flag.Uint64("seed", 0, "jitter seed; 0 keeps the historical stream of the recorded figures")
 	replay := flag.String("replay", "", "re-run one sweep job from its canonical ID (see benchtab -jobs) and exit")
@@ -239,7 +237,7 @@ func run() error {
 	}
 
 	wantProf := *profFlag || *profFolded != "" || *profPprof != ""
-	opt := core.Options{Concurrent: *parallel, Seed: *seed}
+	opt := core.Options{Seed: *seed}
 	switch *policy {
 	case "interleaved":
 	case "firsttouch":
@@ -509,20 +507,28 @@ func printProfiles(c *core.Comparison, foldedOut, pprofOut string) error {
 
 // liveProgress returns a progress callback that keeps one status line
 // updated on stderr: run name, simulated cycles, events/sec (wall clock),
-// and in-flight misses. With -parallel the three runs report from separate
-// goroutines, so the closure's state is mutex-guarded; the line then shows
-// whichever run reported last.
+// and in-flight misses. The three runs execute concurrently and report from
+// separate goroutines, so the closure's state is mutex-guarded and each
+// run's rate is taken against that run's own previous report; the line
+// then shows whichever run reported last.
 func liveProgress() func(run string, p sim.Progress) {
+	type sample struct {
+		events int64
+		wall   time.Time
+	}
 	start := time.Now()
 	var mu sync.Mutex
-	var lastEvents int64
-	lastWall := start
+	last := map[string]sample{}
 	return func(run string, p sim.Progress) {
 		mu.Lock()
 		defer mu.Unlock()
 		now := time.Now()
-		rate := float64(p.Events-lastEvents) / now.Sub(lastWall).Seconds()
-		lastEvents, lastWall = p.Events, now
+		prev, ok := last[run]
+		if !ok {
+			prev.wall = start
+		}
+		rate := float64(p.Events-prev.events) / now.Sub(prev.wall).Seconds()
+		last[run] = sample{p.Events, now}
 		fmt.Fprintf(os.Stderr, "\r[%-9s] cycles=%-12d events=%-12d events/sec=%-12.0f outstanding=%-4d",
 			run, p.Cycles, p.Events, rate, p.Outstanding)
 	}

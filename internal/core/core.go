@@ -50,18 +50,15 @@ type Options struct {
 	// per-access jitter stream between runs. Zero (the default) keeps the
 	// historical stream every recorded figure uses.
 	Seed uint64
-	// Concurrent runs the three simulations (baseline, optimized, optimal)
-	// on separate goroutines. Results are bit-identical to the sequential
-	// order — the simulations share no mutable state — so this is purely a
-	// wall-clock lever for multi-core hosts.
-	Concurrent bool
 	// Attach, when set, is called once per run ("baseline", "optimized",
 	// "optimal") before any run starts, with that run's own configuration:
 	// the hook for everything that observes a run — the registry (Obs),
 	// the invariant checker (Check), the latency profiler (Prof) and live
 	// progress (OnProgress). Compare collects whatever each run carries
 	// into Comparison.Observers, Checks and Profiles; a run left without
-	// Obs gets a fresh registry.
+	// Obs gets a fresh registry. The runs execute concurrently, so anything
+	// the hook shares between them (an OnProgress closure, say) must be
+	// safe for concurrent use.
 	Attach func(run string, cfg *sim.Config)
 	// TraceCache, when set, memoizes trace generation across runs and jobs
 	// (see internal/tracecache): each per-core stream is generated once per
@@ -235,17 +232,14 @@ func SimConfig(m layout.Machine, cm *layout.ClusterMapping, opt Options) sim.Con
 }
 
 // Workloads builds the baseline and optimized traces for an application.
-// The baseline uses identity layouts; the optimized one runs the full pass
-// with the Section 5.4 profiler.
+// The baseline uses identity layouts, so it does not wait for the pass: it
+// is generated on its own goroutine while the caller runs the full pass
+// (with the Section 5.4 profiler) and then generates the optimized trace.
+// Both read the program and its data store and write neither. Errors keep
+// the sequential precedence: the pass, then the baseline, then the
+// optimized trace.
 func Workloads(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, opt Options) (base, optim *sim.Workload, res *layout.Result, err error) {
 	p, store, err := app.Load()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	res, err = layout.Optimize(p, m, cm, &layout.Options{
-		Threads: opt.Threads,
-		Approx:  approx.NewProfiler(store),
-	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -257,15 +251,54 @@ func Workloads(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, 
 	identity := &layout.Result{Program: p, Layouts: map[*ir.Array]*layout.ArrayLayout{}}
 	// A nil TraceCache degrades to plain trace.Generate (tracecache handles
 	// the nil receiver), so the uncached path is unchanged.
-	base, err = opt.TraceCache.Generate(p, identity, m, store, tOpt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	optim, err = opt.TraceCache.Generate(p, res, m, store, tOpt)
-	if err != nil {
-		return nil, nil, nil, err
+	var passErr, baseErr, optErr error
+	forkJoin(func() {
+		res, passErr = layout.Optimize(p, m, cm, &layout.Options{
+			Threads: opt.Threads,
+			Approx:  approx.NewProfiler(store),
+		})
+		if passErr == nil {
+			optim, optErr = opt.TraceCache.Generate(p, res, m, store, tOpt)
+		}
+	}, func() {
+		base, baseErr = opt.TraceCache.Generate(p, identity, m, store, tOpt)
+	})
+	for _, err := range []error{passErr, baseErr, optErr} {
+		if err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	return base, optim, res, nil
+}
+
+// forkJoin runs fns[0] on the calling goroutine and every other function on
+// a goroutine of its own, and returns once all of them have returned. A
+// panic in any of them is recovered where it happens; once all have
+// returned, the first panic in argument order is raised again on the
+// caller, so it reaches the caller's recover (the runner's per-job one)
+// instead of killing the process from a goroutine nobody can recover on.
+// It is the only place core starts a goroutine.
+func forkJoin(fns ...func()) {
+	panics := make([]any, len(fns))
+	call := func(i int) {
+		defer func() { panics[i] = recover() }()
+		fns[i]()
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(fns) - 1)
+	for i := 1; i < len(fns); i++ {
+		go func() {
+			defer wg.Done()
+			call(i)
+		}()
+	}
+	call(0)
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }
 
 // MixWorkloads builds the baseline and optimized composed workloads for a
@@ -311,9 +344,9 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 		return nil, fmt.Errorf("core: %s: %w", app.Name, err)
 	}
 
-	// Configure all three runs up front, then execute — concurrently when
-	// requested. The runs share only immutable inputs (the traces), so
-	// concurrent execution is bit-identical to sequential.
+	// Configure all three runs up front, then execute them concurrently.
+	// The runs share only immutable inputs (the traces), so the results are
+	// bit-identical to running them one after another.
 	cfg := SimConfig(m, cm, opt)
 	cfg.Policy = opt.BaselinePolicy
 	optCfg := cfg
@@ -344,28 +377,16 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 	for _, j := range jobs {
 		AttachRun(opt, j.name, &j.cfg)
 	}
-	runJob := func(j *simJob) {
-		if opt.Sample != nil {
-			j.sampled, j.err = sim.RunSampled(j.cfg, j.w, *opt.Sample)
-		} else {
-			j.res, j.err = sim.Run(j.cfg, j.w)
+	run := func(j *simJob) func() {
+		return func() {
+			if opt.Sample != nil {
+				j.sampled, j.err = sim.RunSampled(j.cfg, j.w, *opt.Sample)
+			} else {
+				j.res, j.err = sim.Run(j.cfg, j.w)
+			}
 		}
 	}
-	if opt.Concurrent {
-		var wg sync.WaitGroup
-		for _, j := range jobs {
-			wg.Add(1)
-			go func(j *simJob) {
-				defer wg.Done()
-				runJob(j)
-			}(j)
-		}
-		wg.Wait()
-	} else {
-		for _, j := range jobs {
-			runJob(j)
-		}
-	}
+	forkJoin(run(jobs[0]), run(jobs[1]), run(jobs[2]))
 	for _, j := range jobs {
 		if j.err != nil {
 			return nil, fmt.Errorf("core: %s %s: %w", app.Name, j.name, j.err)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"offchip/internal/check"
 	"offchip/internal/layout"
 	"offchip/internal/mem"
+	"offchip/internal/obs"
 	"offchip/internal/prof"
 	"offchip/internal/sim"
 	"offchip/internal/workloads"
@@ -188,11 +190,13 @@ func TestNoContentionAblation(t *testing.T) {
 	}
 }
 
-// TestDeterminismConcurrentCompare: Options.Concurrent is purely a
-// wall-clock lever. A migrating comparison with a checker and a profiler
-// attached to every run gives the same metrics, registry snapshots and
-// latency attribution whether its three runs execute concurrently or in
-// sequence, and neither order trips an invariant.
+// TestDeterminismConcurrentCompare: Compare runs its three simulations
+// concurrently, and the result equals a sequential reference — three
+// sim.Run calls, one after another, over the same Workloads with the same
+// configurations and policies. A migrating comparison with a checker and a
+// profiler attached to every run gives the same metrics, registry
+// snapshots and latency attribution both ways, and no run trips an
+// invariant.
 func TestDeterminismConcurrentCompare(t *testing.T) {
 	m, cm := setup8x8(t)
 	m.Interleave = layout.PageInterleave
@@ -201,64 +205,169 @@ func TestDeterminismConcurrentCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := []string{"baseline", "optimized", "optimal"}
-	compare := func(concurrent bool) *Comparison {
-		c, err := Compare(app, m, cm, Options{
-			MaxAccessesPerThread: 400,
-			Migrate:              mig,
-			Concurrent:           concurrent,
-			Attach: func(_ string, cfg *sim.Config) {
-				cfg.Check = check.New()
-				cfg.Prof = prof.New()
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, run := range runs {
-			if vs := c.Checks[run]; len(vs) != 0 {
-				t.Errorf("concurrent=%v %s: %d violations, first %v", concurrent, run, len(vs), vs[0])
-			}
-			if p := c.Profiles[run]; p == nil || len(p.Violations) != 0 {
-				t.Errorf("concurrent=%v %s: profile %v", concurrent, run, p)
-			}
-		}
-		return c
+	opt := Options{
+		MaxAccessesPerThread: 400,
+		Migrate:              mig,
+		Attach: func(_ string, cfg *sim.Config) {
+			cfg.Check = check.New()
+			cfg.Prof = prof.New()
+		},
 	}
-	seq, par := compare(false), compare(true)
-	if seq.Baseline.Migrations+seq.Optimized.Migrations == 0 {
+	c, err := Compare(app, m, cm, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Baseline.Migrations+c.Optimized.Migrations == 0 {
 		t.Fatal("no run migrated; the migrating path is not exercised")
 	}
-	until := map[string]int64{
-		"baseline": seq.Baseline.ExecTime, "optimized": seq.Optimized.ExecTime, "optimal": seq.Optimal.ExecTime,
+
+	baseW, optW, _, err := Workloads(app, m, cm, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, run := range runs {
-		a, err := json.Marshal(seq.Observers[run].Reg.Snapshot(until[run]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(par.Observers[run].Reg.Snapshot(until[run]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s: registry snapshots differ", run)
-		}
-		sp, pp := seq.Profiles[run], par.Profiles[run]
-		if !reflect.DeepEqual(sp.Comp, pp.Comp) || !reflect.DeepEqual(sp.PerCore, pp.PerCore) {
-			t.Errorf("%s: profile components differ: %v vs %v", run, sp.Comp, pp.Comp)
-		}
-	}
-	for _, pair := range []struct {
-		run      string
-		seq, par Metrics
+	cfg := SimConfig(m, cm, opt)
+	cfg.Policy = opt.BaselinePolicy
+	optCfg := cfg
+	optCfg.Policy = sim.PolicyOSAssisted
+	idealCfg := cfg
+	idealCfg.OptimalOffchip = true
+	idealCfg.Migrate = nil
+	for _, run := range []struct {
+		name string
+		cfg  sim.Config
+		w    *sim.Workload
+		got  Metrics
 	}{
-		{"baseline", seq.Baseline, par.Baseline},
-		{"optimized", seq.Optimized, par.Optimized},
-		{"optimal", seq.Optimal, par.Optimal},
+		{"baseline", cfg, baseW, c.Baseline},
+		{"optimized", optCfg, optW, c.Optimized},
+		{"optimal", idealCfg, baseW, c.Optimal},
 	} {
-		if !reflect.DeepEqual(pair.seq, pair.par) {
-			t.Errorf("%s: concurrent metrics differ:\n seq %+v\n par %+v", pair.run, pair.seq, pair.par)
+		AttachRun(opt, run.name, &run.cfg)
+		r, err := sim.Run(run.cfg, run.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := distill(r); !reflect.DeepEqual(run.got, want) {
+			t.Errorf("%s: concurrent metrics differ:\n got  %+v\n want %+v", run.name, run.got, want)
+		}
+		got, err := json.Marshal(c.Observers[run.name].Reg.Snapshot(r.ExecTime))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(run.cfg.Obs.Reg.Snapshot(r.ExecTime))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: registry snapshots differ", run.name)
+		}
+		gp, wp := c.Profiles[run.name], run.cfg.Prof.Profile()
+		if gp == nil || len(gp.Violations)+len(wp.Violations) != 0 {
+			t.Errorf("%s: profile %v, reference %v", run.name, gp, wp)
+		} else if !reflect.DeepEqual(gp, wp) {
+			t.Errorf("%s: profiles differ:\n got  %+v\n want %+v", run.name, gp, wp)
+		}
+		if vs := c.Checks[run.name]; len(vs) != 0 {
+			t.Errorf("%s: %d violations, first %v", run.name, len(vs), vs[0])
+		}
+		if vs := run.cfg.Check.Violations(); len(vs) != 0 {
+			t.Errorf("%s reference: %d violations, first %v", run.name, len(vs), vs[0])
+		}
+	}
+}
+
+// TestComparePanicReraisedAfterOtherRuns: a panic in one of Compare's
+// concurrent runs reaches Compare's caller, on the caller's goroutine, with
+// its own value — the runner's per-job recover turns it into that job's
+// error — and only once the other two runs have returned: their registries
+// hold the complete runs of a clean comparison. The optimized run executes
+// on a goroutine of its own, the baseline on the caller's.
+func TestComparePanicReraisedAfterOtherRuns(t *testing.T) {
+	m, cm := setup8x8(t)
+	app, _ := workloads.ByName("apsi")
+	ref, err := Compare(app, m, cm, Options{MaxAccessesPerThread: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := map[string]int64{
+		"baseline": ref.Baseline.ExecTime, "optimized": ref.Optimized.ExecTime, "optimal": ref.Optimal.ExecTime,
+	}
+	for _, panicking := range []string{"optimized", "baseline"} {
+		boom := panicking + " run: progress hook panicked"
+		observers := map[string]*obs.Observer{}
+		opt := Options{
+			MaxAccessesPerThread: 200,
+			Attach: func(run string, cfg *sim.Config) {
+				cfg.Obs = obs.New()
+				observers[run] = cfg.Obs
+				if run == panicking {
+					cfg.ProgressEvery = 1
+					cfg.OnProgress = func(sim.Progress) { panic(boom) }
+				}
+			},
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != boom {
+					t.Fatalf("Compare panicked with %v, want %q", r, boom)
+				}
+			}()
+			_, err := Compare(app, m, cm, opt)
+			t.Fatalf("Compare returned (err %v) instead of panicking", err)
+		}()
+		for run, o := range observers {
+			if run == panicking {
+				continue
+			}
+			got, err := json.Marshal(o.Reg.Snapshot(until[run]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(ref.Observers[run].Reg.Snapshot(until[run]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s panicked: the %s registry is not the complete run's", panicking, run)
+			}
+		}
+	}
+}
+
+// TestForkJoinFirstPanicInArgumentOrder: forkJoin re-raises the first
+// panic in argument order, not the first in time, and only after every
+// function has returned.
+func TestForkJoinFirstPanicInArgumentOrder(t *testing.T) {
+	done := make([]bool, 4)
+	twoPanicked, onePanicked := make(chan struct{}), make(chan struct{})
+	func() {
+		defer func() {
+			if r := recover(); r != "one" {
+				t.Fatalf("forkJoin panicked with %v, want %q", r, "one")
+			}
+		}()
+		forkJoin(func() {
+			<-twoPanicked
+			done[0] = true
+		}, func() {
+			defer close(onePanicked)
+			<-twoPanicked
+			done[1] = true
+			panic("one")
+		}, func() {
+			defer close(twoPanicked)
+			done[2] = true
+			panic("two")
+		}, func() {
+			<-onePanicked
+			runtime.Gosched()
+			done[3] = true
+		})
+		t.Fatal("forkJoin returned instead of panicking")
+	}()
+	for i, d := range done {
+		if !d {
+			t.Errorf("function %d had not finished when the panic was re-raised", i)
 		}
 	}
 }

@@ -13,7 +13,10 @@ import (
 
 // Options tunes a sweep.
 type Options struct {
-	// Workers is the pool size; 0 or negative means GOMAXPROCS(0).
+	// Workers is the pool size, the number of jobs in flight; 0 or
+	// negative means GOMAXPROCS(0). It does not bound CPUs: each compare
+	// job runs its three simulations concurrently (core.Compare), so one
+	// job may keep up to three busy, and GOMAXPROCS caps the total.
 	Workers int
 	// OnJob, when set, is invoked once per finished job. Calls are
 	// serialized (safe for terminal output) but their order follows

@@ -13,6 +13,32 @@ import (
 
 var benchSink int64
 
+// BenchmarkGenerate generates apsi's full optimized trace on the Table 1
+// platform, once per op; B/op and allocs/op show what generation allocates
+// beyond the streams it returns.
+func BenchmarkGenerate(b *testing.B) {
+	app, _ := workloads.ByName("apsi")
+	p, store := app.MustLoad()
+	m := layout.Default8x8()
+	cm, err := layout.MappingM1(m, layout.PlacementCorners(m.MeshX, m.MeshY))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := layout.Optimize(p, m, cm, &layout.Options{Approx: approx.NewProfiler(store)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w, err := Generate(p, res, m, store, Options{MaxAccessesPerThread: Unlimited})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += int64(len(w.Streams))
+	}
+}
+
 // BenchmarkRefEval measures the per-access work of trace generation for
 // one reference at one iteration — compiled subscripts, then
 // ArrayLayout.Offset and DesiredMC — over apsi's optimized layouts.

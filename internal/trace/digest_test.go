@@ -83,6 +83,46 @@ func workloadDigest(w *sim.Workload) (string, int) {
 	return hex.EncodeToString(h.Sum(nil)), total
 }
 
+// TestGenerateStreamsExactLength: every stream Generate returns holds its
+// accesses and phase markers at exactly their length, with no growth slack,
+// for two apps under identity and optimized layouts, capped and full.
+func TestGenerateStreamsExactLength(t *testing.T) {
+	m := layout.Default8x8()
+	cm, err := layout.MappingM1(m, layout.PlacementCorners(m.MeshX, m.MeshY))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"apsi", "hpccg"} {
+		app, _ := workloads.ByName(name)
+		p, store, err := app.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := layout.Optimize(p, m, cm, &layout.Options{Approx: approx.NewProfiler(store)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		identity := &layout.Result{Program: p, Layouts: map[*ir.Array]*layout.ArrayLayout{}}
+		for _, l := range []*layout.Result{identity, res} {
+			for _, limit := range []int{200, Unlimited} {
+				w, err := Generate(p, l, m, store, Options{MaxAccessesPerThread: limit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(w.Streams) != cap(w.Streams) {
+					t.Errorf("%s limit=%d: %d streams, capacity %d", name, limit, len(w.Streams), cap(w.Streams))
+				}
+				for i, s := range w.Streams {
+					if len(s.Accesses) != cap(s.Accesses) || len(s.Phases) != cap(s.Phases) {
+						t.Errorf("%s optimized=%v limit=%d stream %d: accesses len %d cap %d, phases len %d cap %d",
+							name, l == res, limit, i, len(s.Accesses), cap(s.Accesses), len(s.Phases), cap(s.Phases))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestStreamDigests pins every generated stream of the bundled workloads
 // by digest, so any change to trace generation that alters a single
 // address, controller hint, phase marker or stream header fails here. The

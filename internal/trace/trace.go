@@ -85,13 +85,19 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 		plans[ni].order = loopOrder(&plans[ni], coord)
 	}
 
-	w := &sim.Workload{Name: p.Name}
+	// Each thread's accesses are appended into one scratch slice, reused
+	// across threads, and each stream keeps an exact-length copy: the
+	// slack of append's growth stays out of the returned workload (and out
+	// of every trace cache that holds it).
+	w := &sim.Workload{Name: p.Name, Streams: make([]sim.Stream, 0, threads)}
+	var accs []sim.Access
 	for t := 0; t < threads; t++ {
-		stream := sim.Stream{Core: t % cores, AppID: opt.AppID}
+		stream := sim.Stream{Core: t % cores, AppID: opt.AppID, Phases: make([]int, 0, len(plans))}
+		accs = accs[:0]
 		budget := maxAcc
 		for ni := range plans {
 			pl := &plans[ni]
-			stream.Phases = append(stream.Phases, len(stream.Accesses))
+			stream.Phases = append(stream.Phases, len(accs))
 			if budget <= 0 {
 				// Budget exhausted: the nest contributes no accesses, but
 				// every nest still gets its marker so phase indices agree
@@ -129,19 +135,23 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 				}
 				k++
 				for i := range pl.refs {
-					if len(stream.Accesses) >= maxAcc {
+					if len(accs) >= maxAcc {
 						return false
 					}
 					r := &pl.refs[i]
 					off := r.layout.Offset(r.ref.Coord(iv, coord))
-					stream.Accesses = append(stream.Accesses, sim.Access{
+					accs = append(accs, sim.Access{
 						VAddr:     r.base + off,
 						DesiredMC: int8(r.layout.DesiredMC(off)),
 					})
 				}
-				return len(stream.Accesses) < maxAcc
+				return len(accs) < maxAcc
 			})
-			budget = maxAcc - len(stream.Accesses)
+			budget = maxAcc - len(accs)
+		}
+		if len(accs) > 0 {
+			stream.Accesses = make([]sim.Access, len(accs))
+			copy(stream.Accesses, accs)
 		}
 		w.Streams = append(w.Streams, stream)
 	}
