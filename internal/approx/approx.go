@@ -81,11 +81,13 @@ func (pr *Profiler) Approximate(r *ir.Ref, nest *ir.LoopNest) (*linalg.Mat, bool
 	}
 	var iters [][]float64 // sampled iteration vectors (with 1 appended)
 	var coords [][]int64  // touched element coordinates
-	var k int64
+	var k int64           // iterations walked before the current run
 	cn := nest.Compile(pr.Store)
 	cr := cn.CompileRef(r)
-	cn.Iterate(func(iv []int64) bool {
-		if k%stride == 0 {
+	last := len(vars) - 1
+	cn.Iterate(func(iv []int64, lo, hi int64) bool {
+		for v := lo + (stride-k%stride)%stride; v < hi; v += stride {
+			iv[last] = v
 			row := make([]float64, len(iv)+1)
 			for i, x := range iv {
 				row[i] = float64(x)
@@ -94,7 +96,7 @@ func (pr *Profiler) Approximate(r *ir.Ref, nest *ir.LoopNest) (*linalg.Mat, bool
 			iters = append(iters, row)
 			coords = append(coords, cr.Coord(iv, make(linalg.Vec, len(r.Subs))))
 		}
-		k++
+		k += hi - lo
 		return true
 	})
 	pr.sampled = len(iters)

@@ -89,6 +89,16 @@ func (r *row) eval(iv []int64) int64 {
 	return v
 }
 
+// constant reports whether the row reads no loop.
+func (r *row) constant() bool {
+	for _, k := range r.coef {
+		if k != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // CompiledRef is a reference lowered against its nest — the r = A·i + o of
 // Section 5 as one dense row per subscript. An indexed subscript keeps the
 // row of its inner position and the index array's stored contents.
@@ -119,6 +129,23 @@ func (c *CompiledRef) Coord(iv []int64, coord linalg.Vec) linalg.Vec {
 	return coord
 }
 
+// Step writes into step how the reference's coordinate moves when loop li
+// advances by one and every other loop holds still, and returns that
+// prefix of step, which must hold at least len(Ref.Subs) entries. It
+// reports false for a reference with an indexed subscript, whose
+// coordinate has no fixed step.
+func (c *CompiledRef) Step(li int, step linalg.Vec) (linalg.Vec, bool) {
+	step = step[:len(c.subs)]
+	for d := range c.subs {
+		s := &c.subs[d]
+		if s.indexed {
+			return step, false
+		}
+		step[d] = s.coef[li]
+	}
+	return step, true
+}
+
 // CompiledNest is a loop nest lowered for enumeration: every loop bound and
 // every body reference becomes dense rows over the loop positions, so
 // walking the nest evaluates integer dot products instead of variable maps.
@@ -135,6 +162,11 @@ type CompiledNest struct {
 	store        *DataStore
 	iv           []int64
 	identity     []int
+
+	// parConst: the parallel loop's bounds read no loop, so a walk
+	// computes the thread's chunk of it once, into chunk.
+	parConst bool
+	chunk    [2]int64
 }
 
 // Compile lowers the nest, reading index-array contents from store (which
@@ -160,6 +192,9 @@ func (n *LoopNest) Compile(store *DataStore) *CompiledNest {
 	}
 	for j, l := range n.Loops {
 		c.lower[j], c.upper[j] = c.lowerExpr(l.Lower), c.lowerExpr(l.Upper)
+	}
+	if par := n.ParDepth; par >= 0 && par < m {
+		c.parConst = c.lower[par].constant() && c.upper[par].constant()
 	}
 	for _, s := range n.Body {
 		if s.Write != nil {
@@ -204,29 +239,54 @@ func (c *CompiledNest) Bounds(li int, iv []int64) (lo, hi int64) {
 // Walk enumerates the iterations OpenMP static scheduling assigns to thread
 // t of nthreads — the parallel loop's range split into contiguous chunks
 // (ThreadChunk), every other loop in full — entering the loops in the given
-// order, a permutation of loop positions. Bounds are evaluated when a loop
-// is entered. yield receives the iteration vector, indexed by loop
-// position; a loop's entry reads 0 before the loop is entered and after it
-// exits, as an unbound variable does in LinExpr.Eval, so a bound over a
-// loop not yet entered sees 0. The vector is reused, so yield must not
-// retain it. The walk stops when yield returns false; Walk reports whether
-// it ran to completion.
-func (c *CompiledNest) Walk(order []int, t, nthreads int, yield func(iv []int64) bool) bool {
+// order, a permutation of loop positions, and yields them one run of the
+// innermost loop (order[len(order)-1]) at a time. Bounds are evaluated when
+// a loop is entered. yield receives the iteration vector, indexed by loop
+// position, and the innermost loop's range [lo, hi), which is never empty:
+// the run's iterations are the vector with its innermost entry set to lo,
+// lo+1, …, hi−1 in turn. The vector arrives with that entry at lo, and
+// yield may overwrite that entry but no other. A loop's entry reads 0
+// before the loop is entered and after it exits, as an unbound variable
+// does in LinExpr.Eval, so a bound over a loop not yet entered sees 0. The
+// vector is reused, so yield must not retain it. When the parallel loop's
+// bounds read no loop, the thread's chunk is computed once, and a thread
+// whose chunk is empty returns without entering any loop. The walk stops
+// when yield returns false; Walk reports whether it ran to completion.
+func (c *CompiledNest) Walk(order []int, t, nthreads int, yield func(iv []int64, lo, hi int64) bool) bool {
 	if t < 0 || t >= nthreads {
 		panic(fmt.Sprintf("ir: thread %d of %d", t, nthreads))
+	}
+	if c.parConst {
+		par := c.Nest.ParDepth
+		lo, hi := ThreadChunk(c.lower[par].c, c.upper[par].c, t, nthreads)
+		if lo >= hi {
+			return true
+		}
+		c.chunk = [2]int64{lo, hi}
 	}
 	clear(c.iv)
 	return c.walk(order, 0, t, nthreads, yield)
 }
 
-func (c *CompiledNest) walk(order []int, d, t, nthreads int, yield func([]int64) bool) bool {
-	if d == len(order) {
-		return yield(c.iv)
-	}
+func (c *CompiledNest) walk(order []int, d, t, nthreads int, yield func([]int64, int64, int64) bool) bool {
 	li := order[d]
-	lo, hi := c.Bounds(li, c.iv)
-	if li == c.Nest.ParDepth {
-		lo, hi = ThreadChunk(lo, hi, t, nthreads)
+	var lo, hi int64
+	switch {
+	case li != c.Nest.ParDepth:
+		lo, hi = c.Bounds(li, c.iv)
+	case c.parConst:
+		lo, hi = c.chunk[0], c.chunk[1]
+	default:
+		lo, hi = ThreadChunk(c.lower[li].eval(c.iv), c.upper[li].eval(c.iv), t, nthreads)
+	}
+	if d == len(order)-1 {
+		if lo >= hi {
+			return true
+		}
+		c.iv[li] = lo
+		ok := yield(c.iv, lo, hi)
+		c.iv[li] = 0
+		return ok
 	}
 	for v := lo; v < hi; v++ {
 		c.iv[li] = v
@@ -238,8 +298,9 @@ func (c *CompiledNest) walk(order []int, d, t, nthreads int, yield func([]int64)
 	return true
 }
 
-// Iterate enumerates the whole iteration space in lexicographic order: Walk
-// with the identity loop order over one thread.
-func (c *CompiledNest) Iterate(yield func(iv []int64) bool) bool {
+// Iterate enumerates the whole iteration space in lexicographic order, one
+// run of the last loop at a time: Walk with the identity loop order over
+// one thread.
+func (c *CompiledNest) Iterate(yield func(iv []int64, lo, hi int64) bool) bool {
 	return c.Walk(c.identity, 0, 1, yield)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"offchip/internal/linalg"
 )
@@ -130,7 +131,7 @@ func TestCompiledIndexedRefMatchesLookup(t *testing.T) {
 		cn := nest.Compile(store)
 		cr := cn.CompileRef(ref)
 		below, past := false, false
-		cn.Iterate(func(iv []int64) bool {
+		cn.Iterate(iterations(1, func(iv []int64) bool {
 			env := envOf(nest, iv)
 			if pos := ref.IndexSubs[0].Inner.Eval(env); pos < 0 {
 				below = true
@@ -143,10 +144,25 @@ func TestCompiledIndexedRefMatchesLookup(t *testing.T) {
 				t.Fatalf("%s store at %v: compiled %v, map %v", name, iv, got, want)
 			}
 			return true
-		})
+		}))
 		if !below || !past {
 			t.Fatalf("%s store: positions never left the extent (below=%v past=%v)", name, below, past)
 		}
+	}
+}
+
+// iterations adapts a per-iteration visitor to Walk's runs: it sets the
+// innermost loop's entry, at loop position inner, to each value of the run
+// in turn, and stops the walk when visit returns false.
+func iterations(inner int, visit func(iv []int64) bool) func([]int64, int64, int64) bool {
+	return func(iv []int64, lo, hi int64) bool {
+		for v := lo; v < hi; v++ {
+			iv[inner] = v
+			if !visit(iv) {
+				return false
+			}
+		}
+		return true
 	}
 }
 
@@ -225,20 +241,8 @@ parfor row = 0 .. 32 {
 		for _, order := range permutations(n.Depth()) {
 			for _, nthreads := range []int{1, 3, 4} {
 				for th := 0; th < nthreads; th++ {
-					var want [][]int64
-					walkMap(n, order, th, nthreads, func(env map[string]int64) bool {
-						iv := make([]int64, n.Depth())
-						for j, l := range n.Loops {
-							iv[j] = env[l.Var]
-						}
-						want = append(want, iv)
-						return true
-					})
-					var got [][]int64
-					cn.Walk(order, th, nthreads, func(iv []int64) bool {
-						got = append(got, append([]int64{}, iv...))
-						return true
-					})
+					want := mapIterations(n, order, th, nthreads)
+					got := walkedIterations(cn, order, th, nthreads)
 					tag := fmt.Sprintf("%s order %v thread %d/%d", name, order, th, nthreads)
 					if len(got) != len(want) {
 						t.Fatalf("%s: %d iterations, map walker %d", tag, len(got), len(want))
@@ -272,15 +276,91 @@ parfor row = 0 .. 32 {
 	cn := n.Compile(nil)
 	order := []int{1, 0}
 	count := 0
-	if cn.Walk(order, 0, 1, func([]int64) bool { count++; return count < 6 }) {
+	if cn.Walk(order, 0, 1, iterations(0, func([]int64) bool { count++; return count < 6 })) {
 		t.Fatal("stopped walk reported completion")
 	}
 	var first []int64
-	cn.Walk(order, 0, 1, func(iv []int64) bool {
+	cn.Walk(order, 0, 1, iterations(0, func(iv []int64) bool {
 		first = append([]int64{}, iv...)
 		return false
-	})
+	}))
 	if first[0] != 0 || first[1] != 0 {
 		t.Errorf("first iteration after a stopped walk = %v, want [0 0]", first)
+	}
+}
+
+// walkedIterations expands Walk's runs into a copy of every iteration
+// vector, in walk order.
+func walkedIterations(cn *CompiledNest, order []int, th, nthreads int) [][]int64 {
+	var got [][]int64
+	cn.Walk(order, th, nthreads, iterations(order[len(order)-1], func(iv []int64) bool {
+		got = append(got, append([]int64{}, iv...))
+		return true
+	}))
+	return got
+}
+
+// mapIterations is walkedIterations for the map-environment walker.
+func mapIterations(n *LoopNest, order []int, th, nthreads int) [][]int64 {
+	var want [][]int64
+	walkMap(n, order, th, nthreads, func(env map[string]int64) bool {
+		iv := make([]int64, n.Depth())
+		for j, l := range n.Loops {
+			iv[j] = env[l.Var]
+		}
+		want = append(want, iv)
+		return true
+	})
+	return want
+}
+
+// TestWalkBootNest walks a nest shaped like workloads.addMasterInit's boot
+// nest: a constant [0, 1) parallel loop that the loop order places
+// innermost, under 64 threads. Thread 0 must yield the map walker's
+// iterations; threads 1–63 own none and must yield none, without walking
+// the outer loops, which here are far too long to walk. A parallel loop
+// whose bounds read an outer loop must still walk as the map walker does.
+func TestWalkBootNest(t *testing.T) {
+	boot := func(outer int64, par Loop) *LoopNest {
+		return &LoopNest{ParDepth: 0, Loops: []Loop{
+			par,
+			{Var: "ti", Lower: ConstExpr(0), Upper: ConstExpr(outer)},
+			{Var: "tp", Lower: ConstExpr(0), Upper: ConstExpr(3)},
+		}}
+	}
+	order := []int{1, 2, 0}
+	constPar := Loop{Var: "boot", Lower: ConstExpr(0), Upper: ConstExpr(1)}
+	outerPar := Loop{Var: "boot", Lower: VarExpr("ti"), Upper: Term(1, "ti", 1)}
+	for _, n := range []*LoopNest{boot(5, constPar), boot(5, outerPar)} {
+		cn := n.Compile(nil)
+		for th := 0; th < 64; th++ {
+			got, want := walkedIterations(cn, order, th, 64), mapIterations(n, order, th, 64)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("parallel loop %s .. %s, thread %d: walked %v, map walker %v", n.Loops[0].Lower, n.Loops[0].Upper, th, got, want)
+			}
+			if (th == 0) != (len(got) == 15) {
+				t.Fatalf("parallel loop %s .. %s, thread %d: %d iterations", n.Loops[0].Lower, n.Loops[0].Upper, th, len(got))
+			}
+		}
+	}
+
+	cn := boot(1<<60, constPar).Compile(nil)
+	done := make(chan bool, 1)
+	go func() {
+		for th := 1; th < 64; th++ {
+			if !cn.Walk(order, th, 64, func([]int64, int64, int64) bool { return false }) {
+				done <- false
+				return
+			}
+		}
+		done <- true
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("a thread that owns no iteration yielded one")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("threads 1-63 walked the outer loops of a nest whose parallel chunk is empty for them")
 	}
 }

@@ -246,23 +246,23 @@ func TestIterate(t *testing.T) {
 	p := MustParse(stencilSrc)
 	n := p.Nests[0].Compile(nil)
 	count := 0
-	n.Iterate(func(iv []int64) bool {
+	n.Iterate(iterations(1, func(iv []int64) bool {
 		count++
 		if iv[0] < 2 || iv[0] >= 7 || iv[1] < 2 || iv[1] >= 7 {
 			t.Fatalf("iteration out of bounds: %v", iv)
 		}
 		return true
-	})
+	}))
 	if count != 25 {
 		t.Errorf("iterations = %d, want 25", count)
 	}
 
 	// Early exit.
 	count = 0
-	completed := n.Iterate(func([]int64) bool {
+	completed := n.Iterate(iterations(1, func([]int64) bool {
 		count++
 		return count < 3
-	})
+	}))
 	if completed || count != 3 {
 		t.Errorf("early exit: completed=%v count=%d", completed, count)
 	}
@@ -319,10 +319,10 @@ func TestIterateThread(t *testing.T) {
 	n := p.Nests[0].Compile(nil)
 	seen := map[[2]int64]int{}
 	for th := 0; th < 4; th++ {
-		n.Walk([]int{0, 1}, th, 4, func(iv []int64) bool {
+		n.Walk([]int{0, 1}, th, 4, iterations(1, func(iv []int64) bool {
 			seen[[2]int64{iv[0], iv[1]}]++
 			return true
-		})
+		}))
 	}
 	if len(seen) != 25 {
 		t.Errorf("threads covered %d iterations, want 25", len(seen))
@@ -344,14 +344,14 @@ func touched(p *Program, arr *Array, nthreads int, store *DataStore) []map[int64
 	for _, nest := range p.Nests {
 		cn := nest.Compile(store)
 		for t := 0; t < nthreads; t++ {
-			cn.Walk(cn.identity, t, nthreads, func(iv []int64) bool {
+			cn.Walk(cn.identity, t, nthreads, iterations(nest.Depth()-1, func(iv []int64) bool {
 				for _, r := range cn.Refs {
 					if r.Ref.Array == arr {
 						out[t][arr.LinearIndex(r.Coord(iv, make(linalg.Vec, arr.NumDims())))] = true
 					}
 				}
 				return true
-			})
+			}))
 		}
 	}
 	return out

@@ -31,18 +31,25 @@ func rewriteEquiv(t *testing.T, m Machine, cm *ClusterMapping, src string) {
 			}
 			checked := 0
 			env := map[string]int64{}
-			cn.Iterate(func(iv []int64) bool {
-				for j, v := range vars {
-					env[v] = iv[j]
+			last := len(vars) - 1
+			cn.Iterate(func(iv []int64, lo, hi int64) bool {
+				for v := lo; v < hi; v++ {
+					iv[last] = v
+					for j, v := range vars {
+						env[v] = iv[j]
+					}
+					want := al.Offset(cn.Refs[ri].Coord(iv, make(linalg.Vec, len(r.Subs))))
+					got := cr.Offset(env, r.Array.ElemSize)
+					if got != want {
+						t.Fatalf("ref %s at %v: rewrite %d != remap %d\nform: %s",
+							r, env, got, want, cr)
+					}
+					checked++
+					if checked == 5000 { // bounded but dense coverage
+						return false
+					}
 				}
-				want := al.Offset(cn.Refs[ri].Coord(iv, make(linalg.Vec, len(r.Subs))))
-				got := cr.Offset(env, r.Array.ElemSize)
-				if got != want {
-					t.Fatalf("ref %s at %v: rewrite %d != remap %d\nform: %s",
-						r, env, got, want, cr)
-				}
-				checked++
-				return checked < 5000 // bounded but dense coverage
+				return true
 			})
 			if checked == 0 {
 				t.Fatalf("ref %s never evaluated", r)

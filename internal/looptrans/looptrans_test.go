@@ -21,17 +21,21 @@ func iterSet(n *ir.LoopNest, vars []string) []string {
 		pos[v] = j
 	}
 	var out []string
-	n.Compile(nil).Iterate(func(iv []int64) bool {
-		s := ""
-		for _, v := range vars {
-			j, ok := pos[v]
-			if !ok {
-				s += "0,"
-				continue
+	last := n.Depth() - 1
+	n.Compile(nil).Iterate(func(iv []int64, lo, hi int64) bool {
+		for x := lo; x < hi; x++ {
+			iv[last] = x
+			s := ""
+			for _, v := range vars {
+				j, ok := pos[v]
+				if !ok {
+					s += "0,"
+					continue
+				}
+				s += fmt.Sprintf("%d,", iv[j])
 			}
-			s += fmt.Sprintf("%d,", iv[j])
+			out = append(out, s)
 		}
-		out = append(out, s)
 		return true
 	})
 	sort.Strings(out)

@@ -13,29 +13,37 @@ import (
 
 var benchSink int64
 
-// BenchmarkGenerate generates apsi's full optimized trace on the Table 1
-// platform, once per op; B/op and allocs/op show what generation allocates
-// beyond the streams it returns.
+// BenchmarkGenerate generates one application's full optimized trace on
+// the Table 1 platform, once per op: apsi, whose references are all
+// affine, and fma3d, whose boot nests walk a one-iteration parallel loop
+// innermost and whose gathers read through an index array. B/op and
+// allocs/op show what generation allocates beyond the streams it returns;
+// make bench-smoke pins allocs/op, so scratch that grows per run or per
+// thread shows up.
 func BenchmarkGenerate(b *testing.B) {
-	app, _ := workloads.ByName("apsi")
-	p, store := app.MustLoad()
-	m := layout.Default8x8()
-	cm, err := layout.MappingM1(m, layout.PlacementCorners(m.MeshX, m.MeshY))
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := layout.Optimize(p, m, cm, &layout.Options{Approx: approx.NewProfiler(store)})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := Generate(p, res, m, store, Options{MaxAccessesPerThread: Unlimited})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += int64(len(w.Streams))
+	for _, name := range []string{"apsi", "fma3d"} {
+		b.Run(name, func(b *testing.B) {
+			app, _ := workloads.ByName(name)
+			p, store := app.MustLoad()
+			m := layout.Default8x8()
+			cm, err := layout.MappingM1(m, layout.PlacementCorners(m.MeshX, m.MeshY))
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := layout.Optimize(p, m, cm, &layout.Options{Approx: approx.NewProfiler(store)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w, err := Generate(p, res, m, store, Options{MaxAccessesPerThread: Unlimited})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSink += int64(len(w.Streams))
+			}
+		})
 	}
 }
 
@@ -64,18 +72,21 @@ func BenchmarkRefEval(b *testing.B) {
 	optimized, maxDims := 0, 0
 	for _, nest := range p.Nests {
 		cn := nest.Compile(store)
-		iters := 0
-		cn.Iterate(func(iv []int64) bool {
-			for i := range cn.Refs {
-				r := &cn.Refs[i]
-				al := res.Layout(r.Ref.Array)
-				if al.Optimized {
-					optimized++
+		iters, last := 0, nest.Depth()-1
+		cn.Iterate(func(iv []int64, lo, hi int64) bool {
+			for v := lo; v < hi && iters < 64; v++ {
+				iv[last] = v
+				for i := range cn.Refs {
+					r := &cn.Refs[i]
+					al := res.Layout(r.Ref.Array)
+					if al.Optimized {
+						optimized++
+					}
+					maxDims = max(maxDims, r.Ref.Array.NumDims())
+					pts = append(pts, point{r, al, slices.Clone(iv)})
 				}
-				maxDims = max(maxDims, r.Ref.Array.NumDims())
-				pts = append(pts, point{r, al, slices.Clone(iv)})
+				iters++
 			}
-			iters++
 			return iters < 64
 		})
 	}

@@ -10,6 +10,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"offchip/internal/deps"
 	"offchip/internal/ir"
@@ -82,7 +83,15 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 	}
 	coord := make(linalg.Vec, maxDims)
 	for ni := range plans {
-		plans[ni].order = loopOrder(&plans[ni], coord)
+		pl := &plans[ni]
+		pl.order = loopOrder(pl, coord)
+		pl.inner = pl.order[len(pl.order)-1]
+		for i := range pl.refs {
+			r := &pl.refs[i]
+			if step, affine := r.ref.Step(pl.inner, coord); affine {
+				r.run = r.layout.NewRun(step)
+			}
+		}
 	}
 
 	// Each thread's accesses are appended into one scratch slice, reused
@@ -127,31 +136,44 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 			if totalIters > int64(iterBudget) {
 				stride = totalIters / int64(iterBudget)
 			}
+			// The thread keeps every stride-th iteration it walks; k
+			// counts the iterations walked before the current run.
 			var k int64
-			pl.nest.Walk(pl.order, t, threads, func(iv []int64) bool {
-				if k%stride != 0 {
-					k++
-					return true
+			pl.nest.Walk(pl.order, t, threads, func(iv []int64, lo, hi int64) bool {
+				n := hi - lo
+				if stride == 1 && int64(maxAcc-len(accs)) >= n*int64(refsPerIter) {
+					accs = pl.emitRun(iv, lo, hi, coord, accs)
+					return len(accs) < maxAcc
 				}
-				k++
-				for i := range pl.refs {
+				// The reference path, one sampled iteration at a time:
+				// sampling strides, and the run the budget cuts short.
+				first := lo + (stride-k%stride)%stride
+				k += n
+				for v := first; v < hi; v += stride {
+					iv[pl.inner] = v
+					for i := range pl.refs {
+						if len(accs) >= maxAcc {
+							return false
+						}
+						r := &pl.refs[i]
+						off := r.layout.Offset(r.ref.Coord(iv, coord))
+						accs = append(accs, sim.Access{
+							VAddr:     r.base + off,
+							DesiredMC: int8(r.layout.DesiredMC(off)),
+						})
+					}
 					if len(accs) >= maxAcc {
 						return false
 					}
-					r := &pl.refs[i]
-					off := r.layout.Offset(r.ref.Coord(iv, coord))
-					accs = append(accs, sim.Access{
-						VAddr:     r.base + off,
-						DesiredMC: int8(r.layout.DesiredMC(off)),
-					})
 				}
-				return len(accs) < maxAcc
+				return true
 			})
 			budget = maxAcc - len(accs)
 		}
 		if len(accs) > 0 {
-			stream.Accesses = make([]sim.Access, len(accs))
-			copy(stream.Accesses, accs)
+			// Clone, unlike make and copy, does not zero what it copies
+			// over; Clip drops the size-class rounding from the capacity.
+			stream.Accesses = slices.Clip(slices.Clone(accs))
 		}
 		w.Streams = append(w.Streams, stream)
 	}
@@ -163,14 +185,48 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 type nestPlan struct {
 	nest  *ir.CompiledNest
 	order []int
+	inner int // the innermost loop of order
 	trip  int64
 	refs  []refPlan
 }
 
+// refPlan is one reference of a nest, bound to its layout and array base.
+// run steps an affine reference along the nest's innermost loop; it is nil
+// for an indexed reference.
 type refPlan struct {
 	ref    *ir.CompiledRef
 	layout *layout.ArrayLayout
 	base   int64
+	run    *layout.Run
+}
+
+// emitRun appends the accesses of the run [lo, hi) of the innermost loop,
+// iteration by iteration and each iteration's references in order: an
+// affine reference through its Run, an indexed one through its subscripts
+// and the layout's Offset and DesiredMC.
+func (pl *nestPlan) emitRun(iv []int64, lo, hi int64, coord linalg.Vec, accs []sim.Access) []sim.Access {
+	for i := range pl.refs {
+		if r := &pl.refs[i]; r.run != nil {
+			r.run.Start(r.ref.Coord(iv, coord), hi-lo)
+		}
+	}
+	accs = slices.Grow(accs, int(hi-lo)*len(pl.refs))
+	for v := lo; v < hi; v++ {
+		for i := range pl.refs {
+			r := &pl.refs[i]
+			var off int64
+			var mc int
+			if r.run != nil {
+				off, mc = r.run.Next()
+			} else {
+				iv[pl.inner] = v
+				off = r.layout.Offset(r.ref.Coord(iv, coord))
+				mc = r.layout.DesiredMC(off)
+			}
+			accs = append(accs, sim.Access{VAddr: r.base + off, DesiredMC: int8(mc)})
+		}
+	}
+	return accs
 }
 
 // PlaceArrays assigns each array a base virtual address aligned so that the
