@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test test-race determinism validate bench-smoke profile-smoke service-smoke fuzz-smoke bench clean
+.PHONY: check vet fmt build test test-race determinism validate bench-smoke profile-smoke fuzz-smoke bench clean
 
 ## check: everything CI enforces — vet (the root module and the separate
 ## bench/ module, which `./...` does not reach), formatting, build, tests under -race,
 ## the sequential-vs-parallel determinism gate, the invariant/metamorphic
-## validation battery, the hot-path allocation gates, the profiler
-## conservation gate, and the sweep-service smoke.
-check: vet fmt build test-race determinism validate bench-smoke profile-smoke service-smoke
+## validation battery, the hot-path allocation gates, and the profiler
+## conservation gate.
+check: vet fmt build test-race determinism validate bench-smoke profile-smoke
 
 vet:
 	$(GO) vet ./...
@@ -94,12 +94,6 @@ bench-smoke:
 ## re-parse. -count=1 defeats caching so the simulation actually runs.
 profile-smoke:
 	$(GO) test -run TestProfileSmoke -count=1 ./internal/prof
-
-## service-smoke: boot the sweep service with a real worker-process fleet,
-## submit a sweep over HTTP, and check the results against the golden
-## snapshot. -count=1 defeats caching so the fleet actually spawns.
-service-smoke:
-	$(GO) test -run TestServiceSmoke -count=1 ./cmd/sweepd
 
 ## fuzz-smoke: a short fuzz of every Fuzz target (also run nightly in CI).
 FUZZTIME ?= 30s

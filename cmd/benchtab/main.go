@@ -262,8 +262,8 @@ func runSweep(cfg experiments.Config, serveAddr, sweepOut string, withProf bool,
 		return err
 	}
 	fmt.Println(res.Table())
-	fmt.Printf("[sweep: %d jobs, %d workers, %d steals, %.1fs]\n",
-		len(res.Specs), res.Result.Workers, res.Result.Steals, res.Result.Wall.Seconds())
+	fmt.Printf("[sweep: %d jobs, %d workers, %.1fs]\n",
+		len(res.Specs), res.Result.Workers, res.Result.Wall.Seconds())
 	fmt.Printf("[total %.1fs; replay any job with -replay '<id>' from -jobs]\n", time.Since(start).Seconds())
 
 	if withProf {

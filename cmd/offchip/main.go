@@ -28,32 +28,22 @@
 //
 //	offchip -app apsi -seed 7              # decorrelate the DRAM jitter stream
 //	offchip -replay '<job-id>'             # re-run one sweep job bit-exactly
-//
-// Sweep service client (see README "Running a sweep service"):
-//
-//	offchip -submit http://host:9191                  # submit the full suite sweep
-//	offchip -submit http://host:9191 -apps apsi,swim -cap 100
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"offchip/internal/approx"
 	"offchip/internal/check"
 	"offchip/internal/core"
-	"offchip/internal/experiments"
 	"offchip/internal/ir"
 	"offchip/internal/layout"
 	"offchip/internal/mem"
@@ -62,7 +52,6 @@ import (
 	"offchip/internal/runner"
 	"offchip/internal/sim"
 	"offchip/internal/stats"
-	"offchip/internal/sweepq"
 	"offchip/internal/tracecache"
 	"offchip/internal/workloads"
 )
@@ -99,30 +88,10 @@ func run() error {
 	replay := flag.String("replay", "", "re-run one sweep job from its canonical ID (see benchtab -jobs) and exit")
 	cacheFlag := flag.String("trace-cache", "", `memoize trace generation: "mem" (in-process) or a directory for a persistent cache`)
 	sampleFlag := flag.String("sample", "off", `sampled simulation: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
-	submit := flag.String("submit", "", "submit a sweep to a sweepd service at this base URL, wait, and print the results")
-	submitApps := flag.String("apps", "", "-submit: comma-separated applications (empty: the full suite)")
-	submitSchemes := flag.String("schemes", "", "-submit: comma-separated layout schemes (empty: all)")
-	submitCap := flag.Int("cap", 0, "-submit: trace length cap per thread (0: full traces)")
 	flag.Parse()
 
 	if *replay != "" {
 		return replayJob(*replay)
-	}
-	if *submit != "" {
-		req := &experiments.Request{
-			Cap:  *submitCap,
-			Seed: *seed,
-		}
-		if *submitApps != "" {
-			req.Apps = strings.Split(*submitApps, ",")
-		}
-		if *submitSchemes != "" {
-			req.Schemes = strings.Split(*submitSchemes, ",")
-		}
-		if *sampleFlag != "off" {
-			req.Sample = *sampleFlag
-		}
-		return submitSweep(strings.TrimRight(*submit, "/"), req)
 	}
 
 	if *pprofAddr != "" {
@@ -559,114 +528,6 @@ func replayJob(id string) error {
 			a.PctArraysOptimized(), a.PctRefsSatisfied())
 	}
 	return nil
-}
-
-// submitSweep is the sweep-service client: POST the request to /submit,
-// wait for every job to finish (polling /jobs/<id>), and render the same
-// improvements table an in-process sweep would print — built entirely from
-// the canonical result projections the service hands back.
-func submitSweep(base string, req *experiments.Request) error {
-	body, err := json.Marshal(sweepq.SubmitRequest{Request: req})
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(base+"/submit", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("submit: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-	}
-	var sub sweepq.SubmitResult
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "offchip: submitted %d jobs (%d new, %d cached, %d coalesced)\n",
-		len(sub.IDs), sub.Accepted, sub.Cached, sub.Coalesced)
-
-	// Wait for each job in submission order; the service dedups, so waiting
-	// sequentially still tracks overall completion.
-	statuses := make([]*sweepq.JobStatus, len(sub.IDs))
-	for i, id := range sub.IDs {
-		js, err := awaitJob(base, id)
-		if err != nil {
-			return err
-		}
-		statuses[i] = js
-		fmt.Fprintf(os.Stderr, "\roffchip: %d/%d jobs done", i+1, len(sub.IDs))
-	}
-	fmt.Fprintln(os.Stderr)
-
-	t := &stats.Table{
-		Title:   "sweep service results (improvement vs baseline)",
-		Headers: []string{"app", "l2", "interleave", "exec%", "mem%", "offchip-net%"},
-	}
-	failed := 0
-	for _, js := range statuses {
-		spec, err := runner.ParseJobID(js.ID)
-		if err != nil {
-			return err
-		}
-		if js.State == "failed" {
-			failed++
-			fmt.Fprintf(os.Stderr, "offchip: job %s failed: %s\n", js.ID, js.Err)
-			continue
-		}
-		// The canonical projection carries the three metric blocks for
-		// compare-mode jobs; decode just those and rebuild the comparison.
-		var can struct {
-			Baseline  *core.Metrics `json:"Baseline"`
-			Optimized *core.Metrics `json:"Optimized"`
-			Optimal   *core.Metrics `json:"Optimal"`
-		}
-		if err := json.Unmarshal(js.Canonical, &can); err != nil {
-			return fmt.Errorf("job %s: decode canonical result: %w", js.ID, err)
-		}
-		if can.Baseline == nil || can.Optimized == nil {
-			fmt.Fprintf(os.Stderr, "offchip: job %s is not a compare-mode job; skipping\n", js.ID)
-			continue
-		}
-		c := core.Comparison{Baseline: *can.Baseline, Optimized: *can.Optimized}
-		if can.Optimal != nil {
-			c.Optimal = *can.Optimal
-		}
-		t.AddF(spec.App, orDefault(spec.L2, "private"), orDefault(spec.Interleave, "line"),
-			100*c.ExecImprovement(), 100*c.MemImprovement(), 100*c.OffChipNetImprovement())
-	}
-	fmt.Println(t.String())
-	if failed > 0 {
-		return fmt.Errorf("%d job(s) failed", failed)
-	}
-	return nil
-}
-
-// awaitJob polls one job's status until it settles.
-func awaitJob(base, id string) (*sweepq.JobStatus, error) {
-	for {
-		resp, err := http.Get(base + "/jobs/" + id)
-		if err != nil {
-			return nil, fmt.Errorf("jobs: %w", err)
-		}
-		var js sweepq.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&js)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if js.State == "done" || js.State == "failed" {
-			return &js, nil
-		}
-		time.Sleep(250 * time.Millisecond)
-	}
-}
-
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
 }
 
 // writeMetrics dumps every run's registry as JSONL, one point per line,

@@ -90,23 +90,30 @@ func TestGoldenFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", c.name+".golden")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden snapshot (run with -update to create): %v", err)
-			}
-			if got != string(want) {
-				t.Errorf("%s rendering drifted from golden snapshot.\n--- got ---\n%s\n--- want ---\n%s", c.name, got, want)
-			}
+			checkGolden(t, c.name, got)
 		})
+	}
+}
+
+// checkGolden compares got with testdata/<name>.golden, or rewrites that
+// file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden snapshot (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s rendering drifted from golden snapshot.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }

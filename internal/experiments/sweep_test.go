@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"offchip/internal/runner"
+	"offchip/internal/stats"
 )
 
 // TestExampleSweepGoldenJobList pins the enumerated job list: stable,
@@ -42,6 +43,26 @@ func TestExampleSweepGoldenJobList(t *testing.T) {
 	if !reflect.DeepEqual(specs, again) {
 		t.Error("two enumerations of the same config differ")
 	}
+}
+
+// TestExampleSweepGoldenTable pins the numbers of one small example sweep:
+// apsi under the three sweepSchemes at 100 accesses per thread, on two
+// workers, as the app, scheme and three headline improvements.
+func TestExampleSweepGoldenTable(t *testing.T) {
+	res, err := RunSweep(Config{Apps: []string{"apsi"}, MaxAccessesPerThread: 100, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := &stats.Table{
+		Title:   "example sweep: app × layout scheme",
+		Headers: []string{"app", "scheme", "exec%", "mem%", "offchip-net%"},
+	}
+	for i, o := range res.Result.Outcomes {
+		c := o.Comparison
+		table.AddF(o.Spec.App, sweepSchemes[i%len(sweepSchemes)].Name,
+			100*c.ExecImprovement(), 100*c.MemImprovement(), 100*c.OffChipNetImprovement())
+	}
+	checkGolden(t, "example_sweep", table.String())
 }
 
 // TestDeterminismSweepParallelMatchesSequential is the tentpole's

@@ -50,8 +50,8 @@ type tuneWorkload struct {
 // negative means it thrashed. The trailing "min" column is the
 // worst-workload net, the number a default spec must keep non-negative, and
 // the title names the grid's winner (highest min, mean as tie-break). All
-// jobs are canonical runner jobs, so the sweep shards across workers — or
-// across sweepd shards — like any other suite.
+// jobs are canonical runner jobs, so the sweep shards across workers like
+// any other suite.
 func FigTune(cfg Config) (*FigResult, error) {
 	apps, err := cfg.apps()
 	if err != nil {

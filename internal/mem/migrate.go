@@ -111,8 +111,8 @@ func (s MigrationSpec) String() string {
 // disabled (nil); "on" means the defaults. Only the canonical rendering is
 // accepted: a spec whose numerals re-render differently ("h+16…", "h016…",
 // an explicit "g1") is rejected, because job IDs embed the string verbatim
-// and the sweep service dedups jobs by ID bytes — two spellings of one spec
-// would defeat that dedup silently.
+// and -replay handles, recorded job lists and bench pins match them by ID
+// bytes — two spellings of one spec would be two jobs.
 func ParseMigrationSpec(s string) (*MigrationSpec, error) {
 	switch s {
 	case "", "off":

@@ -301,11 +301,10 @@ func (r *Registry) Histogram(component, name string, bounds []int64, labels ...s
 }
 
 // Point is one metric's exported state, as serialized to the JSONL metrics
-// dump. Counters fill Value; time-weighted gauges fill Value and Avg
-// (over [0, until] as passed to Snapshot) plus the raw Integral/Last pair;
-// histograms fill Buckets, Counts, Sum, and Count. A point slice carries
-// everything a registry holds: FromPoints inverts Snapshot exactly, which is
-// how sweep workers stream whole registries across a process boundary.
+// dumps (offchip -metrics, benchtab -sweep-out). Counters fill Value;
+// time-weighted gauges fill Value and Avg (over [0, until] as passed to
+// Snapshot) plus the raw Integral/Last pair; histograms fill Buckets,
+// Counts, Sum, and Count.
 type Point struct {
 	Run       string            `json:"run,omitempty"`
 	Component string            `json:"component"`

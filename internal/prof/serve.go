@@ -21,7 +21,7 @@ import (
 // text exposition (/metrics), sweep progress as JSON (/progress), and the
 // current attribution snapshot (/profile). The listener binds before the
 // run starts — a bad address fails fast instead of racing a goroutine —
-// and shuts down cleanly at exit; cmd/sweepd will mount the same handler.
+// and shuts down cleanly at exit.
 
 // Progress is the /progress payload. The serving side fills Elapsed and
 // ETA from its own clock; callbacks fill the job counts.
@@ -46,11 +46,6 @@ type ServerConfig struct {
 	Profiles func() map[string]*Profile
 	// Progress returns the current job counts for /progress.
 	Progress func() Progress
-	// Extra mounts additional handlers on the plane's mux (path →
-	// handler) — how the sweep service adds /submit, /jobs/, and /state
-	// next to the built-in endpoints. Paths must not collide with the
-	// built-ins ("/", "/metrics", "/progress", "/profile").
-	Extra map[string]http.HandlerFunc
 }
 
 // Server is the live observability endpoint.
@@ -77,9 +72,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/progress", s.handleProgress)
 	mux.HandleFunc("/profile", s.handleProfile)
-	for path, h := range cfg.Extra {
-		mux.HandleFunc(path, h)
-	}
 	s.srv = &http.Server{Handler: mux}
 	return s, nil
 }

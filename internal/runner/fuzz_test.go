@@ -9,7 +9,8 @@ import (
 // The contract: ParseJobID never panics, and anything it accepts renders a
 // canonical ID that is a fixed point — re-parsing yields the same normalized
 // spec and the same ID bytes. That fixed point is what makes job IDs safe as
-// replay handles, dedup keys, and journal entries in the sweep service.
+// -replay handles, as the entries of recorded job lists and bench pins, and
+// as the key Run rejects duplicate jobs by.
 func FuzzParseJobID(f *testing.F) {
 	// Seed with real canonical IDs, including the sample= and trace-cache-era
 	// variants, plus near-misses.

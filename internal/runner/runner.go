@@ -20,12 +20,8 @@ type Options struct {
 	Workers int
 	// OnJob, when set, is invoked once per finished job. Calls are
 	// serialized (safe for terminal output) but their order follows
-	// completion, which is not deterministic under stealing.
+	// completion, which is not deterministic with more than one worker.
 	OnJob func(ev JobEvent)
-	// Executor runs each job; nil means Local (in-process). A remote
-	// executor (e.g. the sweep service's process fleet) must uphold the
-	// determinism contract documented on the Executor interface.
-	Executor Executor
 }
 
 // JobEvent reports one finished job to Options.OnJob.
@@ -52,37 +48,6 @@ type Result struct {
 	Outcomes []*JobOutcome
 	Workers  int
 	Wall     time.Duration
-	// Steals counts jobs a worker took from another worker's deque.
-	Steals int64
-}
-
-// deque is one worker's job queue: the owner pops from the front, thieves
-// steal from the back. Jobs are indices into the shared spec slice.
-type deque struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return 0, false
-	}
-	j := d.jobs[0]
-	d.jobs = d.jobs[1:]
-	return j, true
-}
-
-func (d *deque) popBack() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return 0, false
-	}
-	j := d.jobs[len(d.jobs)-1]
-	d.jobs = d.jobs[:len(d.jobs)-1]
-	return j, true
 }
 
 // Run executes every spec and returns the outcomes in input order.
@@ -114,26 +79,13 @@ func Run(specs []JobSpec, opt Options) (*Result, error) {
 		return res, nil
 	}
 
-	// Deal jobs round-robin so every deque starts with a similar share;
-	// stealing rebalances whatever the deal got wrong.
-	deques := make([]*deque, workers)
-	for w := range deques {
-		deques[w] = &deque{}
-	}
-	for i := range specs {
-		w := i % workers
-		deques[w].jobs = append(deques[w].jobs, i)
-	}
-
-	exec := opt.Executor
-	if exec == nil {
-		exec = Local
-	}
+	// One shared cursor hands out the next unstarted job, so a worker that
+	// finishes early simply takes more jobs.
 	var (
-		done   atomic.Int64
-		steals atomic.Int64
-		evMu   sync.Mutex
-		wg     sync.WaitGroup
+		next atomic.Int64
+		done atomic.Int64
+		evMu sync.Mutex
+		wg   sync.WaitGroup
 	)
 	start := time.Now()
 	for w := 0; w < workers; w++ {
@@ -141,20 +93,12 @@ func Run(specs []JobSpec, opt Options) (*Result, error) {
 		go func(w int) {
 			defer wg.Done()
 			for {
-				i, ok := deques[w].popFront()
-				if !ok {
-					// Own deque dry: steal from the back of the others,
-					// scanning from the next worker around the ring.
-					for k := 1; k < workers && !ok; k++ {
-						i, ok = deques[(w+k)%workers].popBack()
-					}
-					if !ok {
-						return
-					}
-					steals.Add(1)
+				i := int(next.Add(1) - 1)
+				if i >= len(specs) {
+					return
 				}
 				t0 := time.Now()
-				out := exec.Execute(specs[i])
+				out := specs[i].execute()
 				out.Worker = w
 				out.WallNS = time.Since(t0).Nanoseconds()
 				res.Outcomes[i] = out
@@ -178,7 +122,6 @@ func Run(specs []JobSpec, opt Options) (*Result, error) {
 	}
 	wg.Wait()
 	res.Wall = time.Since(start)
-	res.Steals = steals.Load()
 	return res, nil
 }
 

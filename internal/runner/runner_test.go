@@ -141,8 +141,9 @@ func TestDeterminismReplayFromID(t *testing.T) {
 }
 
 func TestRunKeepsInputOrder(t *testing.T) {
-	// Analyze-only jobs are cheap, so a larger set exercises the deques
-	// and stealing paths; outcomes must land at their input index anyway.
+	// Analyze-only jobs are cheap, so a larger set keeps eight workers
+	// racing on the shared job cursor; outcomes must land at their input
+	// index anyway.
 	var specs []JobSpec
 	for _, app := range []string{"apsi", "swim", "mgrid", "art", "gafort"} {
 		for _, threads := range []int{0, 16, 32, 64} {

@@ -1,12 +1,12 @@
 // Package runner shards independent experiment jobs — one (workload,
 // layout scheme, mesh/MC configuration, seed) simulation each — across a
-// work-stealing pool of workers. Every job gets a private observability
-// registry and a jitter seed derived from a stable hash of its job ID, so
-// a parallel sweep is bit-identical to a sequential one and any single job
-// can be replayed from its ID alone (the -replay flag of cmd/benchtab).
-// After the jobs finish, the per-job registries fold into one merged
-// registry (see obs.MergeScoped) from which the Figure 13/15/18 tables are
-// rendered.
+// pool of workers, each taking the next unstarted job in input order.
+// Every job gets a private observability registry and a jitter seed
+// derived from a stable hash of its job ID, so a parallel sweep is
+// bit-identical to a sequential one and any single job can be replayed
+// from its ID alone (the -replay flag of cmd/benchtab). After the jobs
+// finish, the per-job registries fold into one merged registry (see
+// obs.MergeScoped) from which the Figure 13/15/18 tables are rendered.
 package runner
 
 import (
@@ -416,13 +416,6 @@ type JobOutcome struct {
 	Err    error
 	Worker int   // which worker executed the job (not deterministic)
 	WallNS int64 // job wall-clock (not deterministic)
-
-	// Canonical, when non-empty, is a precomputed deterministic projection
-	// that CanonicalJSON returns verbatim. The sweep service's fleet
-	// executor sets it from the worker's wire form, so a remotely executed
-	// outcome projects byte-identically even for modes (analyze) whose
-	// inputs are not reconstructible from the projection itself.
-	Canonical json.RawMessage
 }
 
 // canonicalOutcome is the deterministic projection of a JobOutcome — the
@@ -444,9 +437,6 @@ type canonicalOutcome struct {
 func (o *JobOutcome) CanonicalJSON() ([]byte, error) {
 	if o.Err != nil {
 		return nil, o.Err
-	}
-	if len(o.Canonical) > 0 {
-		return o.Canonical, nil
 	}
 	c := canonicalOutcome{ID: o.ID, Run: o.Run}
 	if o.Comparison != nil {

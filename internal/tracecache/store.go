@@ -7,13 +7,10 @@ import (
 	"strings"
 )
 
-// Store is the content-addressed on-disk blob layer underneath the trace
-// cache, factored out so other subsystems can persist derived artifacts the
-// same way (the sweep service keys job-result blobs on canonical job IDs).
-// Writers are atomic (temp file + rename), so concurrent processes sharing a
-// directory never observe a torn blob; identity lives in the caller-chosen
-// file name, which by convention embeds a readability prefix plus a stable
-// hash (see SanitizeName and Key.filename).
+// Store is the trace cache's on-disk layer: one OTC1 blob per file in one
+// directory, named by Key.filename (a readability prefix from SanitizeName
+// plus the key's stable hash). Writes are atomic (temp file + rename), so
+// processes sharing a cache directory never observe a torn blob.
 type Store struct {
 	dir string
 }
@@ -28,9 +25,6 @@ func NewStore(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Load reads a blob by name. Any failure (most commonly a missing file)
 // degrades to nil — blob stores are caches, never sources of truth.

@@ -79,7 +79,8 @@ func (s MixSpec) Apps() []*App {
 // mix (nil). Like ParseMigrationSpec, only the canonical rendering is
 // accepted — a spec whose numerals re-render differently ("@+16", "@016")
 // or whose N disagrees with the entry count is rejected, because job IDs
-// embed the string verbatim and the sweep service dedups jobs by ID bytes.
+// embed the string verbatim and -replay handles, recorded job lists and
+// bench pins match them by ID bytes.
 func ParseMixSpec(s string) (*MixSpec, error) {
 	if s == "" {
 		return nil, nil
