@@ -13,11 +13,12 @@
 //	benchtab -jobs                           # print the sweep's job IDs
 //	benchtab -replay '<job-id>'              # re-run one job, bit-exact
 //
-// Sweep observability (see EXPERIMENTS.md "Profiling a sweep"):
+// Observability, for -sweep and every -exp experiment alike (see
+// EXPERIMENTS.md "Profiling a sweep"):
 //
-//	benchtab -sweep -prof                    # sweep-wide latency attribution
+//	benchtab -exp fig16 -prof                # sweep-wide latency attribution
 //	benchtab -sweep -serve :9090             # live /metrics, /progress, /profile
-//	benchtab -sweep -sweep-out s.jsonl       # merged registry dump + manifest
+//	benchtab -exp fig13 -sweep-out s.jsonl   # every job run's registry + manifest
 //	benchtab -replay '<job-id>' -prof        # attribution of one replayed job
 //
 // Each experiment prints a fixed-width table whose rows correspond to the
@@ -59,10 +60,11 @@ func main() {
 	cacheFlag := flag.String("trace-cache", "", `memoize trace generation across experiments: "mem" (in-process) or a directory for a persistent cache`)
 	sampleFlag := flag.String("sample", "", `sampled simulation for job-sharded experiments: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
 	migrateFlag := flag.String("migrate", "", `hot-page migration spec for figmig/figmix dynamic and hybrid runs: on | h<thr>w<win>c<cool>f<flits>t<stall>[g<pages>] (default: "on" for figmig; figmix retunes to per-page granularity)`)
-	profFlag := flag.Bool("prof", false, "attach the latency-attribution profiler to every job and print the sweep-wide differential attribution")
-	serveAddr := flag.String("serve", "", "serve the live sweep observability plane (/metrics, /progress, /profile) on this address")
-	sweepOut := flag.String("sweep-out", "", "write the sweep's merged registry as JSONL, plus a .manifest.json provenance record")
+	profFlag := flag.Bool("prof", false, "attach the latency-attribution profiler to every job and print the attribution summed over all jobs")
+	serveAddr := flag.String("serve", "", "serve the live observability plane (/metrics, /progress, /profile) of every finished job on this address")
+	sweepOut := flag.String("sweep-out", "", "write every finished job run's registry as JSONL, plus a .manifest.json provenance record")
 	flag.Parse()
+	start := time.Now()
 
 	cfg := experiments.Config{Parallel: *parallel, Seed: *seed, Prof: *profFlag}
 	if *apps != "" {
@@ -92,16 +94,6 @@ func main() {
 	if *quick {
 		cfg.MaxAccessesPerThread = 200
 	}
-	if *progress {
-		cfg.OnJob = func(ev runner.JobEvent) {
-			status := "ok"
-			if ev.Err != nil {
-				status = "FAIL: " + ev.Err.Error()
-			}
-			fmt.Fprintf(os.Stderr, "[%3d/%3d] w%d %6.2fs %s %s\n",
-				ev.Done, ev.Total, ev.Worker, float64(ev.WallNS)/1e9, ev.ID, status)
-		}
-	}
 
 	switch {
 	case *replay != "":
@@ -118,35 +110,89 @@ func main() {
 			fmt.Println(s.ID())
 		}
 		return
-	case *sweep:
-		if err := runSweep(cfg, *serveAddr, *sweepOut, *profFlag, *seed); err != nil {
-			fail(err)
-		}
-		return
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = experiments.AllIDs()
-	}
-	for _, id := range ids {
-		start := time.Now()
-		if *asJSON {
-			raw, err := experiments.RunJSON(id, cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", id, err)
-				os.Exit(1)
+	rec := newRecorder(*serveAddr != "" || *sweepOut != "", *parallel)
+	cfg.OnJob = func(ev runner.JobEvent) {
+		if *progress {
+			status := "ok"
+			if ev.Err != nil {
+				status = "FAIL: " + ev.Err.Error()
 			}
-			fmt.Println(string(raw))
-			continue
+			fmt.Fprintf(os.Stderr, "[%3d/%3d] w%d %6.2fs %s %s\n",
+				ev.Done, ev.Total, ev.Worker, float64(ev.WallNS)/1e9, ev.ID, status)
 		}
-		out, err := experiments.Run(id, cfg)
+		rec.observe(ev)
+	}
+	if *serveAddr != "" {
+		srv, err := prof.NewServer(prof.ServerConfig{
+			Addr:       *serveAddr,
+			Registries: rec.registries,
+			Profiles:   rec.profileCopies,
+			Progress:   rec.progress,
+		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %s: %v\n", id, err)
-			os.Exit(1)
+			fail(err)
 		}
-		fmt.Println(out)
-		fmt.Printf("[%s took %.1fs]\n\n", id, time.Since(start).Seconds())
+		srv.Start()
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "benchtab: observability plane on http://%s\n", srv.Addr())
+	}
+
+	if *sweep {
+		res, err := experiments.RunSweep(cfg)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Println(res.Table())
+		fmt.Printf("[sweep: %d jobs, %d workers, %.1fs]\n",
+			len(res.Specs), res.Result.Workers, res.Result.Wall.Seconds())
+		fmt.Printf("[total %.1fs; replay any job with -replay '<id>' from -jobs]\n", time.Since(start).Seconds())
+	} else {
+		ids := []string{*exp}
+		if *exp == "all" {
+			ids = experiments.AllIDs()
+		}
+		for _, id := range ids {
+			t0 := time.Now()
+			if *asJSON {
+				raw, err := experiments.RunJSON(id, cfg)
+				if err != nil {
+					fail(fmt.Errorf("%s: %w", id, err))
+				}
+				fmt.Println(string(raw))
+				continue
+			}
+			out, err := experiments.Run(id, cfg)
+			if err != nil {
+				fail(fmt.Errorf("%s: %w", id, err))
+			}
+			fmt.Println(out)
+			fmt.Printf("[%s took %.1fs]\n\n", id, time.Since(t0).Seconds())
+		}
+	}
+
+	if *profFlag {
+		fmt.Println()
+		printAttribution("sweep latency attribution", rec.profiles)
+		if p := rec.profiles["optimized"]; p != nil {
+			fmt.Println(prof.QuantileTable("sweep optimized-run stage latency quantiles (cycles)", p).String())
+		}
+	}
+	if *sweepOut != "" {
+		m := prof.NewManifest(start)
+		m.Seed = *seed
+		m.Config = map[string]string{
+			"apps":     strings.Join(cfg.Apps, ","),
+			"cap":      strconv.Itoa(cfg.MaxAccessesPerThread),
+			"parallel": strconv.Itoa(cfg.Parallel),
+			"prof":     strconv.FormatBool(*profFlag),
+		}
+		if err := rec.write(*sweepOut, m); err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "benchtab: wrote every job run's registry to %s (manifest %s)\n",
+			*sweepOut, prof.ManifestPath(*sweepOut))
 	}
 }
 
@@ -155,147 +201,152 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// runSweep runs the example sweep with the sweep-level observability
-// attached: the live HTTP plane (when -serve), the merged-registry dump and
-// provenance manifest (when -sweep-out), and the sweep-wide differential
-// attribution (when -prof).
-func runSweep(cfg experiments.Config, serveAddr, sweepOut string, withProf bool, seed uint64) error {
-	specs, err := cfg.ExampleSweep()
+// recorder is benchtab's one job observer, for -sweep and every -exp
+// experiment alike. Each job ID is recorded once per process, however many
+// experiments run it: its runs' registries under "<ShortID>/<run>" labels
+// (kept only for -serve and -sweep-out) and its profiles, summed per run
+// name. OnJob calls are serialized, but the live plane reads concurrently.
+type recorder struct {
+	keepRuns bool
+	parallel int
+
+	mu       sync.Mutex
+	seen     map[string]bool          // job IDs recorded so far
+	runs     map[string]recordedRun   // "<ShortID>/<run>" → registry
+	profiles map[string]*prof.Profile // run name → sum over recorded jobs
+	done     int                      // finished jobs, failed ones included
+	total    int                      // jobs of every sweep started so far
+	failed   int
+}
+
+// newRecorder returns a recorder that keeps run registries when keepRuns is
+// set; parallel is the worker count, for /progress's in-flight estimate.
+func newRecorder(keepRuns bool, parallel int) *recorder {
+	return &recorder{
+		keepRuns: keepRuns,
+		parallel: parallel,
+		seen:     map[string]bool{},
+		runs:     map[string]recordedRun{},
+		profiles: map[string]*prof.Profile{},
+	}
+}
+
+// recordedRun is one job run's registry and the end time its snapshot is
+// taken at.
+type recordedRun struct {
+	reg   *obs.Registry
+	until int64
+}
+
+func (r *recorder) observe(ev runner.JobEvent) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.done++
+	if ev.Done == 1 {
+		r.total += ev.Total // exactly one event of each runner sweep
+	}
+	if ev.Err != nil {
+		r.failed++
+	}
+	o := ev.Outcome
+	if o == nil || o.Err != nil || r.seen[o.ID] {
+		return
+	}
+	r.seen[o.ID] = true
+	if r.keepRuns {
+		for run, ob := range o.Observers {
+			r.runs[o.ShortID+"/"+run] = recordedRun{ob.Reg, o.ExecTimes[run]}
+		}
+	}
+	for run, p := range o.Profiles {
+		if r.profiles[run] == nil {
+			r.profiles[run] = &prof.Profile{}
+		}
+		r.profiles[run].Add(p)
+	}
+}
+
+func (r *recorder) registries() map[string]*obs.Registry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]*obs.Registry, len(r.runs))
+	for label, rr := range r.runs {
+		out[label] = rr.reg
+	}
+	return out
+}
+
+func (r *recorder) profileCopies() map[string]*prof.Profile {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string]*prof.Profile, len(r.profiles))
+	for run, p := range r.profiles {
+		c := &prof.Profile{}
+		c.Add(p) // deep copy: the sum keeps growing
+		out[run] = c
+	}
+	return out
+}
+
+func (r *recorder) progress() prof.Progress {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// A sweep's first event may arrive after its second (the runner counts
+	// a job done before it takes the event lock), so done can pass total
+	// for a moment.
+	inflight := max(min(r.total-r.done, max(r.parallel, 1)), 0)
+	return prof.Progress{TotalJobs: r.total, DoneJobs: r.done, InFlight: inflight, Failed: r.failed}
+}
+
+// write dumps every recorded run's snapshot at its end time, in label
+// order, through the writer offchip -metrics uses, and the manifest next to
+// it.
+func (r *recorder) write(path string, m *prof.Manifest) error {
+	labels := make([]string, 0, len(r.runs))
+	for label := range r.runs {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	manifest := prof.NewManifest()
-	manifest.Seed = seed
-	manifest.Config = map[string]string{
-		"apps":     strings.Join(cfg.Apps, ","),
-		"cap":      strconv.Itoa(cfg.MaxAccessesPerThread),
-		"parallel": strconv.Itoa(cfg.Parallel),
-		"prof":     strconv.FormatBool(withProf),
-	}
-	for _, s := range specs {
-		manifest.Jobs = append(manifest.Jobs, s.ID())
-	}
-
-	// The live plane folds each job's registries and profiles in as the job
-	// completes (OnJob calls are serialized by the runner). The registry is
-	// safe for concurrent snapshot; profiles are copied out under the mutex.
-	var (
-		liveMu    sync.Mutex
-		liveReg   = obs.NewRegistry()
-		liveProfs = map[string]*prof.Profile{}
-		liveDone  int
-		liveFail  int
-	)
-	if serveAddr != "" {
-		prev := cfg.OnJob
-		cfg.OnJob = func(ev runner.JobEvent) {
-			if prev != nil {
-				prev(ev)
-			}
-			liveMu.Lock()
-			defer liveMu.Unlock()
-			liveDone = ev.Done
-			if ev.Err != nil {
-				liveFail++
-			}
-			o := ev.Outcome
-			if o == nil || o.Err != nil {
-				return
-			}
-			runs := make([]string, 0, len(o.Observers))
-			for run := range o.Observers {
-				runs = append(runs, run)
-			}
-			sort.Strings(runs)
-			for _, run := range runs {
-				if ob := o.Observers[run]; ob != nil && ob.Reg != nil {
-					liveReg.MergeScoped(ob.Reg, o.ExecTimes[run], "job="+o.ShortID, "run="+run)
-				}
-			}
-			for run, p := range o.Profiles {
-				if liveProfs[run] == nil {
-					liveProfs[run] = &prof.Profile{}
-				}
-				liveProfs[run].Add(p)
-			}
-		}
-		srv, err := prof.NewServer(prof.ServerConfig{
-			Addr: serveAddr,
-			Registries: func() map[string]*obs.Registry {
-				return map[string]*obs.Registry{"sweep": liveReg}
-			},
-			Profiles: func() map[string]*prof.Profile {
-				liveMu.Lock()
-				defer liveMu.Unlock()
-				out := make(map[string]*prof.Profile, len(liveProfs))
-				for run, p := range liveProfs {
-					c := &prof.Profile{}
-					c.Add(p) // deep copy: the live aggregate keeps mutating
-					out[run] = c
-				}
-				return out
-			},
-			Progress: func() prof.Progress {
-				liveMu.Lock()
-				defer liveMu.Unlock()
-				inflight := len(specs) - liveDone
-				if w := cfg.Parallel; w >= 1 && inflight > w {
-					inflight = w
-				}
-				return prof.Progress{
-					TotalJobs: len(specs), DoneJobs: liveDone,
-					InFlight: inflight, Failed: liveFail,
-				}
-			},
-		})
-		if err != nil {
-			return err
-		}
-		srv.Start()
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "benchtab: observability plane on http://%s\n", srv.Addr())
-	}
-
-	start := time.Now()
-	res, err := experiments.RunSweep(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Table())
-	fmt.Printf("[sweep: %d jobs, %d workers, %.1fs]\n",
-		len(res.Specs), res.Result.Workers, res.Result.Wall.Seconds())
-	fmt.Printf("[total %.1fs; replay any job with -replay '<id>' from -jobs]\n", time.Since(start).Seconds())
-
-	if withProf {
-		profs := res.Profiles()
-		fmt.Println()
-		fmt.Println(prof.DiffTable("sweep latency attribution (cycles/access, baseline vs optimized, all jobs)",
-			profs["baseline"], profs["optimized"]).String())
-		fmt.Println(prof.QuantileTable("sweep optimized-run stage latency quantiles (cycles)",
-			profs["optimized"]).String())
-		if p := profs["optimized"]; p != nil {
-			manifest.StageTotals = p.StageTotals()
-		}
-	}
-	if sweepOut != "" {
-		f, err := os.Create(sweepOut)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteJSONL(f, res.Merged.Snapshot(0)); err != nil {
+	for _, label := range labels {
+		rr := r.runs[label]
+		if err := obs.WriteRun(f, label, rr.reg, rr.until); err != nil {
 			f.Close()
 			return err
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		if err := manifest.Write(prof.ManifestPath(sweepOut)); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "benchtab: wrote merged sweep registry to %s (manifest %s)\n",
-			sweepOut, prof.ManifestPath(sweepOut))
 	}
-	return nil
+	if err := f.Close(); err != nil {
+		return err
+	}
+	for id := range r.seen {
+		m.Jobs = append(m.Jobs, id)
+	}
+	sort.Strings(m.Jobs)
+	if p := r.profiles["optimized"]; p != nil {
+		m.StageTotals = p.StageTotals()
+	}
+	return m.Write(prof.ManifestPath(path))
+}
+
+// printAttribution prints per-run latency attribution: the baseline vs
+// optimized differential table when both runs were profiled, otherwise one
+// table per profiled run.
+func printAttribution(title string, profiles map[string]*prof.Profile) {
+	if base, opt := profiles["baseline"], profiles["optimized"]; base != nil && opt != nil {
+		fmt.Println(prof.DiffTable(title+" (cycles/access, baseline vs optimized)", base, opt).String())
+		return
+	}
+	runs := make([]string, 0, len(profiles))
+	for run := range profiles {
+		runs = append(runs, run)
+	}
+	sort.Strings(runs)
+	for _, run := range runs {
+		fmt.Println(prof.AttributionTable(title+": "+run, profiles[run]).String())
+	}
 }
 
 // replayJob re-executes one job from its ID and prints the canonical
@@ -327,18 +378,7 @@ func replayJob(id string, withProf bool) error {
 		return err
 	}
 	if withProf {
-		if base, opt := out.Profiles["baseline"], out.Profiles["optimized"]; base != nil && opt != nil {
-			fmt.Println(prof.DiffTable("latency attribution (cycles/access, baseline vs optimized)", base, opt).String())
-		} else {
-			runs := make([]string, 0, len(out.Profiles))
-			for run := range out.Profiles {
-				runs = append(runs, run)
-			}
-			sort.Strings(runs)
-			for _, run := range runs {
-				fmt.Println(prof.AttributionTable("latency attribution: "+run, out.Profiles[run]).String())
-			}
-		}
+		printAttribution("latency attribution", out.Profiles)
 	}
 	return nil
 }

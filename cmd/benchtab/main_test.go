@@ -1,0 +1,159 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"offchip/internal/obs"
+	"offchip/internal/prof"
+	"offchip/internal/runner"
+)
+
+// TestMain lets the tests run benchtab itself: with BENCHTAB_TEST_MAIN set,
+// the test binary is benchtab and takes its flags from the command line.
+func TestMain(m *testing.M) {
+	if os.Getenv("BENCHTAB_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// benchtab runs the test binary as benchtab with args and returns its
+// standard output.
+func benchtab(t *testing.T, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "BENCHTAB_TEST_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("benchtab %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
+	}
+	return string(out)
+}
+
+// TestObservabilityOnAnExperiment runs -prof and -sweep-out on a figure
+// experiment: the sweep-wide attribution is printed, the dump holds each of
+// the job's runs under "<ShortID>/<run>", its manifest names the job, and
+// the dump's bytes do not depend on the worker count.
+func TestObservabilityOnAnExperiment(t *testing.T) {
+	job := runner.JobSpec{App: "apsi", Cap: 200} // fig13 -apps apsi -quick
+	dir := t.TempDir()
+	var dumps [][]byte
+	for _, workers := range []string{"1", "2"} {
+		path := filepath.Join(dir, "w"+workers+".jsonl")
+		out := benchtab(t, "-exp", "fig13", "-apps", "apsi", "-quick", "-prof",
+			"-sweep-out", path, "-parallel", workers)
+		if !strings.Contains(out, "== sweep latency attribution (cycles/access, baseline vs optimized) ==") {
+			t.Errorf("-parallel %s: no attribution table in\n%s", workers, out)
+		}
+
+		dump, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := map[string]int{}
+		sc := bufio.NewScanner(bytes.NewReader(dump))
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			var p obs.Point
+			if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+				t.Fatalf("-parallel %s: dump line %q: %v", workers, sc.Text(), err)
+			}
+			runs[p.Run]++
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []string{"baseline", "optimized", "optimal"} {
+			if runs[job.ShortID()+"/"+run] == 0 {
+				t.Errorf("-parallel %s: dump has no points of run %s/%s (has %v)", workers, job.ShortID(), run, runs)
+			}
+		}
+		if len(runs) != 3 {
+			t.Errorf("-parallel %s: dump holds %d runs, want 3: %v", workers, len(runs), runs)
+		}
+
+		raw, err := os.ReadFile(prof.ManifestPath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m prof.Manifest
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatalf("-parallel %s: manifest: %v", workers, err)
+		}
+		if len(m.Jobs) != 1 || m.Jobs[0] != job.ID() || m.Config["parallel"] != workers || len(m.StageTotals) == 0 {
+			t.Errorf("-parallel %s: manifest = %+v", workers, m)
+		}
+		dumps = append(dumps, dump)
+	}
+	if !bytes.Equal(dumps[0], dumps[1]) {
+		t.Error("-sweep-out dump differs between -parallel 1 and 2")
+	}
+}
+
+// TestRecorderRecordsEachJobOnce feeds the recorder two sweeps of the same
+// jobs on two workers while another goroutine reads it as the live plane
+// does: each job run is recorded once, and its profiles are summed once.
+func TestRecorderRecordsEachJobOnce(t *testing.T) {
+	specs := []runner.JobSpec{
+		{App: "apsi", Cap: 80, Prof: true},
+		{Mode: runner.ModeOptimized, App: "gafort", Cap: 80, Prof: true},
+	}
+	rec := newRecorder(true, 2)
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				rec.registries()
+				rec.profileCopies()
+				rec.progress()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-read
+	}()
+	var once *runner.Result
+	for pass := 0; pass < 2; pass++ {
+		res, err := runner.Run(specs, runner.Options{Workers: 2, OnJob: rec.observe})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.FirstError(); err != nil {
+			t.Fatal(err)
+		}
+		once = res
+	}
+
+	if len(rec.seen) != len(specs) {
+		t.Errorf("recorded %d jobs, want %d: %v", len(rec.seen), len(specs), rec.seen)
+	}
+	if got := len(rec.registries()); got != 4 {
+		t.Errorf("recorded %d job runs, want 4 (three compare runs, one optimized)", got)
+	}
+	var want int64
+	for _, o := range once.Outcomes {
+		want += o.Profiles["optimized"].Accesses
+	}
+	if got := rec.profiles["optimized"].Accesses; got != want {
+		t.Errorf("optimized profile sums %d accesses, want one pass's %d", got, want)
+	}
+	if p := rec.progress(); p.DoneJobs != 4 || p.TotalJobs != 4 || p.InFlight != 0 {
+		t.Errorf("progress = %+v, want 4 of 4 done", p)
+	}
+}

@@ -89,6 +89,7 @@ func run() error {
 	cacheFlag := flag.String("trace-cache", "", `memoize trace generation: "mem" (in-process) or a directory for a persistent cache`)
 	sampleFlag := flag.String("sample", "off", `sampled simulation: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
 	flag.Parse()
+	start := time.Now()
 
 	if *replay != "" {
 		return replayJob(*replay)
@@ -317,20 +318,6 @@ func run() error {
 		}
 	}
 
-	manifest := prof.NewManifest()
-	manifest.Seed = *seed
-	manifest.Config = map[string]string{
-		"app": bench.Name, "l2": *l2, "mapping": *mapping, "interleave": *interleave,
-		"check": strconv.FormatBool(*checkRun), "prof": strconv.FormatBool(wantProf),
-		"trace-cache": *cacheFlag, "policy": *policy,
-	}
-	if sampleSpec != nil {
-		manifest.Config["sample"] = sampleSpec.String()
-	}
-	if migSpec != nil {
-		manifest.Config["migrate"] = migSpec.String()
-	}
-
 	c, err := core.Compare(bench, m, cm, opt)
 	if *progress {
 		fmt.Fprintln(os.Stderr)
@@ -416,13 +403,26 @@ func run() error {
 		if err := printProfiles(c, *profFolded, *profPprof); err != nil {
 			return err
 		}
-		if p := c.Profiles["optimized"]; p != nil {
-			manifest.StageTotals = p.StageTotals()
-		}
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, c); err != nil {
 			return err
+		}
+		manifest := prof.NewManifest(start)
+		manifest.Seed = *seed
+		manifest.Config = map[string]string{
+			"app": bench.Name, "l2": *l2, "mapping": *mapping, "interleave": *interleave,
+			"check": strconv.FormatBool(*checkRun), "prof": strconv.FormatBool(wantProf),
+			"trace-cache": *cacheFlag, "policy": *policy,
+		}
+		if sampleSpec != nil {
+			manifest.Config["sample"] = sampleSpec.String()
+		}
+		if migSpec != nil {
+			manifest.Config["migrate"] = migSpec.String()
+		}
+		if p := c.Profiles["optimized"]; wantProf && p != nil {
+			manifest.StageTotals = p.StageTotals()
 		}
 		if err := manifest.Write(prof.ManifestPath(*metricsOut)); err != nil {
 			return err
@@ -550,11 +550,7 @@ func writeMetrics(path string, c *core.Comparison) error {
 		case "optimal":
 			until = c.Optimal.ExecTime
 		}
-		points := o.Reg.Snapshot(until)
-		for i := range points {
-			points[i].Run = run
-		}
-		if err := obs.WriteJSONL(f, points); err != nil {
+		if err := obs.WriteRun(f, run, o.Reg, until); err != nil {
 			return err
 		}
 	}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -273,92 +274,76 @@ type variant struct {
 	spec runner.JobSpec
 }
 
-// AllIDs lists the experiment identifiers benchtab accepts.
+// result is what every experiment returns: a fixed-width table and a JSON
+// encoding of the same numbers.
+type result interface {
+	Table() string
+	json.Marshaler
+}
+
+// experiment is one row of the experiment table: an ID and the function
+// that runs it.
+type experiment struct {
+	id  string
+	run func(Config) (result, error)
+}
+
+// exp adapts a typed experiment function to the table's signature.
+func exp[R result](id string, run func(Config) (R, error)) experiment {
+	return experiment{id, func(cfg Config) (result, error) {
+		r, err := run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}}
+}
+
+// experimentTable is the one experiment table, in the order benchtab -exp
+// all runs it.
+var experimentTable = []experiment{
+	exp("fig3", Fig3), exp("fig4", Fig4), exp("table2", Table2),
+	exp("fig13", Fig13), exp("fig14", Fig14), exp("fig15", Fig15),
+	exp("fig16", Fig16), exp("fig17", Fig17), exp("fig18", Fig18),
+	exp("fig19", Fig19), exp("fig20", Fig20), exp("fig21", Fig21),
+	exp("fig22", Fig22), exp("fig23", Fig23), exp("fig24", Fig24),
+	exp("fig25", Fig25), exp("figmig", FigMig), exp("figmix", FigMix),
+	exp("figtune", FigTune),
+}
+
+// AllIDs lists the experiment identifiers benchtab accepts, in table order.
 func AllIDs() []string {
-	return []string{
-		"fig3", "fig4", "table2", "fig13", "fig14", "fig15", "fig16",
-		"fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23",
-		"fig24", "fig25", "figmig", "figmix", "figtune",
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
 	}
+	return ids
+}
+
+// runByID executes one experiment by ID, matched case-insensitively.
+func runByID(id string, cfg Config) (result, error) {
+	for _, e := range experimentTable {
+		if strings.EqualFold(e.id, id) {
+			return e.run(cfg)
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(AllIDs(), ", "))
 }
 
 // Run executes one experiment by ID and returns its rendered table.
 func Run(id string, cfg Config) (string, error) {
-	switch strings.ToLower(id) {
-	case "fig3":
-		r, err := Fig3(cfg)
-		return render(r, err)
-	case "fig4":
-		r, err := Fig4(cfg)
-		return render(r, err)
-	case "table2":
-		r, err := Table2(cfg)
-		return render(r, err)
-	case "fig13":
-		r, err := Fig13(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case "fig14":
-		r, err := Fig14(cfg)
-		return render(r, err)
-	case "fig15":
-		r, err := Fig15(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case "fig16":
-		r, err := Fig16(cfg)
-		return render(r, err)
-	case "fig17":
-		r, err := Fig17(cfg)
-		return render(r, err)
-	case "fig18":
-		r, err := Fig18(cfg)
-		return render(r, err)
-	case "fig19":
-		r, err := Fig19(cfg)
-		return render(r, err)
-	case "fig20":
-		r, err := Fig20(cfg)
-		return render(r, err)
-	case "fig21":
-		r, err := Fig21(cfg)
-		return render(r, err)
-	case "fig22":
-		r, err := Fig22(cfg)
-		return render(r, err)
-	case "fig23":
-		r, err := Fig23(cfg)
-		return render(r, err)
-	case "fig24":
-		r, err := Fig24(cfg)
-		return render(r, err)
-	case "fig25":
-		r, err := Fig25(cfg)
-		if err != nil {
-			return "", err
-		}
-		return r.Table(), nil
-	case "figmig":
-		r, err := FigMig(cfg)
-		return render(r, err)
-	case "figmix":
-		r, err := FigMix(cfg)
-		return render(r, err)
-	case "figtune":
-		r, err := FigTune(cfg)
-		return render(r, err)
-	default:
-		return "", fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(AllIDs(), ", "))
-	}
-}
-
-func render(f *FigResult, err error) (string, error) {
+	r, err := runByID(id, cfg)
 	if err != nil {
 		return "", err
 	}
-	return f.Table(), nil
+	return r.Table(), nil
+}
+
+// RunJSON executes one experiment by ID and returns its JSON encoding.
+func RunJSON(id string, cfg Config) ([]byte, error) {
+	r, err := runByID(id, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(r)
 }

@@ -70,75 +70,3 @@ func (r *MixResult) MarshalJSON() ([]byte, error) {
 	}
 	return json.Marshal(out)
 }
-
-// RunJSON executes one experiment by ID and returns its JSON encoding.
-func RunJSON(id string, cfg Config) ([]byte, error) {
-	var v json.Marshaler
-	var err error
-	switch id {
-	case "fig13":
-		v, err = Fig13(cfg)
-	case "fig15":
-		v, err = Fig15(cfg)
-	case "fig25":
-		v, err = Fig25(cfg)
-	default:
-		var f *FigResult
-		f, err = figByID(id, cfg)
-		v = f
-	}
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(v)
-}
-
-// figByID dispatches the FigResult-shaped experiments.
-func figByID(id string, cfg Config) (*FigResult, error) {
-	switch id {
-	case "fig3":
-		return Fig3(cfg)
-	case "fig4":
-		return Fig4(cfg)
-	case "table2":
-		return Table2(cfg)
-	case "fig14":
-		return Fig14(cfg)
-	case "fig16":
-		return Fig16(cfg)
-	case "fig17":
-		return Fig17(cfg)
-	case "fig18":
-		return Fig18(cfg)
-	case "fig19":
-		return Fig19(cfg)
-	case "fig20":
-		return Fig20(cfg)
-	case "fig21":
-		return Fig21(cfg)
-	case "fig22":
-		return Fig22(cfg)
-	case "fig23":
-		return Fig23(cfg)
-	case "fig24":
-		return Fig24(cfg)
-	case "figmig":
-		return FigMig(cfg)
-	case "figmix":
-		return FigMix(cfg)
-	case "figtune":
-		return FigTune(cfg)
-	default:
-		return nil, errUnknown(id)
-	}
-}
-
-func errUnknown(id string) error {
-	return &unknownExperimentError{id}
-}
-
-type unknownExperimentError struct{ id string }
-
-func (e *unknownExperimentError) Error() string {
-	return "experiments: unknown experiment " + e.id
-}

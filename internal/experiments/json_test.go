@@ -7,7 +7,8 @@ import (
 
 func TestRunJSON(t *testing.T) {
 	cfg := fastCfg()
-	for _, id := range []string{"table2", "fig13", "fig15", "fig25"} {
+	// IDs match case-insensitively, as they do for Run.
+	for _, id := range []string{"table2", "TABLE2", "fig13", "fig15", "fig25"} {
 		raw, err := RunJSON(id, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)

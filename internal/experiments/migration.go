@@ -7,13 +7,13 @@ import (
 	"offchip/internal/runner"
 )
 
-// figMigJobsPerApp is the job count FigMig enumerates per application, in
+// migJobsPerRow is the job count FigMig and FigMix enumerate per row, in
 // fixed order: the page-interleaved OS-default baseline (the reference
 // execution time), the paper's static compiler layout, first-touch-nearest
 // (the FCFS placement of the dynamic rival family), dynamic migration on
 // top of first-touch-nearest, and the hybrid (compiler layout + residual
 // migration).
-const figMigJobsPerApp = 5
+const migJobsPerRow = 5
 
 // FigMig is the repro's first beyond-the-paper figure: the static
 // compiler-directed layout head-to-head against the online placement family
@@ -29,16 +29,34 @@ func FigMig(cfg Config) (*FigResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	names := make([]string, len(apps))
+	for i, app := range apps {
+		names[i] = app.Name
+	}
+	return migrationFigure(cfg, "figmig",
+		"static compiler layout vs. online page migration (exec improvement over page-interleaved default)",
+		"on", names, false)
+}
+
+// migrationFigure runs FigMig's and FigMix's migJobsPerRow jobs for each
+// row unit, an application or (mixes set) a phase-changing mix, under
+// cfg.Migrate or else defaultMig, and renders one row per unit: the four
+// schemes' exec improvement over the baseline and the committed remaps of
+// the two migrating runs.
+func migrationFigure(cfg Config, id, title, defaultMig string, units []string, mixes bool) (*FigResult, error) {
 	mig := cfg.Migrate
 	if mig == "" {
-		mig = "on"
+		mig = defaultMig
 	}
 	if _, err := mem.ParseMigrationSpec(mig); err != nil {
-		return nil, fmt.Errorf("figmig: %w", err)
+		return nil, fmt.Errorf("%s: %w", id, err)
 	}
-	specs := make([]runner.JobSpec, 0, len(apps)*figMigJobsPerApp)
-	for _, app := range apps {
-		base := cfg.spec(runner.ModeBaseline, app.Name)
+	specs := make([]runner.JobSpec, 0, len(units)*migJobsPerRow)
+	for _, unit := range units {
+		base := cfg.spec(runner.ModeBaseline, unit)
+		if mixes {
+			base.App, base.Mix = "", unit
+		}
 		base.Interleave = "page"
 		p2 := base
 		p2.Mode = runner.ModeOptimized
@@ -52,18 +70,18 @@ func FigMig(cfg Config) (*FigResult, error) {
 	}
 	res, err := cfg.runJobs(specs)
 	if err != nil {
-		return nil, fmt.Errorf("figmig: %w", err)
+		return nil, fmt.Errorf("%s: %w", id, err)
 	}
 	f := &FigResult{
-		ID:    "figmig",
-		Title: "static compiler layout vs. online page migration (exec improvement over page-interleaved default)",
+		ID:    id,
+		Title: title,
 		Columns: []string{
 			"static-p2 exec%", "ftnearest exec%", "dynamic exec%", "hybrid exec%",
 			"dyn-migs", "hyb-migs",
 		},
 	}
-	for i, app := range apps {
-		outs := res.Outcomes[i*figMigJobsPerApp : (i+1)*figMigJobsPerApp]
+	for i, unit := range units {
+		outs := res.Outcomes[i*migJobsPerRow : (i+1)*migJobsPerRow]
 		baseT := float64(outs[0].Run.ExecTime)
 		imp := func(o *runner.JobOutcome) float64 {
 			if baseT == 0 {
@@ -71,7 +89,7 @@ func FigMig(cfg Config) (*FigResult, error) {
 			}
 			return 100 * (baseT - float64(o.Run.ExecTime)) / baseT
 		}
-		f.Rows = append(f.Rows, AppRow{App: app.Name, Values: []float64{
+		f.Rows = append(f.Rows, AppRow{App: unit, Values: []float64{
 			imp(outs[1]), imp(outs[2]), imp(outs[3]), imp(outs[4]),
 			float64(outs[3].Run.Migrations), float64(outs[4].Run.Migrations),
 		}})

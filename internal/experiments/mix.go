@@ -1,17 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"offchip/internal/mem"
-	"offchip/internal/runner"
-	"offchip/internal/workloads"
-)
-
-// figMixJobsPerMix mirrors figMigJobsPerApp: per mix, the page-interleaved
-// OS-default baseline, the static compiler layout, first-touch-nearest,
-// dynamic migration on top of first-touch-nearest, and the hybrid.
-const figMixJobsPerMix = 5
+import "offchip/internal/workloads"
 
 // mixTunedMigrationSpec is the figtune winner for the phase-changing mixes:
 // the default spec's window and threshold at single-page granularity. The
@@ -33,55 +22,11 @@ const mixTunedMigrationSpec = "h16w4096c2f0t64"
 // round-robin baseline, plus the committed-remap counts of the migrating
 // runs.
 func FigMix(cfg Config) (*FigResult, error) {
-	mixes := workloads.DefaultPhaseMixes()
-	mig := cfg.Migrate
-	if mig == "" {
-		mig = mixTunedMigrationSpec
+	var names []string
+	for _, mx := range workloads.DefaultPhaseMixes() {
+		names = append(names, mx.String())
 	}
-	if _, err := mem.ParseMigrationSpec(mig); err != nil {
-		return nil, fmt.Errorf("figmix: %w", err)
-	}
-	specs := make([]runner.JobSpec, 0, len(mixes)*figMixJobsPerMix)
-	for _, mx := range mixes {
-		base := cfg.spec(runner.ModeBaseline, "")
-		base.Mix = mx.String()
-		base.Interleave = "page"
-		p2 := base
-		p2.Mode = runner.ModeOptimized
-		ft := base
-		ft.Policy = "ftnearest"
-		dyn := ft
-		dyn.Migrate = mig
-		hyb := p2
-		hyb.Migrate = mig
-		specs = append(specs, base, p2, ft, dyn, hyb)
-	}
-	res, err := cfg.runJobs(specs)
-	if err != nil {
-		return nil, fmt.Errorf("figmix: %w", err)
-	}
-	f := &FigResult{
-		ID:    "figmix",
-		Title: "phase-changing mixes: static layouts vs. online migration (exec improvement over page-interleaved default)",
-		Columns: []string{
-			"static-p2 exec%", "ftnearest exec%", "dynamic exec%", "hybrid exec%",
-			"dyn-migs", "hyb-migs",
-		},
-	}
-	for i, mx := range mixes {
-		outs := res.Outcomes[i*figMixJobsPerMix : (i+1)*figMixJobsPerMix]
-		baseT := float64(outs[0].Run.ExecTime)
-		imp := func(o *runner.JobOutcome) float64 {
-			if baseT == 0 {
-				return 0
-			}
-			return 100 * (baseT - float64(o.Run.ExecTime)) / baseT
-		}
-		f.Rows = append(f.Rows, AppRow{App: mx.String(), Values: []float64{
-			imp(outs[1]), imp(outs[2]), imp(outs[3]), imp(outs[4]),
-			float64(outs[3].Run.Migrations), float64(outs[4].Run.Migrations),
-		}})
-	}
-	f.finish()
-	return f, nil
+	return migrationFigure(cfg, "figmix",
+		"phase-changing mixes: static layouts vs. online migration (exec improvement over page-interleaved default)",
+		mixTunedMigrationSpec, names, true)
 }

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"offchip/internal/obs"
-	"offchip/internal/prof"
 	"offchip/internal/runner"
 	"offchip/internal/stats"
 )
@@ -40,12 +36,11 @@ func (c Config) ExampleSweep() ([]runner.JobSpec, error) {
 	return specs, nil
 }
 
-// SweepResult is the outcome of RunSweep: the job list, the raw runner
-// result, and the merged registry every cross-job view reads from.
+// SweepResult is the outcome of RunSweep: the job list and the raw runner
+// result.
 type SweepResult struct {
 	Specs  []runner.JobSpec
 	Result *runner.Result
-	Merged *obs.Registry
 }
 
 // RunSweep runs the example sweep across cfg.Parallel workers.
@@ -58,7 +53,7 @@ func RunSweep(cfg Config) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResult{Specs: specs, Result: res, Merged: res.Merged()}, nil
+	return &SweepResult{Specs: specs, Result: res}, nil
 }
 
 // Table renders one row per job: the scheme, the job's short ID (the
@@ -75,38 +70,4 @@ func (r *SweepResult) Table() string {
 			100*c.ExecImprovement(), 100*c.MemImprovement(), 100*c.OffChipNetImprovement())
 	}
 	return t.String()
-}
-
-// Profiles aggregates every job's per-run latency attribution into one
-// profile per run name ("baseline", "optimized", "optimal") — the sweep-wide
-// differential view. Empty unless the sweep ran with Config.Prof. Addition
-// is commutative, so the aggregate is identical at any worker count.
-func (r *SweepResult) Profiles() map[string]*prof.Profile {
-	out := map[string]*prof.Profile{}
-	for _, o := range r.Result.Outcomes {
-		if o == nil || o.Err != nil {
-			continue
-		}
-		for run, p := range o.Profiles {
-			if out[run] == nil {
-				out[run] = &prof.Profile{}
-			}
-			out[run].Add(p)
-		}
-	}
-	return out
-}
-
-// MergedQueueOcc reads one job's mean bank-queue occupancy for the given
-// run from the merged registry — the Figure 18 quantity, addressable per
-// job after the sweep.
-func (r *SweepResult) MergedQueueOcc(i int, run string) float64 {
-	o := r.Result.Outcomes[i]
-	until := o.ExecTimes[run]
-	var sum float64
-	for mc := 0; mc < o.Spec.NumMCs; mc++ {
-		sum += r.Merged.TimeWeighted("dram", "queue_len",
-			fmt.Sprintf("mc=%d", mc), "job="+o.ShortID, "run="+run).Avg(until)
-	}
-	return sum / float64(o.Spec.NumMCs)
 }

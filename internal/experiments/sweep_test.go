@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"offchip/internal/obs"
 	"offchip/internal/runner"
 	"offchip/internal/stats"
 )
@@ -65,12 +66,11 @@ func TestExampleSweepGoldenTable(t *testing.T) {
 	checkGolden(t, "example_sweep", table.String())
 }
 
-// TestDeterminismSweepParallelMatchesSequential is the tentpole's
-// differential gate at the experiments layer: the full example sweep run
-// sequentially and with eight workers must agree byte-for-byte — per-job
-// canonical outcomes and the merged registry snapshot alike. Table-driven
-// over worker counts so the boundary cases (more workers than jobs) ride
-// along.
+// TestDeterminismSweepParallelMatchesSequential is the differential gate at
+// the experiments layer: the full example sweep run sequentially and with
+// eight workers must agree byte-for-byte — every job's canonical outcome
+// and every job's registry snapshots alike. Table-driven over worker counts
+// so the boundary cases (more workers than jobs) ride along.
 func TestDeterminismSweepParallelMatchesSequential(t *testing.T) {
 	cfg := Config{Apps: []string{"apsi", "gafort"}, MaxAccessesPerThread: 120}
 	ref, err := RunSweep(cfg)
@@ -83,8 +83,6 @@ func TestDeterminismSweepParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const horizon = int64(1) << 40
-	refSnap := ref.Merged.Snapshot(horizon)
 
 	for _, tc := range []struct {
 		name    string
@@ -109,12 +107,22 @@ func TestDeterminismSweepParallelMatchesSequential(t *testing.T) {
 				if !bytes.Equal(j, refJSON[i]) {
 					t.Errorf("job %s: %d-worker outcome differs from sequential", o.ID, tc.workers)
 				}
-			}
-			if !reflect.DeepEqual(got.Merged.Snapshot(horizon), refSnap) {
-				t.Errorf("%d-worker merged snapshot differs from sequential", tc.workers)
+				if !reflect.DeepEqual(runSnapshots(o), runSnapshots(ref.Result.Outcomes[i])) {
+					t.Errorf("job %s: %d-worker registry snapshots differ from sequential", o.ID, tc.workers)
+				}
 			}
 		})
 	}
+}
+
+// runSnapshots returns each of the job's run registries as a snapshot taken
+// at that run's end time, by run name.
+func runSnapshots(o *runner.JobOutcome) map[string][]obs.Point {
+	out := map[string][]obs.Point{}
+	for run, ob := range o.Observers {
+		out[run] = ob.Reg.Snapshot(o.ExecTimes[run])
+	}
+	return out
 }
 
 // TestDeterminismFiguresUnderParallelism pins the user-visible contract:
@@ -173,14 +181,14 @@ func TestSweepTableMentionsEveryJob(t *testing.T) {
 			t.Errorf("sweep table lacks job %s", o.ShortID)
 		}
 	}
-	// The merged Figure 18 view is addressable per job and positive for at
-	// least the optimized run of some job.
+	// The Figure 18 quantity is positive for at least the optimized run of
+	// some job.
 	var any float64
-	for i := range res.Result.Outcomes {
-		any += res.MergedQueueOcc(i, "optimized")
+	for _, o := range res.Result.Outcomes {
+		any += o.Comparison.Optimized.AvgQueueOcc
 	}
 	if any <= 0 {
-		t.Error("merged queue occupancy is zero across the whole sweep")
+		t.Error("queue occupancy is zero across the whole sweep")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"offchip/internal/layout"
-	"offchip/internal/obs"
 	"offchip/internal/runner"
 	"offchip/internal/stats"
 )
@@ -29,9 +28,8 @@ type MapResult struct {
 // Fig13 reproduces Figure 13: the distribution across nodes of apsi's
 // off-chip accesses to controller MC0 (the paper's MC1, top-left corner),
 // original vs optimized. In the original, requests come from all over the
-// chip; optimized, they skew to the nearby quadrant. The maps are rendered
-// from the merged registry: the job's sim/offchip_requests counters are
-// addressed by their job=<id>,run=<name> scope labels.
+// chip; optimized, they skew to the nearby quadrant. The maps are the
+// baseline and optimized runs' per-node, per-MC access maps.
 func Fig13(cfg Config) (*MapResult, error) {
 	apps, err := cfg.apps()
 	if err != nil {
@@ -52,27 +50,15 @@ func Fig13(cfg Config) (*MapResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	merged := res.Merged()
-	readMap := func(run string) [][]int64 {
-		am := make([][]int64, m.Cores())
-		for node := range am {
-			am[node] = make([]int64, m.NumMCs)
-			for mc := range am[node] {
-				am[node][mc] = merged.Counter("sim", "offchip_requests",
-					fmt.Sprintf("node=%d", node), fmt.Sprintf("mc=%d", mc),
-					"job="+o.ShortID, "run="+run).Value()
-			}
-		}
-		return am
-	}
+	c := o.Comparison
 	r := &MapResult{
 		ID:    "Fig13",
 		Title: fmt.Sprintf("distribution of %s's off-chip accesses to MC0", target.Name),
 		MC:    0,
 		MeshX: m.MeshX,
 	}
-	r.Original, r.QuadrantShareOriginal = mcMap(readMap("baseline"), 0, cm)
-	r.Optimized, r.QuadrantShareOptimized = mcMap(readMap("optimized"), 0, cm)
+	r.Original, r.QuadrantShareOriginal = mcMap(c.Baseline.AccessMap, 0, cm)
+	r.Optimized, r.QuadrantShareOptimized = mcMap(c.Optimized.AccessMap, 0, cm)
 	return r, nil
 }
 
@@ -123,10 +109,8 @@ type CDFResult struct {
 	OffChipOpt  []float64
 }
 
-// Fig15 reproduces Figure 15. Per-job hop histograms are read back from
-// the merged registry (scoped by job and run), turned into CDFs, and
-// averaged across the suite — byte-identical to the per-run HopCDF the
-// simulator reports, since both render from the same histogram counts.
+// Fig15 reproduces Figure 15: each job's per-run hop CDFs, averaged
+// across the suite.
 func Fig15(cfg Config) (*CDFResult, error) {
 	apps, err := cfg.apps()
 	if err != nil {
@@ -140,33 +124,26 @@ func Fig15(cfg Config) (*CDFResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	merged := res.Merged()
 	r := &CDFResult{ID: "Fig15", Title: "CDF of links traversed per request"}
-	n := 0
-	for i := range apps {
-		o := res.Outcomes[i]
-		m, _, _, err := o.Spec.Build()
-		if err != nil {
-			return nil, err
+	for _, o := range res.Outcomes {
+		c := o.Comparison
+		// A sampled run's representative window may send no message of a
+		// class; its CDF is then nil and counts as all zeros, one entry
+		// per hop count 0..diameter.
+		cdf := func(s []float64) []float64 {
+			if s == nil {
+				return make([]float64, c.Machine.MeshX+c.Machine.MeshY-1)
+			}
+			return s
 		}
-		// The NoC registers hop histograms with one bucket per possible
-		// hop count (0..meshX+meshY) plus an overflow bucket that XY
-		// routing can never reach; drop it to keep the historical shape.
-		bounds := obs.LinearBuckets(0, 1, m.MeshX+m.MeshY+1)
-		cdf := func(class, run string) []float64 {
-			c := stats.CumulativeFractions(merged.Histogram("noc", "hops", bounds,
-				"class="+class, "job="+o.ShortID, "run="+run).Counts())
-			return c[:len(c)-1]
-		}
-		r.OnChipBase = accumulate(r.OnChipBase, cdf("on-chip", "baseline"))
-		r.OnChipOpt = accumulate(r.OnChipOpt, cdf("on-chip", "optimized"))
-		r.OffChipBase = accumulate(r.OffChipBase, cdf("off-chip", "baseline"))
-		r.OffChipOpt = accumulate(r.OffChipOpt, cdf("off-chip", "optimized"))
-		n++
+		r.OnChipBase = accumulate(r.OnChipBase, cdf(c.Baseline.HopCDFOn))
+		r.OnChipOpt = accumulate(r.OnChipOpt, cdf(c.Optimized.HopCDFOn))
+		r.OffChipBase = accumulate(r.OffChipBase, cdf(c.Baseline.HopCDFOff))
+		r.OffChipOpt = accumulate(r.OffChipOpt, cdf(c.Optimized.HopCDFOff))
 	}
 	for _, s := range [][]float64{r.OnChipBase, r.OnChipOpt, r.OffChipBase, r.OffChipOpt} {
 		for i := range s {
-			s[i] /= float64(n)
+			s[i] /= float64(len(apps))
 		}
 	}
 	return r, nil

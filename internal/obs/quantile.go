@@ -1,5 +1,7 @@
 package obs
 
+import "fmt"
+
 // Quantile estimation over fixed-bucket histograms. The profiler's p50/p95/
 // p99 latency columns (internal/prof) and any dashboard that needs a
 // percentile read it from here, so every consumer interpolates the same way
@@ -89,10 +91,26 @@ func (h *Histogram) Clone() *Histogram {
 		return nil
 	}
 	c := newHistogram(h.bounds)
-	c.absorb(h)
+	c.Absorb(h)
 	return c
 }
 
-// Absorb adds src's buckets into h. Bucket bounds must match; the exported
-// face of the merge used by obs.MergeScoped.
-func (h *Histogram) Absorb(src *Histogram) { h.absorb(src) }
+// Absorb adds src's buckets into h. Bucket bounds must match.
+func (h *Histogram) Absorb(src *Histogram) {
+	if h == nil || src == nil {
+		return
+	}
+	if len(h.bounds) != len(src.bounds) {
+		panic(fmt.Sprintf("obs: merging histograms with %d vs %d buckets", len(h.bounds), len(src.bounds)))
+	}
+	for i, b := range h.bounds {
+		if b != src.bounds[i] {
+			panic(fmt.Sprintf("obs: merging histograms with different bounds at %d (%d vs %d)", i, b, src.bounds[i]))
+		}
+	}
+	for i := range src.counts {
+		h.counts[i].Add(src.counts[i].Load())
+	}
+	h.sum.Add(src.sum.Load())
+	h.total.Add(src.total.Load())
+}

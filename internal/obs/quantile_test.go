@@ -95,3 +95,16 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal("nil clone should stay nil")
 	}
 }
+
+func TestMergeHistogramBoundsMismatchPanics(t *testing.T) {
+	a := NewHistogram([]int64{0, 1})
+	a.Observe(0)
+	m := NewHistogram([]int64{0, 5})
+	m.Observe(0)
+	defer func() {
+		if recover() == nil {
+			t.Error("mismatched bounds merged silently")
+		}
+	}()
+	m.Absorb(a)
+}

@@ -2,8 +2,9 @@
 // counters, time-weighted gauges and fixed-bucket histograms, keyed by
 // component/name/labels. Every simulation substrate — NoC, caches, memory
 // controllers, and the sim front end — keeps its statistics in plain fields
-// and publishes them here through a Feed, and the paper's Figure 13/15/18
-// data and the -report dashboard are rendered from this layer. Per-access
+// and publishes them here through a Feed. The registry serves the -report
+// dashboard, the JSONL metrics dumps and the live /metrics plane; the
+// figures read the same numbers from each run's result. Per-access
 // observation (what one access did, stage by stage) is the probe stream's
 // job (internal/probe), not this package's.
 //
@@ -370,6 +371,17 @@ func WriteJSONL(w io.Writer, points []Point) error {
 		}
 	}
 	return nil
+}
+
+// WriteRun writes reg's snapshot at until, the run's end time, as JSONL,
+// every point tagged with the run's label: the format of offchip -metrics
+// and benchtab -sweep-out.
+func WriteRun(w io.Writer, run string, reg *Registry, until int64) error {
+	points := reg.Snapshot(until)
+	for i := range points {
+		points[i].Run = run
+	}
+	return WriteJSONL(w, points)
 }
 
 // Sum adds the values of every counter matching component/name across all

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// Manifest is the provenance record written next to every sweep's output:
+// Manifest is the provenance record written next to every metrics dump:
 // what ran, with which configuration and seed, from which source revision,
 // how long it took, and where the cycles went. A figure regenerated months
 // later can be traced back to the exact run that produced it.
@@ -22,16 +22,20 @@ type Manifest struct {
 	WallSeconds float64           `json:"wall_seconds"`
 	Jobs        []string          `json:"jobs,omitempty"` // canonical job IDs
 	StageTotals map[string]int64  `json:"stage_totals,omitempty"`
+
+	start time.Time
 }
 
-// NewManifest starts a manifest for the current process: command line,
-// git revision, and start timestamp are captured now; the caller fills
-// config, jobs, and stage totals and calls Write at the end of the run.
-func NewManifest() *Manifest {
+// NewManifest returns a manifest for the current process, which started
+// its run at start: the command line and git revision are captured now
+// (the revision forks git, so create a manifest only to write it); the
+// caller fills config, jobs, and stage totals and calls Write.
+func NewManifest(start time.Time) *Manifest {
 	m := &Manifest{
 		GitRev:    GitRev(),
-		StartedAt: time.Now().UTC().Format(time.RFC3339),
+		StartedAt: start.UTC().Format(time.RFC3339),
 		Config:    map[string]string{},
+		start:     start,
 	}
 	if len(os.Args) > 0 {
 		m.Command = os.Args[0]
@@ -52,11 +56,9 @@ func GitRev() string {
 }
 
 // Write serializes the manifest as indented JSON at path, stamping the
-// wall time since StartedAt.
+// wall time since the run started.
 func (m *Manifest) Write(path string) error {
-	if t, err := time.Parse(time.RFC3339, m.StartedAt); err == nil {
-		m.WallSeconds = time.Since(t).Seconds()
-	}
+	m.WallSeconds = time.Since(m.start).Seconds()
 	f, err := os.Create(path)
 	if err != nil {
 		return err

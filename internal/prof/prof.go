@@ -158,8 +158,8 @@ type Profiler struct {
 func New() *Profiler { return &Profiler{} }
 
 // histBounds is the geometric latency ladder every profiler histogram
-// uses: 1..2^19 cycles, overflow above. Shared bounds keep sweep-merged
-// registries mergeable (obs histogram absorption requires equal bounds).
+// uses: 1..2^19 cycles, overflow above. Shared bounds keep profiles
+// addable: Profile.Add absorbs histograms, which requires equal bounds.
 func histBounds() []int64 { return obs.ExponentialBuckets(1, 2, 20) }
 
 // Bind resets the profiler and attaches it to a machine. sim.Run calls it

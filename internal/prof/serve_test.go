@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"offchip/internal/obs"
 	"offchip/internal/probe"
@@ -149,7 +150,7 @@ func TestServerEndpoints(t *testing.T) {
 }
 
 func TestManifestWrite(t *testing.T) {
-	m := NewManifest()
+	m := NewManifest(time.Now())
 	m.Seed = 7
 	m.Config["apps"] = "apsi"
 	m.Jobs = []string{"j1:mode=compare,app=apsi"}

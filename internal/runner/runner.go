@@ -3,12 +3,9 @@ package runner
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"offchip/internal/obs"
 )
 
 // Options tunes a sweep.
@@ -33,10 +30,9 @@ type JobEvent struct {
 	Total  int
 	WallNS int64
 	Err    error
-	// Outcome is the finished job's full result. The live observability
-	// plane merges registries and aggregates profiles from here as jobs
-	// complete; OnJob calls are serialized, so reading it needs no extra
-	// locking.
+	// Outcome is the finished job's full result, from which an observer
+	// can keep the job's run registries and profiles as jobs complete.
+	// OnJob calls are serialized, so reading it needs no extra locking.
 	Outcome *JobOutcome
 }
 
@@ -54,7 +50,7 @@ type Result struct {
 // Individual job failures land in the corresponding outcome's Err (see
 // Result.FirstError); Run itself errors only on malformed input, such as
 // two specs normalizing to the same job ID — duplicates would make replay
-// ambiguous and double-count in the merged registry.
+// ambiguous.
 func Run(specs []JobSpec, opt Options) (*Result, error) {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -133,30 +129,4 @@ func (r *Result) FirstError() error {
 		}
 	}
 	return nil
-}
-
-// Merged folds every job's per-run registries into one registry, scoping
-// each with job=<short ID> and run=<name> labels. Merging walks the
-// outcomes in input order and each job's runs in sorted name order, so the
-// merged registry is identical however the sweep was scheduled.
-func (r *Result) Merged() *obs.Registry {
-	m := obs.NewRegistry()
-	for _, o := range r.Outcomes {
-		if o == nil || o.Err != nil {
-			continue
-		}
-		runs := make([]string, 0, len(o.Observers))
-		for run := range o.Observers {
-			runs = append(runs, run)
-		}
-		sort.Strings(runs)
-		for _, run := range runs {
-			ob := o.Observers[run]
-			if ob == nil || ob.Reg == nil {
-				continue
-			}
-			m.MergeScoped(ob.Reg, o.ExecTimes[run], "job="+o.ShortID, "run="+run)
-		}
-	}
-	return m
 }

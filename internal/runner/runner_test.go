@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"offchip/internal/obs"
 )
 
 func TestJobIDRoundTrip(t *testing.T) {
@@ -72,8 +74,8 @@ func testSpecs() []JobSpec {
 
 // TestDeterminismParallelMatchesSequential is the runner's half of the
 // differential gate: the same sweep run on 1 worker and on 8 workers must
-// produce byte-identical canonical outcomes for every job and identical
-// merged registry snapshots.
+// produce byte-identical canonical outcomes and identical registry
+// snapshots for every job.
 func TestDeterminismParallelMatchesSequential(t *testing.T) {
 	specs := testSpecs()
 	seq, err := Run(specs, Options{Workers: 1})
@@ -103,11 +105,20 @@ func TestDeterminismParallelMatchesSequential(t *testing.T) {
 			t.Errorf("job %s: parallel outcome differs from sequential\nseq: %s\npar: %s",
 				specs[i].ID(), a, b)
 		}
+		if !reflect.DeepEqual(runSnapshots(seq.Outcomes[i]), runSnapshots(par.Outcomes[i])) {
+			t.Errorf("job %s: registry snapshots differ between 1 and 8 workers", specs[i].ID())
+		}
 	}
-	const horizon = int64(1) << 40 // past every job's ExecTime, so Avg is compared too
-	if !reflect.DeepEqual(seq.Merged().Snapshot(horizon), par.Merged().Snapshot(horizon)) {
-		t.Error("merged registry snapshots differ between 1 and 8 workers")
+}
+
+// runSnapshots returns each of the job's run registries as a snapshot taken
+// at that run's end time, by run name.
+func runSnapshots(o *JobOutcome) map[string][]obs.Point {
+	out := map[string][]obs.Point{}
+	for run, ob := range o.Observers {
+		out[run] = ob.Reg.Snapshot(o.ExecTimes[run])
 	}
+	return out
 }
 
 // TestDeterminismReplayFromID re-runs single jobs from their canonical IDs
@@ -208,47 +219,4 @@ func TestRunRejectsDuplicateIDs(t *testing.T) {
 	if _, err := Run(specs, Options{}); err == nil {
 		t.Error("duplicate job IDs accepted")
 	}
-}
-
-func TestMergedScopesPerJob(t *testing.T) {
-	specs := []JobSpec{
-		{Mode: ModeBaseline, App: "apsi", Cap: 80},
-		{Mode: ModeBaseline, App: "gafort", Cap: 80},
-	}
-	res, err := Run(specs, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.FirstError(); err != nil {
-		t.Fatal(err)
-	}
-	m := res.Merged()
-	for i, o := range res.Outcomes {
-		var total int64
-		for node := 0; node < 64; node++ {
-			for mc := 0; mc < 4; mc++ {
-				total += m.Counter("sim", "offchip_requests",
-					"node="+itoa(node), "mc="+itoa(mc),
-					"job="+o.ShortID, "run=baseline").Value()
-			}
-		}
-		if total != o.Run.OffChip {
-			t.Errorf("job %d: merged off-chip counters sum to %d, Result says %d",
-				i, total, o.Run.OffChip)
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

@@ -4,9 +4,9 @@
 // Every job gets a private observability registry and a jitter seed
 // derived from a stable hash of its job ID, so a parallel sweep is
 // bit-identical to a sequential one and any single job can be replayed
-// from its ID alone (the -replay flag of cmd/benchtab). After the jobs
-// finish, the per-job registries fold into one merged registry (see
-// obs.MergeScoped) from which the Figure 13/15/18 tables are rendered.
+// from its ID alone (the -replay flag of cmd/benchtab). Each outcome keeps
+// its runs' registries, end times and profiles beside the results, for
+// callers that export or aggregate them.
 package runner
 
 import (
@@ -187,9 +187,8 @@ func (s JobSpec) ID() string {
 	return id
 }
 
-// ShortID is a compact fingerprint of the ID, used as the job=… label in
-// merged registries (the full ID contains the label syntax's own
-// delimiters).
+// ShortID is a compact fingerprint of the ID, used in tables and metric
+// labels (the full ID contains the label syntax's own delimiters).
 func (s JobSpec) ShortID() string {
 	return fmt.Sprintf("j-%016x", fnv64(s.ID()))
 }
@@ -395,8 +394,8 @@ func (s JobSpec) Build() (layout.Machine, *layout.ClusterMapping, core.Options, 
 }
 
 // JobOutcome is everything one job produced. Exactly one of Comparison,
-// Run, or Analysis is set (by Mode); Observers and ExecTimes carry the
-// per-run registries and end times the merged view is built from.
+// Run, or Analysis is set (by Mode); Observers and ExecTimes carry each
+// run's registry and the end time its snapshot is taken at.
 type JobOutcome struct {
 	Spec    JobSpec
 	ID      string
@@ -406,7 +405,7 @@ type JobOutcome struct {
 	Run        *sim.Result              // ModeBaseline / ModeOptimized
 	Analysis   *layout.Result           // ModeAnalyze
 	Observers  map[string]*obs.Observer // run name → observer
-	ExecTimes  map[string]int64         // run name → ExecTime (merge horizon)
+	ExecTimes  map[string]int64         // run name → ExecTime (snapshot horizon)
 	Profiles   map[string]*prof.Profile // run name → attribution (Spec.Prof only)
 
 	// Sampled carries each run's sampled-simulation outcome (estimates with
