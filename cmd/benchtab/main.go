@@ -31,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,17 +71,11 @@ func main() {
 	if *apps != "" {
 		cfg.Apps = strings.Split(*apps, ",")
 	}
-	if *cacheFlag != "" {
-		dir := *cacheFlag
-		if dir == "mem" {
-			dir = "" // in-process only
-		}
-		tc, err := tracecache.New(dir)
-		if err != nil {
-			fail(err)
-		}
-		cfg.TraceCache = tc
+	tc, err := tracecache.Open(*cacheFlag)
+	if err != nil {
+		fail(err)
 	}
+	cfg.TraceCache = tc
 	if sp, err := sim.ParseSampleSpec(*sampleFlag); err != nil {
 		fail(err)
 	} else if sp != nil {
@@ -152,6 +147,10 @@ func main() {
 		ids := []string{*exp}
 		if *exp == "all" {
 			ids = experiments.AllIDs()
+		}
+		observed := *profFlag || *serveAddr != "" || *sweepOut != ""
+		if observed && slices.ContainsFunc(ids, func(id string) bool { return strings.EqualFold(id, "fig25") }) {
+			fmt.Fprintln(os.Stderr, "benchtab: fig25 simulates outside the job runner, so -prof, -serve and -sweep-out do not cover it")
 		}
 		for _, id := range ids {
 			t0 := time.Now()

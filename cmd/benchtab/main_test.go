@@ -26,8 +26,8 @@ func TestMain(m *testing.M) {
 }
 
 // benchtab runs the test binary as benchtab with args and returns its
-// standard output.
-func benchtab(t *testing.T, args ...string) string {
+// standard output and standard error.
+func benchtab(t *testing.T, args ...string) (string, string) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "BENCHTAB_TEST_MAIN=1")
@@ -37,7 +37,7 @@ func benchtab(t *testing.T, args ...string) string {
 	if err != nil {
 		t.Fatalf("benchtab %s: %v\n%s", strings.Join(args, " "), err, stderr.Bytes())
 	}
-	return string(out)
+	return string(out), stderr.String()
 }
 
 // TestObservabilityOnAnExperiment runs -prof and -sweep-out on a figure
@@ -50,7 +50,7 @@ func TestObservabilityOnAnExperiment(t *testing.T) {
 	var dumps [][]byte
 	for _, workers := range []string{"1", "2"} {
 		path := filepath.Join(dir, "w"+workers+".jsonl")
-		out := benchtab(t, "-exp", "fig13", "-apps", "apsi", "-quick", "-prof",
+		out, _ := benchtab(t, "-exp", "fig13", "-apps", "apsi", "-quick", "-prof",
 			"-sweep-out", path, "-parallel", workers)
 		if !strings.Contains(out, "== sweep latency attribution (cycles/access, baseline vs optimized) ==") {
 			t.Errorf("-parallel %s: no attribution table in\n%s", workers, out)
@@ -97,6 +97,29 @@ func TestObservabilityOnAnExperiment(t *testing.T) {
 	}
 	if !bytes.Equal(dumps[0], dumps[1]) {
 		t.Error("-sweep-out dump differs between -parallel 1 and 2")
+	}
+}
+
+// TestProfOnAVariantSuite: -prof prints the sweep-wide attribution for the
+// figures that run every app on several machine variants (Figs. 17, 19,
+// 20, 21 and 24); fig19 stands for them.
+func TestProfOnAVariantSuite(t *testing.T) {
+	out, _ := benchtab(t, "-exp", "fig19", "-apps", "apsi", "-quick", "-prof")
+	if !strings.Contains(out, "== sweep latency attribution (cycles/access, baseline vs optimized) ==") {
+		t.Errorf("no attribution table in\n%s", out)
+	}
+}
+
+// TestFig25SaysItIsNotObserved: Fig. 25 simulates outside the job runner,
+// so when -prof, -serve or -sweep-out is set and it runs, benchtab says on
+// stderr that those outputs do not cover it, and otherwise stays quiet.
+func TestFig25SaysItIsNotObserved(t *testing.T) {
+	const note = "benchtab: fig25 simulates outside the job runner"
+	if _, stderr := benchtab(t, "-exp", "fig25", "-quick", "-prof"); !strings.Contains(stderr, note) {
+		t.Errorf("-exp fig25 -prof: no note on stderr:\n%s", stderr)
+	}
+	if _, stderr := benchtab(t, "-exp", "fig25", "-quick"); strings.Contains(stderr, note) {
+		t.Errorf("-exp fig25 without observers printed the note:\n%s", stderr)
 	}
 }
 

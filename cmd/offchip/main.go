@@ -24,10 +24,16 @@
 //	offchip -app apsi -prof-pprof p.pb.gz  # attribution as pprof protobuf
 //	offchip -app apsi -serve :9090         # live /metrics, /progress, /profile
 //
-// Seeds and replay (see EXPERIMENTS.md "Parallel sweeps"):
+// Every run is one compare job (runner.JobSpec): the flags name its machine
+// and options exactly as a sweep job's ID fields do, so a combination the
+// job rejects (-migrate on with line interleaving) fails before the layout
+// report, also under -sim=false. An -app run prints its job ID on stderr.
+// -seed is that job's seed, mixed with the job ID into the jitter stream,
+// so replaying the printed ID reproduces the run (see EXPERIMENTS.md
+// "Parallel sweeps"):
 //
-//	offchip -app apsi -seed 7              # decorrelate the DRAM jitter stream
-//	offchip -replay '<job-id>'             # re-run one sweep job bit-exactly
+//	offchip -app apsi -seed 7              # the jitter stream of job seed 7
+//	benchtab -replay '<job-id>'            # re-run the printed job bit-exactly
 package main
 
 import (
@@ -46,7 +52,6 @@ import (
 	"offchip/internal/core"
 	"offchip/internal/ir"
 	"offchip/internal/layout"
-	"offchip/internal/mem"
 	"offchip/internal/obs"
 	"offchip/internal/prof"
 	"offchip/internal/runner"
@@ -84,16 +89,11 @@ func run() error {
 	profPprof := flag.String("prof-pprof", "", "write the optimized run's attribution as a gzipped pprof protobuf (go tool pprof); implies -prof")
 	serveAddr := flag.String("serve", "", "serve the live observability plane (/metrics, /progress, /profile) on this address")
 	checkRun := flag.Bool("check", false, "attach the invariant checker to every run and fail on any violation")
-	seed := flag.Uint64("seed", 0, "jitter seed; 0 keeps the historical stream of the recorded figures")
-	replay := flag.String("replay", "", "re-run one sweep job from its canonical ID (see benchtab -jobs) and exit")
+	seed := flag.Uint64("seed", 0, "the job's seed, mixed with its job ID into the jitter stream as in a sweep; 0 keeps the historical stream of the recorded figures")
 	cacheFlag := flag.String("trace-cache", "", `memoize trace generation: "mem" (in-process) or a directory for a persistent cache`)
 	sampleFlag := flag.String("sample", "off", `sampled simulation: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
 	flag.Parse()
 	start := time.Now()
-
-	if *replay != "" {
-		return replayJob(*replay)
-	}
 
 	if *pprofAddr != "" {
 		// Bind before the run so a bad address fails fast instead of racing
@@ -112,32 +112,18 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "offchip: pprof serving on %s\n", ln.Addr())
 	}
 
-	m := layout.Default8x8()
-	switch *l2 {
-	case "private":
-	case "shared":
-		m.L2 = layout.SharedL2
-	default:
-		return fmt.Errorf("unknown -l2 %q", *l2)
+	tc, err := tracecache.Open(*cacheFlag)
+	if err != nil {
+		return err
 	}
-	switch *interleave {
-	case "line":
-	case "page":
-		m.Interleave = layout.PageInterleave
-	default:
-		return fmt.Errorf("unknown -interleave %q", *interleave)
+	spec := runner.JobSpec{
+		L2: *l2, Mapping: *mapping, Interleave: *interleave, Policy: *policy,
+		Migrate: *migrate, Sample: *sampleFlag, Seed: *seed, Cache: tc,
 	}
-	placement := layout.PlacementCorners(m.MeshX, m.MeshY)
-	var cm *layout.ClusterMapping
-	var err error
-	switch *mapping {
-	case "m1":
-		cm, err = layout.MappingM1(m, placement)
-	case "m2":
-		cm, err = layout.MappingM2(m, placement)
-	default:
-		return fmt.Errorf("unknown -mapping %q", *mapping)
+	if *src == "" {
+		spec.App = *app
 	}
+	m, cm, opt, err := spec.Build()
 	if err != nil {
 		return err
 	}
@@ -156,6 +142,8 @@ func run() error {
 			return err
 		}
 		store = ir.NewDataStore()
+		// Wrap the parsed program as an ad-hoc app for the comparison.
+		bench = &workloads.App{Name: prog.Name, Source: string(text), Demand: layout.DefaultDemand()}
 	case *app != "":
 		a, ok := workloads.ByName(*app)
 		if !ok {
@@ -175,7 +163,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("machine: %dx%d mesh, %d MCs (%s), %s, %s interleaving, mapping %s\n\n",
-		m.MeshX, m.MeshY, m.NumMCs, placement.Name, m.L2, m.Interleave, cm.Name)
+		m.MeshX, m.MeshY, m.NumMCs, cm.Placement.Name, m.L2, m.Interleave, cm.Name)
 	fmt.Println(res.Report())
 
 	if *show {
@@ -201,45 +189,11 @@ func run() error {
 	if !*simulate {
 		return nil
 	}
-	if bench == nil {
-		// Wrap the parsed program as an ad-hoc app for the comparison.
-		bench = &workloads.App{Name: prog.Name, Source: string(mustRead(*src)), Demand: layout.DefaultDemand()}
+	if spec.App != "" {
+		fmt.Fprintf(os.Stderr, "offchip: job %s\n", spec.ID())
 	}
 
 	wantProf := *profFlag || *profFolded != "" || *profPprof != ""
-	opt := core.Options{Seed: *seed}
-	switch *policy {
-	case "interleaved":
-	case "firsttouch":
-		opt.BaselinePolicy = sim.PolicyFirstTouch
-	case "ftnearest":
-		opt.BaselinePolicy = sim.PolicyFirstTouchNearest
-	case "osassisted":
-		opt.BaselinePolicy = sim.PolicyOSAssisted
-	default:
-		return fmt.Errorf("unknown -policy %q", *policy)
-	}
-	migSpec, err := mem.ParseMigrationSpec(*migrate)
-	if err != nil {
-		return err
-	}
-	opt.Migrate = migSpec
-	if *cacheFlag != "" {
-		dir := *cacheFlag
-		if dir == "mem" {
-			dir = "" // in-process only
-		}
-		tc, err := tracecache.New(dir)
-		if err != nil {
-			return err
-		}
-		opt.TraceCache = tc
-	}
-	sampleSpec, err := sim.ParseSampleSpec(*sampleFlag)
-	if err != nil {
-		return err
-	}
-	opt.Sample = sampleSpec
 	// -trace renders the optimized run's profiler as a Chrome trace; with
 	// -prof that profiler is also the run's attribution profile.
 	var traced *prof.Profiler
@@ -261,37 +215,12 @@ func run() error {
 	// The live observability plane binds before the runs start and watches
 	// the registries as the simulations fill them; the attribution snapshot
 	// appears on /profile once the runs retire.
-	var (
-		liveMu    sync.Mutex
-		liveRegs  = map[string]*obs.Registry{}
-		liveProfs = map[string]*prof.Profile{}
-	)
+	live := &livePlane{}
 	if *serveAddr != "" {
-		srv, err := prof.NewServer(prof.ServerConfig{
-			Addr: *serveAddr,
-			Registries: func() map[string]*obs.Registry {
-				liveMu.Lock()
-				defer liveMu.Unlock()
-				out := make(map[string]*obs.Registry, len(liveRegs))
-				for k, v := range liveRegs {
-					out[k] = v
-				}
-				return out
-			},
-			Profiles: func() map[string]*prof.Profile {
-				liveMu.Lock()
-				defer liveMu.Unlock()
-				out := make(map[string]*prof.Profile, len(liveProfs))
-				for k, v := range liveProfs {
-					out[k] = v
-				}
-				return out
-			},
-		})
+		srv, err := live.serve(*serveAddr)
 		if err != nil {
 			return err
 		}
-		srv.Start()
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "offchip: observability plane on http://%s\n", srv.Addr())
 	}
@@ -310,15 +239,12 @@ func run() error {
 		if onProgress != nil {
 			cfg.OnProgress = func(p sim.Progress) { onProgress(run, p) }
 		}
-		if *serveAddr != "" {
-			cfg.Obs = obs.New()
-			liveMu.Lock()
-			liveRegs[run] = cfg.Obs.Reg
-			liveMu.Unlock()
-		}
+		cfg.Obs = obs.New()
+		live.attach(run, cfg.Obs.Reg)
 	}
 
 	c, err := core.Compare(bench, m, cm, opt)
+	live.finish(c, err)
 	if *progress {
 		fmt.Fprintln(os.Stderr)
 	}
@@ -369,9 +295,9 @@ func run() error {
 	}
 	fmt.Println(t.String())
 
-	if sampleSpec != nil && len(c.Sampled) > 0 {
+	if opt.Sample != nil && len(c.Sampled) > 0 {
 		st := &stats.Table{
-			Title:   fmt.Sprintf("sampled simulation (%s): estimates with 95%% bounds", sampleSpec.String()),
+			Title:   fmt.Sprintf("sampled simulation (%s): estimates with 95%% bounds", opt.Sample.String()),
 			Headers: []string{"run", "simulated", "of accesses", "exec estimate", "±", "rel"},
 		}
 		for _, run := range []string{"baseline", "optimized", "optimal"} {
@@ -395,11 +321,6 @@ func run() error {
 	}
 
 	if wantProf {
-		liveMu.Lock()
-		for run, p := range c.Profiles {
-			liveProfs[run] = p
-		}
-		liveMu.Unlock()
 		if err := printProfiles(c, *profFolded, *profPprof); err != nil {
 			return err
 		}
@@ -415,11 +336,14 @@ func run() error {
 			"check": strconv.FormatBool(*checkRun), "prof": strconv.FormatBool(wantProf),
 			"trace-cache": *cacheFlag, "policy": *policy,
 		}
-		if sampleSpec != nil {
-			manifest.Config["sample"] = sampleSpec.String()
+		if opt.Sample != nil {
+			manifest.Config["sample"] = opt.Sample.String()
 		}
-		if migSpec != nil {
-			manifest.Config["migrate"] = migSpec.String()
+		if opt.Migrate != nil {
+			manifest.Config["migrate"] = opt.Migrate.String()
+		}
+		if spec.App != "" {
+			manifest.Jobs = []string{spec.ID()}
 		}
 		if p := c.Profiles["optimized"]; wantProf && p != nil {
 			manifest.StageTotals = p.StageTotals()
@@ -503,31 +427,83 @@ func liveProgress() func(run string, p sim.Progress) {
 	}
 }
 
-// replayJob re-runs one sweep job from its canonical ID and prints the
-// headline comparison. The simulation is bit-identical to the same job's
-// execution inside any parallel sweep (same derived seed, fresh state).
-func replayJob(id string) error {
-	out, err := runner.Replay(id)
+// livePlane is what the -serve plane reads while the run goes on: each
+// run's registry once it attaches, the runs' attribution profiles once they
+// retire, and the state of offchip's one job. The handlers read it while
+// Compare fills it, so a mutex guards it.
+type livePlane struct {
+	mu       sync.Mutex
+	regs     map[string]*obs.Registry
+	profs    map[string]*prof.Profile
+	finished bool
+	failed   bool
+}
+
+// serve binds the plane on addr, failing fast on a bad address, and starts
+// serving it.
+func (l *livePlane) serve(addr string) (*prof.Server, error) {
+	srv, err := prof.NewServer(prof.ServerConfig{
+		Addr:       addr,
+		Registries: l.registries,
+		Profiles:   l.profiles,
+		Progress:   l.progress,
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Printf("replayed %s (short %s)\n\n", out.ID, out.ShortID)
-	if c := out.Comparison; c != nil {
-		t := &stats.Table{
-			Title:   "replay (baseline vs optimized vs optimal)",
-			Headers: []string{"metric", "baseline", "optimized", "optimal", "improvement"},
-		}
-		t.AddF("execution time (cycles)", c.Baseline.ExecTime, c.Optimized.ExecTime, c.Optimal.ExecTime, stats.Pct(c.ExecImprovement()))
-		t.AddF("off-chip mem latency", c.Baseline.MemAvg, c.Optimized.MemAvg, c.Optimal.MemAvg, stats.Pct(c.MemImprovement()))
-		t.AddF("off-chip queue wait", c.Baseline.QueueAvg, c.Optimized.QueueAvg, c.Optimal.QueueAvg, stats.Pct(c.QueueImprovement()))
-		fmt.Println(t.String())
-	} else if r := out.Run; r != nil {
-		fmt.Printf("exec time %d cycles, %d off-chip requests\n", r.ExecTime, r.OffChip)
-	} else if a := out.Analysis; a != nil {
-		fmt.Printf("arrays optimized %.1f%%, refs satisfied %.1f%%\n",
-			a.PctArraysOptimized(), a.PctRefsSatisfied())
+	srv.Start()
+	return srv, nil
+}
+
+func (l *livePlane) attach(run string, reg *obs.Registry) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.regs == nil {
+		l.regs = map[string]*obs.Registry{}
 	}
-	return nil
+	l.regs[run] = reg
+}
+
+// finish records the comparison's outcome: its profiles (c is nil when it
+// failed) and whether it failed.
+func (l *livePlane) finish(c *core.Comparison, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.finished, l.failed = true, err != nil
+	if c != nil {
+		l.profs = c.Profiles
+	}
+}
+
+func (l *livePlane) registries() map[string]*obs.Registry {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]*obs.Registry, len(l.regs))
+	for run, reg := range l.regs {
+		out[run] = reg
+	}
+	return out
+}
+
+func (l *livePlane) profiles() map[string]*prof.Profile {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.profs // set once, never written after
+}
+
+// progress reports offchip's one job: in flight until the comparison
+// returns, then done, and failed if it failed.
+func (l *livePlane) progress() prof.Progress {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.finished {
+		return prof.Progress{TotalJobs: 1, InFlight: 1}
+	}
+	p := prof.Progress{TotalJobs: 1, DoneJobs: 1}
+	if l.failed {
+		p.Failed = 1
+	}
+	return p
 }
 
 // writeMetrics dumps every run's registry as JSONL, one point per line,
@@ -576,12 +552,4 @@ func printDashboard(c *core.Comparison, m layout.Machine) {
 	fmt.Println(obs.HottestLinks(opt, 10).String())
 	fmt.Println(obs.HopCDFTable(opt).String())
 	fmt.Println(obs.DiffTable(base, opt).String())
-}
-
-func mustRead(path string) []byte {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	return b
 }

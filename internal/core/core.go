@@ -344,22 +344,6 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 		return nil, fmt.Errorf("core: %s: %w", app.Name, err)
 	}
 
-	// Configure all three runs up front, then execute them concurrently.
-	// The runs share only immutable inputs (the traces), so the results are
-	// bit-identical to running them one after another.
-	cfg := SimConfig(m, cm, opt)
-	cfg.Policy = opt.BaselinePolicy
-	optCfg := cfg
-	if m.Interleave == layout.PageInterleave {
-		// The optimized run needs the OS-assisted policy (Section 5.3).
-		optCfg.Policy = sim.PolicyOSAssisted
-	}
-	idealCfg := cfg
-	idealCfg.OptimalOffchip = true
-	// The optimal scheme is the migration engine's fixed point — every
-	// request already goes to the nearest controller — so it never migrates.
-	idealCfg.Migrate = nil
-
 	type simJob struct {
 		name    string
 		cfg     sim.Config
@@ -369,22 +353,19 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 		err     error
 	}
 	jobs := []*simJob{
-		{name: "baseline", cfg: cfg, w: baseW},
-		{name: "optimized", cfg: optCfg, w: optW},
-		{name: "optimal", cfg: idealCfg, w: baseW},
+		{name: "baseline", w: baseW},
+		{name: "optimized", w: optW},
+		{name: "optimal", w: baseW},
 	}
-	// Attach every run, in run order, before any starts.
+	// Configure and attach every run, in run order, before any starts, then
+	// execute them concurrently. The runs share only immutable inputs (the
+	// traces), so the results are bit-identical to running them one after
+	// another.
 	for _, j := range jobs {
-		AttachRun(opt, j.name, &j.cfg)
+		j.cfg = RunConfig(j.name, m, cm, opt)
 	}
 	run := func(j *simJob) func() {
-		return func() {
-			if opt.Sample != nil {
-				j.sampled, j.err = sim.RunSampled(j.cfg, j.w, *opt.Sample)
-			} else {
-				j.res, j.err = sim.Run(j.cfg, j.w)
-			}
-		}
+		return func() { j.res, j.sampled, j.err = Simulate(j.cfg, j.w, opt.Sample) }
 	}
 	forkJoin(run(jobs[0]), run(jobs[1]), run(jobs[2]))
 	for _, j := range jobs {
@@ -441,16 +422,50 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 	}, nil
 }
 
-// AttachRun clears whatever observes the run's configuration — a copy of
-// another run's config would otherwise share its registry, checker and
-// profiler — hands it to opt.Attach, and gives the run a fresh registry when
-// Attach left it without one.
-func AttachRun(opt Options, run string, cfg *sim.Config) {
-	cfg.Obs, cfg.Check, cfg.Prof, cfg.OnProgress = nil, nil, nil, nil
+// RunConfig returns the simulator configuration of one of the three runs
+// Compare executes ("baseline", "optimized" or "optimal"), attached: the
+// baseline runs under opt.BaselinePolicy; the optimized run, under page
+// interleaving, under the OS-assisted policy that honors the layout pass's
+// page placement (Section 5.3); and the optimal scheme serves every
+// off-chip request from the nearest controller. opt.Attach then sees the
+// finished configuration, and a run it leaves without a registry gets a
+// fresh one.
+func RunConfig(run string, m layout.Machine, cm *layout.ClusterMapping, opt Options) sim.Config {
+	cfg := SimConfig(m, cm, opt)
+	cfg.Policy = opt.BaselinePolicy
+	switch run {
+	case "optimized":
+		if m.Interleave == layout.PageInterleave {
+			cfg.Policy = sim.PolicyOSAssisted
+		}
+	case "optimal":
+		// The optimal scheme is the migration engine's fixed point — every
+		// request already goes to the nearest controller — so it never
+		// migrates.
+		cfg.OptimalOffchip = true
+		cfg.Migrate = nil
+	}
 	if opt.Attach != nil {
-		opt.Attach(run, cfg)
+		opt.Attach(run, &cfg)
 	}
 	cfg.Obs = obs.OrNew(cfg.Obs)
+	return cfg
+}
+
+// Simulate executes one configured run on w: a full simulation, or a
+// sampled one when sample is set. The result is the full run's, or the
+// aggregate of the sampled run's measured windows; the sampled outcome,
+// with its estimates and bounds, is returned only for a sampled run.
+func Simulate(cfg sim.Config, w *sim.Workload, sample *sim.SampleSpec) (*sim.Result, *sim.SampledResult, error) {
+	if sample == nil {
+		r, err := sim.Run(cfg, w)
+		return r, nil, err
+	}
+	sr, err := sim.RunSampled(cfg, w, *sample)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sr.Aggregate, sr, nil
 }
 
 // distillSampled projects a sampled run onto Metrics: scalar metrics take

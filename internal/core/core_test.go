@@ -225,25 +225,17 @@ func TestDeterminismConcurrentCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := SimConfig(m, cm, opt)
-	cfg.Policy = opt.BaselinePolicy
-	optCfg := cfg
-	optCfg.Policy = sim.PolicyOSAssisted
-	idealCfg := cfg
-	idealCfg.OptimalOffchip = true
-	idealCfg.Migrate = nil
 	for _, run := range []struct {
 		name string
-		cfg  sim.Config
 		w    *sim.Workload
 		got  Metrics
 	}{
-		{"baseline", cfg, baseW, c.Baseline},
-		{"optimized", optCfg, optW, c.Optimized},
-		{"optimal", idealCfg, baseW, c.Optimal},
+		{"baseline", baseW, c.Baseline},
+		{"optimized", optW, c.Optimized},
+		{"optimal", baseW, c.Optimal},
 	} {
-		AttachRun(opt, run.name, &run.cfg)
-		r, err := sim.Run(run.cfg, run.w)
+		cfg := RunConfig(run.name, m, cm, opt)
+		r, err := sim.Run(cfg, run.w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,14 +246,14 @@ func TestDeterminismConcurrentCompare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.Marshal(run.cfg.Obs.Reg.Snapshot(r.ExecTime))
+		want, err := json.Marshal(cfg.Obs.Reg.Snapshot(r.ExecTime))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: registry snapshots differ", run.name)
 		}
-		gp, wp := c.Profiles[run.name], run.cfg.Prof.Profile()
+		gp, wp := c.Profiles[run.name], cfg.Prof.Profile()
 		if gp == nil || len(gp.Violations)+len(wp.Violations) != 0 {
 			t.Errorf("%s: profile %v, reference %v", run.name, gp, wp)
 		} else if !reflect.DeepEqual(gp, wp) {
@@ -270,7 +262,7 @@ func TestDeterminismConcurrentCompare(t *testing.T) {
 		if vs := c.Checks[run.name]; len(vs) != 0 {
 			t.Errorf("%s: %d violations, first %v", run.name, len(vs), vs[0])
 		}
-		if vs := run.cfg.Check.Violations(); len(vs) != 0 {
+		if vs := cfg.Check.Violations(); len(vs) != 0 {
 			t.Errorf("%s reference: %d violations, first %v", run.name, len(vs), vs[0])
 		}
 	}

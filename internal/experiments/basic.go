@@ -11,17 +11,7 @@ import (
 // we also report the share of cache-level accesses, the more comparable
 // number).
 func Fig3(cfg Config) (*FigResult, error) {
-	apps, err := cfg.apps()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]runner.JobSpec, len(apps))
-	for i, app := range apps {
-		s := cfg.spec(runner.ModeBaseline, app.Name)
-		s.Interleave = "page"
-		specs[i] = s
-	}
-	res, err := cfg.runJobs(specs)
+	apps, outs, err := cfg.runSuite(runner.ModeBaseline, variant{spec: runner.JobSpec{Interleave: "page"}})
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +21,7 @@ func Fig3(cfg Config) (*FigResult, error) {
 		Columns: []string{"offchip/total%", "offchip/L2level%"},
 	}
 	for i, app := range apps {
-		r := res.Outcomes[i].Run
+		r := outs[i].Run
 		l2Level := r.Total - r.L1Hits
 		share2 := 0.0
 		if l2Level > 0 {
@@ -51,17 +41,7 @@ func Fig3(cfg Config) (*FigResult, error) {
 // contention) on the three latencies and on execution time, under page
 // interleaving.
 func Fig4(cfg Config) (*FigResult, error) {
-	apps, err := cfg.apps()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]runner.JobSpec, len(apps))
-	for i, app := range apps {
-		s := cfg.spec(runner.ModeCompare, app.Name)
-		s.Interleave = "page"
-		specs[i] = s
-	}
-	res, err := cfg.runJobs(specs)
+	apps, outs, err := cfg.runSuite(runner.ModeCompare, variant{spec: runner.JobSpec{Interleave: "page"}})
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +51,7 @@ func Fig4(cfg Config) (*FigResult, error) {
 		Columns: []string{"onchip-net%", "offchip-net%", "mem%", "exec%"},
 	}
 	for i, app := range apps {
-		c := res.Outcomes[i].Comparison
+		c := outs[i].Comparison
 		f.Rows = append(f.Rows, AppRow{App: app.Name, Values: []float64{
 			100 * improvementOf(c.Baseline.OnChipNetAvg, c.Optimal.OnChipNetAvg),
 			100 * improvementOf(c.Baseline.OffChipNetAvg, c.Optimal.OffChipNetAvg),
@@ -94,15 +74,7 @@ func improvementOf(base, other float64) float64 {
 // array references satisfied by the chosen per-array transformations.
 // Analysis-only jobs: no traces are generated and no simulation runs.
 func Table2(cfg Config) (*FigResult, error) {
-	apps, err := cfg.apps()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]runner.JobSpec, len(apps))
-	for i, app := range apps {
-		specs[i] = cfg.spec(runner.ModeAnalyze, app.Name)
-	}
-	res, err := cfg.runJobs(specs)
+	apps, outs, err := cfg.runSuite(runner.ModeAnalyze, variant{})
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +84,7 @@ func Table2(cfg Config) (*FigResult, error) {
 		Columns: []string{"arrays%", "refs%"},
 	}
 	for i, app := range apps {
-		a := res.Outcomes[i].Analysis
+		a := outs[i].Analysis
 		f.Rows = append(f.Rows, AppRow{App: app.Name, Values: []float64{
 			a.PctArraysOptimized(), a.PctRefsSatisfied(),
 		}})
@@ -124,33 +96,29 @@ func Table2(cfg Config) (*FigResult, error) {
 // Fig14 reproduces Figure 14: the four improvement metrics under page
 // interleaving with the OS-assisted allocation policy.
 func Fig14(cfg Config) (*FigResult, error) {
-	s := cfg.spec(runner.ModeCompare, "")
-	s.Interleave = "page"
-	return improvementSuite(cfg, "Fig14", "improvements under page interleaving", s)
+	return improvementSuite(cfg, "Fig14", "improvements under page interleaving",
+		runner.JobSpec{Interleave: "page"})
 }
 
 // Fig16 reproduces Figure 16: the four improvement metrics under
 // cache-line interleaving (the default for the remaining experiments).
 func Fig16(cfg Config) (*FigResult, error) {
 	return improvementSuite(cfg, "Fig16", "improvements under cache-line interleaving",
-		cfg.spec(runner.ModeCompare, ""))
+		runner.JobSpec{})
 }
 
 // Fig22 reproduces Figure 22: the improvements with the L2 space managed
 // as a shared SNUCA cache (cache-line interleaving for both L2 home banks
 // and main memory).
 func Fig22(cfg Config) (*FigResult, error) {
-	s := cfg.spec(runner.ModeCompare, "")
-	s.L2 = "shared"
-	return improvementSuite(cfg, "Fig22", "improvements with shared (SNUCA) L2", s)
+	return improvementSuite(cfg, "Fig22", "improvements with shared (SNUCA) L2",
+		runner.JobSpec{L2: "shared"})
 }
 
 // Fig23 reproduces Figure 23 (Section 6.3): our scheme (with page
 // interleaving and OS-assisted allocation) against the OS first-touch
 // policy baseline.
 func Fig23(cfg Config) (*FigResult, error) {
-	s := cfg.spec(runner.ModeCompare, "")
-	s.Interleave = "page"
-	s.Policy = "firsttouch"
-	return improvementSuite(cfg, "Fig23", "our scheme vs the first-touch policy", s)
+	return improvementSuite(cfg, "Fig23", "our scheme vs the first-touch policy",
+		runner.JobSpec{Interleave: "page", Policy: "firsttouch"})
 }

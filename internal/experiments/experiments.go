@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"offchip/internal/core"
-	"offchip/internal/layout"
 	"offchip/internal/runner"
 	"offchip/internal/stats"
 	"offchip/internal/tracecache"
@@ -71,19 +69,52 @@ func (c Config) apps() ([]*workloads.App, error) {
 	return out, nil
 }
 
-func (c Config) coreOpts() core.Options {
-	return core.Options{MaxAccessesPerThread: c.MaxAccessesPerThread, Seed: c.Seed, TraceCache: c.TraceCache}
+// job completes s, a partial spec that carries only machine knobs, into
+// one job of the given mode on app, with the config-wide knobs.
+func (c Config) job(s runner.JobSpec, mode runner.Mode, app string) runner.JobSpec {
+	s.Mode, s.App = mode, app
+	s.Cap, s.Seed, s.Sample, s.Prof, s.Cache = c.MaxAccessesPerThread, c.Seed, c.Sample, c.Prof, c.TraceCache
+	return s
 }
 
-// spec starts a job spec carrying the config-wide knobs. Callers fill in
-// the per-job fields; enumeration everywhere walks slices in fixed order
-// (never maps), so a suite's job list — and therefore its job IDs — is
-// stable across runs.
-func (c Config) spec(mode runner.Mode, app string) runner.JobSpec {
-	return runner.JobSpec{
-		Mode: mode, App: app, Cap: c.MaxAccessesPerThread, Seed: c.Seed,
-		Sample: c.Sample, Prof: c.Prof, Cache: c.TraceCache,
+// variant is one machine configuration a suite runs every application on:
+// its name heads the variant's column, and spec carries its machine knobs.
+type variant struct {
+	name string
+	spec runner.JobSpec
+}
+
+// suiteJobs enumerates one job of the given mode for every configured
+// application × variant, app-major: apps[i] × variants[j] is job
+// i·len(variants)+j. Enumeration walks slices in fixed order (never maps),
+// so a suite's job list — and therefore its job IDs — is stable across
+// runs.
+func (c Config) suiteJobs(mode runner.Mode, variants ...variant) ([]*workloads.App, []runner.JobSpec, error) {
+	apps, err := c.apps()
+	if err != nil {
+		return nil, nil, err
 	}
+	specs := make([]runner.JobSpec, 0, len(apps)*len(variants))
+	for _, app := range apps {
+		for _, v := range variants {
+			specs = append(specs, c.job(v.spec, mode, app.Name))
+		}
+	}
+	return apps, specs, nil
+}
+
+// runSuite runs suiteJobs' jobs and returns their outcomes in the same
+// order.
+func (c Config) runSuite(mode runner.Mode, variants ...variant) ([]*workloads.App, []*runner.JobOutcome, error) {
+	apps, specs, err := c.suiteJobs(mode, variants...)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := c.runJobs(specs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return apps, res.Outcomes, nil
 }
 
 // runJobs shards the specs across c.Parallel workers and fails on the
@@ -106,17 +137,17 @@ func (c Config) runJobs(specs []runner.JobSpec) (*runner.Result, error) {
 // FigResult is a uniform per-application result matrix with a trailing
 // average row, rendering as the bar groups of the paper's figures.
 type FigResult struct {
-	ID      string
-	Title   string
-	Columns []string // value column names (after the App column)
-	Rows    []AppRow
-	Average []float64
+	ID      string    `json:"id"`
+	Title   string    `json:"title"`
+	Columns []string  `json:"columns"` // value column names (after the App column)
+	Rows    []AppRow  `json:"rows"`
+	Average []float64 `json:"average,omitempty"`
 }
 
 // AppRow is one application's values.
 type AppRow struct {
-	App    string
-	Values []float64
+	App    string    `json:"app"`
+	Values []float64 `json:"values"`
 }
 
 // finish computes the average row.
@@ -179,31 +210,10 @@ func (f *FigResult) Table() string {
 
 func (f *FigResult) String() string { return f.Table() }
 
-// defaultMachine returns the Table 1 platform with the default M1 mapping
-// (Figure 8a) for the requested interleaving.
-func defaultMachine(g layout.Granularity) (layout.Machine, *layout.ClusterMapping, error) {
-	m := layout.Default8x8()
-	m.Interleave = g
-	cm, err := layout.MappingM1(m, layout.PlacementCorners(m.MeshX, m.MeshY))
-	return m, cm, err
-}
-
-// improvementSuite runs the three-way comparison for every app (one job
-// each, sharded across cfg.Parallel workers) and returns the four Figure
-// 14/16 metrics (percent improvements). tmpl carries the machine knobs;
-// its App field is overwritten per job.
-func improvementSuite(cfg Config, id, title string, tmpl runner.JobSpec) (*FigResult, error) {
-	apps, err := cfg.apps()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]runner.JobSpec, len(apps))
-	for i, app := range apps {
-		s := tmpl
-		s.App = app.Name
-		specs[i] = s
-	}
-	res, err := cfg.runJobs(specs)
+// improvementSuite runs the three-way comparison of every app on one
+// machine and returns the four Figure 14/16 metrics (percent improvements).
+func improvementSuite(cfg Config, id, title string, machine runner.JobSpec) (*FigResult, error) {
+	apps, outs, err := cfg.runSuite(runner.ModeCompare, variant{spec: machine})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
 	}
@@ -213,7 +223,7 @@ func improvementSuite(cfg Config, id, title string, tmpl runner.JobSpec) (*FigRe
 		Columns: []string{"onchip-net%", "offchip-net%", "mem%", "queue%", "exec%"},
 	}
 	for i, app := range apps {
-		c := res.Outcomes[i].Comparison
+		c := outs[i].Comparison
 		f.Rows = append(f.Rows, AppRow{App: app.Name, Values: []float64{
 			100 * c.OnChipNetImprovement(),
 			100 * c.OffChipNetImprovement(),
@@ -227,27 +237,9 @@ func improvementSuite(cfg Config, id, title string, tmpl runner.JobSpec) (*FigRe
 }
 
 // execSuite runs the comparison across several machine variants and
-// reports one exec-improvement column per variant. Jobs are enumerated
-// app-major (apps[i] × variants[j] at index i·len(variants)+j).
+// reports one exec-improvement column per variant.
 func execSuite(cfg Config, id, title string, variants []variant) (*FigResult, error) {
-	apps, err := cfg.apps()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]runner.JobSpec, 0, len(apps)*len(variants))
-	for _, app := range apps {
-		for _, v := range variants {
-			s := v.spec
-			s.Mode = runner.ModeCompare
-			s.App = app.Name
-			s.Cap = cfg.MaxAccessesPerThread
-			s.Seed = cfg.Seed
-			s.Sample = cfg.Sample
-			s.Cache = cfg.TraceCache
-			specs = append(specs, s)
-		}
-	}
-	res, err := cfg.runJobs(specs)
+	apps, outs, err := cfg.runSuite(runner.ModeCompare, variants...)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", id, err)
 	}
@@ -258,7 +250,7 @@ func execSuite(cfg Config, id, title string, variants []variant) (*FigResult, er
 	for i, app := range apps {
 		row := AppRow{App: app.Name}
 		for j := range variants {
-			c := res.Outcomes[i*len(variants)+j].Comparison
+			c := outs[i*len(variants)+j].Comparison
 			row.Values = append(row.Values, 100*c.ExecImprovement())
 		}
 		f.Rows = append(f.Rows, row)
@@ -267,18 +259,11 @@ func execSuite(cfg Config, id, title string, variants []variant) (*FigResult, er
 	return f, nil
 }
 
-// variant names one machine configuration of an execSuite (the name feeds
-// the column header; the spec's App/Cap/Seed fields are filled per job).
-type variant struct {
-	name string
-	spec runner.JobSpec
-}
-
-// result is what every experiment returns: a fixed-width table and a JSON
-// encoding of the same numbers.
+// result is what every experiment returns: a fixed-width table of numbers
+// that also encode as JSON, for plotters and regression trackers that
+// should not parse tables (benchtab -json).
 type result interface {
 	Table() string
-	json.Marshaler
 }
 
 // experiment is one row of the experiment table: an ID and the function

@@ -166,7 +166,7 @@ func TestFig18SampledRowsAreRunOccupancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, app := range cfg.Apps {
-		o, err := runner.Replay(cfg.spec(runner.ModeOptimized, app).ID())
+		o, err := runner.Replay(cfg.job(runner.JobSpec{}, runner.ModeOptimized, app).ID())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,32 +13,30 @@ import (
 // applications fma3d and minighost prefer M2 — is also checked by the
 // compiler analysis column (the chooser's pick).
 func Fig17(cfg Config) (*FigResult, error) {
-	f, err := execSuite(cfg, "Fig17", "L2-to-MC mapping M1 vs M2", []variant{
+	variants := []variant{
 		{"M1", runner.JobSpec{Mapping: "m1"}},
 		{"M2", runner.JobSpec{Mapping: "m2"}},
-	})
+	}
+	f, err := execSuite(cfg, "Fig17", "L2-to-MC mapping M1 vs M2", variants)
 	if err != nil {
 		return nil, err
 	}
 	// Third column: 1 when the compiler analysis of Section 4 picks M2.
 	// The chooser consumes only the static demand profile, so this column
 	// needs no simulation jobs.
-	m := layout.Default8x8()
-	p := layout.PlacementCorners(m.MeshX, m.MeshY)
-	m1, err := layout.MappingM1(m, p)
-	if err != nil {
-		return nil, err
-	}
-	m2, err := layout.MappingM2(m, p)
-	if err != nil {
-		return nil, err
+	var mappings []*layout.ClusterMapping
+	for _, v := range variants {
+		_, cm, _, err := v.spec.Build()
+		if err != nil {
+			return nil, err
+		}
+		mappings = append(mappings, cm)
 	}
 	f.Columns = append(f.Columns, "chooser=M2")
 	apps, _ := cfg.apps()
 	for i, app := range apps {
-		pick := layout.ChooseMapping([]*layout.ClusterMapping{m1, m2}, app.Demand, 4)
 		v := 0.0
-		if pick == m2 {
+		if layout.ChooseMapping(mappings, app.Demand, 4) == mappings[1] {
 			v = 1
 		}
 		f.Rows[i].Values = append(f.Rows[i].Values, v)
@@ -53,15 +51,7 @@ func Fig17(cfg Config) (*FigResult, error) {
 // optimized job's Run.AvgQueueOcc; under sampling that is the measured
 // windows' exec-time-weighted occupancy.
 func Fig18(cfg Config) (*FigResult, error) {
-	apps, err := cfg.apps()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]runner.JobSpec, len(apps))
-	for i, app := range apps {
-		specs[i] = cfg.spec(runner.ModeOptimized, app.Name)
-	}
-	res, err := cfg.runJobs(specs)
+	apps, outs, err := cfg.runSuite(runner.ModeOptimized, variant{})
 	if err != nil {
 		return nil, err
 	}
@@ -72,7 +62,7 @@ func Fig18(cfg Config) (*FigResult, error) {
 	}
 	for i, app := range apps {
 		f.Rows = append(f.Rows, AppRow{App: app.Name,
-			Values: []float64{res.Outcomes[i].Run.AvgQueueOcc}})
+			Values: []float64{outs[i].Run.AvgQueueOcc}})
 	}
 	f.finish()
 	return f, nil

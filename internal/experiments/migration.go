@@ -53,11 +53,10 @@ func migrationFigure(cfg Config, id, title, defaultMig string, units []string, m
 	}
 	specs := make([]runner.JobSpec, 0, len(units)*migJobsPerRow)
 	for _, unit := range units {
-		base := cfg.spec(runner.ModeBaseline, unit)
+		base := cfg.job(runner.JobSpec{Interleave: "page"}, runner.ModeBaseline, unit)
 		if mixes {
 			base.App, base.Mix = "", unit
 		}
-		base.Interleave = "page"
 		p2 := base
 		p2.Mode = runner.ModeOptimized
 		ft := base

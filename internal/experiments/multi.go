@@ -53,16 +53,17 @@ func DefaultMixes() []Mix {
 // MixResult is the Figure 25 outcome: weighted speedups of baseline and
 // optimized multiprogrammed runs.
 type MixResult struct {
-	ID, Title string
-	Rows      []MixRow
+	ID    string   `json:"id"`
+	Title string   `json:"title"`
+	Rows  []MixRow `json:"rows"`
 }
 
 // MixRow is one workload mix's result.
 type MixRow struct {
-	Mix          string
-	WSBaseline   float64
-	WSOptimized  float64
-	ImprovementP float64
+	Mix          string  `json:"mix"`
+	WSBaseline   float64 `json:"wsBaseline"`
+	WSOptimized  float64 `json:"wsOptimized"`
+	ImprovementP float64 `json:"improvementPct"`
 }
 
 // Table renders the result.
@@ -83,12 +84,14 @@ func (r *MixResult) Table() string {
 // simulated machine, so a mix is a single simulation, not a shardable set
 // of independent jobs.
 func Fig25(cfg Config) (*MixResult, error) {
-	m, cm, err := defaultMachine(layout.LineInterleave)
+	m, cm, _, err := runner.JobSpec{}.Build()
 	if err != nil {
 		return nil, err
 	}
 	res := &MixResult{ID: "Fig25", Title: "multiprogrammed mixes, weighted speedup"}
-	opts := cfg.coreOpts()
+	// A mix is no job, so its seed is the config's as given, not derived
+	// from a job ID.
+	opts := core.Options{MaxAccessesPerThread: cfg.MaxAccessesPerThread, Seed: cfg.Seed, TraceCache: cfg.TraceCache}
 	simCfg := core.SimConfig(m, cm, opts)
 	for _, mix := range DefaultMixes() {
 		// Build both flavors of every application in the mix, and measure

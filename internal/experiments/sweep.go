@@ -8,32 +8,18 @@ import (
 // sweepSchemes are the layout schemes the example sweep crosses with the
 // application suite. A fixed slice — never a map — so the enumerated job
 // list (and every job ID) is identical on every run.
-var sweepSchemes = []struct {
-	Name string
-	Set  func(*runner.JobSpec)
-}{
-	{"line/private", func(s *runner.JobSpec) {}},
-	{"page/private", func(s *runner.JobSpec) { s.Interleave = "page" }},
-	{"line/shared", func(s *runner.JobSpec) { s.L2 = "shared" }},
+var sweepSchemes = []variant{
+	{"line/private", runner.JobSpec{}},
+	{"page/private", runner.JobSpec{Interleave: "page"}},
+	{"line/shared", runner.JobSpec{L2: "shared"}},
 }
 
 // ExampleSweep enumerates the demonstration sweep: every configured
 // application × the three layout schemes, one three-way comparison job
 // each, in app-major order (apps in the paper's listing order).
 func (c Config) ExampleSweep() ([]runner.JobSpec, error) {
-	apps, err := c.apps()
-	if err != nil {
-		return nil, err
-	}
-	var specs []runner.JobSpec
-	for _, app := range apps {
-		for _, sch := range sweepSchemes {
-			s := c.spec(runner.ModeCompare, app.Name)
-			sch.Set(&s)
-			specs = append(specs, s)
-		}
-	}
-	return specs, nil
+	_, specs, err := c.suiteJobs(runner.ModeCompare, sweepSchemes...)
+	return specs, err
 }
 
 // SweepResult is the outcome of RunSweep: the job list and the raw runner
@@ -66,7 +52,7 @@ func (r *SweepResult) Table() string {
 	}
 	for i, o := range r.Result.Outcomes {
 		c := o.Comparison
-		t.AddF(o.Spec.App, sweepSchemes[i%len(sweepSchemes)].Name, o.ShortID,
+		t.AddF(o.Spec.App, sweepSchemes[i%len(sweepSchemes)].name, o.ShortID,
 			100*c.ExecImprovement(), 100*c.MemImprovement(), 100*c.OffChipNetImprovement())
 	}
 	return t.String()

@@ -60,7 +60,7 @@ func TestExampleSweepGoldenTable(t *testing.T) {
 	}
 	for i, o := range res.Result.Outcomes {
 		c := o.Comparison
-		table.AddF(o.Spec.App, sweepSchemes[i%len(sweepSchemes)].Name,
+		table.AddF(o.Spec.App, sweepSchemes[i%len(sweepSchemes)].name,
 			100*c.ExecImprovement(), 100*c.MemImprovement(), 100*c.OffChipNetImprovement())
 	}
 	checkGolden(t, "example_sweep", table.String())

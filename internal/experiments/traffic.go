@@ -13,16 +13,17 @@ import (
 // one controller: the fraction of the controller's off-chip requests issued
 // by each node, before and after the optimization.
 type MapResult struct {
-	ID, Title string
-	MC        int
-	MeshX     int
-	Original  []float64 // per node (row-major), sums to 1
-	Optimized []float64
+	ID        string    `json:"id"`
+	Title     string    `json:"title"`
+	MC        int       `json:"mc"`
+	MeshX     int       `json:"meshX"`
+	Original  []float64 `json:"original"` // per node (row-major), sums to 1
+	Optimized []float64 `json:"optimized"`
 
 	// QuadrantShare is the fraction of the controller's traffic coming
 	// from its own cluster's nodes — the "skew" Figure 13 visualizes.
-	QuadrantShareOriginal  float64
-	QuadrantShareOptimized float64
+	QuadrantShareOriginal  float64 `json:"quadrantShareOriginal"`
+	QuadrantShareOptimized float64 `json:"quadrantShareOptimized"`
 }
 
 // Fig13 reproduces Figure 13: the distribution across nodes of apsi's
@@ -41,7 +42,7 @@ func Fig13(cfg Config) (*MapResult, error) {
 			target = a
 		}
 	}
-	res, err := cfg.runJobs([]runner.JobSpec{cfg.spec(runner.ModeCompare, target.Name)})
+	res, err := cfg.runJobs([]runner.JobSpec{cfg.job(runner.JobSpec{}, runner.ModeCompare, target.Name)})
 	if err != nil {
 		return nil, err
 	}
@@ -102,30 +103,23 @@ func (r *MapResult) Table() string {
 // by on-chip and off-chip requests, original vs optimized, averaged over
 // the application suite.
 type CDFResult struct {
-	ID, Title   string
-	OnChipBase  []float64
-	OnChipOpt   []float64
-	OffChipBase []float64
-	OffChipOpt  []float64
+	ID          string    `json:"id"`
+	Title       string    `json:"title"`
+	OnChipBase  []float64 `json:"onchipOriginal"`
+	OnChipOpt   []float64 `json:"onchipOptimized"`
+	OffChipBase []float64 `json:"offchipOriginal"`
+	OffChipOpt  []float64 `json:"offchipOptimized"`
 }
 
 // Fig15 reproduces Figure 15: each job's per-run hop CDFs, averaged
 // across the suite.
 func Fig15(cfg Config) (*CDFResult, error) {
-	apps, err := cfg.apps()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]runner.JobSpec, len(apps))
-	for i, app := range apps {
-		specs[i] = cfg.spec(runner.ModeCompare, app.Name)
-	}
-	res, err := cfg.runJobs(specs)
+	apps, outs, err := cfg.runSuite(runner.ModeCompare, variant{})
 	if err != nil {
 		return nil, err
 	}
 	r := &CDFResult{ID: "Fig15", Title: "CDF of links traversed per request"}
-	for _, o := range res.Outcomes {
+	for _, o := range outs {
 		c := o.Comparison
 		// A sampled run's representative window may send no message of a
 		// class; its CDF is then nil and counts as all zeros, one entry

@@ -70,11 +70,7 @@ func FigTune(cfg Config) (*FigResult, error) {
 	// migrating jobs spec-major: job i·len(wls)+j after the references is
 	// grid[i] on wls[j].
 	ref := func(w tuneWorkload) runner.JobSpec {
-		s := cfg.spec(runner.ModeBaseline, w.app)
-		s.Mix = w.mix
-		s.Interleave = "page"
-		s.Policy = "ftnearest"
-		return s
+		return cfg.job(runner.JobSpec{Mix: w.mix, Interleave: "page", Policy: "ftnearest"}, runner.ModeBaseline, w.app)
 	}
 	specs := make([]runner.JobSpec, 0, len(wls)*(len(grid)+1))
 	for _, w := range wls {

@@ -301,7 +301,9 @@ func (s JobSpec) simSeed() uint64 {
 }
 
 // Build resolves the spec into a machine, cluster mapping, and core
-// options — the exact inputs core.Compare takes.
+// options — the exact inputs core.Compare takes. It is the one place names
+// become a machine: sweep jobs, offchip's flags and the figures that
+// simulate outside the runner all resolve through it.
 func (s JobSpec) Build() (layout.Machine, *layout.ClusterMapping, core.Options, error) {
 	n := s.Normalized()
 	var opt core.Options
@@ -530,40 +532,24 @@ func (s JobSpec) execute() (out *JobOutcome) {
 			out.Err = err
 			return out
 		}
-		cfg := core.SimConfig(m, cm, opt)
-		cfg.Policy = opt.BaselinePolicy
-		w := baseW
-		run := "baseline"
+		run, w := "baseline", baseW
 		if n.Mode == ModeOptimized {
-			w, run = optW, "optimized"
-			if m.Interleave == layout.PageInterleave {
-				// Optimized runs under page interleaving need the layout
-				// pass's page placement honored, exactly as core.Compare
-				// does.
-				cfg.Policy = sim.PolicyOSAssisted
-			}
+			run, w = "optimized", optW
 		}
-		core.AttachRun(opt, run, &cfg)
-		if opt.Sample != nil {
-			// Sampled single-run mode: Run carries the aggregate of the
-			// measured windows (a deterministic projection), Sampled the
-			// estimates and bounds.
-			sr, err := sim.RunSampled(cfg, w, *opt.Sample)
-			if err != nil {
-				out.Err = err
-				return out
-			}
-			out.Run = sr.Aggregate
+		cfg := core.RunConfig(run, m, cm, opt)
+		r, sr, err := core.Simulate(cfg, w, opt.Sample)
+		if err != nil {
+			out.Err = err
+			return out
+		}
+		// A sampled run's Run is the aggregate of its measured windows (a
+		// deterministic projection); Sampled carries the estimates and
+		// bounds.
+		out.Run = r
+		out.ExecTimes[run] = r.ExecTime
+		if sr != nil {
 			out.Sampled = map[string]*sim.SampledResult{run: sr}
 			out.ExecTimes[run] = int64(sr.Est.ExecTime.Mean + 0.5)
-		} else {
-			r, err := sim.Run(cfg, w)
-			if err != nil {
-				out.Err = err
-				return out
-			}
-			out.Run = r
-			out.ExecTimes[run] = r.ExecTime
 		}
 		out.Observers[run] = cfg.Obs
 		if cfg.Prof != nil {

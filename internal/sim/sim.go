@@ -207,6 +207,26 @@ type Stream struct {
 	Phases   []int
 }
 
+// PhaseRange returns the [lo, hi) access range of phase ph in the stream.
+// Streams without phase markers are one phase.
+func (st *Stream) PhaseRange(ph int) (int, int) {
+	if len(st.Phases) == 0 {
+		if ph == 0 {
+			return 0, len(st.Accesses)
+		}
+		return 0, 0
+	}
+	if ph >= len(st.Phases) {
+		return 0, 0
+	}
+	lo := st.Phases[ph]
+	hi := len(st.Accesses)
+	if ph+1 < len(st.Phases) {
+		hi = st.Phases[ph+1]
+	}
+	return lo, hi
+}
+
 // Workload is a set of streams, possibly from several applications
 // (multiprogrammed mixes put one stream per application on each core).
 type Workload struct {
@@ -872,7 +892,7 @@ func (m *machine) preTouch(w *Workload) {
 	for ph := 0; ph < maxPhases; ph++ {
 		for i := range w.Streams {
 			st := &w.Streams[i]
-			lo, hi := phaseRange(st, ph)
+			lo, hi := st.PhaseRange(ph)
 			for _, acc := range st.Accesses[lo:hi] {
 				m.spaces[st.AppID].Translate(acc.VAddr, st.Core, int(acc.DesiredMC))
 			}
@@ -922,26 +942,6 @@ func (m *machine) warmCaches(streams []Stream) {
 		m.l1s[core].ResetStats()
 		m.l2s[core].ResetStats()
 	}
-}
-
-// phaseRange returns the [lo, hi) access range of phase ph in the stream.
-// Streams without phase markers are one phase.
-func phaseRange(st *Stream, ph int) (int, int) {
-	if len(st.Phases) == 0 {
-		if ph == 0 {
-			return 0, len(st.Accesses)
-		}
-		return 0, 0
-	}
-	if ph >= len(st.Phases) {
-		return 0, 0
-	}
-	lo := st.Phases[ph]
-	hi := len(st.Accesses)
-	if ph+1 < len(st.Phases) {
-		hi = st.Phases[ph+1]
-	}
-	return lo, hi
 }
 
 func (m *machine) policy() mem.Policy {

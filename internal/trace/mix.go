@@ -44,7 +44,7 @@ func ComposeMix(name string, cores int, parts []*sim.Workload, rotates []int) (*
 		for app, w := range parts {
 			for i := range w.Streams {
 				st := &w.Streams[i]
-				lo, hi := phaseRange(st, ph)
+				lo, hi := st.PhaseRange(ph)
 				if lo == hi {
 					continue
 				}
@@ -61,25 +61,4 @@ func ComposeMix(name string, cores int, parts []*sim.Workload, rotates []int) (*
 		return nil, fmt.Errorf("trace: mix %s composed to an empty workload", name)
 	}
 	return out, nil
-}
-
-// phaseRange returns the [lo, hi) access range of phase ph in the stream —
-// the same convention as the simulator's phase walk. Streams without phase
-// markers are one phase.
-func phaseRange(st *sim.Stream, ph int) (int, int) {
-	if len(st.Phases) == 0 {
-		if ph == 0 {
-			return 0, len(st.Accesses)
-		}
-		return 0, 0
-	}
-	if ph >= len(st.Phases) {
-		return 0, 0
-	}
-	lo := st.Phases[ph]
-	hi := len(st.Accesses)
-	if ph+1 < len(st.Phases) {
-		hi = st.Phases[ph+1]
-	}
-	return lo, hi
 }

@@ -128,6 +128,19 @@ func New(dir string) (*Cache, error) {
 	return c, nil
 }
 
+// Open interprets a -trace-cache flag value: "" is no cache (nil, which
+// every method accepts), "mem" an in-process cache, and anything else the
+// directory of a persistent one.
+func Open(flag string) (*Cache, error) {
+	switch flag {
+	case "":
+		return nil, nil
+	case "mem":
+		return New("")
+	}
+	return New(flag)
+}
+
 // Stats snapshots the traffic counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {

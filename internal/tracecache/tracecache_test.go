@@ -386,6 +386,37 @@ func TestNilCache(t *testing.T) {
 	}
 }
 
+// TestOpen pins the -trace-cache flag values: "" is no cache, "mem" an
+// in-process cache that writes nothing to disk, and anything else a
+// directory the cache persists into.
+func TestOpen(t *testing.T) {
+	if c, err := tracecache.Open(""); c != nil || err != nil {
+		t.Errorf(`Open("") = %v, %v; want no cache`, c, err)
+	}
+	app := workloads.All()[0]
+	p, store, res, m := setup(t, app, schemes[0])
+	tOpt := trace.Options{MaxAccessesPerThread: 150}
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		flag       string
+		diskWrites int64
+	}{
+		{"mem", 0},
+		{dir, 1},
+	} {
+		c, err := tracecache.Open(tc.flag)
+		if err != nil || c == nil {
+			t.Fatalf("Open(%q) = %v, %v", tc.flag, c, err)
+		}
+		if _, err := c.Generate(p, res, m, store, tOpt); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Misses != 1 || st.DiskWrites != tc.diskWrites {
+			t.Errorf("Open(%q): stats %+v, want 1 miss and %d disk writes", tc.flag, st, tc.diskWrites)
+		}
+	}
+}
+
 // BenchmarkDecodeCacheHit is the steady-state cache-hit decode path — a
 // reused Decoder over one encoded blob. benchgate pins it at 0 allocs/op
 // (`make check`): the decode that every warm sweep job pays must stay
