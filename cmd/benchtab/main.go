@@ -17,8 +17,8 @@
 // EXPERIMENTS.md "Profiling a sweep"):
 //
 //	benchtab -exp fig16 -prof                # sweep-wide latency attribution
-//	benchtab -sweep -serve :9090             # live /metrics, /progress, /profile
-//	benchtab -exp fig13 -sweep-out s.jsonl   # every job run's registry + manifest
+//	benchtab -sweep -serve :9090             # live /metrics, /progress, /profile, /debug/pprof/
+//	benchtab -exp fig13 -metrics s.jsonl     # every job run's registry + manifest
 //	benchtab -replay '<job-id>' -prof        # attribution of one replayed job
 //
 // Each experiment prints a fixed-width table whose rows correspond to the
@@ -32,15 +32,12 @@ import (
 	"fmt"
 	"os"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"offchip/internal/experiments"
 	"offchip/internal/mem"
-	"offchip/internal/obs"
 	"offchip/internal/prof"
 	"offchip/internal/runner"
 	"offchip/internal/sim"
@@ -62,8 +59,8 @@ func main() {
 	sampleFlag := flag.String("sample", "", `sampled simulation for job-sharded experiments: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
 	migrateFlag := flag.String("migrate", "", `hot-page migration spec for figmig/figmix dynamic and hybrid runs: on | h<thr>w<win>c<cool>f<flits>t<stall>[g<pages>] (default: "on" for figmig; figmix retunes to per-page granularity)`)
 	profFlag := flag.Bool("prof", false, "attach the latency-attribution profiler to every job and print the attribution summed over all jobs")
-	serveAddr := flag.String("serve", "", "serve the live observability plane (/metrics, /progress, /profile) of every finished job on this address")
-	sweepOut := flag.String("sweep-out", "", "write every finished job run's registry as JSONL, plus a .manifest.json provenance record")
+	serveAddr := flag.String("serve", "", "serve the live observability plane (/metrics, /progress, /profile, /debug/pprof/) of every finished job on this address")
+	metricsOut := flag.String("metrics", "", "write every finished job run's registry as JSONL, plus a .manifest.json provenance record")
 	flag.Parse()
 	start := time.Now()
 
@@ -107,7 +104,11 @@ func main() {
 		return
 	}
 
-	rec := newRecorder(*serveAddr != "" || *sweepOut != "", *parallel)
+	// The plane records each job ID once per process, however many
+	// experiments run it: its profiles, summed per run name, and, for
+	// -serve and -metrics, its runs' registries under "<ShortID>/<run>".
+	plane := prof.NewPlane(*parallel)
+	keepRuns := *serveAddr != "" || *metricsOut != ""
 	cfg.OnJob = func(ev runner.JobEvent) {
 		if *progress {
 			status := "ok"
@@ -117,19 +118,21 @@ func main() {
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] w%d %6.2fs %s %s\n",
 				ev.Done, ev.Total, ev.Worker, float64(ev.WallNS)/1e9, ev.ID, status)
 		}
-		rec.observe(ev)
+		if ev.Done == 1 {
+			plane.Start(ev.Total) // exactly one event of each runner sweep
+		}
+		o := ev.Outcome
+		if plane.Finish(o.ID, o.Err, o.Profiles) && keepRuns {
+			for run, ob := range o.Observers {
+				plane.Record(o.ShortID+"/"+run, ob.Reg, o.ExecTimes[run])
+			}
+		}
 	}
 	if *serveAddr != "" {
-		srv, err := prof.NewServer(prof.ServerConfig{
-			Addr:       *serveAddr,
-			Registries: rec.registries,
-			Profiles:   rec.profileCopies,
-			Progress:   rec.progress,
-		})
+		srv, err := prof.NewServer(*serveAddr, plane)
 		if err != nil {
 			fail(err)
 		}
-		srv.Start()
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "benchtab: observability plane on http://%s\n", srv.Addr())
 	}
@@ -148,9 +151,9 @@ func main() {
 		if *exp == "all" {
 			ids = experiments.AllIDs()
 		}
-		observed := *profFlag || *serveAddr != "" || *sweepOut != ""
+		observed := *profFlag || *serveAddr != "" || *metricsOut != ""
 		if observed && slices.ContainsFunc(ids, func(id string) bool { return strings.EqualFold(id, "fig25") }) {
-			fmt.Fprintln(os.Stderr, "benchtab: fig25 simulates outside the job runner, so -prof, -serve and -sweep-out do not cover it")
+			fmt.Fprintln(os.Stderr, "benchtab: fig25 simulates outside the job runner, so -prof, -serve and -metrics do not cover it")
 		}
 		for _, id := range ids {
 			t0 := time.Now()
@@ -173,12 +176,9 @@ func main() {
 
 	if *profFlag {
 		fmt.Println()
-		printAttribution("sweep latency attribution", rec.profiles)
-		if p := rec.profiles["optimized"]; p != nil {
-			fmt.Println(prof.QuantileTable("sweep optimized-run stage latency quantiles (cycles)", p).String())
-		}
+		prof.PrintAttribution(os.Stdout, os.Stderr, "benchtab", "sweep ", plane.Profiles())
 	}
-	if *sweepOut != "" {
+	if *metricsOut != "" {
 		m := prof.NewManifest(start)
 		m.Seed = *seed
 		m.Config = map[string]string{
@@ -187,165 +187,17 @@ func main() {
 			"parallel": strconv.Itoa(cfg.Parallel),
 			"prof":     strconv.FormatBool(*profFlag),
 		}
-		if err := rec.write(*sweepOut, m); err != nil {
+		if err := plane.WriteMetrics(*metricsOut, m); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "benchtab: wrote every job run's registry to %s (manifest %s)\n",
-			*sweepOut, prof.ManifestPath(*sweepOut))
+			*metricsOut, prof.ManifestPath(*metricsOut))
 	}
 }
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "benchtab:", err)
 	os.Exit(1)
-}
-
-// recorder is benchtab's one job observer, for -sweep and every -exp
-// experiment alike. Each job ID is recorded once per process, however many
-// experiments run it: its runs' registries under "<ShortID>/<run>" labels
-// (kept only for -serve and -sweep-out) and its profiles, summed per run
-// name. OnJob calls are serialized, but the live plane reads concurrently.
-type recorder struct {
-	keepRuns bool
-	parallel int
-
-	mu       sync.Mutex
-	seen     map[string]bool          // job IDs recorded so far
-	runs     map[string]recordedRun   // "<ShortID>/<run>" → registry
-	profiles map[string]*prof.Profile // run name → sum over recorded jobs
-	done     int                      // finished jobs, failed ones included
-	total    int                      // jobs of every sweep started so far
-	failed   int
-}
-
-// newRecorder returns a recorder that keeps run registries when keepRuns is
-// set; parallel is the worker count, for /progress's in-flight estimate.
-func newRecorder(keepRuns bool, parallel int) *recorder {
-	return &recorder{
-		keepRuns: keepRuns,
-		parallel: parallel,
-		seen:     map[string]bool{},
-		runs:     map[string]recordedRun{},
-		profiles: map[string]*prof.Profile{},
-	}
-}
-
-// recordedRun is one job run's registry and the end time its snapshot is
-// taken at.
-type recordedRun struct {
-	reg   *obs.Registry
-	until int64
-}
-
-func (r *recorder) observe(ev runner.JobEvent) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.done++
-	if ev.Done == 1 {
-		r.total += ev.Total // exactly one event of each runner sweep
-	}
-	if ev.Err != nil {
-		r.failed++
-	}
-	o := ev.Outcome
-	if o == nil || o.Err != nil || r.seen[o.ID] {
-		return
-	}
-	r.seen[o.ID] = true
-	if r.keepRuns {
-		for run, ob := range o.Observers {
-			r.runs[o.ShortID+"/"+run] = recordedRun{ob.Reg, o.ExecTimes[run]}
-		}
-	}
-	for run, p := range o.Profiles {
-		if r.profiles[run] == nil {
-			r.profiles[run] = &prof.Profile{}
-		}
-		r.profiles[run].Add(p)
-	}
-}
-
-func (r *recorder) registries() map[string]*obs.Registry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]*obs.Registry, len(r.runs))
-	for label, rr := range r.runs {
-		out[label] = rr.reg
-	}
-	return out
-}
-
-func (r *recorder) profileCopies() map[string]*prof.Profile {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]*prof.Profile, len(r.profiles))
-	for run, p := range r.profiles {
-		c := &prof.Profile{}
-		c.Add(p) // deep copy: the sum keeps growing
-		out[run] = c
-	}
-	return out
-}
-
-func (r *recorder) progress() prof.Progress {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// A sweep's first event may arrive after its second (the runner counts
-	// a job done before it takes the event lock), so done can pass total
-	// for a moment.
-	inflight := max(min(r.total-r.done, max(r.parallel, 1)), 0)
-	return prof.Progress{TotalJobs: r.total, DoneJobs: r.done, InFlight: inflight, Failed: r.failed}
-}
-
-// write dumps every recorded run's snapshot at its end time, in label
-// order, through the writer offchip -metrics uses, and the manifest next to
-// it.
-func (r *recorder) write(path string, m *prof.Manifest) error {
-	labels := make([]string, 0, len(r.runs))
-	for label := range r.runs {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	for _, label := range labels {
-		rr := r.runs[label]
-		if err := obs.WriteRun(f, label, rr.reg, rr.until); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	for id := range r.seen {
-		m.Jobs = append(m.Jobs, id)
-	}
-	sort.Strings(m.Jobs)
-	if p := r.profiles["optimized"]; p != nil {
-		m.StageTotals = p.StageTotals()
-	}
-	return m.Write(prof.ManifestPath(path))
-}
-
-// printAttribution prints per-run latency attribution: the baseline vs
-// optimized differential table when both runs were profiled, otherwise one
-// table per profiled run.
-func printAttribution(title string, profiles map[string]*prof.Profile) {
-	if base, opt := profiles["baseline"], profiles["optimized"]; base != nil && opt != nil {
-		fmt.Println(prof.DiffTable(title+" (cycles/access, baseline vs optimized)", base, opt).String())
-		return
-	}
-	runs := make([]string, 0, len(profiles))
-	for run := range profiles {
-		runs = append(runs, run)
-	}
-	sort.Strings(runs)
-	for _, run := range runs {
-		fmt.Println(prof.AttributionTable(title+": "+run, profiles[run]).String())
-	}
 }
 
 // replayJob re-executes one job from its ID and prints the canonical
@@ -377,7 +229,7 @@ func replayJob(id string, withProf bool) error {
 		return err
 	}
 	if withProf {
-		printAttribution("latency attribution", out.Profiles)
+		prof.PrintAttribution(os.Stdout, os.Stderr, "benchtab", "", out.Profiles)
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -40,7 +42,7 @@ func benchtab(t *testing.T, args ...string) (string, string) {
 	return string(out), stderr.String()
 }
 
-// TestObservabilityOnAnExperiment runs -prof and -sweep-out on a figure
+// TestObservabilityOnAnExperiment runs -prof and -metrics on a figure
 // experiment: the sweep-wide attribution is printed, the dump holds each of
 // the job's runs under "<ShortID>/<run>", its manifest names the job, and
 // the dump's bytes do not depend on the worker count.
@@ -51,7 +53,7 @@ func TestObservabilityOnAnExperiment(t *testing.T) {
 	for _, workers := range []string{"1", "2"} {
 		path := filepath.Join(dir, "w"+workers+".jsonl")
 		out, _ := benchtab(t, "-exp", "fig13", "-apps", "apsi", "-quick", "-prof",
-			"-sweep-out", path, "-parallel", workers)
+			"-metrics", path, "-parallel", workers)
 		if !strings.Contains(out, "== sweep latency attribution (cycles/access, baseline vs optimized) ==") {
 			t.Errorf("-parallel %s: no attribution table in\n%s", workers, out)
 		}
@@ -96,7 +98,7 @@ func TestObservabilityOnAnExperiment(t *testing.T) {
 		dumps = append(dumps, dump)
 	}
 	if !bytes.Equal(dumps[0], dumps[1]) {
-		t.Error("-sweep-out dump differs between -parallel 1 and 2")
+		t.Error("-metrics dump differs between -parallel 1 and 2")
 	}
 }
 
@@ -111,7 +113,7 @@ func TestProfOnAVariantSuite(t *testing.T) {
 }
 
 // TestFig25SaysItIsNotObserved: Fig. 25 simulates outside the job runner,
-// so when -prof, -serve or -sweep-out is set and it runs, benchtab says on
+// so when -prof, -serve or -metrics is set and it runs, benchtab says on
 // stderr that those outputs do not cover it, and otherwise stays quiet.
 func TestFig25SaysItIsNotObserved(t *testing.T) {
 	const note = "benchtab: fig25 simulates outside the job runner"
@@ -123,60 +125,45 @@ func TestFig25SaysItIsNotObserved(t *testing.T) {
 	}
 }
 
-// TestRecorderRecordsEachJobOnce feeds the recorder two sweeps of the same
-// jobs on two workers while another goroutine reads it as the live plane
-// does: each job run is recorded once, and its profiles are summed once.
-func TestRecorderRecordsEachJobOnce(t *testing.T) {
-	specs := []runner.JobSpec{
-		{App: "apsi", Cap: 80, Prof: true},
-		{Mode: runner.ModeOptimized, App: "gafort", Cap: 80, Prof: true},
+// TestServeAnswersHostProfiles: the -serve plane also serves Go's host
+// profiles under /debug/pprof/ while the experiment runs.
+func TestServeAnswersHostProfiles(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-exp", "fig16", "-apps", "apsi,swim", "-serve", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), "BENCHTAB_TEST_MAIN=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
 	}
-	rec := newRecorder(true, 2)
-	stop := make(chan struct{})
-	read := make(chan struct{})
-	go func() {
-		defer close(read)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				rec.registries()
-				rec.profileCopies()
-				rec.progress()
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Wait()
+	defer io.Copy(io.Discard, stderr)
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		if _, url, ok := strings.Cut(sc.Text(), "observability plane on "); ok {
+			resp, err := http.Get(url + "/debug/pprof/cmdline")
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "-serve") {
+				t.Errorf("/debug/pprof/cmdline: status %d, %v, body %q", resp.StatusCode, err, body)
+			}
+			return
 		}
-	}()
-	defer func() {
-		close(stop)
-		<-read
-	}()
-	var once *runner.Result
-	for pass := 0; pass < 2; pass++ {
-		res, err := runner.Run(specs, runner.Options{Workers: 2, OnJob: rec.observe})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.FirstError(); err != nil {
-			t.Fatal(err)
-		}
-		once = res
 	}
+	t.Fatal("benchtab -serve printed no plane address")
+}
 
-	if len(rec.seen) != len(specs) {
-		t.Errorf("recorded %d jobs, want %d: %v", len(rec.seen), len(specs), rec.seen)
-	}
-	if got := len(rec.registries()); got != 4 {
-		t.Errorf("recorded %d job runs, want 4 (three compare runs, one optimized)", got)
-	}
-	var want int64
-	for _, o := range once.Outcomes {
-		want += o.Profiles["optimized"].Accesses
-	}
-	if got := rec.profiles["optimized"].Accesses; got != want {
-		t.Errorf("optimized profile sums %d accesses, want one pass's %d", got, want)
-	}
-	if p := rec.progress(); p.DoneJobs != 4 || p.TotalJobs != 4 || p.InFlight != 0 {
-		t.Errorf("progress = %+v, want 4 of 4 done", p)
+// TestRetiredFlags: the run-registry dump is -metrics, as in offchip, so
+// -sweep-out is an undefined flag.
+func TestRetiredFlags(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-exp", "fig13", "-apps", "apsi", "-quick", "-sweep-out", filepath.Join(t.TempDir(), "s.jsonl"))
+	cmd.Env = append(os.Environ(), "BENCHTAB_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -sweep-out") {
+		t.Errorf("benchtab -sweep-out: err %v, output:\n%s", err, out)
 	}
 }

@@ -18,11 +18,10 @@
 //	offchip -app apsi -trace t.json        # per-access attribution of the optimized run, Chrome trace
 //	offchip -app apsi -metrics m.jsonl     # metrics registry dump, all runs
 //	offchip -app apsi -report              # post-run text dashboard
-//	offchip -app apsi -pprof :6060         # serve net/http/pprof while running
 //	offchip -app apsi -prof                # cycle-level latency attribution tables
 //	offchip -app apsi -prof-folded p.txt   # folded stacks for flamegraph.pl
 //	offchip -app apsi -prof-pprof p.pb.gz  # attribution as pprof protobuf
-//	offchip -app apsi -serve :9090         # live /metrics, /progress, /profile
+//	offchip -app apsi -serve :9090         # live /metrics, /progress, /profile, /debug/pprof/
 //
 // Every run is one compare job (runner.JobSpec): the flags name its machine
 // and options exactly as a sweep job's ID fields do, so a combination the
@@ -39,9 +38,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"strconv"
 	"sync"
@@ -80,37 +76,19 @@ func run() error {
 	simulate := flag.Bool("sim", true, "run the baseline/optimized/optimal simulation")
 	traceOut := flag.String("trace", "", "write the optimized run's per-access latency attribution as a Chrome trace_event file (chrome://tracing, Perfetto)")
 	traceSample := flag.Int64("trace-sample", 1, "-trace: keep only the accesses whose probe ID is a multiple of N, each with all its slices")
-	metricsOut := flag.String("metrics", "", "write a JSONL metrics dump of all three runs")
+	metricsOut := flag.String("metrics", "", "write every run's registry as JSONL, plus a .manifest.json provenance record")
 	progress := flag.Bool("progress", false, "print a live one-line status during simulation")
 	report := flag.Bool("report", false, "print the post-run observability dashboard")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
 	profFlag := flag.Bool("prof", false, "attach the latency-attribution profiler and print per-stage attribution tables")
 	profFolded := flag.String("prof-folded", "", "write the optimized run's attribution as folded stacks (flamegraph.pl); implies -prof")
 	profPprof := flag.String("prof-pprof", "", "write the optimized run's attribution as a gzipped pprof protobuf (go tool pprof); implies -prof")
-	serveAddr := flag.String("serve", "", "serve the live observability plane (/metrics, /progress, /profile) on this address")
+	serveAddr := flag.String("serve", "", "serve the live observability plane (/metrics, /progress, /profile, /debug/pprof/) on this address")
 	checkRun := flag.Bool("check", false, "attach the invariant checker to every run and fail on any violation")
 	seed := flag.Uint64("seed", 0, "the job's seed, mixed with its job ID into the jitter stream as in a sweep; 0 keeps the historical stream of the recorded figures")
 	cacheFlag := flag.String("trace-cache", "", `memoize trace generation: "mem" (in-process) or a directory for a persistent cache`)
-	sampleFlag := flag.String("sample", "off", `sampled simulation: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
+	sampleFlag := flag.String("sample", "", `sampled simulation: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
 	flag.Parse()
 	start := time.Now()
-
-	if *pprofAddr != "" {
-		// Bind before the run so a bad address fails fast instead of racing
-		// ListenAndServe in a goroutine; close cleanly on exit.
-		ln, err := net.Listen("tcp", *pprofAddr)
-		if err != nil {
-			return fmt.Errorf("pprof: %w", err)
-		}
-		srv := &http.Server{Handler: http.DefaultServeMux}
-		go func() {
-			if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "offchip: pprof:", err)
-			}
-		}()
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "offchip: pprof serving on %s\n", ln.Addr())
-	}
 
 	tc, err := tracecache.Open(*cacheFlag)
 	if err != nil {
@@ -178,7 +156,7 @@ func run() error {
 					if cr, err := al.RewriteRef(r); err == nil {
 						fmt.Printf("  %-28s -> %s\n", r, cr)
 					} else {
-						fmt.Printf("  %-28s -> %s   (schematic: %v)\n", r, al.CustomizedForm(r), err)
+						fmt.Printf("  %-28s -> (%v)\n", r, err)
 					}
 				}
 			}
@@ -189,8 +167,10 @@ func run() error {
 	if !*simulate {
 		return nil
 	}
+	var jobID string // a -src program is no sweep job
 	if spec.App != "" {
-		fmt.Fprintf(os.Stderr, "offchip: job %s\n", spec.ID())
+		jobID = spec.ID()
+		fmt.Fprintf(os.Stderr, "offchip: job %s\n", jobID)
 	}
 
 	wantProf := *profFlag || *profFolded != "" || *profPprof != ""
@@ -212,12 +192,13 @@ func run() error {
 		onProgress = liveProgress()
 	}
 
-	// The live observability plane binds before the runs start and watches
-	// the registries as the simulations fill them; the attribution snapshot
-	// appears on /profile once the runs retire.
-	live := &livePlane{}
+	// The observability plane counts offchip's one job and holds each run's
+	// registry from the moment it attaches; -serve binds before the runs
+	// start, and the attribution appears on /profile once the runs retire.
+	plane := prof.NewPlane(1)
+	plane.Start(1)
 	if *serveAddr != "" {
-		srv, err := live.serve(*serveAddr)
+		srv, err := prof.NewServer(*serveAddr, plane)
 		if err != nil {
 			return err
 		}
@@ -240,11 +221,19 @@ func run() error {
 			cfg.OnProgress = func(p sim.Progress) { onProgress(run, p) }
 		}
 		cfg.Obs = obs.New()
-		live.attach(run, cfg.Obs.Reg)
+		plane.Record(run, cfg.Obs.Reg, 0)
 	}
 
 	c, err := core.Compare(bench, m, cm, opt)
-	live.finish(c, err)
+	var profiles map[string]*prof.Profile
+	if c != nil {
+		profiles = c.Profiles
+		// Each run's dump snapshot closes at its end time.
+		plane.Record("baseline", c.Observers["baseline"].Reg, c.Baseline.ExecTime)
+		plane.Record("optimized", c.Observers["optimized"].Reg, c.Optimized.ExecTime)
+		plane.Record("optimal", c.Observers["optimal"].Reg, c.Optimal.ExecTime)
+	}
+	plane.Finish(jobID, err, profiles)
 	if *progress {
 		fmt.Fprintln(os.Stderr)
 	}
@@ -321,14 +310,12 @@ func run() error {
 	}
 
 	if wantProf {
-		if err := printProfiles(c, *profFolded, *profPprof); err != nil {
+		prof.PrintAttribution(os.Stdout, os.Stderr, "offchip", "", c.Profiles)
+		if err := writeFlame(c, *profFolded, *profPprof); err != nil {
 			return err
 		}
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, c); err != nil {
-			return err
-		}
 		manifest := prof.NewManifest(start)
 		manifest.Seed = *seed
 		manifest.Config = map[string]string{
@@ -342,13 +329,7 @@ func run() error {
 		if opt.Migrate != nil {
 			manifest.Config["migrate"] = opt.Migrate.String()
 		}
-		if spec.App != "" {
-			manifest.Jobs = []string{spec.ID()}
-		}
-		if p := c.Profiles["optimized"]; wantProf && p != nil {
-			manifest.StageTotals = p.StageTotals()
-		}
-		if err := manifest.Write(prof.ManifestPath(*metricsOut)); err != nil {
+		if err := plane.WriteMetrics(*metricsOut, manifest); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "offchip: wrote metrics to %s (manifest %s)\n",
@@ -360,21 +341,10 @@ func run() error {
 	return nil
 }
 
-// printProfiles renders the latency-attribution view of a finished
-// comparison: the baseline-vs-optimized differential table (every component's
-// per-access delta, summing to the end-to-end delta), per-stage quantiles of
-// the optimized run, and the optional flamegraph exports.
-func printProfiles(c *core.Comparison, foldedOut, pprofOut string) error {
-	base, opt := c.Profiles["baseline"], c.Profiles["optimized"]
-	for _, run := range []string{"baseline", "optimized", "optimal"} {
-		if p := c.Profiles[run]; p != nil && len(p.Violations) > 0 {
-			for _, v := range p.Violations {
-				fmt.Fprintf(os.Stderr, "offchip: prof %-9s VIOLATION %s\n", run, v)
-			}
-		}
-	}
-	fmt.Println(prof.DiffTable("latency attribution (cycles/access, baseline vs optimized)", base, opt).String())
-	fmt.Println(prof.QuantileTable("optimized run stage latency quantiles (cycles)", opt).String())
+// writeFlame writes the optimized run's attribution as the flamegraph
+// exports -prof-folded and -prof-pprof ask for.
+func writeFlame(c *core.Comparison, foldedOut, pprofOut string) error {
+	opt := c.Profiles["optimized"]
 	if foldedOut != "" && opt != nil {
 		if err := os.WriteFile(foldedOut, []byte(opt.FoldedStacks(c.App)), 0o644); err != nil {
 			return err
@@ -425,112 +395,6 @@ func liveProgress() func(run string, p sim.Progress) {
 		fmt.Fprintf(os.Stderr, "\r[%-9s] cycles=%-12d events=%-12d events/sec=%-12.0f outstanding=%-4d",
 			run, p.Cycles, p.Events, rate, p.Outstanding)
 	}
-}
-
-// livePlane is what the -serve plane reads while the run goes on: each
-// run's registry once it attaches, the runs' attribution profiles once they
-// retire, and the state of offchip's one job. The handlers read it while
-// Compare fills it, so a mutex guards it.
-type livePlane struct {
-	mu       sync.Mutex
-	regs     map[string]*obs.Registry
-	profs    map[string]*prof.Profile
-	finished bool
-	failed   bool
-}
-
-// serve binds the plane on addr, failing fast on a bad address, and starts
-// serving it.
-func (l *livePlane) serve(addr string) (*prof.Server, error) {
-	srv, err := prof.NewServer(prof.ServerConfig{
-		Addr:       addr,
-		Registries: l.registries,
-		Profiles:   l.profiles,
-		Progress:   l.progress,
-	})
-	if err != nil {
-		return nil, err
-	}
-	srv.Start()
-	return srv, nil
-}
-
-func (l *livePlane) attach(run string, reg *obs.Registry) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.regs == nil {
-		l.regs = map[string]*obs.Registry{}
-	}
-	l.regs[run] = reg
-}
-
-// finish records the comparison's outcome: its profiles (c is nil when it
-// failed) and whether it failed.
-func (l *livePlane) finish(c *core.Comparison, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.finished, l.failed = true, err != nil
-	if c != nil {
-		l.profs = c.Profiles
-	}
-}
-
-func (l *livePlane) registries() map[string]*obs.Registry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]*obs.Registry, len(l.regs))
-	for run, reg := range l.regs {
-		out[run] = reg
-	}
-	return out
-}
-
-func (l *livePlane) profiles() map[string]*prof.Profile {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.profs // set once, never written after
-}
-
-// progress reports offchip's one job: in flight until the comparison
-// returns, then done, and failed if it failed.
-func (l *livePlane) progress() prof.Progress {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.finished {
-		return prof.Progress{TotalJobs: 1, InFlight: 1}
-	}
-	p := prof.Progress{TotalJobs: 1, DoneJobs: 1}
-	if l.failed {
-		p.Failed = 1
-	}
-	return p
-}
-
-// writeMetrics dumps every run's registry as JSONL, one point per line,
-// tagged with the run name.
-func writeMetrics(path string, c *core.Comparison) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for _, run := range []string{"baseline", "optimized", "optimal"} {
-		o := c.Observers[run]
-		if o == nil {
-			continue
-		}
-		until := c.Baseline.ExecTime
-		switch run {
-		case "optimized":
-			until = c.Optimized.ExecTime
-		case "optimal":
-			until = c.Optimal.ExecTime
-		}
-		if err := obs.WriteRun(f, run, o.Reg, until); err != nil {
-			return err
-		}
-	}
-	return f.Close()
 }
 
 // printDashboard renders the post-run observability dashboard: the mesh

@@ -1,10 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
-	"errors"
 	"flag"
+	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -13,8 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"offchip/internal/core"
-	"offchip/internal/prof"
 	"offchip/internal/runner"
 )
 
@@ -126,48 +124,67 @@ func TestStdoutGolden(t *testing.T) {
 	}
 }
 
-// TestServeProgressCountsTheJob reads /progress from the plane -serve
-// starts: offchip's one job is in flight until the comparison returns, then
-// done, and also failed when the comparison failed.
-func TestServeProgressCountsTheJob(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		c      *core.Comparison
-		err    error
-		failed int
-	}{
-		{"ok", &core.Comparison{}, nil, 0},
-		{"failed", nil, errors.New("simulation failed"), 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			live := &livePlane{}
-			srv, err := live.serve("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			get := func() prof.Progress {
-				t.Helper()
-				resp, err := http.Get("http://" + srv.Addr() + "/progress")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				var p prof.Progress
-				if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-					t.Fatal(err)
-				}
-				p.ElapsedSec, p.ETASec = 0, 0
-				return p
-			}
+// TestShowPrintsAReasonWithoutAClosedForm: -show prints each optimized
+// reference's closed form, or why it has none (hpccg's indexed SpMV
+// gather), and the run goes on.
+func TestShowPrintsAReasonWithoutAClosedForm(t *testing.T) {
+	out, _ := offchip(t, "-app", "hpccg", "-sim=false", "-show")
+	if !strings.Contains(out, "x[colidx[nz+8*row]]") || !strings.Contains(out, "-> (layout: no closed-form rewrite: indexed reference)") {
+		t.Errorf("no reason line for the indexed gather in\n%s", out)
+	}
+}
 
-			if got, want := get(), (prof.Progress{TotalJobs: 1, InFlight: 1}); got != want {
-				t.Errorf("during the run: /progress = %+v, want %+v", got, want)
+// TestServeAnswersHostProfiles: the -serve plane is offchip's one listener,
+// and it also serves Go's host profiles under /debug/pprof/.
+func TestServeAnswersHostProfiles(t *testing.T) {
+	body := serveGet(t, "/debug/pprof/cmdline", "-app", "fma3d", "-check", "-serve", "127.0.0.1:0")
+	if !strings.Contains(body, "-serve") {
+		t.Errorf("/debug/pprof/cmdline = %q, want offchip's command line", body)
+	}
+}
+
+// serveGet starts offchip with args, which must include -serve, GETs path
+// from its plane once it is bound, and returns the body after the run
+// exits.
+func serveGet(t *testing.T, path string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "OFFCHIP_TEST_MAIN=1")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Wait()
+	defer io.Copy(io.Discard, stderr)
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() {
+		if _, url, ok := strings.Cut(sc.Text(), "observability plane on "); ok {
+			resp, err := http.Get(url + path)
+			if err != nil {
+				t.Fatalf("GET %s: %v", path, err)
 			}
-			live.finish(tc.c, tc.err)
-			if got, want := get(), (prof.Progress{TotalJobs: 1, DoneJobs: 1, Failed: tc.failed}); got != want {
-				t.Errorf("after the run: /progress = %+v, want %+v", got, want)
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
 			}
-		})
+			return string(body)
+		}
+	}
+	t.Fatalf("offchip %s printed no plane address", strings.Join(args, " "))
+	return ""
+}
+
+// TestRetiredFlags: -pprof is gone (the -serve plane serves /debug/pprof/),
+// so offchip rejects it as an undefined flag.
+func TestRetiredFlags(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-app", "apsi", "-pprof", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), "OFFCHIP_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -pprof") {
+		t.Errorf("offchip -pprof: err %v, output:\n%s", err, out)
 	}
 }

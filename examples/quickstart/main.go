@@ -55,7 +55,11 @@ func main() {
 	}
 	fmt.Print(res.Report())
 	w := prog.Nests[0].Body[0].Write
-	fmt.Printf("transformed reference: %s -> %s\n\n", w, res.Layout(w.Array).CustomizedForm(w))
+	cr, err := res.Layout(w.Array).RewriteRef(w)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("transformed reference: %s -> %s\n\n", w, cr)
 
 	// Generate per-core traces for the original and transformed layouts
 	// and replay them on the simulator.

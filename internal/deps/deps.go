@@ -329,26 +329,9 @@ func NestDeps(nest *ir.LoopNest) []Dep {
 					if i != j {
 						kept = append(kept, v) // loop-independent dependence
 					}
-				case -1:
-					// Reversed: belongs to the (dst → src) dependence; keep
-					// it here (reversed) only when this loop will not visit
-					// the symmetric pair.
-					if j == i {
-						continue
-					}
-					rev := make(Vector, len(v))
-					for k, d := range v {
-						switch d {
-						case Lt:
-							rev[k] = Gt
-						case Gt:
-							rev[k] = Lt
-						default:
-							rev[k] = d
-						}
-					}
-					_ = rev // symmetric pair handled when roles swap below
 				}
+				// A lexicographically negative vector is the reversed
+				// (dst → src) dependence, which this pair does not keep.
 			}
 			if len(kept) == 0 {
 				continue

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -16,8 +18,9 @@ func goldenConfig() Config {
 	return Config{Apps: []string{"apsi", "gafort"}, MaxAccessesPerThread: 120}
 }
 
-// TestGoldenFigures pins the byte-exact text rendering of Figures 13, 15,
-// and 18 for the seed configuration. The checked-in snapshots were generated
+// TestGoldenFigures pins the byte-exact text rendering of Figures 13, 15
+// and 18, figmig, figmix and figtune for the seed configuration, each
+// rendered through Run as benchtab -exp renders it. The checked-in snapshots were generated
 // with the original container/heap event queue; the simulator must keep
 // producing identical bytes after any engine change (the timing-wheel
 // scheduler's (time, seq) dispatch order is bit-compatible by design), so
@@ -27,72 +30,51 @@ func goldenConfig() Config {
 //
 //	go test ./internal/experiments -run TestGoldenFigures -update
 func TestGoldenFigures(t *testing.T) {
-	cfg := goldenConfig()
-	cases := []struct {
-		name string
-		run  func() (string, error)
-	}{
-		{"fig13", func() (string, error) {
-			r, err := Fig13(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Table(), nil
-		}},
-		{"fig15", func() (string, error) {
-			r, err := Fig15(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Table(), nil
-		}},
-		{"fig18", func() (string, error) {
-			r, err := Fig18(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Table(), nil
-		}},
-		{"figmig", func() (string, error) {
-			r, err := FigMig(cfg)
-			if err != nil {
-				return "", err
-			}
-			return r.Table(), nil
-		}},
-		// figmix pins the PR's headline claim at FULL trace length (cap 0):
-		// dynamic or hybrid migration beats the static compiler layout on at
-		// least two of the three phase-changing mixes. Short traces would
-		// close too few 4096-cycle windows for the tuned spec to ever fire,
-		// so this is the one golden that runs uncapped; results are
-		// bit-identical at any worker count, so it shards for wall-clock.
-		{"figmix", func() (string, error) {
-			r, err := FigMix(Config{Parallel: 8})
-			if err != nil {
-				return "", err
-			}
-			return r.Table(), nil
-		}},
-		{"figtune", func() (string, error) {
-			r, err := FigTune(Config{
-				Apps: cfg.Apps, MaxAccessesPerThread: cfg.MaxAccessesPerThread, Parallel: 8,
-			})
-			if err != nil {
-				return "", err
-			}
-			return r.Table(), nil
-		}},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			got, err := c.run()
+	for _, c := range goldenCases {
+		t.Run(c.id, func(t *testing.T) {
+			got, err := renderGolden(c.id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, c.name, got)
+			checkGolden(t, c.id, got)
 		})
 	}
+}
+
+// goldenCases are the figures TestGoldenFigures pins, each with the
+// configuration its snapshot is rendered under.
+var goldenCases = []struct {
+	id  string
+	cfg Config
+}{
+	{"fig13", goldenConfig()},
+	{"fig15", goldenConfig()},
+	{"fig18", goldenConfig()},
+	{"figmig", goldenConfig()},
+	// figmix pins the migration headline claim at FULL trace length (cap 0):
+	// dynamic or hybrid migration beats the static compiler layout on at
+	// least two of the three phase-changing mixes. Short traces would
+	// close too few 4096-cycle windows for the tuned spec to ever fire,
+	// so this is the one golden that runs uncapped; results are
+	// bit-identical at any worker count, so it shards for wall-clock.
+	{"figmix", Config{Parallel: 8}},
+	{"figtune", Config{Apps: goldenConfig().Apps, MaxAccessesPerThread: goldenConfig().MaxAccessesPerThread, Parallel: 8}},
+}
+
+// goldenRenders holds each golden case's one rendering per test process.
+var goldenRenders sync.Map // ID → func() (string, error)
+
+// renderGolden renders golden case id through Run, which dispatches by ID
+// as benchtab -exp does, once per test process: TestGoldenFigures pins the
+// bytes and TestSmokeAllExperiments reads the same rendering.
+func renderGolden(id string) (string, error) {
+	for _, c := range goldenCases {
+		if c.id == id {
+			f, _ := goldenRenders.LoadOrStore(id, sync.OnceValues(func() (string, error) { return Run(c.id, c.cfg) }))
+			return f.(func() (string, error))()
+		}
+	}
+	return "", fmt.Errorf("no golden case %q", id)
 }
 
 // checkGolden compares got with testdata/<name>.golden, or rewrites that

@@ -153,8 +153,8 @@ func isIndexOnlyArray(p *ir.Program, arr *ir.Array) bool {
 }
 
 // TransformedSubs applies the Data-to-Core transformation to a reference's
-// subscripts: r' = U·r, the Figure 9(b) form. vars is ignored for indexed
-// subscripts, which pass through unchanged.
+// subscripts: r' = U·r, the Figure 9(b) form. The subscripts of an
+// unoptimized array or an indexed reference pass through unchanged.
 func (al *ArrayLayout) TransformedSubs(r *ir.Ref) []ir.LinExpr {
 	if !al.Optimized || r.Indexed() {
 		return r.Subs
@@ -169,29 +169,6 @@ func (al *ArrayLayout) TransformedSubs(r *ir.Ref) []ir.LinExpr {
 		out[d] = e
 	}
 	return out
-}
-
-// CustomizedForm renders the fully customized reference shape of
-// Figure 9(c) for inspection: the U-transformed subscripts with the
-// strip-mining and permutation of Section 5.3 spelled out symbolically.
-func (al *ArrayLayout) CustomizedForm(r *ir.Ref) string {
-	if !al.Optimized {
-		return r.String()
-	}
-	subs := al.TransformedSubs(r)
-	last := subs[len(subs)-1].String()
-	v := subs[0].String()
-	var mid []string
-	for _, s := range subs[1 : len(subs)-1] {
-		mid = append(mid, fmt.Sprintf("[%s]", s))
-	}
-	g := al.grain
-	if al.homeOf != nil {
-		return fmt.Sprintf("%s''[(%s)/%d][R'(%s)]%s[(%s)%%%d]",
-			r.Array.Name, last, g, v, strings.Join(mid, ""), last, g)
-	}
-	return fmt.Sprintf("%s''[(%s)/%d][R(%s)]%s[(%s)%%%d]",
-		r.Array.Name, last, g, v, strings.Join(mid, ""), last, g)
 }
 
 // Report renders a human-readable summary of the pass outcome.

@@ -540,21 +540,6 @@ func TestChooseMapping(t *testing.T) {
 	}
 }
 
-func TestCustomizedFormRendering(t *testing.T) {
-	m := testMachine()
-	cm := mustM1(t, m)
-	_, al, p := optimizeOne(t, m, cm, identitySrc)
-	form := al.CustomizedForm(p.Nests[0].Body[0].Write)
-	if !strings.Contains(form, "R(") || !strings.Contains(form, "%") {
-		t.Errorf("customized form = %q", form)
-	}
-	// Unoptimized arrays render unchanged.
-	id := IdentityLayout(p.Arrays[0], "test")
-	if got := id.CustomizedForm(p.Nests[0].Body[0].Write); got != "A[i][j]" {
-		t.Errorf("identity form = %q", got)
-	}
-}
-
 func TestIdentityLayoutOffset(t *testing.T) {
 	arr := &ir.Array{Name: "A", Dims: []int64{4, 4}, ElemSize: 8}
 	al := IdentityLayout(arr, "baseline")

@@ -168,15 +168,11 @@ func (al *ArrayLayout) RewriteRef(r *ir.Ref) (*CustomRef, error) {
 
 	// Step 1 (Figure 9(b)): apply U and the bounding-box shift to get the
 	// transformed affine subscripts a' = U·r + shift.
-	n := len(r.Subs)
-	lins := make([]ir.LinExpr, n)
-	for d := 0; d < n; d++ {
-		e := ir.ConstExpr(al.shift[d])
-		for k := 0; k < n; k++ {
-			e = e.Plus(r.Subs[k].Scaled(al.uRows[d][k]))
-		}
-		lins[d] = e
+	lins := al.TransformedSubs(r)
+	for d := range lins {
+		lins[d] = lins[d].Plus(ir.ConstExpr(al.shift[d]))
 	}
+	n := len(lins)
 
 	// pos = rowRank(a'₀)·rowSize + Σ a'_d·stride_d.
 	r0 := affine(lins[0])
@@ -224,37 +220,4 @@ func (al *ArrayLayout) RewriteRef(r *ir.Ref) (*CustomRef, error) {
 		NewDims: []int64{maxQ, int64(al.groups), al.grain},
 		Subs:    []*Expr{div(pos, al.grain), group, mod(pos, al.grain)},
 	}, nil
-}
-
-// RewriteProgram renders the whole program with every optimized reference
-// in its customized form — the Figure 9(c) output of the source-to-source
-// translator. Unrewritable references are kept in their original form with
-// an annotation.
-func RewriteProgram(p *ir.Program, res *Result) string {
-	out := fmt.Sprintf("// program %s, layouts customized for mapping %s\n", p.Name, res.Mapping.Name)
-	for ni, nest := range p.Nests {
-		out += fmt.Sprintf("// nest %d\n", ni)
-		for _, s := range nest.Body {
-			line := "  "
-			for i, r := range s.Refs() {
-				al := res.Layout(r.Array)
-				var form string
-				if cr, err := al.RewriteRef(r); err == nil {
-					form = cr.String()
-				} else {
-					form = r.String()
-				}
-				switch {
-				case i == 0 && s.Write != nil:
-					line += form + " = "
-				case i == 1 || (i == 0 && s.Write == nil):
-					line += form
-				default:
-					line += " + " + form
-				}
-			}
-			out += line + "\n"
-		}
-	}
-	return out
 }

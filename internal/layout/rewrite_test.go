@@ -181,10 +181,6 @@ func TestRewriteRendering(t *testing.T) {
 	if !strings.Contains(form, "''[") || !strings.Contains(form, "/") || !strings.Contains(form, "%") {
 		t.Errorf("rendered form lacks strip-mining: %s", form)
 	}
-	text := RewriteProgram(p, res)
-	if !strings.Contains(text, "Z''") || !strings.Contains(text, "nest 0") {
-		t.Errorf("program rendering:\n%s", text)
-	}
 }
 
 func TestRewriteSharedUsesHomeTable(t *testing.T) {

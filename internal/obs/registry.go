@@ -302,7 +302,7 @@ func (r *Registry) Histogram(component, name string, bounds []int64, labels ...s
 }
 
 // Point is one metric's exported state, as serialized to the JSONL metrics
-// dumps (offchip -metrics, benchtab -sweep-out). Counters fill Value;
+// dump (-metrics, in both CLIs). Counters fill Value;
 // time-weighted gauges fill Value and Avg (over [0, until] as passed to
 // Snapshot) plus the raw Integral/Last pair; histograms fill Buckets,
 // Counts, Sum, and Count.
@@ -374,8 +374,8 @@ func WriteJSONL(w io.Writer, points []Point) error {
 }
 
 // WriteRun writes reg's snapshot at until, the run's end time, as JSONL,
-// every point tagged with the run's label: the format of offchip -metrics
-// and benchtab -sweep-out.
+// every point tagged with the run's label: one block of the -metrics dump
+// that prof.Plane writes.
 func WriteRun(w io.Writer, run string, reg *Registry, until int64) error {
 	points := reg.Snapshot(until)
 	for i := range points {

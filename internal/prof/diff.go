@@ -2,6 +2,8 @@ package prof
 
 import (
 	"fmt"
+	"io"
+	"sort"
 
 	"offchip/internal/obs"
 	"offchip/internal/stats"
@@ -97,6 +99,36 @@ func QuantileTable(title string, p *Profile) *stats.Table {
 	}
 	row("end-to-end", p.End)
 	return t
+}
+
+// PrintAttribution prints the latency attribution of profiles (run name →
+// profile) on w: the baseline vs optimized differential table when both
+// runs were profiled, otherwise one attribution table per profiled run,
+// then the optimized run's stage latency quantiles. scope starts every
+// title ("" for one job, "sweep " for a sum over jobs). Each profiler
+// violation is one line on errw, after cmd, the printing command's name.
+func PrintAttribution(w, errw io.Writer, cmd, scope string, profiles map[string]*Profile) {
+	runs := make([]string, 0, len(profiles))
+	for run := range profiles {
+		runs = append(runs, run)
+	}
+	sort.Strings(runs)
+	for _, run := range runs {
+		for _, v := range profiles[run].Violations {
+			fmt.Fprintf(errw, "%s: prof %-9s VIOLATION %s\n", cmd, run, v)
+		}
+	}
+	title := scope + "latency attribution"
+	if base, opt := profiles["baseline"], profiles["optimized"]; base != nil && opt != nil {
+		fmt.Fprintln(w, DiffTable(title+" (cycles/access, baseline vs optimized)", base, opt).String())
+	} else {
+		for _, run := range runs {
+			fmt.Fprintln(w, AttributionTable(title+": "+run, profiles[run]).String())
+		}
+	}
+	if opt := profiles["optimized"]; opt != nil {
+		fmt.Fprintln(w, QuantileTable(scope+"optimized run stage latency quantiles (cycles)", opt).String())
+	}
 }
 
 // StageSummary is the JSON-friendly projection of one component, served by

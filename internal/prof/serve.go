@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,14 +17,15 @@ import (
 )
 
 // The live observability plane: an opt-in HTTP endpoint (the -serve flag
-// of cmd/offchip and cmd/benchtab) exposing the obs registry as Prometheus
-// text exposition (/metrics), sweep progress as JSON (/progress), and the
-// current attribution snapshot (/profile). The listener binds before the
-// run starts — a bad address fails fast instead of racing a goroutine —
-// and shuts down cleanly at exit.
+// of cmd/offchip and cmd/benchtab) exposing a Plane's registries as
+// Prometheus text exposition (/metrics), its job counts as JSON
+// (/progress), its attribution snapshot (/profile), and the process's own
+// Go profiles (/debug/pprof/). The listener binds before the run starts —
+// a bad address fails fast instead of racing a goroutine — and shuts down
+// cleanly at exit.
 
 // Progress is the /progress payload. The serving side fills Elapsed and
-// ETA from its own clock; callbacks fill the job counts.
+// ETA from its own clock; the plane fills the job counts.
 type Progress struct {
 	TotalJobs  int     `json:"total_jobs"`
 	DoneJobs   int     `json:"done_jobs"`
@@ -33,23 +35,9 @@ type Progress struct {
 	ETASec     float64 `json:"eta_sec"`
 }
 
-// ServerConfig wires the data sources of a Server. All callbacks must be
-// safe for concurrent use; nil callbacks serve empty payloads.
-type ServerConfig struct {
-	// Addr is the listen address (e.g. ":9090", "127.0.0.1:0").
-	Addr string
-	// Registries returns the label→registry map /metrics exports. Labels
-	// become the source="..." label on every exported sample.
-	Registries func() map[string]*obs.Registry
-	// Profiles returns the label→profile map /profile serves.
-	Profiles func() map[string]*Profile
-	// Progress returns the current job counts for /progress.
-	Progress func() Progress
-}
-
-// Server is the live observability endpoint.
+// Server is the live observability endpoint of a Plane.
 type Server struct {
-	cfg   ServerConfig
+	plane *Plane
 	ln    net.Listener
 	srv   *http.Server
 	start time.Time
@@ -58,36 +46,35 @@ type Server struct {
 	closed bool
 }
 
-// NewServer binds the listener (failing fast on a bad address) and returns
-// the server without serving yet; call Start to begin handling requests.
-func NewServer(cfg ServerConfig) (*Server, error) {
-	ln, err := net.Listen("tcp", cfg.Addr)
+// NewServer binds the listener on addr (e.g. ":9090", "127.0.0.1:0"),
+// failing fast on a bad address, and serves plane on it until Close.
+func NewServer(addr string, plane *Plane) (*Server, error) {
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("prof: serve: %w", err)
 	}
-	s := &Server{cfg: cfg, ln: ln, start: time.Now()}
+	s := &Server{plane: plane, ln: ln, start: time.Now()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/progress", s.handleProgress)
 	mux.HandleFunc("/profile", s.handleProfile)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.srv = &http.Server{Handler: mux}
+	go func() {
+		// The listener is already bound, so a serve error here is a
+		// shutdown race at worst; nothing useful to surface.
+		_ = s.srv.Serve(ln)
+	}()
 	return s, nil
 }
 
 // Addr returns the bound listen address (resolves ":0" to the real port).
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Start serves requests on the bound listener until Close.
-func (s *Server) Start() {
-	go func() {
-		if err := s.srv.Serve(s.ln); err != nil && err != http.ErrServerClosed {
-			// The listener was bound at construction, so a serve error here
-			// is a shutdown race at worst; nothing useful to surface.
-			_ = err
-		}
-	}()
-}
 
 // Close shuts the server down and releases the listener. Safe to call
 // more than once.
@@ -106,23 +93,16 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	fmt.Fprint(w, "offchip observability plane\n/metrics  Prometheus text exposition\n/progress job progress JSON\n/profile  latency attribution JSON\n")
+	fmt.Fprint(w, "offchip observability plane\n/metrics      Prometheus text exposition\n/progress     job progress JSON\n/profile      latency attribution JSON\n/debug/pprof/ Go profiles of this process\n")
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var regs map[string]*obs.Registry
-	if s.cfg.Registries != nil {
-		regs = s.cfg.Registries()
-	}
-	WriteExposition(w, regs)
+	WriteExposition(w, s.plane.registries())
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	var p Progress
-	if s.cfg.Progress != nil {
-		p = s.cfg.Progress()
-	}
+	p := s.plane.progress()
 	p.ElapsedSec = time.Since(s.start).Seconds()
 	if p.DoneJobs > 0 && p.DoneJobs < p.TotalJobs {
 		p.ETASec = p.ElapsedSec / float64(p.DoneJobs) * float64(p.TotalJobs-p.DoneJobs)
@@ -135,12 +115,8 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	out := map[string]Summary{}
-	if s.cfg.Profiles != nil {
-		for label, p := range s.cfg.Profiles() {
-			if p != nil {
-				out[label] = p.Summarize()
-			}
-		}
+	for label, p := range s.plane.Profiles() {
+		out[label] = p.Summarize()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -70,7 +70,7 @@ func TestParseExpositionRejectsGarbage(t *testing.T) {
 }
 
 func TestNewServerBadAddrFailsFast(t *testing.T) {
-	if _, err := NewServer(ServerConfig{Addr: "256.0.0.1:bad"}); err == nil {
+	if _, err := NewServer("256.0.0.1:bad", NewPlane(1)); err == nil {
 		t.Fatal("bad listen address should fail at construction")
 	}
 }
@@ -80,19 +80,16 @@ func TestServerEndpoints(t *testing.T) {
 	p.Bind(testParams())
 	driveAccess(p, 1, 0, 0)
 	p.Finish(probe.Totals{})
-	prof := p.Profile()
-	reg := p.obs.Reg
+	plane := NewPlane(1)
+	plane.Start(4)
+	plane.Record("run", p.obs.Reg, 0)
+	plane.Finish("j1", nil, map[string]*Profile{"run": p.Profile()})
+	plane.Finish("j2", nil, nil)
 
-	s, err := NewServer(ServerConfig{
-		Addr:       "127.0.0.1:0",
-		Registries: func() map[string]*obs.Registry { return map[string]*obs.Registry{"run": reg} },
-		Profiles:   func() map[string]*Profile { return map[string]*Profile{"run": prof} },
-		Progress:   func() Progress { return Progress{TotalJobs: 4, DoneJobs: 2, InFlight: 1} },
-	})
+	s, err := NewServer("127.0.0.1:0", plane)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Start()
 	defer s.Close()
 	base := "http://" + s.Addr()
 
@@ -125,7 +122,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal(get("/progress"), &prog); err != nil {
 		t.Fatalf("/progress: %v", err)
 	}
-	if prog.DoneJobs != 2 || prog.TotalJobs != 4 || prog.ETASec <= 0 {
+	if prog.DoneJobs != 2 || prog.TotalJobs != 4 || prog.InFlight != 1 || prog.ETASec <= 0 {
 		t.Fatalf("/progress = %+v", prog)
 	}
 
@@ -140,6 +137,10 @@ func TestServerEndpoints(t *testing.T) {
 	if !strings.Contains(string(get("/")), "/metrics") {
 		t.Fatal("index page should list the endpoints")
 	}
+	if !strings.Contains(string(get("/debug/pprof/")), "goroutine") {
+		t.Fatal("/debug/pprof/ should index the host profiles")
+	}
+	get("/debug/pprof/cmdline")
 
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

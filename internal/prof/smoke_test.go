@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"offchip/internal/obs"
 	"offchip/internal/prof"
 	"offchip/internal/runner"
 )
@@ -59,20 +58,14 @@ func TestProfileSmoke(t *testing.T) {
 	}
 
 	// Live plane: serve the run registries and re-parse the exposition.
-	regs := map[string]*obs.Registry{}
+	plane := prof.NewPlane(1)
 	for run, o := range out.Observers {
-		if o != nil && o.Reg != nil {
-			regs[run] = o.Reg
-		}
+		plane.Record(run, o.Reg, out.ExecTimes[run])
 	}
-	srv, err := prof.NewServer(prof.ServerConfig{
-		Addr:       "127.0.0.1:0",
-		Registries: func() map[string]*obs.Registry { return regs },
-	})
+	srv, err := prof.NewServer("127.0.0.1:0", plane)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.Start()
 	defer srv.Close()
 	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
 	if err != nil {

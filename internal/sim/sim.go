@@ -489,11 +489,8 @@ func (m *machine) freeEvent(e *accessEvent) {
 	m.freeEvents = e
 }
 
-// Handle advances the access one stage. Times mirror the closure-based
-// implementation exactly: stages that previously captured a time use e.t,
-// stages that previously read sim.Now() use now — the event schedule is
-// 1:1 with the old code, so dispatch order (and every statistic) is
-// bit-for-bit identical.
+// Handle advances the access one stage at time now. The optimal scheme's
+// serve stages take their time from e.t, the finish they were scheduled at.
 func (e *accessEvent) Handle(now int64) {
 	m := e.m
 	switch e.stage {

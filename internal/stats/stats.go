@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -32,41 +31,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// MeanSpeedupRatio returns the arithmetic mean of per-element ratios
-// new/old — used for averaging normalized runtimes, as the paper's
-// "average improvement" figures are. Elements with a zero old value
-// contribute 0 to the mean.
-func MeanSpeedupRatio(old, new []float64) float64 {
-	if len(old) != len(new) || len(old) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range old {
-		if old[i] == 0 {
-			continue
-		}
-		s += new[i] / old[i]
-	}
-	return s / float64(len(old))
-}
-
-// GeoMean returns the geometric mean of xs: (Πxᵢ)^(1/n), computed in log
-// space to avoid overflow. It returns 0 for empty input or when any
-// element is non-positive (the geometric mean is undefined there).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
 }
 
 // WeightedSpeedup computes the multiprogrammed-workload metric of

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -30,38 +29,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %v", got)
-	}
-}
-
-func TestMeanSpeedupRatio(t *testing.T) {
-	if got := MeanSpeedupRatio([]float64{100, 200}, []float64{80, 100}); got != (0.8+0.5)/2 {
-		t.Errorf("MeanSpeedupRatio = %v", got)
-	}
-	if got := MeanSpeedupRatio([]float64{1}, []float64{1, 2}); got != 0 {
-		t.Errorf("length mismatch = %v", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("GeoMean(2,8) = %v, want 4", got)
-	}
-	if got := GeoMean([]float64{5}); math.Abs(got-5) > 1e-12 {
-		t.Errorf("GeoMean(5) = %v", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %v", got)
-	}
-	if got := GeoMean([]float64{1, 0, 4}); got != 0 {
-		t.Errorf("GeoMean with zero = %v", got)
-	}
-	if got := GeoMean([]float64{1, -2}); got != 0 {
-		t.Errorf("GeoMean with negative = %v", got)
-	}
-	// A true geometric mean differs from the arithmetic mean of ratios:
-	// ratios 0.5 and 2.0 must average to exactly 1.
-	if got := GeoMean([]float64{0.5, 2.0}); math.Abs(got-1) > 1e-12 {
-		t.Errorf("GeoMean(0.5,2) = %v, want 1", got)
 	}
 }
 
