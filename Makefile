@@ -93,7 +93,7 @@ bench-smoke:
 ## latency, no violations) and the live plane's Prometheus exposition must
 ## re-parse. -count=1 defeats caching so the simulation actually runs.
 profile-smoke:
-	$(GO) test -run TestProfileSmoke -count=1 ./internal/prof
+	$(GO) test -run TestProfileSmoke -count=1 ./internal/plane
 
 ## fuzz-smoke: a short fuzz of every Fuzz target (also run nightly in CI).
 FUZZTIME ?= 30s

@@ -31,13 +31,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"offchip/internal/experiments"
 	"offchip/internal/mem"
+	"offchip/internal/plane"
 	"offchip/internal/prof"
 	"offchip/internal/runner"
 	"offchip/internal/sim"
@@ -107,7 +107,7 @@ func main() {
 	// The plane records each job ID once per process, however many
 	// experiments run it: its profiles, summed per run name, and, for
 	// -serve and -metrics, its runs' registries under "<ShortID>/<run>".
-	plane := prof.NewPlane(*parallel)
+	live := plane.New(*parallel)
 	keepRuns := *serveAddr != "" || *metricsOut != ""
 	cfg.OnJob = func(ev runner.JobEvent) {
 		if *progress {
@@ -119,17 +119,17 @@ func main() {
 				ev.Done, ev.Total, ev.Worker, float64(ev.WallNS)/1e9, ev.ID, status)
 		}
 		if ev.Done == 1 {
-			plane.Start(ev.Total) // exactly one event of each runner sweep
+			live.Start(ev.Total) // exactly one event of each runner sweep
 		}
 		o := ev.Outcome
-		if plane.Finish(o.ID, o.Err, o.Profiles) && keepRuns {
+		if live.Finish(o.ID, o.Err, o.Profiles) && keepRuns {
 			for run, ob := range o.Observers {
-				plane.Record(o.ShortID+"/"+run, ob.Reg, o.ExecTimes[run])
+				live.Record(o.ShortID+"/"+run, ob.Reg, o.ExecTimes[run])
 			}
 		}
 	}
 	if *serveAddr != "" {
-		srv, err := prof.NewServer(*serveAddr, plane)
+		srv, err := plane.NewServer(*serveAddr, live)
 		if err != nil {
 			fail(err)
 		}
@@ -150,10 +150,6 @@ func main() {
 		ids := []string{*exp}
 		if *exp == "all" {
 			ids = experiments.AllIDs()
-		}
-		observed := *profFlag || *serveAddr != "" || *metricsOut != ""
-		if observed && slices.ContainsFunc(ids, func(id string) bool { return strings.EqualFold(id, "fig25") }) {
-			fmt.Fprintln(os.Stderr, "benchtab: fig25 simulates outside the job runner, so -prof, -serve and -metrics do not cover it")
 		}
 		for _, id := range ids {
 			t0 := time.Now()
@@ -176,10 +172,10 @@ func main() {
 
 	if *profFlag {
 		fmt.Println()
-		prof.PrintAttribution(os.Stdout, os.Stderr, "benchtab", "sweep ", plane.Profiles())
+		prof.PrintAttribution(os.Stdout, os.Stderr, "benchtab", "sweep ", live.Profiles())
 	}
 	if *metricsOut != "" {
-		m := prof.NewManifest(start)
+		m := plane.NewManifest(start)
 		m.Seed = *seed
 		m.Config = map[string]string{
 			"apps":     strings.Join(cfg.Apps, ","),
@@ -187,11 +183,11 @@ func main() {
 			"parallel": strconv.Itoa(cfg.Parallel),
 			"prof":     strconv.FormatBool(*profFlag),
 		}
-		if err := plane.WriteMetrics(*metricsOut, m); err != nil {
+		if err := live.WriteMetrics(*metricsOut, m); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "benchtab: wrote every job run's registry to %s (manifest %s)\n",
-			*metricsOut, prof.ManifestPath(*metricsOut))
+			*metricsOut, plane.ManifestPath(*metricsOut))
 	}
 }
 

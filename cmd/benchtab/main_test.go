@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"offchip/internal/obs"
-	"offchip/internal/prof"
+	"offchip/internal/plane"
 	"offchip/internal/runner"
 )
 
@@ -84,11 +84,11 @@ func TestObservabilityOnAnExperiment(t *testing.T) {
 			t.Errorf("-parallel %s: dump holds %d runs, want 3: %v", workers, len(runs), runs)
 		}
 
-		raw, err := os.ReadFile(prof.ManifestPath(path))
+		raw, err := os.ReadFile(plane.ManifestPath(path))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var m prof.Manifest
+		var m plane.Manifest
 		if err := json.Unmarshal(raw, &m); err != nil {
 			t.Fatalf("-parallel %s: manifest: %v", workers, err)
 		}
@@ -104,24 +104,17 @@ func TestObservabilityOnAnExperiment(t *testing.T) {
 
 // TestProfOnAVariantSuite: -prof prints the sweep-wide attribution for the
 // figures that run every app on several machine variants (Figs. 17, 19,
-// 20, 21 and 24); fig19 stands for them.
+// 20, 21 and 24), which fig19 stands for, and for Fig. 25's alone runs and
+// co-run mixes.
 func TestProfOnAVariantSuite(t *testing.T) {
-	out, _ := benchtab(t, "-exp", "fig19", "-apps", "apsi", "-quick", "-prof")
-	if !strings.Contains(out, "== sweep latency attribution (cycles/access, baseline vs optimized) ==") {
-		t.Errorf("no attribution table in\n%s", out)
-	}
-}
-
-// TestFig25SaysItIsNotObserved: Fig. 25 simulates outside the job runner,
-// so when -prof, -serve or -metrics is set and it runs, benchtab says on
-// stderr that those outputs do not cover it, and otherwise stays quiet.
-func TestFig25SaysItIsNotObserved(t *testing.T) {
-	const note = "benchtab: fig25 simulates outside the job runner"
-	if _, stderr := benchtab(t, "-exp", "fig25", "-quick", "-prof"); !strings.Contains(stderr, note) {
-		t.Errorf("-exp fig25 -prof: no note on stderr:\n%s", stderr)
-	}
-	if _, stderr := benchtab(t, "-exp", "fig25", "-quick"); strings.Contains(stderr, note) {
-		t.Errorf("-exp fig25 without observers printed the note:\n%s", stderr)
+	for _, args := range [][]string{
+		{"-exp", "fig19", "-apps", "apsi", "-quick", "-prof"},
+		{"-exp", "fig25", "-quick", "-prof"},
+	} {
+		out, _ := benchtab(t, args...)
+		if !strings.Contains(out, "== sweep latency attribution (cycles/access, baseline vs optimized) ==") {
+			t.Errorf("%s: no attribution table in\n%s", strings.Join(args, " "), out)
+		}
 	}
 }
 

@@ -49,6 +49,7 @@ import (
 	"offchip/internal/ir"
 	"offchip/internal/layout"
 	"offchip/internal/obs"
+	"offchip/internal/plane"
 	"offchip/internal/prof"
 	"offchip/internal/runner"
 	"offchip/internal/sim"
@@ -195,10 +196,10 @@ func run() error {
 	// The observability plane counts offchip's one job and holds each run's
 	// registry from the moment it attaches; -serve binds before the runs
 	// start, and the attribution appears on /profile once the runs retire.
-	plane := prof.NewPlane(1)
-	plane.Start(1)
+	live := plane.New(1)
+	live.Start(1)
 	if *serveAddr != "" {
-		srv, err := prof.NewServer(*serveAddr, plane)
+		srv, err := plane.NewServer(*serveAddr, live)
 		if err != nil {
 			return err
 		}
@@ -221,7 +222,7 @@ func run() error {
 			cfg.OnProgress = func(p sim.Progress) { onProgress(run, p) }
 		}
 		cfg.Obs = obs.New()
-		plane.Record(run, cfg.Obs.Reg, 0)
+		live.Record(run, cfg.Obs.Reg, 0)
 	}
 
 	c, err := core.Compare(bench, m, cm, opt)
@@ -229,11 +230,11 @@ func run() error {
 	if c != nil {
 		profiles = c.Profiles
 		// Each run's dump snapshot closes at its end time.
-		plane.Record("baseline", c.Observers["baseline"].Reg, c.Baseline.ExecTime)
-		plane.Record("optimized", c.Observers["optimized"].Reg, c.Optimized.ExecTime)
-		plane.Record("optimal", c.Observers["optimal"].Reg, c.Optimal.ExecTime)
+		live.Record("baseline", c.Observers["baseline"].Reg, c.Baseline.ExecTime)
+		live.Record("optimized", c.Observers["optimized"].Reg, c.Optimized.ExecTime)
+		live.Record("optimal", c.Observers["optimal"].Reg, c.Optimal.ExecTime)
 	}
-	plane.Finish(jobID, err, profiles)
+	live.Finish(jobID, err, profiles)
 	if *progress {
 		fmt.Fprintln(os.Stderr)
 	}
@@ -316,7 +317,7 @@ func run() error {
 		}
 	}
 	if *metricsOut != "" {
-		manifest := prof.NewManifest(start)
+		manifest := plane.NewManifest(start)
 		manifest.Seed = *seed
 		manifest.Config = map[string]string{
 			"app": bench.Name, "l2": *l2, "mapping": *mapping, "interleave": *interleave,
@@ -329,11 +330,11 @@ func run() error {
 		if opt.Migrate != nil {
 			manifest.Config["migrate"] = opt.Migrate.String()
 		}
-		if err := plane.WriteMetrics(*metricsOut, manifest); err != nil {
+		if err := live.WriteMetrics(*metricsOut, manifest); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "offchip: wrote metrics to %s (manifest %s)\n",
-			*metricsOut, prof.ManifestPath(*metricsOut))
+			*metricsOut, plane.ManifestPath(*metricsOut))
 	}
 	if *report {
 		printDashboard(c, m)

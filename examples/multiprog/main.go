@@ -4,6 +4,10 @@
 // yet the mix's weighted speedup improves because both applications' off-
 // chip traffic stops criss-crossing the mesh.
 //
+// The mix is a co-run job (mix=co2(swim+apsi)) like any other runner job,
+// so this is Figure 25's first row: each application alone, then the mix
+// with original and with optimized layouts.
+//
 //	go run ./examples/multiprog
 package main
 
@@ -11,61 +15,44 @@ import (
 	"fmt"
 	"log"
 
-	"offchip/internal/core"
-	"offchip/internal/layout"
-	"offchip/internal/sim"
+	"offchip/internal/runner"
 	"offchip/internal/stats"
-	"offchip/internal/trace"
-	"offchip/internal/workloads"
 )
 
 func main() {
-	machine := layout.Default8x8()
-	mapping, err := layout.MappingM1(machine, layout.PlacementCorners(machine.MeshX, machine.MeshY))
+	apps := []string{"swim", "apsi"}
+	const mix = "co2(swim+apsi)"
+	specs := []runner.JobSpec{
+		{Mode: runner.ModeBaseline, App: apps[0]},
+		{Mode: runner.ModeBaseline, App: apps[1]},
+		{Mode: runner.ModeBaseline, Mix: mix},
+		{Mode: runner.ModeOptimized, Mix: mix},
+	}
+	res, err := runner.Run(specs, runner.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mix := []string{"swim", "apsi"}
-	cfg := core.SimConfig(machine, mapping, core.Options{})
-
-	var alone []int64
-	var baseStreams, optStreams []*sim.Workload
-	for appID, name := range mix {
-		app, _ := workloads.ByName(name)
-		baseW, optW, _, err := core.Workloads(app, machine, mapping, core.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i := range baseW.Streams {
-			baseW.Streams[i].AppID = appID
-		}
-		for i := range optW.Streams {
-			optW.Streams[i].AppID = appID
-		}
-		r, err := sim.Run(cfg, baseW)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-6s alone: %d cycles\n", name, r.ExecTime)
-		alone = append(alone, r.ExecTime)
-		baseStreams = append(baseStreams, baseW)
-		optStreams = append(optStreams, optW)
+	if err := res.FirstError(); err != nil {
+		log.Fatal(err)
 	}
 
-	run := func(label string, ws []*sim.Workload) float64 {
-		r, err := sim.Run(cfg, trace.Merge("mix", ws...))
-		if err != nil {
-			log.Fatal(err)
-		}
+	var alone []int64
+	for i, name := range apps {
+		t := res.Outcomes[i].Run.ExecTime
+		fmt.Printf("%-6s alone: %d cycles\n", name, t)
+		alone = append(alone, t)
+	}
+	ws := func(label string, o *runner.JobOutcome) float64 {
 		var shared []int64
-		for appID, name := range mix {
-			fmt.Printf("%-6s shared (%s): %d cycles\n", name, label, r.AppExecTime[appID])
-			shared = append(shared, r.AppExecTime[appID])
+		for appID, name := range apps {
+			t := o.Run.AppExecTime[appID]
+			fmt.Printf("%-6s shared (%s): %d cycles\n", name, label, t)
+			shared = append(shared, t)
 		}
 		return stats.WeightedSpeedup(alone, shared)
 	}
-	wsBase := run("original", baseStreams)
-	wsOpt := run("optimized", optStreams)
+	wsBase := ws("original", res.Outcomes[2])
+	wsOpt := ws("optimized", res.Outcomes[3])
 	fmt.Printf("\nweighted speedup: original %.2f, optimized %.2f (%.1f%% better)\n",
 		wsBase, wsOpt, 100*(wsOpt-wsBase)/wsBase)
 }

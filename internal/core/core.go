@@ -19,6 +19,7 @@ import (
 	"offchip/internal/obs"
 	"offchip/internal/prof"
 	"offchip/internal/sim"
+	"offchip/internal/stats"
 	"offchip/internal/trace"
 	"offchip/internal/tracecache"
 	"offchip/internal/workloads"
@@ -163,41 +164,34 @@ type Comparison struct {
 
 // ExecImprovement returns 1 − T_opt/T_base.
 func (c *Comparison) ExecImprovement() float64 {
-	return improvement(float64(c.Baseline.ExecTime), float64(c.Optimized.ExecTime))
+	return stats.Improvement(float64(c.Baseline.ExecTime), float64(c.Optimized.ExecTime))
 }
 
 // OnChipNetImprovement returns the on-chip network latency reduction.
 func (c *Comparison) OnChipNetImprovement() float64 {
-	return improvement(c.Baseline.OnChipNetAvg, c.Optimized.OnChipNetAvg)
+	return stats.Improvement(c.Baseline.OnChipNetAvg, c.Optimized.OnChipNetAvg)
 }
 
 // OffChipNetImprovement returns the off-chip network latency reduction.
 func (c *Comparison) OffChipNetImprovement() float64 {
-	return improvement(c.Baseline.OffChipNetAvg, c.Optimized.OffChipNetAvg)
+	return stats.Improvement(c.Baseline.OffChipNetAvg, c.Optimized.OffChipNetAvg)
 }
 
 // MemImprovement returns the off-chip memory latency reduction.
 func (c *Comparison) MemImprovement() float64 {
-	return improvement(c.Baseline.MemAvg, c.Optimized.MemAvg)
+	return stats.Improvement(c.Baseline.MemAvg, c.Optimized.MemAvg)
 }
 
 // QueueImprovement returns the off-chip queue-wait reduction — the paper's
 // stated mechanism behind the Figure 14/16 memory latency bars ("as a
 // result of the reduction in queuing latency").
 func (c *Comparison) QueueImprovement() float64 {
-	return improvement(c.Baseline.QueueAvg, c.Optimized.QueueAvg)
+	return stats.Improvement(c.Baseline.QueueAvg, c.Optimized.QueueAvg)
 }
 
 // OptimalExecImprovement returns the Section 2 bound: 1 − T_optimal/T_base.
 func (c *Comparison) OptimalExecImprovement() float64 {
-	return improvement(float64(c.Baseline.ExecTime), float64(c.Optimal.ExecTime))
-}
-
-func improvement(base, opt float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (base - opt) / base
+	return stats.Improvement(float64(c.Baseline.ExecTime), float64(c.Optimal.ExecTime))
 }
 
 // SimConfig assembles the simulator configuration for the machine/mapping.
@@ -302,10 +296,11 @@ func forkJoin(fns ...func()) {
 }
 
 // MixWorkloads builds the baseline and optimized composed workloads for a
-// phase-changing multiprogrammed mix: each entry's application goes through
-// the same pass-and-generate pipeline as Workloads (sharing the trace cache
-// when one is attached), and the per-app workloads are then composed
-// phase-major with the entries' core rotations (trace.ComposeMix). The
+// multiprogrammed mix: each entry's application goes through the same
+// pass-and-generate pipeline as Workloads (sharing the trace cache when one
+// is attached), and the per-app workloads are then composed — side by side
+// for the whole run for a co-run mix (trace.Merge), or phase-major with the
+// entries' core rotations for a phase-changing one (trace.ComposeMix). The
 // baseline composition interleaves identity-layout traces; the optimized
 // one composes the transformed traces, so OS-assisted placement still sees
 // each app's desired controllers.
@@ -325,6 +320,9 @@ func MixWorkloads(mix workloads.MixSpec, m layout.Machine, cm *layout.ClusterMap
 		rotates = append(rotates, e.Rotate)
 	}
 	name := mix.String()
+	if mix.CoRun {
+		return trace.Merge(name, bases...), trace.Merge(name, optims...), nil
+	}
 	base, err = trace.ComposeMix(name, m.Cores(), bases, rotates)
 	if err != nil {
 		return nil, nil, err

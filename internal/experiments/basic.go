@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"offchip/internal/runner"
+	"offchip/internal/stats"
 )
 
 // Fig3 reproduces Figure 3: the contribution of off-chip data accesses to
@@ -53,21 +54,14 @@ func Fig4(cfg Config) (*FigResult, error) {
 	for i, app := range apps {
 		c := outs[i].Comparison
 		f.Rows = append(f.Rows, AppRow{App: app.Name, Values: []float64{
-			100 * improvementOf(c.Baseline.OnChipNetAvg, c.Optimal.OnChipNetAvg),
-			100 * improvementOf(c.Baseline.OffChipNetAvg, c.Optimal.OffChipNetAvg),
-			100 * improvementOf(c.Baseline.MemAvg, c.Optimal.MemAvg),
+			100 * stats.Improvement(c.Baseline.OnChipNetAvg, c.Optimal.OnChipNetAvg),
+			100 * stats.Improvement(c.Baseline.OffChipNetAvg, c.Optimal.OffChipNetAvg),
+			100 * stats.Improvement(c.Baseline.MemAvg, c.Optimal.MemAvg),
 			100 * c.OptimalExecImprovement(),
 		}})
 	}
 	f.finish()
 	return f, nil
-}
-
-func improvementOf(base, other float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return (base - other) / base
 }
 
 // Table2 reproduces Table 2: the percentage of arrays optimized and of

@@ -45,12 +45,11 @@ type Config struct {
 	// hybrid runs use: "" means the default mem.MigrationSpec ("on"), or a
 	// compact spec like "h16w1024c2f0t64". Other experiments ignore it.
 	Migrate string
-	// Sample enables sampled simulation for the job-sharded experiments:
-	// "" runs exact full simulations (the historical results), "on" the
+	// Sample enables sampled simulation for every experiment's jobs: ""
+	// runs exact full simulations (the historical results), "on" the
 	// default sim.SampleSpec, or a compact spec like "w4f0.1u1r1".
 	// Sampling is part of each job's identity (the ID gains a sample=
-	// field). The sequential multiprogrammed experiments (Fig25) always run
-	// exact.
+	// field).
 	Sample string
 }
 

@@ -18,8 +18,8 @@ func goldenConfig() Config {
 	return Config{Apps: []string{"apsi", "gafort"}, MaxAccessesPerThread: 120}
 }
 
-// TestGoldenFigures pins the byte-exact text rendering of Figures 13, 15
-// and 18, figmig, figmix and figtune for the seed configuration, each
+// TestGoldenFigures pins the byte-exact text rendering of Figures 13, 15,
+// 18 and 25, figmig, figmix and figtune for the seed configuration, each
 // rendered through Run as benchtab -exp renders it. The checked-in snapshots were generated
 // with the original container/heap event queue; the simulator must keep
 // producing identical bytes after any engine change (the timing-wheel
@@ -51,6 +51,7 @@ var goldenCases = []struct {
 	{"fig15", goldenConfig()},
 	{"fig18", goldenConfig()},
 	{"figmig", goldenConfig()},
+	{"fig25", goldenConfig()},
 	// figmix pins the migration headline claim at FULL trace length (cap 0):
 	// dynamic or hybrid migration beats the static compiler layout on at
 	// least two of the three phase-changing mixes. Short traces would

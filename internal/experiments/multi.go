@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"offchip/internal/core"
 	"offchip/internal/layout"
 	"offchip/internal/runner"
-	"offchip/internal/sim"
 	"offchip/internal/stats"
-	"offchip/internal/trace"
 	"offchip/internal/workloads"
 )
 
@@ -32,21 +29,18 @@ func Fig24(cfg Config) (*FigResult, error) {
 	return f, nil
 }
 
-// Mix is one multiprogrammed workload of Figure 25.
-type Mix struct {
-	Name string
-	Apps []string
-}
-
-// DefaultMixes are the co-scheduled pairs Figure 25 evaluates: each
-// application runs one thread on every core, so each core time-shares one
-// thread of each application in the mix.
-func DefaultMixes() []Mix {
-	return []Mix{
-		{"W1", []string{"swim", "apsi"}},
-		{"W2", []string{"mgrid", "minighost"}},
-		{"W3", []string{"fma3d", "apsi"}},
-		{"W4", []string{"gafort", "art"}},
+// coRunMixes are the co-scheduled pairs Figure 25 evaluates, W1–W4 in
+// order: each application runs one thread on every core, so each core
+// time-shares one thread of each application in the mix.
+func coRunMixes() []workloads.MixSpec {
+	pair := func(a, b string) workloads.MixSpec {
+		return workloads.MixSpec{CoRun: true, Entries: []workloads.MixEntry{{App: a}, {App: b}}}
+	}
+	return []workloads.MixSpec{
+		pair("swim", "apsi"),
+		pair("mgrid", "minighost"),
+		pair("fma3d", "apsi"),
+		pair("gafort", "art"),
 	}
 }
 
@@ -80,76 +74,60 @@ func (r *MixResult) Table() string {
 
 // Fig25 reproduces Figure 25 (Section 6.4): multiprogrammed workloads,
 // evaluated with the weighted speedup metric [21]: Σᵢ Tᵢ(alone)/Tᵢ(shared).
-// It stays sequential by design: the applications of a mix time-share one
-// simulated machine, so a mix is a single simulation, not a shardable set
-// of independent jobs.
+// Its jobs are one baseline run on the default machine per distinct
+// application, the common alone-time reference (weighted speedup compares
+// shared throughput against one fixed baseline), then a baseline and an
+// optimized co-run of every mix, whose per-application completion times
+// are the shared times.
 func Fig25(cfg Config) (*MixResult, error) {
-	m, cm, _, err := runner.JobSpec{}.Build()
-	if err != nil {
-		return nil, err
+	mixes := coRunMixes()
+	var specs []runner.JobSpec
+	alone := map[string]int{} // app → index of its alone job
+	for _, mx := range mixes {
+		for _, e := range mx.Entries {
+			if _, ok := alone[e.App]; !ok {
+				alone[e.App] = len(specs)
+				specs = append(specs, cfg.job(runner.JobSpec{}, runner.ModeBaseline, e.App))
+			}
+		}
 	}
-	res := &MixResult{ID: "Fig25", Title: "multiprogrammed mixes, weighted speedup"}
-	// A mix is no job, so its seed is the config's as given, not derived
-	// from a job ID.
-	opts := core.Options{MaxAccessesPerThread: cfg.MaxAccessesPerThread, Seed: cfg.Seed, TraceCache: cfg.TraceCache}
-	simCfg := core.SimConfig(m, cm, opts)
-	for _, mix := range DefaultMixes() {
-		// Build both flavors of every application in the mix, and measure
-		// the common alone-time reference on the unoptimized runs (weighted
-		// speedup compares shared throughput against one fixed baseline).
-		var baseShared, optShared []*sim.Workload
-		var alone []int64
-		for appID, name := range mix.Apps {
-			app, ok := workloads.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("fig25: unknown app %q", name)
-			}
-			baseW, optW, _, err := core.Workloads(app, m, cm, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig25/%s: %w", mix.Name, err)
-			}
-			for i := range baseW.Streams {
-				baseW.Streams[i].AppID = appID
-			}
-			for i := range optW.Streams {
-				optW.Streams[i].AppID = appID
-			}
-			r, err := sim.Run(simCfg, baseW)
-			if err != nil {
-				return nil, err
-			}
-			alone = append(alone, r.ExecTime)
-			baseShared = append(baseShared, baseW)
-			optShared = append(optShared, optW)
+	first := len(specs)
+	for _, mx := range mixes {
+		for _, mode := range []runner.Mode{runner.ModeBaseline, runner.ModeOptimized} {
+			s := cfg.job(runner.JobSpec{}, mode, "")
+			s.Mix = mx.String()
+			specs = append(specs, s)
 		}
-		wsBase, err := mixWS(mix, simCfg, alone, baseShared)
-		if err != nil {
-			return nil, fmt.Errorf("fig25/%s: %w", mix.Name, err)
+	}
+	res, err := cfg.runJobs(specs)
+	if err != nil {
+		return nil, fmt.Errorf("fig25: %w", err)
+	}
+	out := &MixResult{ID: "Fig25", Title: "multiprogrammed mixes, weighted speedup"}
+	for i, mx := range mixes {
+		var aloneT []int64
+		for _, e := range mx.Entries {
+			aloneT = append(aloneT, res.Outcomes[alone[e.App]].ExecTimes["baseline"])
 		}
-		wsOpt, err := mixWS(mix, simCfg, alone, optShared)
-		if err != nil {
-			return nil, fmt.Errorf("fig25/%s: %w", mix.Name, err)
+		ws := func(o *runner.JobOutcome, run string) float64 {
+			shared := o.Run.AppExecTime
+			if sr := o.Sampled[run]; sr != nil {
+				shared = sr.AppExecTime
+			}
+			sharedT := make([]int64, len(mx.Entries))
+			for app := range sharedT {
+				sharedT[app] = shared[app]
+			}
+			return stats.WeightedSpeedup(aloneT, sharedT)
 		}
-		res.Rows = append(res.Rows, MixRow{
-			Mix:          mix.Name,
+		wsBase := ws(res.Outcomes[first+2*i], "baseline")
+		wsOpt := ws(res.Outcomes[first+2*i+1], "optimized")
+		out.Rows = append(out.Rows, MixRow{
+			Mix:          fmt.Sprintf("W%d", i+1),
 			WSBaseline:   wsBase,
 			WSOptimized:  wsOpt,
 			ImprovementP: 100 * (wsOpt - wsBase) / wsBase,
 		})
 	}
-	return res, nil
-}
-
-// mixWS runs the merged mix and returns Σᵢ Tᵢ(alone)/Tᵢ(shared).
-func mixWS(mix Mix, simCfg sim.Config, alone []int64, ws []*sim.Workload) (float64, error) {
-	merged := trace.Merge(mix.Name, ws...)
-	r, err := sim.Run(simCfg, merged)
-	if err != nil {
-		return 0, err
-	}
-	var sharedTimes []int64
-	for appID := range mix.Apps {
-		sharedTimes = append(sharedTimes, r.AppExecTime[appID])
-	}
-	return stats.WeightedSpeedup(alone, sharedTimes), nil
+	return out, nil
 }

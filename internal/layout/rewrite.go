@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"offchip/internal/ir"
+	"offchip/internal/linalg"
 )
 
 // The paper's implementation is a source-to-source translator: the pass
@@ -51,9 +52,9 @@ func (e *Expr) Eval(env map[string]int64) int64 {
 	case OpAffine:
 		return e.Lin.Eval(env)
 	case OpDiv:
-		return floorDiv(e.X.Eval(env), e.C)
+		return linalg.FloorDiv(e.X.Eval(env), e.C)
 	case OpMod:
-		return floorMod(e.X.Eval(env), e.C)
+		return linalg.Mod(e.X.Eval(env), e.C)
 	case OpMulC:
 		return e.X.Eval(env) * e.C
 	case OpAdd:
@@ -70,22 +71,6 @@ func (e *Expr) Eval(env map[string]int64) int64 {
 	default:
 		panic(fmt.Sprintf("layout: unknown expr op %d", e.Op))
 	}
-}
-
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-func floorMod(a, b int64) int64 {
-	m := a % b
-	if m < 0 {
-		m += b
-	}
-	return m
 }
 
 // String renders the expression in Figure 9(c) style.

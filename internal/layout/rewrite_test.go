@@ -216,8 +216,10 @@ func TestExprEvalOps(t *testing.T) {
 	if got := tab.Eval(map[string]int64{"i": -1}); got != 5 {
 		t.Errorf("table clamp low = %d", got)
 	}
-	if floorDiv(-7, 2) != -4 || floorMod(-7, 4) != 1 {
-		t.Error("floor arithmetic")
+	// Division and modulo floor toward negative infinity: i=-7 gives
+	// (-7/2)*10 + (-7 mod 4) = -40 + 1.
+	if got := e.Eval(map[string]int64{"i": -7}); got != -39 {
+		t.Errorf("Eval at i=-7 = %d, want -39 (floor arithmetic)", got)
 	}
 	if !strings.Contains(e.String(), "/2") {
 		t.Errorf("String = %s", e)

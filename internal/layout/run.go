@@ -73,7 +73,7 @@ func (al *ArrayLayout) NewRun(step linalg.Vec) *Run {
 	r.unit, r.radix = al.unitElems, al.grain/al.unitElems
 	r.qBytes = int64(al.groups) * al.grain * al.elemSize
 	r.jBytes = al.unitElems * al.elemSize
-	r.dq = floorDiv(dpos, al.grain)
+	r.dq = linalg.FloorDiv(dpos, al.grain)
 	dw := dpos - r.dq*al.grain
 	r.dj, r.du = dw/al.unitElems, dw%al.unitElems
 	return r
@@ -199,11 +199,11 @@ func inside(x0, dx, lo, hi, a, b int64) (int64, int64) {
 			return a, a
 		}
 	case dx > 0:
-		a = max(a, -floorDiv(x0-lo, dx))
-		b = min(b, -floorDiv(x0-hi, dx))
+		a = max(a, -linalg.FloorDiv(x0-lo, dx))
+		b = min(b, -linalg.FloorDiv(x0-hi, dx))
 	default:
-		a = max(a, floorDiv(x0-hi, -dx)+1)
-		b = min(b, floorDiv(x0-lo, -dx)+1)
+		a = max(a, linalg.FloorDiv(x0-hi, -dx)+1)
+		b = min(b, linalg.FloorDiv(x0-lo, -dx)+1)
 	}
 	return a, b
 }

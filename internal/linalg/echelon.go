@@ -127,42 +127,6 @@ func SolveHomogeneous(a *Mat) Vec {
 	return basis.Col(0).Primitive()
 }
 
-// HermiteNormalForm computes the row-style Hermite normal form of A. It
-// returns H and a unimodular U with H = U·A. Pivots are positive, and the
-// entries above each pivot are reduced into [0, pivot).
-func HermiteNormalForm(a *Mat) (h, u *Mat) {
-	// Row HNF of A is the transpose of the column echelon form of Aᵀ,
-	// with an extra reduction pass above the pivots.
-	ht, ct, _ := ColumnEchelon(a.Transpose())
-	h = ht.Transpose()
-	u = ct.Transpose()
-
-	// Reduce entries above each pivot.
-	for i := 0; i < h.Rows(); i++ {
-		// Find the pivot column of row i.
-		pc := -1
-		for j := 0; j < h.Cols(); j++ {
-			if h.At(i, j) != 0 {
-				pc = j
-				break
-			}
-		}
-		if pc == -1 {
-			continue
-		}
-		p := h.At(i, pc)
-		for r := 0; r < i; r++ {
-			v := h.At(r, pc)
-			q := FloorDiv(v, p)
-			if q != 0 {
-				h.AddRowMultiple(r, i, -q)
-				u.AddRowMultiple(r, i, -q)
-			}
-		}
-	}
-	return h, u
-}
-
 func absInt64(x int64) int64 {
 	if x < 0 {
 		return -x

@@ -28,36 +28,6 @@ func GCDAll(xs ...int64) int64 {
 	return g
 }
 
-// ExtGCD returns (g, x, y) with g = gcd(a, b) >= 0 and a·x + b·y = g.
-func ExtGCD(a, b int64) (g, x, y int64) {
-	oldR, r := a, b
-	oldX, xx := int64(1), int64(0)
-	oldY, yy := int64(0), int64(1)
-	for r != 0 {
-		q := oldR / r
-		oldR, r = r, oldR-q*r
-		oldX, xx = xx, oldX-q*xx
-		oldY, yy = yy, oldY-q*yy
-	}
-	if oldR < 0 {
-		oldR, oldX, oldY = -oldR, -oldX, -oldY
-	}
-	return oldR, oldX, oldY
-}
-
-// LCM returns the non-negative least common multiple of a and b.
-// LCM(0, x) is 0.
-func LCM(a, b int64) int64 {
-	if a == 0 || b == 0 {
-		return 0
-	}
-	l := a / GCD(a, b) * b
-	if l < 0 {
-		l = -l
-	}
-	return l
-}
-
 // FloorDiv returns ⌊a/b⌋ for b > 0 (division rounded toward negative
 // infinity, unlike Go's truncated division).
 func FloorDiv(a, b int64) int64 {

@@ -1,6 +1,6 @@
 // Package linalg provides exact integer linear algebra for the layout
 // transformation pass: integer vectors and matrices, fraction-free Gaussian
-// elimination, Hermite normal form, integer nullspace bases, and unimodular
+// elimination, column echelon form, integer nullspace bases, and unimodular
 // completion of a primitive row vector to a full unimodular matrix.
 //
 // All arithmetic is on int64. The matrices manipulated by the compiler pass
@@ -132,16 +132,6 @@ func (v Vec) String() string {
 		parts[i] = fmt.Sprintf("%d", x)
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// UnitVec returns the length-n unit vector with a 1 in position i (0-based).
-func UnitVec(n, i int) Vec {
-	if i < 0 || i >= n {
-		panic(fmt.Sprintf("linalg: unit vector index %d out of range [0,%d)", i, n))
-	}
-	v := make(Vec, n)
-	v[i] = 1
-	return v
 }
 
 // Mat is a dense integer matrix with row-major storage.

@@ -42,18 +42,6 @@ func TestVecPrimitive(t *testing.T) {
 	}
 }
 
-func TestUnitVec(t *testing.T) {
-	if got := UnitVec(3, 1); !got.Equal(NewVec(0, 1, 0)) {
-		t.Errorf("UnitVec(3,1) = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("UnitVec out of range did not panic")
-		}
-	}()
-	UnitVec(2, 5)
-}
-
 func TestGCD(t *testing.T) {
 	cases := []struct{ a, b, want int64 }{
 		{12, 18, 6}, {-12, 18, 6}, {12, -18, 6}, {-12, -18, 6},
@@ -72,29 +60,7 @@ func TestGCD(t *testing.T) {
 	}
 }
 
-func TestExtGCD(t *testing.T) {
-	cases := [][2]int64{{12, 18}, {-5, 3}, {7, 0}, {0, -9}, {1, 1}, {240, 46}}
-	for _, c := range cases {
-		g, x, y := ExtGCD(c[0], c[1])
-		if g != GCD(c[0], c[1]) {
-			t.Errorf("ExtGCD(%d,%d): g = %d, want %d", c[0], c[1], g, GCD(c[0], c[1]))
-		}
-		if c[0]*x+c[1]*y != g {
-			t.Errorf("ExtGCD(%d,%d): %d·%d + %d·%d != %d", c[0], c[1], c[0], x, c[1], y, g)
-		}
-	}
-}
-
-func TestLCMFloorDivMod(t *testing.T) {
-	if got := LCM(4, 6); got != 12 {
-		t.Errorf("LCM(4,6) = %d", got)
-	}
-	if got := LCM(0, 5); got != 0 {
-		t.Errorf("LCM(0,5) = %d", got)
-	}
-	if got := LCM(-4, 6); got != 12 {
-		t.Errorf("LCM(-4,6) = %d", got)
-	}
+func TestFloorDivMod(t *testing.T) {
 	if got := FloorDiv(-7, 2); got != -4 {
 		t.Errorf("FloorDiv(-7,2) = %d, want -4", got)
 	}
@@ -221,29 +187,6 @@ func TestSolveHomogeneousPaperExample(t *testing.T) {
 	}
 }
 
-func TestHermiteNormalForm(t *testing.T) {
-	a := MatFromRows(
-		[]int64{2, 4, 4},
-		[]int64{-6, 6, 12},
-		[]int64{10, 4, 16},
-	)
-	h, u := HermiteNormalForm(a)
-	if !IsUnimodular(u) {
-		t.Fatalf("U is not unimodular:\n%v", u)
-	}
-	if !u.Mul(a).Equal(h) {
-		t.Fatalf("U·A != H:\nU·A=\n%v\nH=\n%v", u.Mul(a), h)
-	}
-	// H must be upper triangular with positive pivots for this full-rank A.
-	for i := 0; i < h.Rows(); i++ {
-		for j := 0; j < i; j++ {
-			if h.At(i, j) != 0 {
-				t.Errorf("H(%d,%d) = %d below diagonal", i, j, h.At(i, j))
-			}
-		}
-	}
-}
-
 func TestColumnEchelonInvariants(t *testing.T) {
 	a := MatFromRows(
 		[]int64{1, 2, 3, 4},
@@ -301,32 +244,6 @@ func TestUnimodularCompletionErrors(t *testing.T) {
 	}
 	if _, err := UnimodularCompletion(NewVec(0, 0), 0); err == nil {
 		t.Error("zero vector accepted")
-	}
-}
-
-func TestInverseUnimodular(t *testing.T) {
-	ms := []*Mat{
-		Identity(3),
-		MatFromRows([]int64{0, 1}, []int64{1, 0}),
-		MatFromRows([]int64{1, 2}, []int64{0, 1}),
-		MatFromRows(
-			[]int64{1, 2, 3},
-			[]int64{0, 1, 4},
-			[]int64{0, 0, 1},
-		),
-		MatFromRows(
-			[]int64{2, 3},
-			[]int64{1, 2},
-		),
-	}
-	for _, m := range ms {
-		inv := InverseUnimodular(m)
-		if !m.Mul(inv).Equal(Identity(m.Rows())) {
-			t.Errorf("M·M⁻¹ != I for\n%v\ngot\n%v", m, m.Mul(inv))
-		}
-		if !inv.Mul(m).Equal(Identity(m.Rows())) {
-			t.Errorf("M⁻¹·M != I for\n%v", m)
-		}
 	}
 }
 

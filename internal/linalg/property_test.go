@@ -90,26 +90,6 @@ func TestPropSolveHomogeneousIsPrimitive(t *testing.T) {
 	}
 }
 
-func TestPropHNF(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := smallMat(r)
-		h, u := HermiteNormalForm(a)
-		if !IsUnimodular(u) {
-			t.Logf("U not unimodular for A=\n%v", a)
-			return false
-		}
-		if !u.Mul(a).Equal(h) {
-			t.Logf("U·A != H for A=\n%v", a)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg()); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropUnimodularCompletion(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -129,44 +109,6 @@ func TestPropUnimodularCompletion(t *testing.T) {
 			return false
 		}
 		return IsUnimodular(u) && u.Row(v).Equal(g)
-	}
-	if err := quick.Check(f, quickCfg()); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropInverseUnimodular(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		// Build a random unimodular matrix as a product of elementary ops.
-		n := 1 + r.Intn(4)
-		m := Identity(n)
-		for k := 0; k < 8; k++ {
-			i, j := r.Intn(n), r.Intn(n)
-			if i == j {
-				continue
-			}
-			switch r.Intn(3) {
-			case 0:
-				m.AddRowMultiple(i, j, int64(r.Intn(5)-2))
-			case 1:
-				m.SwapRows(i, j)
-			case 2:
-				m.NegateRow(i)
-			}
-		}
-		inv := InverseUnimodular(m)
-		return m.Mul(inv).Equal(Identity(n)) && inv.Mul(m).Equal(Identity(n))
-	}
-	if err := quick.Check(f, quickCfg()); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropExtGCD(t *testing.T) {
-	f := func(a, b int32) bool {
-		g, x, y := ExtGCD(int64(a), int64(b))
-		return g == GCD(int64(a), int64(b)) && int64(a)*x+int64(b)*y == g
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)

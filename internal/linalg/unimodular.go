@@ -93,37 +93,3 @@ func UnimodularCompletion(g Vec, v int) (*Mat, error) {
 	}
 	return u, nil
 }
-
-// InverseUnimodular returns the exact integer inverse of a unimodular
-// matrix. It panics if m is not unimodular.
-func InverseUnimodular(m *Mat) *Mat {
-	if !IsUnimodular(m) {
-		panic("linalg: inverse of non-unimodular matrix")
-	}
-	// Column-reduce m to echelon form: m·C = H with H lower triangular and
-	// unimodular. Then continue with column operations to reach the
-	// identity, so that m·C' = I and C' = m⁻¹.
-	h, c, _ := ColumnEchelon(m)
-	n := m.Rows()
-	// H is in column echelon form with ±1 pivots on the diagonal (since m
-	// is unimodular, rank is n and each pivot divides det = ±1).
-	for j := 0; j < n; j++ {
-		if h.At(j, j) < 0 {
-			h.NegateCol(j)
-			c.NegateCol(j)
-		}
-	}
-	// Eliminate below-diagonal entries column by column, right to left.
-	for j := n - 1; j >= 0; j-- {
-		for i := j + 1; i < n; i++ {
-			k := h.At(i, j)
-			if k != 0 {
-				// Subtract k times column i (which has a single 1 in row i
-				// among rows >= i after prior steps) from column j.
-				h.AddColMultiple(j, i, -k)
-				c.AddColMultiple(j, i, -k)
-			}
-		}
-	}
-	return c
-}

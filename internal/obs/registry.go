@@ -375,7 +375,7 @@ func WriteJSONL(w io.Writer, points []Point) error {
 
 // WriteRun writes reg's snapshot at until, the run's end time, as JSONL,
 // every point tagged with the run's label: one block of the -metrics dump
-// that prof.Plane writes.
+// that plane.Plane writes.
 func WriteRun(w io.Writer, run string, reg *Registry, until int64) error {
 	points := reg.Snapshot(until)
 	for i := range points {

@@ -1,4 +1,4 @@
-package prof
+package plane
 
 import (
 	"bufio"
@@ -25,12 +25,12 @@ func ParseExposition(r io.Reader) (families, samples int, err error) {
 		if strings.HasPrefix(line, "# TYPE ") {
 			rest := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
 			if len(rest) != 2 || !validMetricName(rest[0]) {
-				return 0, 0, fmt.Errorf("prof: exposition line %d: bad TYPE line %q", lineNo, line)
+				return 0, 0, fmt.Errorf("plane: exposition line %d: bad TYPE line %q", lineNo, line)
 			}
 			switch rest[1] {
 			case "counter", "gauge", "histogram", "summary", "untyped":
 			default:
-				return 0, 0, fmt.Errorf("prof: exposition line %d: unknown type %q", lineNo, rest[1])
+				return 0, 0, fmt.Errorf("plane: exposition line %d: unknown type %q", lineNo, rest[1])
 			}
 			families++
 			continue
@@ -44,7 +44,7 @@ func ParseExposition(r io.Reader) (families, samples int, err error) {
 			name = line[:i]
 			j := strings.LastIndexByte(line, '}')
 			if j < i {
-				return 0, 0, fmt.Errorf("prof: exposition line %d: unbalanced braces", lineNo)
+				return 0, 0, fmt.Errorf("plane: exposition line %d: unbalanced braces", lineNo)
 			}
 			rest = strings.TrimSpace(line[j+1:])
 		} else if i := strings.IndexByte(line, ' '); i >= 0 {
@@ -52,14 +52,14 @@ func ParseExposition(r io.Reader) (families, samples int, err error) {
 			rest = strings.TrimSpace(line[i+1:])
 		}
 		if !validMetricName(name) {
-			return 0, 0, fmt.Errorf("prof: exposition line %d: bad metric name %q", lineNo, name)
+			return 0, 0, fmt.Errorf("plane: exposition line %d: bad metric name %q", lineNo, name)
 		}
 		val := rest
 		if i := strings.IndexByte(rest, ' '); i >= 0 {
 			val = rest[:i] // optional trailing timestamp
 		}
 		if _, err := strconv.ParseFloat(val, 64); err != nil {
-			return 0, 0, fmt.Errorf("prof: exposition line %d: bad value %q", lineNo, val)
+			return 0, 0, fmt.Errorf("plane: exposition line %d: bad value %q", lineNo, val)
 		}
 		samples++
 	}

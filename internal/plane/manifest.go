@@ -1,4 +1,4 @@
-package prof
+package plane
 
 import (
 	"encoding/json"

@@ -1,4 +1,10 @@
-package prof
+// Package plane is the observability plane of both CLIs, cmd/offchip and
+// cmd/benchtab: a process's run registries, summed attribution profiles
+// and job counts (Plane), the -serve HTTP endpoint over them (Server, which
+// also serves Go's /debug/pprof/), and the -metrics JSONL dump with its
+// provenance manifest. Only the CLIs import it, so the simulator, core and
+// the job runner link no HTTP server.
+package plane
 
 import (
 	"os"
@@ -6,6 +12,7 @@ import (
 	"sync"
 
 	"offchip/internal/obs"
+	"offchip/internal/prof"
 )
 
 // Plane is the one observability plane of both CLIs: what their -serve
@@ -17,11 +24,11 @@ type Plane struct {
 	workers int // jobs that run at once, which bounds /progress's in-flight count
 
 	mu       sync.Mutex
-	runs     map[string]planeRun // label → registry
-	profiles map[string]*Profile // run name → sum over recorded jobs
-	jobs     map[string]bool     // job IDs recorded so far
-	total    int                 // jobs started so far
-	done     int                 // finished jobs, failed ones included
+	runs     map[string]planeRun      // label → registry
+	profiles map[string]*prof.Profile // run name → sum over recorded jobs
+	jobs     map[string]bool          // job IDs recorded so far
+	total    int                      // jobs started so far
+	done     int                      // finished jobs, failed ones included
 	failed   int
 }
 
@@ -31,13 +38,13 @@ type planeRun struct {
 	until int64
 }
 
-// NewPlane returns an empty plane for a process that runs up to workers
-// jobs at once.
-func NewPlane(workers int) *Plane {
+// New returns an empty plane for a process that runs up to workers jobs at
+// once.
+func New(workers int) *Plane {
 	return &Plane{
 		workers:  max(workers, 1),
 		runs:     map[string]planeRun{},
-		profiles: map[string]*Profile{},
+		profiles: map[string]*prof.Profile{},
 		jobs:     map[string]bool{},
 	}
 }
@@ -64,7 +71,7 @@ func (p *Plane) Start(n int) {
 // name → profile) to the per-run-name sums; a job without an ID is recorded
 // every time. It reports whether it recorded the job, so the caller knows
 // to Record the job's runs.
-func (p *Plane) Finish(id string, err error, profiles map[string]*Profile) bool {
+func (p *Plane) Finish(id string, err error, profiles map[string]*prof.Profile) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.done++
@@ -80,7 +87,7 @@ func (p *Plane) Finish(id string, err error, profiles map[string]*Profile) bool 
 	}
 	for run, q := range profiles {
 		if p.profiles[run] == nil {
-			p.profiles[run] = &Profile{}
+			p.profiles[run] = &prof.Profile{}
 		}
 		p.profiles[run].Add(q)
 	}
@@ -100,12 +107,12 @@ func (p *Plane) registries() map[string]*obs.Registry {
 
 // Profiles returns a copy of the per-run-name profile sums, which later
 // jobs keep adding to.
-func (p *Plane) Profiles() map[string]*Profile {
+func (p *Plane) Profiles() map[string]*prof.Profile {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[string]*Profile, len(p.profiles))
+	out := make(map[string]*prof.Profile, len(p.profiles))
 	for run, q := range p.profiles {
-		c := &Profile{}
+		c := &prof.Profile{}
 		c.Add(q) // deep copy: the sum keeps growing
 		out[run] = c
 	}

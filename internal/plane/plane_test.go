@@ -1,4 +1,4 @@
-package prof_test
+package plane_test
 
 import (
 	"encoding/json"
@@ -12,13 +12,14 @@ import (
 	"time"
 
 	"offchip/internal/obs"
+	"offchip/internal/plane"
 	"offchip/internal/prof"
 	"offchip/internal/runner"
 )
 
 // get fetches path from the server and returns its body, failing the test
 // on any status but 200.
-func get(t *testing.T, srv *prof.Server, path string) []byte {
+func get(t *testing.T, srv *plane.Server, path string) []byte {
 	t.Helper()
 	resp, err := http.Get("http://" + srv.Addr() + path)
 	if err != nil {
@@ -36,9 +37,9 @@ func get(t *testing.T, srv *prof.Server, path string) []byte {
 }
 
 // progress reads /progress without its wall-clock fields.
-func progress(t *testing.T, srv *prof.Server) prof.Progress {
+func progress(t *testing.T, srv *plane.Server) plane.Progress {
 	t.Helper()
-	var p prof.Progress
+	var p plane.Progress
 	if err := json.Unmarshal(get(t, srv, "/progress"), &p); err != nil {
 		t.Fatal(err)
 	}
@@ -59,19 +60,19 @@ func TestServeProgressCountsTheJob(t *testing.T) {
 		{"failed", errors.New("simulation failed"), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			plane := prof.NewPlane(1)
-			plane.Start(1)
-			srv, err := prof.NewServer("127.0.0.1:0", plane)
+			live := plane.New(1)
+			live.Start(1)
+			srv, err := plane.NewServer("127.0.0.1:0", live)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer srv.Close()
 
-			if got, want := progress(t, srv), (prof.Progress{TotalJobs: 1, InFlight: 1}); got != want {
+			if got, want := progress(t, srv), (plane.Progress{TotalJobs: 1, InFlight: 1}); got != want {
 				t.Errorf("during the run: /progress = %+v, want %+v", got, want)
 			}
-			plane.Finish("", tc.err, nil)
-			if got, want := progress(t, srv), (prof.Progress{TotalJobs: 1, DoneJobs: 1, Failed: tc.failed}); got != want {
+			live.Finish("", tc.err, nil)
+			if got, want := progress(t, srv), (plane.Progress{TotalJobs: 1, DoneJobs: 1, Failed: tc.failed}); got != want {
 				t.Errorf("after the run: /progress = %+v, want %+v", got, want)
 			}
 		})
@@ -88,8 +89,8 @@ func TestRecorderRecordsEachJobOnce(t *testing.T) {
 		{App: "apsi", Cap: 80, Prof: true},
 		{Mode: runner.ModeOptimized, App: "gafort", Cap: 80, Prof: true},
 	}
-	plane := prof.NewPlane(2)
-	srv, err := prof.NewServer("127.0.0.1:0", plane)
+	live := plane.New(2)
+	srv, err := plane.NewServer("127.0.0.1:0", live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +120,12 @@ func TestRecorderRecordsEachJobOnce(t *testing.T) {
 
 	observe := func(ev runner.JobEvent) {
 		if ev.Done == 1 {
-			plane.Start(ev.Total)
+			live.Start(ev.Total)
 		}
 		o := ev.Outcome
-		if plane.Finish(o.ID, o.Err, o.Profiles) {
+		if live.Finish(o.ID, o.Err, o.Profiles) {
 			for run, ob := range o.Observers {
-				plane.Record(o.ShortID+"/"+run, ob.Reg, o.ExecTimes[run])
+				live.Record(o.ShortID+"/"+run, ob.Reg, o.ExecTimes[run])
 			}
 		}
 	}
@@ -140,7 +141,7 @@ func TestRecorderRecordsEachJobOnce(t *testing.T) {
 		if pass == 0 {
 			once = res
 			// Profiles hands out copies: growing one leaves the sum alone.
-			plane.Profiles()["optimized"].Add(res.Outcomes[0].Profiles["optimized"])
+			live.Profiles()["optimized"].Add(res.Outcomes[0].Profiles["optimized"])
 		}
 	}
 
@@ -148,7 +149,7 @@ func TestRecorderRecordsEachJobOnce(t *testing.T) {
 	for _, o := range once.Outcomes {
 		want += o.Profiles["optimized"].Accesses
 	}
-	if got := plane.Profiles()["optimized"].Accesses; got != want {
+	if got := live.Profiles()["optimized"].Accesses; got != want {
 		t.Errorf("optimized profile sums %d accesses, want one pass's %d", got, want)
 	}
 	var served map[string]prof.Summary
@@ -158,12 +159,12 @@ func TestRecorderRecordsEachJobOnce(t *testing.T) {
 	if got := served["optimized"].Accesses; got != want {
 		t.Errorf("/profile serves %d optimized accesses, want %d", got, want)
 	}
-	if got, want := progress(t, srv), (prof.Progress{TotalJobs: 4, DoneJobs: 4}); got != want {
+	if got, want := progress(t, srv), (plane.Progress{TotalJobs: 4, DoneJobs: 4}); got != want {
 		t.Errorf("/progress = %+v, want %+v", got, want)
 	}
 
 	path := filepath.Join(t.TempDir(), "m.jsonl")
-	if err := plane.WriteMetrics(path, prof.NewManifest(time.Now())); err != nil {
+	if err := live.WriteMetrics(path, plane.NewManifest(time.Now())); err != nil {
 		t.Fatal(err)
 	}
 	dump, err := os.ReadFile(path)
@@ -181,11 +182,11 @@ func TestRecorderRecordsEachJobOnce(t *testing.T) {
 	if len(runs) != 4 {
 		t.Errorf("dump holds %d job runs, want 4 (three compare runs, one optimized): %v", len(runs), runs)
 	}
-	raw, err := os.ReadFile(prof.ManifestPath(path))
+	raw, err := os.ReadFile(plane.ManifestPath(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m prof.Manifest
+	var m plane.Manifest
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package prof
+package plane
 
 import (
 	"encoding/json"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"offchip/internal/obs"
+	"offchip/internal/prof"
 )
 
 // The live observability plane: an opt-in HTTP endpoint (the -serve flag
@@ -51,7 +52,7 @@ type Server struct {
 func NewServer(addr string, plane *Plane) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, fmt.Errorf("prof: serve: %w", err)
+		return nil, fmt.Errorf("plane: serve: %w", err)
 	}
 	s := &Server{plane: plane, ln: ln, start: time.Now()}
 	mux := http.NewServeMux()
@@ -114,7 +115,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	out := map[string]Summary{}
+	out := map[string]prof.Summary{}
 	for label, p := range s.plane.Profiles() {
 		out[label] = p.Summarize()
 	}

@@ -1,4 +1,4 @@
-package prof
+package plane
 
 import (
 	"encoding/json"
@@ -10,7 +10,8 @@ import (
 	"time"
 
 	"offchip/internal/obs"
-	"offchip/internal/probe"
+	"offchip/internal/prof"
+	"offchip/internal/runner"
 )
 
 func expositionFixture() map[string]*obs.Registry {
@@ -70,23 +71,24 @@ func TestParseExpositionRejectsGarbage(t *testing.T) {
 }
 
 func TestNewServerBadAddrFailsFast(t *testing.T) {
-	if _, err := NewServer("256.0.0.1:bad", NewPlane(1)); err == nil {
+	if _, err := NewServer("256.0.0.1:bad", New(1)); err == nil {
 		t.Fatal("bad listen address should fail at construction")
 	}
 }
 
 func TestServerEndpoints(t *testing.T) {
-	p := New()
-	p.Bind(testParams())
-	driveAccess(p, 1, 0, 0)
-	p.Finish(probe.Totals{})
-	plane := NewPlane(1)
-	plane.Start(4)
-	plane.Record("run", p.obs.Reg, 0)
-	plane.Finish("j1", nil, map[string]*Profile{"run": p.Profile()})
-	plane.Finish("j2", nil, nil)
+	out := runner.JobSpec{Mode: runner.ModeOptimized, App: "apsi", Cap: 20, Prof: true}.Execute()
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	run := out.Profiles["optimized"]
+	p := New(1)
+	p.Start(4)
+	p.Record("run", out.Observers["optimized"].Reg, 0)
+	p.Finish("j1", nil, map[string]*prof.Profile{"run": run})
+	p.Finish("j2", nil, nil)
 
-	s, err := NewServer("127.0.0.1:0", plane)
+	s, err := NewServer("127.0.0.1:0", p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +128,11 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/progress = %+v", prog)
 	}
 
-	var profiles map[string]Summary
+	var profiles map[string]prof.Summary
 	if err := json.Unmarshal(get("/profile"), &profiles); err != nil {
 		t.Fatalf("/profile: %v", err)
 	}
-	if got := profiles["run"]; got.Accesses != 1 || got.Attributed != got.EndToEnd {
+	if got := profiles["run"]; got.Accesses != run.Accesses || got.Accesses == 0 || got.Attributed != got.EndToEnd {
 		t.Fatalf("/profile = %+v", got)
 	}
 

@@ -1,4 +1,4 @@
-package prof_test
+package plane_test
 
 import (
 	"io"
@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"offchip/internal/plane"
 	"offchip/internal/prof"
 	"offchip/internal/runner"
 )
@@ -58,11 +59,11 @@ func TestProfileSmoke(t *testing.T) {
 	}
 
 	// Live plane: serve the run registries and re-parse the exposition.
-	plane := prof.NewPlane(1)
+	live := plane.New(1)
 	for run, o := range out.Observers {
-		plane.Record(run, o.Reg, out.ExecTimes[run])
+		live.Record(run, o.Reg, out.ExecTimes[run])
 	}
-	srv, err := prof.NewServer("127.0.0.1:0", plane)
+	srv, err := plane.NewServer("127.0.0.1:0", live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestProfileSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	families, samples, err := prof.ParseExposition(strings.NewReader(string(body)))
+	families, samples, err := plane.ParseExposition(strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatalf("/metrics does not parse: %v", err)
 	}

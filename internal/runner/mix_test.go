@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// mixSpecs is the mix half of testSpecs: phase-changing multiprogrammed
-// jobs across the modes and migration variants a mix can run under. Capped
-// traces keep it fast enough for -race -count=2.
+// mixSpecs is the mix half of testSpecs: phase-changing and co-run
+// multiprogrammed jobs across the modes and migration variants a mix can
+// run under. Capped traces keep it fast enough for -race -count=2.
 func mixSpecs() []JobSpec {
 	return []JobSpec{
 		{Mode: ModeBaseline, Mix: "mix2(apsi@16+gafort@0)", Interleave: "page", Cap: 100},
@@ -18,6 +18,9 @@ func mixSpecs() []JobSpec {
 			Migrate: "h4w256c1f0t16", Cap: 400},
 		{Mode: ModeOptimized, Mix: "mix2(fma3d@16+art@48)", Interleave: "page",
 			Migrate: "h4w256c1f0t16g4", Cap: 400},
+		{Mode: ModeBaseline, Mix: "co2(swim+apsi)", Cap: 100},
+		{Mode: ModeOptimized, Mix: "co2(swim+apsi)", Cap: 100},
+		{Mode: ModeOptimized, Mix: "co2(fma3d+apsi)", Interleave: "page", Migrate: "h4w256c1f0t16", Cap: 400},
 	}
 }
 

@@ -61,9 +61,10 @@ type JobSpec struct {
 	Cap        int    // MaxAccessesPerThread (0: full traces)
 	Seed       uint64 // sweep seed; 0 keeps the historical jitter stream
 
-	// Mix, when set, replaces App with a phase-changing multiprogrammed mix
-	// (workloads.MixSpec compact form, e.g. "mix2(apsi@16+gafort@0)"): the
-	// job simulates the composed workload instead of a single application.
+	// Mix, when set, replaces App with a multiprogrammed mix
+	// (workloads.MixSpec compact form: phase-changing, e.g.
+	// "mix2(apsi@16+gafort@0)", or co-run, e.g. "co2(swim+apsi)"): the job
+	// simulates the composed workload instead of a single application.
 	// The form contains no comma or equals sign, so it embeds verbatim as
 	// the ID's mix= field — appended only when set, like sample=/mig=, so
 	// single-app IDs keep their historical bytes. Mix jobs run ModeBaseline

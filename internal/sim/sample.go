@@ -256,14 +256,15 @@ func sliceStream(st *Stream, start, length int) Stream {
 // control segment whose distance from the measured values sizes the bias
 // allowance in the bounds.
 //
-// Both share one WarmState: the full workload as the page universe
+// Both keep the full run's schedule (Workload.Sequential), and both share
+// one WarmState: the full workload as the page universe
 // (identical page placement to the full run) and, when warmK > 0, up to
 // warmK accesses of each stream's pre-window prefix replayed functionally
 // so the caches and the directory approximate their mid-run contents. The
 // shared state cancels exactly in the span − warm subtraction.
 func (s SampleSpec) windowWorkloads(w *Workload, rep, win, warmK int, pages *PageMemo) (span, warm *Workload) {
-	span = &Workload{Name: w.Name}
-	warm = &Workload{Name: w.Name}
+	span = &Workload{Name: w.Name, Sequential: w.Sequential}
+	warm = &Workload{Name: w.Name, Sequential: w.Sequential}
 	span.Streams = make([]Stream, len(w.Streams))
 	warm.Streams = make([]Stream, len(w.Streams))
 	ws := &WarmState{PageUniverse: w, Pages: pages}

@@ -123,6 +123,34 @@ func sampleWorkload(cores, perCore int) *Workload {
 	return w
 }
 
+// TestSampledWindowsKeepTheSchedule: a Sequential workload (a phase mix)
+// runs each core's streams one after another, so every window the sampler
+// times, span and warm-only alike, must keep that schedule instead of
+// time-sharing the core's slices round-robin.
+func TestSampledWindowsKeepTheSchedule(t *testing.T) {
+	w := sampleWorkload(16, 2000)
+	for i := range w.Streams {
+		w.Streams[i].Core %= 8 // two streams per core, like a mix's slices
+	}
+	w.Sequential = true
+	span, warm := DefaultSampleSpec().normalized().windowWorkloads(w, 0, 1, 0, &PageMemo{})
+	if !span.Sequential || !warm.Sequential {
+		t.Errorf("window workloads Sequential = %v (span), %v (warm), want true", span.Sequential, warm.Sequential)
+	}
+	sr, err := RunSampled(testConfig(t), w, DefaultSampleSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Exact {
+		t.Fatal("workload not sampled")
+	}
+	for i, sw := range sr.SpanWorkloads {
+		if !sw.Sequential {
+			t.Fatalf("span window %d runs round-robin", i)
+		}
+	}
+}
+
 // TestRunSampledExactTinyWorkload: when the windows would cover every stream,
 // RunSampled degenerates to one full run with zero-width bounds.
 func TestRunSampledExactTinyWorkload(t *testing.T) {

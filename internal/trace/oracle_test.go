@@ -55,7 +55,7 @@ func oracleGenerate(p *ir.Program, res *layout.Result, m layout.Machine, store *
 	w := &sim.Workload{Name: p.Name}
 	var n oracleCounts
 	for t := 0; t < threads; t++ {
-		stream := sim.Stream{Core: t % cores, AppID: opt.AppID}
+		stream := sim.Stream{Core: t % cores}
 		budget := maxAcc
 		for ni := range plans {
 			pl := &plans[ni]
@@ -276,7 +276,7 @@ func TestGenerateMatchesOracle(t *testing.T) {
 			identity := &layout.Result{Program: p, Layouts: map[*ir.Array]*layout.ArrayLayout{}}
 			for _, l := range []*layout.Result{identity, res} {
 				for _, limit := range []int{Unlimited, 40, 1 + rng.Intn(12)} {
-					opt := Options{Threads: threads, MaxAccessesPerThread: limit, AppID: trial % 3}
+					opt := Options{Threads: threads, MaxAccessesPerThread: limit}
 					got, err := Generate(p, l, mc.m, store, opt)
 					if err != nil {
 						t.Fatal(err)

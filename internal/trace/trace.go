@@ -31,9 +31,6 @@ type Options struct {
 	// and the paper's effect must come from request placement, not from
 	// miss-count changes (Section 6.1 reports <1% LLC-miss impact).
 	MaxAccessesPerThread int
-	// AppID tags the streams (distinct IDs isolate address spaces in
-	// multiprogrammed runs).
-	AppID int
 }
 
 // DefaultMaxAccesses bounds per-thread traces so full-suite experiments
@@ -101,7 +98,7 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 	w := &sim.Workload{Name: p.Name, Streams: make([]sim.Stream, 0, threads)}
 	var accs []sim.Access
 	for t := 0; t < threads; t++ {
-		stream := sim.Stream{Core: t % cores, AppID: opt.AppID, Phases: make([]int, 0, len(plans))}
+		stream := sim.Stream{Core: t % cores, Phases: make([]int, 0, len(plans))}
 		accs = accs[:0]
 		budget := maxAcc
 		for ni := range plans {
@@ -255,11 +252,19 @@ func PlaceArrays(p *ir.Program, res *layout.Result, m layout.Machine) (map[*ir.A
 	return bases, nil
 }
 
-// Merge combines the streams of several workloads (multiprogrammed mixes).
+// Merge co-schedules several workloads for the whole run, a co-run mix
+// (workloads.MixSpec): the streams of ws[i] get AppID i, so each workload
+// keeps its own address space, and every core time-shares the streams
+// bound to it. The inputs are not mutated (they may come from the trace
+// cache): the merged streams are copies of their headers and alias the
+// access arrays read-only.
 func Merge(name string, ws ...*sim.Workload) *sim.Workload {
 	out := &sim.Workload{Name: name}
-	for _, w := range ws {
-		out.Streams = append(out.Streams, w.Streams...)
+	for app, w := range ws {
+		for _, st := range w.Streams {
+			st.AppID = app
+			out.Streams = append(out.Streams, st)
+		}
 	}
 	return out
 }

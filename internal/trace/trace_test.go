@@ -254,6 +254,18 @@ func TestMerge(t *testing.T) {
 	if m.Name != "mix" {
 		t.Errorf("name = %q", m.Name)
 	}
+	// Each input keeps its own address space, and the inputs (which may
+	// be shared trace-cache entries) are left as they were.
+	for i, st := range m.Streams {
+		if want := i / len(a.Streams); st.AppID != want {
+			t.Fatalf("merged stream %d has AppID %d, want %d", i, st.AppID, want)
+		}
+	}
+	for _, st := range b.Streams {
+		if st.AppID != 0 {
+			t.Fatalf("Merge restamped an input stream's AppID to %d", st.AppID)
+		}
+	}
 }
 
 // Generate2 builds a tiny workload for Merge tests.

@@ -28,9 +28,8 @@ import (
 // in-process map keys on the struct itself; the disk path keys on its hash.
 type Key struct {
 	Program string // program name (human-readable path component)
-	AppID   int
-	Threads int // effective thread count (defaults resolved)
-	Cap     int // effective per-thread access cap (-1: unlimited)
+	Threads int    // effective thread count (defaults resolved)
+	Cap     int    // effective per-thread access cap (-1: unlimited)
 
 	// ProgFP covers the program text and the profiled index-array contents;
 	// MachineFP the geometry trace generation reads (mesh, MCs, line/page
@@ -47,7 +46,6 @@ type Key struct {
 func (k Key) Hash() uint64 {
 	h := newHasher()
 	h.str(k.Program)
-	h.i64(int64(k.AppID))
 	h.i64(int64(k.Threads))
 	h.i64(int64(k.Cap))
 	h.u64(k.ProgFP)
@@ -77,7 +75,6 @@ func KeyOf(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.DataSt
 	}
 	return Key{
 		Program:   p.Name,
-		AppID:     opt.AppID,
 		Threads:   threads,
 		Cap:       cap,
 		ProgFP:    fingerprintProgram(p, store),
@@ -157,7 +154,7 @@ func (c *Cache) Stats() Stats {
 // Generate returns the workload for the given inputs, generating it at most
 // once per key per process (and per disk cache lifetime). The returned
 // workload carries fresh Stream headers — callers may restamp Core/AppID
-// (multiprogrammed mixes do) without corrupting the shared entry — but the
+// without corrupting the shared entry — but the
 // Accesses and Phases slices are shared and must be treated as read-only,
 // exactly like a workload shared between core.Compare's three runs.
 func (c *Cache) Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.DataStore, opt trace.Options) (*sim.Workload, error) {
@@ -232,8 +229,8 @@ func (c *Cache) load(key Key) *sim.Workload {
 }
 
 // copyHeader returns a workload sharing the entry's access/phase storage but
-// owning its Stream headers, so per-caller restamping (AppID for mixes)
-// cannot leak into the cache.
+// owning its Stream headers, so per-caller restamping cannot leak into the
+// cache.
 func copyHeader(w *sim.Workload) *sim.Workload {
 	return &sim.Workload{Name: w.Name, Streams: append([]sim.Stream(nil), w.Streams...)}
 }

@@ -337,7 +337,6 @@ func TestKeySensitivity(t *testing.T) {
 	distinct := map[string]tracecache.Key{
 		"cap":      tracecache.KeyOf(p, res, m, store, trace.Options{MaxAccessesPerThread: 300}),
 		"threads":  tracecache.KeyOf(p, res, m, store, trace.Options{MaxAccessesPerThread: 200, Threads: 8}),
-		"appid":    tracecache.KeyOf(p, res, m, store, trace.Options{MaxAccessesPerThread: 200, AppID: 1}),
 		"identity": tracecache.KeyOf(p, identityResult(p), m, store, trace.Options{MaxAccessesPerThread: 200}),
 	}
 	m2 := m

@@ -1,12 +1,16 @@
-// Phase-changing multiprogrammed mixes: the workload family that rewards
-// online page migration. A mix co-schedules several scaled applications and
-// rotates each one's thread→core binding at its phase (loop-nest)
-// boundaries, so pages first-touched from one corner of the mesh are
-// re-touched from another later in the run — the hot set genuinely moves,
-// which no single stationary application does. The spec has a canonical
-// compact string form (embedded verbatim in job IDs, like
-// mem.MigrationSpec), and internal/trace.ComposeMix turns it plus per-app
-// traces into one sim.Workload.
+// Multiprogrammed mixes: several scaled applications on one machine, each
+// in its own address space. A mix has two forms, each with a canonical
+// compact string (embedded verbatim in job IDs, like mem.MigrationSpec):
+//
+//   - co-run, coN(app+app+...): every core time-shares one thread of each
+//     application for the whole run (Figure 25's workloads);
+//     internal/trace.Merge composes it.
+//   - phase-changing, mixN(app@rotate+...): each application's thread→core
+//     binding rotates at its phase (loop-nest) boundaries, so pages
+//     first-touched from one corner of the mesh are re-touched from another
+//     later in the run. The hot set genuinely moves, which no single
+//     stationary application does, so this is the family that rewards
+//     online page migration; internal/trace.ComposeMix composes it.
 package workloads
 
 import (
@@ -22,15 +26,20 @@ type MixEntry struct {
 	// Rotate shifts the app's thread→core binding by this many cores at
 	// every phase boundary: the thread bound to core c runs phase p on core
 	// (c + p·Rotate) mod cores. 0 keeps the binding fixed (a stationary
-	// participant).
+	// participant, and every entry of a co-run mix).
 	Rotate int
 }
 
-// MixSpec names a phase-changing multiprogrammed mix. The canonical form is
+// MixSpec names a multiprogrammed mix. The canonical form is
 // mixN(app@rotate+app@rotate+...) with N == len(Entries), e.g.
-// "mix2(apsi@16+gafort@0)". The form contains no comma or equals sign, so
-// it embeds verbatim as a job-ID field (mix=...).
+// "mix2(apsi@16+gafort@0)", or coN(app+app+...) for a co-run mix, e.g.
+// "co2(swim+apsi)". Neither form contains a comma or an equals sign, so
+// both embed verbatim as a job-ID field (mix=...).
 type MixSpec struct {
+	// CoRun marks the co-run form: the applications time-share every core
+	// for the whole run, so entries do not rotate (their Rotate is 0 and
+	// composition ignores it).
+	CoRun   bool
 	Entries []MixEntry
 }
 
@@ -38,12 +47,19 @@ type MixSpec struct {
 // ParseMixSpec, so job IDs embed it verbatim.
 func (s MixSpec) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "mix%d(", len(s.Entries))
+	if s.CoRun {
+		fmt.Fprintf(&b, "co%d(", len(s.Entries))
+	} else {
+		fmt.Fprintf(&b, "mix%d(", len(s.Entries))
+	}
 	for i, e := range s.Entries {
 		if i > 0 {
 			b.WriteByte('+')
 		}
-		fmt.Fprintf(&b, "%s@%d", e.App, e.Rotate)
+		b.WriteString(e.App)
+		if !s.CoRun {
+			fmt.Fprintf(&b, "@%d", e.Rotate)
+		}
 	}
 	b.WriteByte(')')
 	return b.String()
@@ -75,19 +91,24 @@ func (s MixSpec) Apps() []*App {
 	return out
 }
 
-// ParseMixSpec parses the compact form mixN(app@rotate+...). "" means no
-// mix (nil). Like ParseMigrationSpec, only the canonical rendering is
-// accepted — a spec whose numerals re-render differently ("@+16", "@016")
-// or whose N disagrees with the entry count is rejected, because job IDs
-// embed the string verbatim and -replay handles, recorded job lists and
-// bench pins match them by ID bytes.
+// ParseMixSpec parses the compact forms mixN(app@rotate+...) and
+// coN(app+...). "" means no mix (nil). Like ParseMigrationSpec, only the
+// canonical rendering is accepted — a spec whose numerals re-render
+// differently ("@+16", "@016"), whose N disagrees with the entry count, or
+// whose co-run entries carry a rotation ("co2(swim@0+apsi)") is rejected,
+// because job IDs embed the string verbatim and -replay handles, recorded
+// job lists and bench pins match them by ID bytes.
 func ParseMixSpec(s string) (*MixSpec, error) {
 	if s == "" {
 		return nil, nil
 	}
+	var sp MixSpec
 	rest, ok := strings.CutPrefix(s, "mix")
 	if !ok {
-		return nil, fmt.Errorf("workloads: mix spec %q: want mixN(app@rotate+app@rotate+...)", s)
+		if rest, ok = strings.CutPrefix(s, "co"); !ok {
+			return nil, fmt.Errorf("workloads: mix spec %q: want mixN(app@rotate+app@rotate+...) or coN(app+app+...)", s)
+		}
+		sp.CoRun = true
 	}
 	ns, rest, ok := strings.Cut(rest, "(")
 	if !ok {
@@ -101,8 +122,13 @@ func ParseMixSpec(s string) (*MixSpec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workloads: mix entry count %q: %w", ns, err)
 	}
-	var sp MixSpec
 	for _, part := range strings.Split(body, "+") {
+		if sp.CoRun {
+			// A co-run entry is a bare application name; a stray "@0"
+			// fails Validate as an unknown application.
+			sp.Entries = append(sp.Entries, MixEntry{App: part})
+			continue
+		}
 		app, rs, ok := strings.Cut(part, "@")
 		if !ok {
 			return nil, fmt.Errorf("workloads: mix entry %q is not app@rotate", part)

@@ -28,6 +28,16 @@ func TestParseMixSpec(t *testing.T) {
 		{in: "mix2(apsi@16++gafort@0)", wantErr: true}, // empty entry
 		{in: "mix2(APSI@16+gafort@0)", wantErr: true},  // app names are exact
 		{in: "mix2(apsi@16+gafort@0) ", wantErr: true}, // trailing junk
+		{in: "co2(swim+apsi)", want: "co2(swim+apsi)"},
+		{in: "co1(swim)", want: "co1(swim)"},
+		{in: "co2(swim@0+apsi)", wantErr: true},   // co-run entries carry no rotation
+		{in: "co2(swim@0+apsi@0)", wantErr: true}, // co-run entries carry no rotation
+		{in: "co02(swim+apsi)", wantErr: true},    // non-canonical count
+		{in: "co3(swim+apsi)", wantErr: true},     // N disagrees
+		{in: "co2(swim++apsi)", wantErr: true},    // empty entry
+		{in: "co2(swim+nosuch)", wantErr: true},   // unknown app
+		{in: "mix2(swim+apsi)", wantErr: true},    // phase mixes need rotations
+		{in: "Co2(swim+apsi)", wantErr: true},     // the prefix is exact
 	}
 	for _, c := range cases {
 		got, err := ParseMixSpec(c.in)
@@ -93,6 +103,9 @@ func FuzzParseMixSpec(f *testing.F) {
 	f.Add("mix02(apsi@16+gafort@0)")
 	f.Add("mix9999999999999999999(apsi@16)")
 	f.Add("mix2(apsi@16+apsi@16)")
+	f.Add("co2(swim+apsi)")
+	f.Add("co2(swim@0+apsi)")
+	f.Add("co02(swim+apsi)")
 	f.Fuzz(func(t *testing.T, s string) {
 		sp, err := ParseMixSpec(s)
 		if err != nil {
