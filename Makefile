@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: check vet fmt build test test-race determinism validate bench-smoke profile-smoke fuzz-smoke bench clean
+.PHONY: check vet fmt build test test-race stress determinism validate bench-smoke profile-smoke fuzz-smoke bench clean
 
 ## check: everything CI enforces — vet (the root module and the separate
-## bench/ module, which `./...` does not reach), formatting, build, tests under -race,
-## the sequential-vs-parallel determinism gate, the invariant/metamorphic
-## validation battery, the hot-path allocation gates, and the profiler
-## conservation gate.
-check: vet fmt build test-race determinism validate bench-smoke profile-smoke
+## bench/ module, which `./...` does not reach), formatting, build, every
+## test once under -race (which includes the sequential-vs-parallel
+## determinism gate, the invariant/metamorphic validation battery and the
+## profiler conservation gate), the concurrency stress, and the hot-path
+## allocation gates.
+check: vet fmt build test-race stress bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -28,33 +29,40 @@ build:
 test:
 	$(GO) test ./...
 
+## test-race: every test once under the race detector. -count=1 defeats
+## test caching, so the gate always runs the tests.
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
+
+## stress: the state core's goroutines share (a compare job's three
+## concurrent runs and two concurrent trace generations, and the fork-join
+## helper's panic hand-off), ten times over under the race detector.
+stress:
+	$(GO) test -run 'ConcurrentCompare|ComparePanic|ForkJoin' -race -count=10 ./internal/core
 
 ## determinism: differential gate — every parallel run must be bit-identical
 ## to sequential. -count=2 defeats test caching so both runs actually execute.
-## The second line stresses the state core's goroutines share (a compare
-## job's three concurrent runs and two concurrent trace generations, and the
-## fork-join helper's panic hand-off) ten times over under the race detector.
+## test-race runs these tests once; this target repeats them on their own.
 determinism:
 	$(GO) test -run Determinism -race -count=2 ./...
-	$(GO) test -run 'ConcurrentCompare|ComparePanic|ForkJoin' -race -count=10 ./internal/core
 
 ## validate: the simulator-wide validation battery — every runtime invariant
 ## probe (causality, conservation, XY routing, zero-load oracles, the
 ## FR-FCFS starvation bound, address-map bijection) over every bundled
 ## workload, both L2 organizations, and the optimal scheme, plus the
 ## metamorphic relations (faster DRAM / ideal NoC / optimal scheme never
-## slower; seeds never change totals).
+## slower; seeds never change totals). test-race runs it too; this target
+## runs it alone.
 validate:
 	$(GO) test -race ./internal/check
 	$(GO) test -run Conservation -race -count=2 ./internal/sim
 
 ## bench-smoke: the allocation-regression gates on the hot paths, each
 ## pinned at 0 allocs/op: the engine's steady-state dispatch path; the
-## trace-cache hit path (decoding a memoized workload from its delta-encoded
-## blob), so cache hits stay allocation-free no matter how the encoding
-## evolves; a NoC transit, which walks its XY route in place; one
+## on-disk trace cache's decoder (a reused Decoder over one delta-encoded
+## blob), so a disk hit stays allocation-free however the encoding evolves
+## (an in-process hit shares the generated workload and decodes nothing);
+## a NoC transit, which walks its XY route in place; one
 ## reference of trace generation (compiled subscripts, then the layout's
 ## Offset and DesiredMC over apsi's optimized layouts); the per-access
 ## tables: a cache Access, a directory Owner+Add+Remove, a page-interleaved
@@ -104,8 +112,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseMigrationSpec -fuzztime=$(FUZZTIME) ./internal/mem
 	$(GO) test -run=^$$ -fuzz=FuzzParseMixSpec -fuzztime=$(FUZZTIME) ./internal/workloads
 
-## bench: the Go benchmarks of every package (per-figure benches, engine
-## and obs registry micro-benchmarks). The repo's end-to-end benchmark is
+## bench: the Go benchmarks of every package (one sub-benchmark per
+## experiment, engine and obs registry micro-benchmarks). The repo's end-to-end benchmark is
 ## `bash bench/run.sh`, declared in BENCHMARK.json (see bench/README.md).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...

@@ -156,14 +156,14 @@ func main() {
 			if *asJSON {
 				raw, err := experiments.RunJSON(id, cfg)
 				if err != nil {
-					fail(fmt.Errorf("%s: %w", id, err))
+					fail(err)
 				}
 				fmt.Println(string(raw))
 				continue
 			}
 			out, err := experiments.Run(id, cfg)
 			if err != nil {
-				fail(fmt.Errorf("%s: %w", id, err))
+				fail(err)
 			}
 			fmt.Println(out)
 			fmt.Printf("[%s took %.1fs]\n\n", id, time.Since(t0).Seconds())

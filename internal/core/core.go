@@ -101,26 +101,24 @@ type Metrics struct {
 	MigStallCycles int64
 }
 
-func queueAvg(r *sim.Result) float64 {
-	if r.MemServed == 0 {
-		return 0
-	}
-	return float64(r.MemQueue) / float64(r.MemServed)
-}
-
-func distill(r *sim.Result) Metrics {
+// metrics fills Metrics for one run: the scalar metrics from its headline
+// estimates — a sampled run's window means, or a full run's own values as
+// zero-width bounds (sim.Result.Estimates) — and the distributional metrics
+// and migration counts from its result, the full run or a sampled run's
+// aggregated windows.
+func metrics(est sim.SampledEstimates, r *sim.Result, appExec map[int]int64) Metrics {
 	return Metrics{
-		ExecTime:       r.ExecTime,
-		OnChipNetAvg:   r.AvgNetLatency(noc.OnChip),
-		OffChipNetAvg:  r.AvgNetLatency(noc.OffChip),
-		MemAvg:         r.AvgMemLatency(),
-		QueueAvg:       queueAvg(r),
-		OffChipShare:   r.OffChipShare(),
-		AvgQueueOcc:    r.AvgQueueOcc,
+		ExecTime:       est.ExecCycles(),
+		OnChipNetAvg:   est.OnChipNetAvg.Mean,
+		OffChipNetAvg:  est.OffChipNetAvg.Mean,
+		MemAvg:         est.MemAvg.Mean,
+		QueueAvg:       est.QueueAvg.Mean,
+		OffChipShare:   est.OffChipShare.Mean,
+		AvgQueueOcc:    est.AvgQueueOcc.Mean,
 		HopCDFOn:       r.HopCDF[noc.OnChip],
 		HopCDFOff:      r.HopCDF[noc.OffChip],
 		AccessMap:      r.AccessMap,
-		AppExecTime:    r.AppExecTime,
+		AppExecTime:    appExec,
 		Migrations:     r.Migrations,
 		MigCopyMsgs:    r.MigCopyMsgs,
 		MigStallCycles: r.MigStallCycles,
@@ -237,11 +235,7 @@ func Workloads(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cap := opt.MaxAccessesPerThread
-	if cap == 0 {
-		cap = trace.Unlimited
-	}
-	tOpt := trace.Options{Threads: opt.Threads, MaxAccessesPerThread: cap}
+	tOpt := trace.Options{Threads: opt.Threads, MaxAccessesPerThread: opt.MaxAccessesPerThread}
 	identity := &layout.Result{Program: p, Layouts: map[*ir.Array]*layout.ArrayLayout{}}
 	// A nil TraceCache degrades to plain trace.Generate (tracecache handles
 	// the nil receiver), so the uncached path is unchanged.
@@ -371,11 +365,11 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 			return nil, fmt.Errorf("core: %s %s: %w", app.Name, j.name, j.err)
 		}
 	}
-	distillJob := func(j *simJob) Metrics {
+	metricsOf := func(j *simJob) Metrics {
 		if j.sampled != nil {
-			return distillSampled(j.sampled)
+			return metrics(j.sampled.Est, j.res, j.sampled.AppExecTime)
 		}
-		return distill(j.res)
+		return metrics(j.res.Estimates(), j.res, j.res.AppExecTime)
 	}
 	var sampled map[string]*sim.SampledResult
 	if opt.Sample != nil {
@@ -408,9 +402,9 @@ func Compare(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, op
 		App:                app.Name,
 		Machine:            m,
 		Mapping:            cm.Name,
-		Baseline:           distillJob(jobs[0]),
-		Optimized:          distillJob(jobs[1]),
-		Optimal:            distillJob(jobs[2]),
+		Baseline:           metricsOf(jobs[0]),
+		Optimized:          metricsOf(jobs[1]),
+		Optimal:            metricsOf(jobs[2]),
 		Observers:          observers,
 		Checks:             checks,
 		Profiles:           profiles,
@@ -464,26 +458,4 @@ func Simulate(cfg sim.Config, w *sim.Workload, sample *sim.SampleSpec) (*sim.Res
 		return nil, nil, err
 	}
 	return sr.Aggregate, sr, nil
-}
-
-// distillSampled projects a sampled run onto Metrics: scalar metrics take
-// the estimate means; the distributional metrics (hop CDFs, the access map)
-// come from the aggregated measured windows.
-func distillSampled(sr *sim.SampledResult) Metrics {
-	return Metrics{
-		ExecTime:       int64(sr.Est.ExecTime.Mean + 0.5),
-		OnChipNetAvg:   sr.Est.OnChipNetAvg.Mean,
-		OffChipNetAvg:  sr.Est.OffChipNetAvg.Mean,
-		MemAvg:         sr.Est.MemAvg.Mean,
-		QueueAvg:       sr.Est.QueueAvg.Mean,
-		OffChipShare:   sr.Est.OffChipShare.Mean,
-		AvgQueueOcc:    sr.Est.AvgQueueOcc.Mean,
-		HopCDFOn:       sr.Aggregate.HopCDF[noc.OnChip],
-		HopCDFOff:      sr.Aggregate.HopCDF[noc.OffChip],
-		AccessMap:      sr.Aggregate.AccessMap,
-		AppExecTime:    sr.AppExecTime,
-		Migrations:     sr.Aggregate.Migrations,
-		MigCopyMsgs:    sr.Aggregate.MigCopyMsgs,
-		MigStallCycles: sr.Aggregate.MigStallCycles,
-	}
 }

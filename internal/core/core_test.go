@@ -239,7 +239,7 @@ func TestDeterminismConcurrentCompare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := distill(r); !reflect.DeepEqual(run.got, want) {
+		if want := metrics(r.Estimates(), r, r.AppExecTime); !reflect.DeepEqual(run.got, want) {
 			t.Errorf("%s: concurrent metrics differ:\n got  %+v\n want %+v", run.name, run.got, want)
 		}
 		got, err := json.Marshal(c.Observers[run.name].Reg.Snapshot(r.ExecTime))

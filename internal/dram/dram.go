@@ -88,9 +88,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Completion receives a request's completion time. Callers that care about
-// the allocation-free hot path implement it on their pooled per-access
-// event object; Submit wraps legacy func callbacks in it.
+// Completion receives a request's completion time. The simulator
+// implements it on its pooled per-access event object, so a submission
+// allocates nothing.
 type Completion interface {
 	MemDone(finish int64)
 }
@@ -355,14 +355,6 @@ func (c *Controller) QueueOccupancy(until int64) float64 {
 		return 0
 	}
 	return float64(c.qInt+c.qCur*(until-c.qLast)) / float64(until)
-}
-
-// AvgMemLatency returns the mean request latency (queue + service).
-func (c *Controller) AvgMemLatency() float64 {
-	if c.Served == 0 {
-		return 0
-	}
-	return float64(c.TotalMemLatency) / float64(c.Served)
 }
 
 // Outstanding returns the current queue depth (for tests).

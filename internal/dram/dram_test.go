@@ -147,8 +147,8 @@ func TestQueueWaitAccounted(t *testing.T) {
 	if c.TotalQueueWait != cfg.TRowMiss {
 		t.Errorf("TotalQueueWait = %d, want %d", c.TotalQueueWait, cfg.TRowMiss)
 	}
-	if got := c.AvgMemLatency(); got != float64(cfg.TRowMiss+want)/2 {
-		t.Errorf("AvgMemLatency = %v", got)
+	if c.Served != 2 || c.TotalMemLatency != cfg.TRowMiss+want {
+		t.Errorf("Served %d, TotalMemLatency %d, want 2 and %d", c.Served, c.TotalMemLatency, cfg.TRowMiss+want)
 	}
 }
 

@@ -214,7 +214,7 @@ func (f *FigResult) String() string { return f.Table() }
 func improvementSuite(cfg Config, id, title string, machine runner.JobSpec) (*FigResult, error) {
 	apps, outs, err := cfg.runSuite(runner.ModeCompare, variant{spec: machine})
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
+		return nil, err
 	}
 	f := &FigResult{
 		ID:      id,
@@ -240,7 +240,7 @@ func improvementSuite(cfg Config, id, title string, machine runner.JobSpec) (*Fi
 func execSuite(cfg Config, id, title string, variants []variant) (*FigResult, error) {
 	apps, outs, err := cfg.runSuite(runner.ModeCompare, variants...)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
+		return nil, err
 	}
 	f := &FigResult{ID: id, Title: title}
 	for _, v := range variants {
@@ -304,11 +304,16 @@ func AllIDs() []string {
 	return ids
 }
 
-// runByID executes one experiment by ID, matched case-insensitively.
+// runByID executes one experiment by ID, matched case-insensitively. Its
+// errors, and only its, carry the experiment ID.
 func runByID(id string, cfg Config) (result, error) {
 	for _, e := range experimentTable {
 		if strings.EqualFold(e.id, id) {
-			return e.run(cfg)
+			r, err := e.run(cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", e.id, err)
+			}
+			return r, nil
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (have %s)", id, strings.Join(AllIDs(), ", "))

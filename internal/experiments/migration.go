@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"offchip/internal/mem"
 	"offchip/internal/runner"
 )
@@ -49,7 +47,7 @@ func migrationFigure(cfg Config, id, title, defaultMig string, units []string, m
 		mig = defaultMig
 	}
 	if _, err := mem.ParseMigrationSpec(mig); err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
+		return nil, err
 	}
 	specs := make([]runner.JobSpec, 0, len(units)*migJobsPerRow)
 	for _, unit := range units {
@@ -69,7 +67,7 @@ func migrationFigure(cfg Config, id, title, defaultMig string, units []string, m
 	}
 	res, err := cfg.runJobs(specs)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", id, err)
+		return nil, err
 	}
 	f := &FigResult{
 		ID:    id,

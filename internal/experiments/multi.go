@@ -78,7 +78,8 @@ func (r *MixResult) Table() string {
 // application, the common alone-time reference (weighted speedup compares
 // shared throughput against one fixed baseline), then a baseline and an
 // optimized co-run of every mix, whose per-application completion times
-// are the shared times.
+// are the shared times. Sampling refuses a co-run (see sim.RunSampled), so
+// under Config.Sample the figure fails unless the spec covers every stream.
 func Fig25(cfg Config) (*MixResult, error) {
 	mixes := coRunMixes()
 	var specs []runner.JobSpec
@@ -101,7 +102,7 @@ func Fig25(cfg Config) (*MixResult, error) {
 	}
 	res, err := cfg.runJobs(specs)
 	if err != nil {
-		return nil, fmt.Errorf("fig25: %w", err)
+		return nil, err
 	}
 	out := &MixResult{ID: "Fig25", Title: "multiprogrammed mixes, weighted speedup"}
 	for i, mx := range mixes {
@@ -109,19 +110,15 @@ func Fig25(cfg Config) (*MixResult, error) {
 		for _, e := range mx.Entries {
 			aloneT = append(aloneT, res.Outcomes[alone[e.App]].ExecTimes["baseline"])
 		}
-		ws := func(o *runner.JobOutcome, run string) float64 {
-			shared := o.Run.AppExecTime
-			if sr := o.Sampled[run]; sr != nil {
-				shared = sr.AppExecTime
-			}
+		ws := func(o *runner.JobOutcome) float64 {
 			sharedT := make([]int64, len(mx.Entries))
 			for app := range sharedT {
-				sharedT[app] = shared[app]
+				sharedT[app] = o.Run.AppExecTime[app]
 			}
 			return stats.WeightedSpeedup(aloneT, sharedT)
 		}
-		wsBase := ws(res.Outcomes[first+2*i], "baseline")
-		wsOpt := ws(res.Outcomes[first+2*i+1], "optimized")
+		wsBase := ws(res.Outcomes[first+2*i])
+		wsOpt := ws(res.Outcomes[first+2*i+1])
 		out.Rows = append(out.Rows, MixRow{
 			Mix:          fmt.Sprintf("W%d", i+1),
 			WSBaseline:   wsBase,

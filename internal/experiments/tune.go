@@ -85,7 +85,7 @@ func FigTune(cfg Config) (*FigResult, error) {
 	}
 	res, err := cfg.runJobs(specs)
 	if err != nil {
-		return nil, fmt.Errorf("figtune: %w", err)
+		return nil, err
 	}
 
 	refT := make([]float64, len(wls))

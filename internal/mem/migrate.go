@@ -283,9 +283,6 @@ func (g *Migrator) Spec() MigrationSpec { return g.spec }
 // ClusterPages returns the effective migration granularity (>= 1).
 func (g *Migrator) ClusterPages() int { return int(g.cluster) }
 
-// Window returns the index of the currently open window.
-func (g *Migrator) Window() int64 { return g.window }
-
 // key maps a page to its decision unit: itself at single-page granularity,
 // the aligned cluster base otherwise.
 func (g *Migrator) key(page PageID) PageID {

@@ -20,6 +20,7 @@ import (
 	"offchip/internal/engine"
 	"offchip/internal/mesh"
 	"offchip/internal/obs"
+	"offchip/internal/stats"
 )
 
 // Config sets the network parameters (Table 1: 16-byte links, 2-cycle
@@ -184,22 +185,6 @@ func (n *Network) hop(li int, t int64) int64 {
 	return start + n.cfg.LinkOccupancy + n.cfg.HopLatency
 }
 
-// AvgLatency returns the mean network latency of the class (0 if unused).
-func (n *Network) AvgLatency(class Class) float64 {
-	if n.Messages[class] == 0 {
-		return 0
-	}
-	return float64(n.Latency[class]) / float64(n.Messages[class])
-}
-
-// AvgHops returns the mean hop count of the class (0 if unused).
-func (n *Network) AvgHops(class Class) float64 {
-	if n.Messages[class] == 0 {
-		return 0
-	}
-	return float64(n.Hops[class]) / float64(n.Messages[class])
-}
-
 // HopCDF returns the cumulative fraction of the class's messages that
 // traverse x or fewer links, for x = 0..diameter (Figure 15). An unused
 // class yields all zeros.
@@ -207,16 +192,7 @@ func (n *Network) HopCDF(class Class) []float64 {
 	// XY routing never exceeds the mesh diameter, so the overflow bucket is
 	// left out: one entry per reachable hop count.
 	counts := n.hopCounts[class]
-	out := make([]float64, len(counts)-1)
-	if n.Messages[class] == 0 {
-		return out
-	}
-	var cum int64
-	for i := range out {
-		cum += counts[i]
-		out[i] = float64(cum) / float64(n.Messages[class])
-	}
-	return out
+	return stats.CumulativeFractions(counts[:len(counts)-1])
 }
 
 // Publish mirrors the statistics into the registry (see obs.Feed); call it

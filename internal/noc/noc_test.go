@@ -139,14 +139,14 @@ func TestHopCDFLength(t *testing.T) {
 func TestAvgStatsAndReset(t *testing.T) {
 	n := New(DefaultConfig(8, 8))
 	n.Transit(0, mesh.Node{}, mesh.Node{X: 2, Y: 0}, OnChip)
-	if got := n.AvgHops(OnChip); got != 2 {
-		t.Errorf("AvgHops = %v", got)
+	if n.Messages[OnChip] != 1 || n.Hops[OnChip] != 2 {
+		t.Errorf("Messages %d, Hops %d, want 1 and 2", n.Messages[OnChip], n.Hops[OnChip])
 	}
-	if got := n.AvgLatency(OnChip); got != 10 {
-		t.Errorf("AvgLatency = %v, want 10 (2 hops × (4+1))", got)
+	if got := n.Latency[OnChip]; got != 10 {
+		t.Errorf("Latency = %d, want 10 (2 hops × (4+1))", got)
 	}
 	n.ResetStats()
-	if n.Messages[OnChip] != 0 || n.AvgHops(OnChip) != 0 {
+	if n.Messages[OnChip] != 0 || n.Hops[OnChip] != 0 || n.Latency[OnChip] != 0 {
 		t.Error("reset incomplete")
 	}
 }

@@ -7,6 +7,7 @@ package runner
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -169,6 +170,54 @@ func TestSampledJobOutcomes(t *testing.T) {
 	}
 	if want := int64(sr.Est.ExecTime.Mean + 0.5); base.ExecTimes["baseline"] != want {
 		t.Errorf("merge horizon %d, want extrapolated %d", base.ExecTimes["baseline"], want)
+	}
+}
+
+// TestSampledSeveralAppsRefused: a sampled job whose workload runs several
+// applications — a co-run mix, or a phase mix of more than one entry — fails
+// with an error naming two of its app IDs, because every window would
+// co-run applications the full run has already finished; a sample spec
+// whose windows cover every stream runs it exactly instead, with the exact
+// job's result. A one-entry phase mix is one application and samples.
+func TestSampledSeveralAppsRefused(t *testing.T) {
+	const want = "sampled simulation cannot estimate a run of several applications (apps 0 and 1)"
+	for _, mix := range []string{"co2(swim+apsi)", "mix2(apsi@16+gafort@0)"} {
+		exact := JobSpec{Mode: ModeBaseline, Mix: mix, Interleave: "page", Cap: 100}
+		sampled, covering := exact, exact
+		sampled.Sample, covering.Sample = "on", "w1f1u0r1"
+		res, err := Run([]JobSpec{exact, sampled, covering}, Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Outcomes[1].Err; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s sample=on: error %v, want one containing %q", mix, err, want)
+		}
+		ex, cov := res.Outcomes[0], res.Outcomes[2]
+		if ex.Err != nil || cov.Err != nil {
+			t.Fatalf("%s: exact error %v, covering error %v", mix, ex.Err, cov.Err)
+		}
+		if sr := cov.Sampled["baseline"]; sr == nil || !sr.Exact {
+			t.Errorf("%s: covering spec did not run exactly", mix)
+		}
+		a, err := json.Marshal(ex.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(cov.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: covering spec's run differs from the exact job's", mix)
+		}
+	}
+	one := JobSpec{Mode: ModeBaseline, Mix: "mix1(apsi@16)", Interleave: "page", Cap: 100, Sample: "on"}
+	out := one.Execute()
+	if out.Err != nil {
+		t.Fatalf("one-entry mix: %v", out.Err)
+	}
+	if sr := out.Sampled["baseline"]; sr == nil || sr.Exact {
+		t.Error("one-entry mix did not sample")
 	}
 }
 

@@ -94,7 +94,7 @@ func Run(specs []JobSpec, opt Options) (*Result, error) {
 					return
 				}
 				t0 := time.Now()
-				out := specs[i].execute()
+				out := specs[i].Execute()
 				out.Worker = w
 				out.WallNS = time.Since(t0).Nanoseconds()
 				res.Outcomes[i] = out

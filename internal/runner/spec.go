@@ -455,9 +455,12 @@ func (o *JobOutcome) CanonicalJSON() ([]byte, error) {
 	return json.Marshal(c)
 }
 
-// execute runs the job and never panics: compiler or simulator panics are
-// captured into Err so one bad job cannot take down a sweep.
-func (s JobSpec) execute() (out *JobOutcome) {
+// Execute runs the job in the calling goroutine and never panics:
+// compiler or simulator panics are captured into Err so one bad job cannot
+// take down a sweep. The sweep workers, Replay and the single-job entry
+// points (replay with options, the profile-smoke gate) all run jobs
+// through it.
+func (s JobSpec) Execute() (out *JobOutcome) {
 	n := s.Normalized()
 	out = &JobOutcome{
 		Spec:      n,
@@ -550,7 +553,7 @@ func (s JobSpec) execute() (out *JobOutcome) {
 		out.ExecTimes[run] = r.ExecTime
 		if sr != nil {
 			out.Sampled = map[string]*sim.SampledResult{run: sr}
-			out.ExecTimes[run] = int64(sr.Est.ExecTime.Mean + 0.5)
+			out.ExecTimes[run] = sr.Est.ExecCycles()
 		}
 		out.Observers[run] = cfg.Obs
 		if cfg.Prof != nil {
@@ -577,11 +580,6 @@ func (s JobSpec) execute() (out *JobOutcome) {
 	return out
 }
 
-// Execute runs the job in the calling goroutine — the single-job entry
-// point (replay with options, the profile-smoke gate) behind the same
-// panic-capturing path the sweep workers use.
-func (s JobSpec) Execute() *JobOutcome { return s.execute() }
-
 // Replay re-executes a single job from its canonical ID. Because the job's
 // jitter seed and registry are derived from the ID alone, the outcome is
 // bit-identical to the same job's outcome inside any sweep, parallel or
@@ -591,6 +589,6 @@ func Replay(id string) (*JobOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := spec.execute()
+	out := spec.Execute()
 	return out, out.Err
 }

@@ -41,8 +41,9 @@ func TestNegativeAddressRejected(t *testing.T) {
 }
 
 // TestSparseAppIDs: app IDs need not be dense. The unused IDs get no
-// address space, and only the apps that ran report an exec time, in full
-// and sampled runs alike.
+// address space, and only the apps that ran report an exec time. Sampling
+// refuses the run, as it refuses every workload of several applications
+// whose windows do not cover it, and names two of its app IDs.
 func TestSparseAppIDs(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.Machine.Interleave = layout.PageInterleave
@@ -68,14 +69,11 @@ func TestSparseAppIDs(t *testing.T) {
 	if got := keys(r.AppExecTime); !slices.Equal(got, []int{0, 2, 5}) {
 		t.Errorf("full run AppExecTime apps %v, want [0 2 5]", got)
 	}
-	sr, err := RunSampled(cfg, w, DefaultSampleSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Exact {
+	if DefaultSampleSpec().coversAll(w) {
 		t.Fatal("workload too small: the default spec covers it")
 	}
-	if got := keys(sr.AppExecTime); !slices.Equal(got, []int{0, 2, 5}) {
-		t.Errorf("sampled AppExecTime apps %v, want [0 2 5]", got)
+	const want = "sampled simulation cannot estimate a run of several applications (apps 5 and 0)"
+	if _, err := RunSampled(cfg, w, DefaultSampleSpec()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("RunSampled error %v, want one containing %q", err, want)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"offchip/internal/noc"
 	"offchip/internal/obs"
 )
 
@@ -149,7 +148,7 @@ func (b Bound) RelHalf() float64 {
 }
 
 // SampledEstimates carries one Bound per headline metric (the quantities
-// core.Metrics distills from a full run).
+// core.Metrics reports), in the order of project's values.
 type SampledEstimates struct {
 	ExecTime      Bound
 	OnChipNetAvg  Bound
@@ -159,6 +158,23 @@ type SampledEstimates struct {
 	OffChipShare  Bound
 	AvgQueueOcc   Bound
 }
+
+func estimatesOf(b [numMetrics]Bound) SampledEstimates {
+	return SampledEstimates{
+		ExecTime:      b[metricExec],
+		OnChipNetAvg:  b[metricOnNet],
+		OffChipNetAvg: b[metricOffNet],
+		MemAvg:        b[metricMem],
+		QueueAvg:      b[metricQueue],
+		OffChipShare:  b[metricShare],
+		AvgQueueOcc:   b[metricOcc],
+	}
+}
+
+// ExecCycles returns the exec-time estimate rounded to the nearest cycle:
+// the run's ExecTime in core.Metrics and its snapshot horizon in the
+// runner.
+func (e SampledEstimates) ExecCycles() int64 { return int64(e.ExecTime.Mean + 0.5) }
 
 // SampledResult is the outcome of RunSampled.
 type SampledResult struct {
@@ -172,8 +188,10 @@ type SampledResult struct {
 	MeasuredAccesses  int64 // Σ measured (span − warmup) accesses
 	SimulatedAccesses int64 // Σ accesses actually simulated (span + warmup runs)
 
-	Est         SampledEstimates
-	AppExecTime map[int]int64 // extrapolated per-application exec times
+	Est SampledEstimates
+	// AppExecTime holds each application's exec time: the full run's when
+	// Exact, otherwise the one application's rounded exec estimate.
+	AppExecTime map[int]int64
 
 	// Aggregate sums the span runs' counters; its distributional metrics
 	// (hop CDFs, the node×MC access map), which have no per-window scalar
@@ -256,8 +274,9 @@ func sliceStream(st *Stream, start, length int) Stream {
 // control segment whose distance from the measured values sizes the bias
 // allowance in the bounds.
 //
-// Both keep the full run's schedule (Workload.Sequential), and both share
-// one WarmState: the full workload as the page universe
+// Both keep the full run's schedule (Workload.Sequential, which a
+// one-entry phase mix sets: it is one application, so it samples), and
+// both share one WarmState: the full workload as the page universe
 // (identical page placement to the full run) and, when warmK > 0, up to
 // warmK accesses of each stream's pre-window prefix replayed functionally
 // so the caches and the directory approximate their mid-run contents. The
@@ -299,7 +318,9 @@ const warmDepth = 4
 // Every window run carries cfg's Check hook, so the Checker validates all
 // of them. The observability sink and the profiler attach to the first span
 // run only, and progress callbacks to none: a sampled run has no single
-// coherent timeline, and the profile is one complete window.
+// coherent timeline, and the profile is one complete window. A migrating
+// run, or a workload of several applications, is refused unless the spec's
+// windows cover every stream, in which case it runs exactly.
 func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error) {
 	spec = spec.normalized()
 	if err := spec.Validate(); err != nil {
@@ -310,7 +331,8 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 	}
 	sr := &SampledResult{Spec: spec, FullAccesses: w.TotalAccesses()}
 
-	if cfg.Migrate != nil && !spec.coversAll(w) {
+	covered := spec.coversAll(w)
+	if cfg.Migrate != nil && !covered {
 		// Window runs restore cache/page snapshots that carry NO Migrator
 		// state (open-window counters, cooldowns, in-flight remaps), so a
 		// sampled migrating run would silently measure a different policy
@@ -319,8 +341,14 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 		// one exact full run, where migration is well-defined.
 		return nil, fmt.Errorf("sim: sampled simulation cannot estimate a migrating run (mig=%s): window snapshots carry no migration state; run exact (no -sample), or a sample spec whose windows cover the whole trace", cfg.Migrate)
 	}
+	if a, b, several := twoApps(w); several && !covered {
+		// Windows cut every stream at the same fraction of its own length,
+		// so applications of different lengths co-run in every window: the
+		// windows would measure a different schedule than the full run.
+		return nil, fmt.Errorf("sim: sampled simulation cannot estimate a run of several applications (apps %d and %d): every window co-runs them, even where the full run has finished one; run exact (no -sample), or a sample spec whose windows cover the whole trace", a, b)
+	}
 
-	if spec.coversAll(w) {
+	if covered {
 		r, err := run(cfg, w, nil)
 		if err != nil {
 			return nil, err
@@ -331,7 +359,7 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 		sr.Aggregate = r
 		sr.SpanResults = []*Result{r}
 		sr.SpanWorkloads = []*Workload{w}
-		sr.Est = exactEstimates(r)
+		sr.Est = r.Estimates()
 		sr.AppExecTime = r.AppExecTime
 		return sr, nil
 	}
@@ -345,7 +373,6 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 	quiet.ProgressEvery = 0
 
 	est := &estimator{}
-	appSamples := map[int]*metricSamples{}
 	// Functional cache warming depth: enough pre-window trace to overwrite
 	// the cold L1, L2 and directory state several times over.
 	var cacheLines float64
@@ -379,39 +406,28 @@ func RunSampled(cfg Config, w *Workload, spec SampleSpec) (*SampledResult, error
 			sr.SpanWorkloads = append(sr.SpanWorkloads, span)
 			sr.MeasuredAccesses += span.TotalAccesses() - warm.TotalAccesses()
 			sr.SimulatedAccesses += span.TotalAccesses() + warm.TotalAccesses()
-			est.addWindow(spanR, warmR, sr.FullAccesses, appSamples)
+			est.addWindow(spanR, warmR, sr.FullAccesses)
 		}
 	}
 	sr.Aggregate = aggregate(sr.SpanResults)
 	sr.Est = est.estimates()
-	sr.AppExecTime = map[int]int64{}
-	for app, ms := range appSamples {
-		sr.AppExecTime[app] = int64(ms.bound().Mean + 0.5)
-	}
+	sr.AppExecTime = map[int]int64{w.Streams[0].AppID: sr.Est.ExecCycles()}
 	return sr, nil
 }
 
-// exactEstimates converts a full run into zero-width bounds (the Exact path).
-func exactEstimates(r *Result) SampledEstimates {
-	var qa float64
-	if r.MemServed > 0 {
-		qa = float64(r.MemQueue) / float64(r.MemServed)
+// twoApps returns two distinct application IDs of w's streams, the first
+// stream's and the first other one, and whether there are several.
+func twoApps(w *Workload) (a, b int, several bool) {
+	for i := range w.Streams {
+		if id := w.Streams[i].AppID; id != w.Streams[0].AppID {
+			return w.Streams[0].AppID, id, true
+		}
 	}
-	return SampledEstimates{
-		ExecTime:      Bound{Mean: float64(r.ExecTime)},
-		OnChipNetAvg:  Bound{Mean: r.AvgNetLatency(noc.OnChip)},
-		OffChipNetAvg: Bound{Mean: r.AvgNetLatency(noc.OffChip)},
-		MemAvg:        Bound{Mean: r.AvgMemLatency()},
-		QueueAvg:      Bound{Mean: qa},
-		OffChipShare:  Bound{Mean: r.OffChipShare()},
-		AvgQueueOcc:   Bound{Mean: r.AvgQueueOcc},
-	}
+	return 0, 0, false
 }
 
-// estimator accumulates per-window scalar samples.
-type estimator struct {
-	exec, onNet, offNet, mem, queue, share, occ metricSamples
-}
+// estimator holds each headline metric's per-window samples.
+type estimator [numMetrics]metricSamples
 
 // sub clamps a counter difference at zero: the warmup-only run is a
 // slightly different schedule than the span run's prefix (FR-FCFS may
@@ -423,120 +439,59 @@ func sub(a, b int64) int64 {
 	return a - b
 }
 
-// windowVals are one segment's metric values, each valid only when its
-// denominator was nonzero.
-type windowVals struct {
-	exec, onNet, offNet, mem, queue, share, occ             float64
-	okExec, okOnNet, okOffNet, okMem, okShare, okOcc, valid bool
-}
-
-// deltaVals computes the metric values of the segment isolated by base −
-// prefix: the extrapolated exec time, the per-event latency averages, the
-// off-chip share, and the time-weighted queue occupancy.
-func deltaVals(base, prefix *Result, fullAcc int64) windowVals {
-	var v windowVals
-	dTotal := sub(base.Total, prefix.Total)
-	if dTotal <= 0 || fullAcc <= 0 {
-		return v
+// segment returns the Result of what base ran beyond prefix: every counter
+// the projection reads is the clamped difference, and the queue occupancy
+// the time-weighted one.
+func segment(base, prefix *Result) *Result {
+	d := &Result{
+		ExecTime:   sub(base.ExecTime, prefix.ExecTime),
+		Total:      sub(base.Total, prefix.Total),
+		OffChip:    sub(base.OffChip, prefix.OffChip),
+		MemLatency: sub(base.MemLatency, prefix.MemLatency),
+		MemQueue:   sub(base.MemQueue, prefix.MemQueue),
+		MemServed:  sub(base.MemServed, prefix.MemServed),
 	}
-	v.valid = true
-	f := float64(dTotal) / float64(fullAcc)
-	dExec := sub(base.ExecTime, prefix.ExecTime)
-	v.exec, v.okExec = float64(dExec)/f, true
-	if dMsgs := sub(base.NetMsgs[noc.OnChip], prefix.NetMsgs[noc.OnChip]); dMsgs > 0 {
-		v.onNet = float64(sub(base.NetLatency[noc.OnChip], prefix.NetLatency[noc.OnChip])) / float64(dMsgs)
-		v.okOnNet = true
+	for c := range d.NetMsgs {
+		d.NetMsgs[c] = sub(base.NetMsgs[c], prefix.NetMsgs[c])
+		d.NetLatency[c] = sub(base.NetLatency[c], prefix.NetLatency[c])
 	}
-	if dMsgs := sub(base.NetMsgs[noc.OffChip], prefix.NetMsgs[noc.OffChip]); dMsgs > 0 {
-		v.offNet = float64(sub(base.NetLatency[noc.OffChip], prefix.NetLatency[noc.OffChip])) / float64(dMsgs)
-		v.okOffNet = true
-	}
-	if dServed := sub(base.MemServed, prefix.MemServed); dServed > 0 {
-		v.mem = float64(sub(base.MemLatency, prefix.MemLatency)) / float64(dServed)
-		v.queue = float64(sub(base.MemQueue, prefix.MemQueue)) / float64(dServed)
-		v.okMem = true
-	}
-	v.share, v.okShare = float64(sub(base.OffChip, prefix.OffChip))/float64(dTotal), true
-	if dExec > 0 {
+	if d.ExecTime > 0 {
 		// Time-weighted subtraction: occupancy·time is the additive quantity.
-		occ := (base.AvgQueueOcc*float64(base.ExecTime) - prefix.AvgQueueOcc*float64(prefix.ExecTime)) / float64(dExec)
+		occ := (base.AvgQueueOcc*float64(base.ExecTime) - prefix.AvgQueueOcc*float64(prefix.ExecTime)) / float64(d.ExecTime)
 		if occ < 0 {
 			occ = 0
 		}
-		v.occ, v.okOcc = occ, true
+		d.AvgQueueOcc = occ
 	}
-	return v
+	return d
 }
 
-// addWindow folds one window's measured (span − warm) values into the
-// samples, and contrasts them against the warmup-only run — the control
-// segment, timed from a cold start — to size the bias allowance.
-func (e *estimator) addWindow(span, warm *Result, fullAcc int64, app map[int]*metricSamples) {
-	meas := deltaVals(span, warm, fullAcc)
-	if !meas.valid {
-		return
-	}
-	e.exec.add(meas.exec)
-	if meas.okOnNet {
-		e.onNet.add(meas.onNet)
-	}
-	if meas.okOffNet {
-		e.offNet.add(meas.offNet)
-	}
-	if meas.okMem {
-		e.mem.add(meas.mem)
-		e.queue.add(meas.queue)
-	}
-	e.share.add(meas.share)
-	if meas.okOcc {
-		e.occ.add(meas.occ)
-	}
-
-	if ctrl := deltaVals(warm, &Result{}, fullAcc); ctrl.valid {
-		if ctrl.okExec {
-			e.exec.addContrast(ctrl.exec, meas.exec)
+// addWindow folds one window's measured values, the projection of its
+// span − warm segment with the exec time extrapolated to the full run's
+// fullAcc accesses, into the samples, and contrasts them against the
+// warmup-only run — the control segment, timed from a cold start — to
+// size the bias allowance.
+func (e *estimator) addWindow(span, warm *Result, fullAcc int64) {
+	meas, ctrl := segment(span, warm), segment(warm, &Result{})
+	mv, mok := meas.project(float64(meas.Total) / float64(fullAcc))
+	cv, cok := ctrl.project(float64(ctrl.Total) / float64(fullAcc))
+	for i := range e {
+		if !mok[i] {
+			continue
 		}
-		if ctrl.okOnNet && meas.okOnNet {
-			e.onNet.addContrast(ctrl.onNet, meas.onNet)
+		e[i].add(mv[i])
+		if cok[i] {
+			e[i].addContrast(cv[i], mv[i])
 		}
-		if ctrl.okOffNet && meas.okOffNet {
-			e.offNet.addContrast(ctrl.offNet, meas.offNet)
-		}
-		if ctrl.okMem && meas.okMem {
-			e.mem.addContrast(ctrl.mem, meas.mem)
-			e.queue.addContrast(ctrl.queue, meas.queue)
-		}
-		if ctrl.okShare {
-			e.share.addContrast(ctrl.share, meas.share)
-		}
-		if ctrl.okOcc && meas.okOcc {
-			e.occ.addContrast(ctrl.occ, meas.occ)
-		}
-	}
-
-	f := float64(sub(span.Total, warm.Total)) / float64(fullAcc)
-	for a, t := range span.AppExecTime {
-		var wt int64
-		if warm.AppExecTime != nil {
-			wt = warm.AppExecTime[a]
-		}
-		if app[a] == nil {
-			app[a] = &metricSamples{}
-		}
-		app[a].add(float64(sub(t, wt)) / f)
 	}
 }
 
 func (e *estimator) estimates() SampledEstimates {
-	return SampledEstimates{
-		ExecTime:      e.exec.bound(),
-		OnChipNetAvg:  e.onNet.bound(),
-		OffChipNetAvg: e.offNet.bound(),
-		MemAvg:        e.mem.bound(),
-		QueueAvg:      e.queue.bound(),
-		OffChipShare:  e.share.bound(),
-		AvgQueueOcc:   e.occ.bound(),
+	var b [numMetrics]Bound
+	for i := range e {
+		b[i] = e[i].bound()
 	}
+	return estimatesOf(b)
 }
 
 // boundRelFloor is the relative half-width floor: the window estimator has

@@ -361,6 +361,69 @@ func (r *Result) AvgMemLatency() float64 {
 	return float64(r.MemLatency) / float64(r.MemServed)
 }
 
+// AvgQueueWait returns the mean off-chip queue wait (the Figure 14
+// mechanism).
+func (r *Result) AvgQueueWait() float64 {
+	if r.MemServed == 0 {
+		return 0
+	}
+	return float64(r.MemQueue) / float64(r.MemServed)
+}
+
+// The headline metrics a run reduces to, indexing project's values in
+// SampledEstimates field order.
+const (
+	metricExec = iota
+	metricOnNet
+	metricOffNet
+	metricMem
+	metricQueue
+	metricShare
+	metricOcc
+	numMetrics
+)
+
+// project returns r's headline metrics, each read through the method that
+// defines it, and whether each is defined. The exec time is divided by
+// frac, the share of the full run's accesses r covers (1 for a full run).
+// Nothing is defined without accesses; the latency averages also need
+// their own denominator, and the occupancy needs elapsed time.
+func (r *Result) project(frac float64) (v [numMetrics]float64, ok [numMetrics]bool) {
+	v = [numMetrics]float64{
+		metricExec:   float64(r.ExecTime) / frac,
+		metricOnNet:  r.AvgNetLatency(noc.OnChip),
+		metricOffNet: r.AvgNetLatency(noc.OffChip),
+		metricMem:    r.AvgMemLatency(),
+		metricQueue:  r.AvgQueueWait(),
+		metricShare:  r.OffChipShare(),
+		metricOcc:    r.AvgQueueOcc,
+	}
+	if r.Total > 0 {
+		ok = [numMetrics]bool{
+			metricExec:   true,
+			metricOnNet:  r.NetMsgs[noc.OnChip] > 0,
+			metricOffNet: r.NetMsgs[noc.OffChip] > 0,
+			metricMem:    r.MemServed > 0,
+			metricQueue:  r.MemServed > 0,
+			metricShare:  true,
+			metricOcc:    r.ExecTime > 0,
+		}
+	}
+	return v, ok
+}
+
+// Estimates returns the full run r's headline metrics as zero-width
+// bounds: what a sampled run estimates, known exactly. core.Metrics reads
+// an exact run through it.
+func (r *Result) Estimates() SampledEstimates {
+	v, _ := r.project(1)
+	var b [numMetrics]Bound
+	for i, x := range v {
+		b[i] = Bound{Mean: x}
+	}
+	return estimatesOf(b)
+}
+
 type coreState struct {
 	streams     []streamState
 	nextStream  int // next stream to try: round-robin, or the first unfinished one

@@ -51,10 +51,8 @@ func WeightedSpeedup(aloneTimes, sharedTimes []int64) float64 {
 }
 
 // CumulativeFractions turns histogram bucket counts into a CDF: element i
-// is the fraction of observations in buckets 0..i. It mirrors the
-// obs.Histogram CDF arithmetic exactly (integer cumulation, one float
-// division per bucket), so CDFs rendered from merged registry shards are
-// bit-identical to the per-run ones. All-zero counts yield all zeros.
+// is the fraction of observations in buckets 0..i (integer cumulation, one
+// float division per bucket). All-zero counts yield all zeros.
 func CumulativeFractions(counts []int64) []float64 {
 	out := make([]float64, len(counts))
 	var total, cum int64

@@ -25,10 +25,7 @@ func oracleGenerate(p *ir.Program, res *layout.Result, m layout.Machine, store *
 		threads = cores
 	}
 	maxAcc := opt.MaxAccessesPerThread
-	if maxAcc == 0 {
-		maxAcc = DefaultMaxAccesses
-	}
-	if maxAcc < 0 {
+	if maxAcc <= 0 {
 		maxAcc = 1 << 62
 	}
 	bases, err := PlaceArrays(p, res, m)

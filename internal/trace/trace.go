@@ -25,17 +25,13 @@ type Options struct {
 	Threads int
 	// MaxAccessesPerThread caps each thread's trace; iteration sampling
 	// (a deterministic stride) covers the whole iteration space when the
-	// cap is smaller than the full run. Zero means DefaultMaxAccesses;
-	// Unlimited disables sampling entirely. Experiments use full traces —
+	// cap is smaller than the full run. Zero or Unlimited (any
+	// non-positive cap) means full traces. Experiments use full traces —
 	// sampling perturbs cache reuse differently for different layouts,
 	// and the paper's effect must come from request placement, not from
 	// miss-count changes (Section 6.1 reports <1% LLC-miss impact).
 	MaxAccessesPerThread int
 }
-
-// DefaultMaxAccesses bounds per-thread traces so full-suite experiments
-// stay laptop-fast while covering every array region.
-const DefaultMaxAccesses = 1500
 
 // Unlimited disables the per-thread access cap and iteration sampling.
 const Unlimited = -1
@@ -48,12 +44,8 @@ func Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.Dat
 	if threads <= 0 {
 		threads = cores
 	}
-	unlimited := opt.MaxAccessesPerThread < 0
 	maxAcc := opt.MaxAccessesPerThread
-	if maxAcc == 0 {
-		maxAcc = DefaultMaxAccesses
-	}
-	if unlimited {
+	if maxAcc <= 0 {
 		maxAcc = 1 << 62
 	}
 

@@ -44,7 +44,7 @@ func optimize(t *testing.T, m layout.Machine, src string) (*ir.Program, *layout.
 func TestGenerateBasics(t *testing.T) {
 	m := machine()
 	p, res := optimize(t, m, src)
-	w, err := Generate(p, res, m, nil, Options{})
+	w, err := Generate(p, res, m, nil, Options{MaxAccessesPerThread: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestGenerateBasics(t *testing.T) {
 		if len(s.Accesses) == 0 {
 			t.Errorf("stream %d empty", i)
 		}
-		if len(s.Accesses) > DefaultMaxAccesses {
-			t.Errorf("stream %d has %d accesses, cap %d", i, len(s.Accesses), DefaultMaxAccesses)
+		if len(s.Accesses) > 1500 {
+			t.Errorf("stream %d has %d accesses, cap 1500", i, len(s.Accesses))
 		}
 	}
 }
@@ -166,7 +166,7 @@ func TestCapExactWithMultipleRefsPerIter(t *testing.T) {
 func TestThreadsOptionAndBinding(t *testing.T) {
 	m := machine()
 	p, res := optimize(t, m, src)
-	w, err := Generate(p, res, m, nil, Options{Threads: 32})
+	w, err := Generate(p, res, m, nil, Options{Threads: 32, MaxAccessesPerThread: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}

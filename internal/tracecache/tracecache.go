@@ -67,11 +67,8 @@ func KeyOf(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.DataSt
 		threads = m.Cores()
 	}
 	cap := opt.MaxAccessesPerThread
-	if cap == 0 {
-		cap = trace.DefaultMaxAccesses
-	}
-	if cap < 0 {
-		cap = -1
+	if cap <= 0 {
+		cap = trace.Unlimited
 	}
 	return Key{
 		Program:   p.Name,
@@ -152,10 +149,8 @@ func (c *Cache) Stats() Stats {
 }
 
 // Generate returns the workload for the given inputs, generating it at most
-// once per key per process (and per disk cache lifetime). The returned
-// workload carries fresh Stream headers — callers may restamp Core/AppID
-// without corrupting the shared entry — but the
-// Accesses and Phases slices are shared and must be treated as read-only,
+// once per key per process (and per disk cache lifetime). Every caller of
+// a key gets the same workload, which must be treated as read-only,
 // exactly like a workload shared between core.Compare's three runs.
 func (c *Cache) Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.DataStore, opt trace.Options) (*sim.Workload, error) {
 	if c == nil {
@@ -170,7 +165,7 @@ func (c *Cache) Generate(p *ir.Program, res *layout.Result, m layout.Machine, st
 			return nil, e.err
 		}
 		c.hits.Add(1)
-		return copyHeader(e.w), nil
+		return e.w, nil
 	}
 	e := &entry{ready: make(chan struct{})}
 	c.entries[key] = e
@@ -188,7 +183,7 @@ func (c *Cache) Generate(p *ir.Program, res *layout.Result, m layout.Machine, st
 	if e.err != nil {
 		return nil, e.err
 	}
-	return copyHeader(e.w), nil
+	return e.w, nil
 }
 
 // fill resolves a miss: disk first, then real generation (with write-back).
@@ -226,13 +221,6 @@ func (c *Cache) load(key Key) *sim.Workload {
 		return nil
 	}
 	return w
-}
-
-// copyHeader returns a workload sharing the entry's access/phase storage but
-// owning its Stream headers, so per-caller restamping cannot leak into the
-// cache.
-func copyHeader(w *sim.Workload) *sim.Workload {
-	return &sim.Workload{Name: w.Name, Streams: append([]sim.Stream(nil), w.Streams...)}
 }
 
 // fingerprintProgram hashes the program's printed form (which round-trips

@@ -353,13 +353,12 @@ func TestKeySensitivity(t *testing.T) {
 		seen[k.Hash()] = name
 	}
 
-	// Normalization: cap 0 means the default; every negative cap means
-	// unlimited. These must share entries.
-	def := tracecache.KeyOf(p, res, m, store, trace.Options{})
-	if got := tracecache.KeyOf(p, res, m, store, trace.Options{MaxAccessesPerThread: trace.DefaultMaxAccesses}); got != def {
-		t.Error("cap 0 and DefaultMaxAccesses key apart")
+	// Normalization: every non-positive cap means full traces, so cap 0,
+	// Unlimited and any other negative cap must share entries.
+	unl := tracecache.KeyOf(p, res, m, store, trace.Options{MaxAccessesPerThread: trace.Unlimited})
+	if got := tracecache.KeyOf(p, res, m, store, trace.Options{}); got != unl {
+		t.Error("cap 0 and Unlimited key apart")
 	}
-	unl := tracecache.KeyOf(p, res, m, store, trace.Options{MaxAccessesPerThread: -1})
 	if got := tracecache.KeyOf(p, res, m, store, trace.Options{MaxAccessesPerThread: -99}); got != unl {
 		t.Error("negative caps key apart")
 	}
@@ -416,10 +415,11 @@ func TestOpen(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeCacheHit is the steady-state cache-hit decode path — a
-// reused Decoder over one encoded blob. benchgate pins it at 0 allocs/op
-// (`make check`): the decode that every warm sweep job pays must stay
-// allocation-free.
+// BenchmarkDecodeCacheHit is the steady-state on-disk hit's decode path —
+// a reused Decoder over one encoded blob. benchgate pins it at 0 allocs/op
+// (`make check`): the decode every disk hit pays must stay
+// allocation-free. (An in-process hit shares the generated workload and
+// decodes nothing.)
 func BenchmarkDecodeCacheHit(b *testing.B) {
 	app := workloads.All()[0]
 	m := layout.Default8x8()
@@ -435,7 +435,7 @@ func BenchmarkDecodeCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := trace.Generate(p, res, m, store, trace.Options{})
+	w, err := trace.Generate(p, res, m, store, trace.Options{MaxAccessesPerThread: 1500})
 	if err != nil {
 		b.Fatal(err)
 	}
