@@ -58,7 +58,9 @@ validate:
 	$(GO) test -run Conservation -race -count=2 ./internal/sim
 
 ## bench-smoke: the allocation-regression gates on the hot paths, each
-## pinned at 0 allocs/op: the engine's steady-state dispatch path; the
+## pinned at 0 allocs/op: the engine's steady-state dispatch of events that
+## embed their own queue node (the simulator's path), of plain Handlers
+## through the engine's Event pool, and the pool's enqueue alone; the
 ## on-disk trace cache's decoder (a reused Decoder over one delta-encoded
 ## blob), so a disk hit stays allocation-free however the encoding evolves
 ## (an in-process hit shares the generated workload and decodes nothing);
@@ -77,7 +79,7 @@ validate:
 ## room for two or three cycles per op.
 bench-smoke:
 	$(GO) test -run='^$$' -bench='SteadyStateDispatch|ScheduleOnly' -benchtime=100x -benchmem ./internal/engine \
-		| $(GO) run ./cmd/benchgate -bench 'SteadyStateDispatchTyped$$|ScheduleOnly$$' -max-allocs 0
+		| $(GO) run ./cmd/benchgate -bench 'SteadyStateDispatch(Embedded|Typed)$$|ScheduleOnly$$' -max-allocs 0
 	$(GO) test -run='^$$' -bench='DecodeCacheHit' -benchtime=1000x -benchmem ./internal/tracecache \
 		| $(GO) run ./cmd/benchgate -bench 'DecodeCacheHit$$' -max-allocs 0
 	$(GO) test -run='^$$' -bench='Transit' -benchtime=10000x -benchmem ./internal/noc \

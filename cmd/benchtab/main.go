@@ -47,7 +47,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment id (fig3..fig25, table2, figmig, figmix, figtune) or 'all'")
 	apps := flag.String("apps", "", "comma-separated application subset (default: all 13)")
-	quick := flag.Bool("quick", false, "sampled short traces (fast smoke run; numbers not meaningful)")
+	quick := flag.Bool("quick", false, "short traces, capped at 200 accesses per thread and not sampled (fast smoke run; numbers not meaningful)")
 	asJSON := flag.Bool("json", false, "emit JSON instead of tables")
 	parallel := flag.Int("parallel", 1, "worker count for job-sharded experiments (results identical at any count)")
 	seed := flag.Uint64("seed", 0, "sweep seed; 0 keeps the historical jitter stream of the recorded figures")

@@ -40,9 +40,9 @@ type Options struct {
 	// MLPWindow overrides the per-core outstanding-miss window (0: default).
 	MLPWindow int
 	// BanksPerMC overrides the DRAM bank count per controller (0: the
-	// calibrated default). The M1-vs-M2 experiments (Figures 17/18) use the
-	// paper's nominal 4 banks per device, the bank-scarce regime the
-	// locality-vs-MLP trade-off is about.
+	// calibrated default of 16). The M1-vs-M2 experiments (Figures 17/18)
+	// simulate the default; only their Section 4 mapping chooser costs the
+	// paper's nominal 4 banks per device.
 	BanksPerMC int
 	// Contention disables NoC link contention when explicitly set false
 	// via NoContention (ablation).
@@ -224,39 +224,69 @@ func SimConfig(m layout.Machine, cm *layout.ClusterMapping, opt Options) sim.Con
 }
 
 // Workloads builds the baseline and optimized traces for an application.
-// The baseline uses identity layouts, so it does not wait for the pass: it
-// is generated on its own goroutine while the caller runs the full pass
-// (with the Section 5.4 profiler) and then generates the optimized trace.
-// Both read the program and its data store and write neither. Errors keep
-// the sequential precedence: the pass, then the baseline, then the
-// optimized trace.
+// The baseline does not wait for the pass: it is generated on its own
+// goroutine while the caller runs the full pass (with the Section 5.4
+// profiler) and then generates the optimized trace. Both read the program
+// and its data store and write neither. The baseline's error is reported
+// before the optimized run's.
 func Workloads(app *workloads.App, m layout.Machine, cm *layout.ClusterMapping, opt Options) (base, optim *sim.Workload, res *layout.Result, err error) {
 	p, store, err := app.Load()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tOpt := trace.Options{Threads: opt.Threads, MaxAccessesPerThread: opt.MaxAccessesPerThread}
-	identity := &layout.Result{Program: p, Layouts: map[*ir.Array]*layout.ArrayLayout{}}
-	// A nil TraceCache degrades to plain trace.Generate (tracecache handles
-	// the nil receiver), so the uncached path is unchanged.
-	var passErr, baseErr, optErr error
+	var baseErr, optErr error
 	forkJoin(func() {
-		res, passErr = layout.Optimize(p, m, cm, &layout.Options{
-			Threads: opt.Threads,
-			Approx:  approx.NewProfiler(store),
-		})
-		if passErr == nil {
-			optim, optErr = opt.TraceCache.Generate(p, res, m, store, tOpt)
-		}
+		optim, res, optErr = runTrace("optimized", p, store, m, cm, opt)
 	}, func() {
-		base, baseErr = opt.TraceCache.Generate(p, identity, m, store, tOpt)
+		base, _, baseErr = runTrace("baseline", p, store, m, cm, opt)
 	})
-	for _, err := range []error{passErr, baseErr, optErr} {
+	for _, err := range []error{baseErr, optErr} {
 		if err != nil {
 			return nil, nil, nil, err
 		}
 	}
 	return base, optim, res, nil
+}
+
+// RunWorkload builds only the trace that one run of the application
+// replays (see runTrace): a baseline run skips the layout pass.
+func RunWorkload(app *workloads.App, run string, m layout.Machine, cm *layout.ClusterMapping, opt Options) (*sim.Workload, error) {
+	p, store, err := app.Load()
+	if err != nil {
+		return nil, err
+	}
+	w, _, err := runTrace(run, p, store, m, cm, opt)
+	return w, err
+}
+
+// runTrace builds the trace the named run replays from a loaded program,
+// through the trace cache when one is attached (a nil TraceCache is plain
+// trace.Generate). The optimized run replays the layouts of the full pass
+// (with the Section 5.4 profiler), whose result it also returns; every
+// other run replays identity layouts, which need no pass, and returns a nil
+// result.
+func runTrace(run string, p *ir.Program, store *ir.DataStore, m layout.Machine, cm *layout.ClusterMapping, opt Options) (*sim.Workload, *layout.Result, error) {
+	var res *layout.Result
+	if run == "optimized" {
+		var err error
+		res, err = layout.Optimize(p, m, cm, &layout.Options{
+			Threads: opt.Threads,
+			Approx:  approx.NewProfiler(store),
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	layouts := res
+	if layouts == nil {
+		layouts = &layout.Result{Program: p, Layouts: map[*ir.Array]*layout.ArrayLayout{}}
+	}
+	tOpt := trace.Options{Threads: opt.Threads, MaxAccessesPerThread: opt.MaxAccessesPerThread}
+	w, err := opt.TraceCache.Generate(p, layouts, m, store, tOpt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return w, res, nil
 }
 
 // forkJoin runs fns[0] on the calling goroutine and every other function on
@@ -292,18 +322,15 @@ func forkJoin(fns ...func()) {
 // MixWorkloads builds the baseline and optimized composed workloads for a
 // multiprogrammed mix: each entry's application goes through the same
 // pass-and-generate pipeline as Workloads (sharing the trace cache when one
-// is attached), and the per-app workloads are then composed — side by side
-// for the whole run for a co-run mix (trace.Merge), or phase-major with the
-// entries' core rotations for a phase-changing one (trace.ComposeMix). The
-// baseline composition interleaves identity-layout traces; the optimized
-// one composes the transformed traces, so OS-assisted placement still sees
-// each app's desired controllers.
+// is attached), and the per-app workloads are then composed by compose.
+// The baseline composition interleaves identity-layout traces; the
+// optimized one composes the transformed traces, so OS-assisted placement
+// still sees each app's desired controllers.
 func MixWorkloads(mix workloads.MixSpec, m layout.Machine, cm *layout.ClusterMapping, opt Options) (base, optim *sim.Workload, err error) {
 	if err := mix.Validate(); err != nil {
 		return nil, nil, err
 	}
 	var bases, optims []*sim.Workload
-	var rotates []int
 	for _, e := range mix.Entries {
 		app, _ := workloads.ByName(e.App)
 		b, o, _, err := Workloads(app, m, cm, opt)
@@ -311,21 +338,48 @@ func MixWorkloads(mix workloads.MixSpec, m layout.Machine, cm *layout.ClusterMap
 			return nil, nil, fmt.Errorf("core: mix entry %s: %w", e.App, err)
 		}
 		bases, optims = append(bases, b), append(optims, o)
-		rotates = append(rotates, e.Rotate)
 	}
-	name := mix.String()
-	if mix.CoRun {
-		return trace.Merge(name, bases...), trace.Merge(name, optims...), nil
-	}
-	base, err = trace.ComposeMix(name, m.Cores(), bases, rotates)
-	if err != nil {
+	if base, err = compose(mix, m, bases); err != nil {
 		return nil, nil, err
 	}
-	optim, err = trace.ComposeMix(name, m.Cores(), optims, rotates)
-	if err != nil {
+	if optim, err = compose(mix, m, optims); err != nil {
 		return nil, nil, err
 	}
 	return base, optim, nil
+}
+
+// MixRunWorkload builds only the composed workload that one run of the mix
+// replays: each entry's trace as RunWorkload builds it, composed by
+// compose.
+func MixRunWorkload(mix workloads.MixSpec, run string, m layout.Machine, cm *layout.ClusterMapping, opt Options) (*sim.Workload, error) {
+	if err := mix.Validate(); err != nil {
+		return nil, err
+	}
+	ws := make([]*sim.Workload, len(mix.Entries))
+	for i, e := range mix.Entries {
+		app, _ := workloads.ByName(e.App)
+		w, err := RunWorkload(app, run, m, cm, opt)
+		if err != nil {
+			return nil, fmt.Errorf("core: mix entry %s: %w", e.App, err)
+		}
+		ws[i] = w
+	}
+	return compose(mix, m, ws)
+}
+
+// compose builds a mix's workload from its entries' workloads, in entry
+// order: side by side for the whole run for a co-run mix (trace.Merge), or
+// phase-major with the entries' core rotations for a phase-changing one
+// (trace.ComposeMix).
+func compose(mix workloads.MixSpec, m layout.Machine, ws []*sim.Workload) (*sim.Workload, error) {
+	if mix.CoRun {
+		return trace.Merge(mix.String(), ws...), nil
+	}
+	rotates := make([]int, len(mix.Entries))
+	for i, e := range mix.Entries {
+		rotates[i] = e.Rotate
+	}
+	return trace.ComposeMix(mix.String(), m.Cores(), ws, rotates)
 }
 
 // Compare runs the application three ways on the machine: baseline,

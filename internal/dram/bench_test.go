@@ -39,7 +39,7 @@ func BenchmarkSubmit(b *testing.B) {
 		s.Run()
 	}
 	// One pass over the addresses fills the request pool, the queues and
-	// the engine's free-lists to the timed loop's peak.
+	// the engine's overflow heap to the timed loop's peak.
 	run(len(addrs))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -106,9 +106,10 @@ type Service struct {
 }
 
 // request is one in-flight controller request. Requests are pooled on the
-// controller and double as the engine event for their own completion
-// (engine.Handler), so steady-state service allocates nothing.
+// controller and embed the engine event of their own completion (bound to
+// themselves), so steady-state service allocates nothing.
 type request struct {
+	engine.Event
 	addr     int64
 	arrive   int64
 	bank     int
@@ -224,7 +225,9 @@ func (c *Controller) bankOf(addr int64) (int, int64) {
 func (c *Controller) allocReq() *request {
 	r := c.freeReqs
 	if r == nil {
-		return &request{c: c}
+		r = &request{c: c}
+		r.Init(r)
+		return r
 	}
 	c.freeReqs = r.next
 	r.next = nil
@@ -307,7 +310,7 @@ func (c *Controller) serve(b int, now int64) {
 	c.TotalMemLatency += finish - r.arrive
 	c.bankServed[b]++
 	r.start, r.finish = now, finish
-	c.sim.Schedule(finish, r)
+	c.sim.ScheduleEvent(finish, &r.Event)
 }
 
 // pick returns the queue index of the bank's FR-FCFS choice: the oldest

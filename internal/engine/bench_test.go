@@ -27,10 +27,9 @@ func benchDelta(i int) int64 {
 	return int64(1 + (i*7)%200)
 }
 
-// BenchmarkSteadyStateDispatchTyped is the benchmark the bench-smoke CI gate
-// pins at 0 allocs/op: schedule+dispatch of pooled typed events with warm
-// free-lists, i.e. the simulator's steady state. If this ever allocates, the
-// hot path regressed.
+// BenchmarkSteadyStateDispatchTyped measures Schedule's pooled path:
+// schedule+dispatch of plain Handlers through the Sim's warm Event pool.
+// The bench-smoke CI gate pins it at 0 allocs/op.
 func BenchmarkSteadyStateDispatchTyped(b *testing.B) {
 	var s Sim
 	const population = 64
@@ -46,7 +45,55 @@ func BenchmarkSteadyStateDispatchTyped(b *testing.B) {
 		}
 		s.Run()
 	}
-	seed(4 * population) // warm the node slab, overflow heap, and free-lists
+	seed(4 * population) // warm the Event pool and the overflow heap
+	b.ReportAllocs()
+	b.ResetTimer()
+	seed(b.N)
+}
+
+// benchAccess is shaped like the simulator's in-flight access: it embeds
+// its own Event and carries a stage and per-access state, and its handler
+// advances the stage and reschedules the same Event.
+type benchAccess struct {
+	Event
+	s         *Sim
+	stage     int8
+	core      int
+	remaining int
+	delta     int64
+	t, paddr  int64
+}
+
+func (a *benchAccess) Handle(now int64) {
+	a.stage = (a.stage + 1) & 7
+	a.t = now
+	if a.remaining > 0 {
+		a.remaining--
+		a.s.ScheduleEvent(now+a.delta, &a.Event)
+	}
+}
+
+// BenchmarkSteadyStateDispatchEmbedded is the simulator's path: schedule
+// and dispatch of objects that embed their own Event. The bench-smoke CI
+// gate pins it at 0 allocs/op; if it ever allocates, the hot path
+// regressed.
+func BenchmarkSteadyStateDispatchEmbedded(b *testing.B) {
+	var s Sim
+	const population = 64
+	as := make([]*benchAccess, population)
+	for i := range as {
+		as[i] = &benchAccess{s: &s, core: i, delta: benchDelta(i)}
+		as[i].Init(as[i])
+	}
+	seed := func(events int) {
+		per := events / population
+		for i, a := range as {
+			a.remaining = per
+			s.ScheduleEvent(s.Now()+benchDelta(i), &a.Event)
+		}
+		s.Run()
+	}
+	seed(4 * population) // warm the overflow heap
 	b.ReportAllocs()
 	b.ResetTimer()
 	seed(b.N)
@@ -90,12 +137,12 @@ func BenchmarkSteadyStateDispatchHeapOracle(b *testing.B) {
 	seed(b.N)
 }
 
-// BenchmarkScheduleOnly isolates the enqueue cost (free-list pop + wheel or
-// overflow insert), draining outside the timed region.
+// BenchmarkScheduleOnly isolates Schedule's enqueue cost (Event pool pop +
+// wheel or overflow insert), draining outside the timed region.
 func BenchmarkScheduleOnly(b *testing.B) {
 	var s Sim
 	h := &benchHandler{s: &s}
-	for i := 0; i < b.N; i++ { // warm the slab to this benchmark's peak
+	for i := 0; i < b.N; i++ { // warm the pool to this benchmark's peak
 		s.Schedule(int64(i%512), h)
 	}
 	s.Run()

@@ -11,17 +11,19 @@
 // heap: times within wheelSize cycles of now live in a circular array of
 // FIFO buckets (one distinct time per bucket, found through an occupancy
 // bitmap), and only the rare far-future event rides a (time, seq) min-heap
-// overflow until the window reaches it. Event nodes are recycled through a
-// free-list and allocated slab-at-a-time, so the steady-state hot loop —
-// Schedule of a typed Handler plus its dispatch — performs zero heap
-// allocations (the bench-smoke CI gate pins this at 0 allocs/op). The
-// dispatch order is bit-for-bit the heap's: (time, insertion sequence),
-// with past-time scheduling clamped to now; internal/engine's property
-// tests drive both implementations with identical random schedules and
-// require identical dispatch logs.
+// overflow until the window reaches it. The dispatch order is bit-for-bit
+// the heap's: (time, insertion sequence), with past-time scheduling clamped
+// to now; internal/engine's property tests drive both implementations with
+// identical random schedules and require identical dispatch logs.
 //
-// Handler is the only way in: callers keep a pooled event object per
-// logical operation and reschedule it stage by stage.
+// An Event is its own queue node. A type scheduled once per stage of a
+// long-lived operation (the simulator's in-flight access, a DRAM request)
+// embeds an Event, binds it to itself once with Init, and schedules it with
+// ScheduleEvent: the wheel and the overflow heap link the embedded Event
+// directly, so the hot loop allocates nothing and stores only the event's
+// time and sequence number (the bench-smoke CI gate pins 0 allocs/op).
+// Schedule takes any Handler and queues it through an Event recycled from
+// the Sim's own pool.
 package engine
 
 import (
@@ -47,26 +49,31 @@ const (
 	wheelSize = 1 << wheelBits
 	wheelMask = wheelSize - 1
 	occWords  = wheelSize / 64
-
-	// slabSize is how many queue nodes are allocated at once when the
-	// free-list runs dry; after warm-up the free-list satisfies everything.
-	slabSize = 256
 )
 
-// node is one queued event. Nodes are owned by the Sim, recycled through
-// its free-list, and never escape to callers.
-type node struct {
-	time int64
-	seq  int64
-	h    Handler
-	next *node
+// Event is one queue entry and the queue's own node. Embed it in the
+// object it schedules, call Init once with that object, and schedule it
+// with Sim.ScheduleEvent. An Event is pending from ScheduleEvent until its
+// dispatch begins; scheduling a pending Event panics, so the handler may
+// reschedule its own Event from Handle.
+type Event struct {
+	time   int64
+	seq    int64
+	next   *Event  // the next Event in its wheel bucket, or in the Sim's pool
+	h      Handler // set once by Init, or per use for a pooled Event
+	queued bool    // pending: in the wheel or the overflow heap
+	pooled bool    // owned by a Sim's pool (Schedule); recycled at dispatch
 }
 
-// bucket is one wheel slot: a FIFO of nodes that all share one event time
+// Init binds the Event to the handler its dispatch calls — typically the
+// object it is embedded in.
+func (e *Event) Init(h Handler) { e.h = h }
+
+// bucket is one wheel slot: a FIFO of Events that all share one event time
 // (times within the window map to distinct slots, and appends happen in
 // seq order, so FIFO order is (time, seq) order).
 type bucket struct {
-	head, tail *node
+	head, tail *Event
 }
 
 // Sim is a discrete-event simulator instance. The zero value is ready to use.
@@ -78,11 +85,10 @@ type Sim struct {
 
 	slots    []bucket         // the calendar, indexed by time & wheelMask
 	occ      [occWords]uint64 // occupancy bitmap over slots
-	wheelCnt int              // nodes currently in the wheel
-	overflow []*node          // (time, seq) min-heap of events beyond the window
+	wheelCnt int              // Events currently in the wheel
+	overflow []*Event         // (time, seq) min-heap of events beyond the window
 
-	free *node  // recycled nodes
-	slab []node // bulk-allocated nodes not yet handed out
+	free *Event // the pool of Events that carry Schedule's handlers
 
 	// ProgressEvery, when positive, makes Run call OnProgress each time the
 	// cumulative processed count reaches a multiple of ProgressEvery — the
@@ -111,11 +117,29 @@ func (s *Sim) Pending() int { return s.pending }
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() int64 { return s.processed }
 
-// Schedule arranges for h.Handle to run at absolute time t. Scheduling in
-// the past runs the event at the current time instead (events cannot rewind
-// the clock). Events at equal times run in scheduling order — the (time,
-// seq) total order every caller's determinism rests on.
+// Schedule arranges for h.Handle to run at absolute time t, through an
+// Event from the Sim's pool. Scheduling in the past runs the event at the
+// current time instead (events cannot rewind the clock). Events at equal
+// times run in scheduling order — the (time, seq) total order every
+// caller's determinism rests on.
 func (s *Sim) Schedule(t int64, h Handler) {
+	e := s.free
+	if e == nil {
+		e = &Event{pooled: true}
+	} else {
+		s.free = e.next
+		e.next = nil
+	}
+	e.h = h
+	s.ScheduleEvent(t, e)
+}
+
+// ScheduleEvent arranges for e's handler to run at absolute time t, in the
+// same (time, seq) order as Schedule. e must not be pending.
+func (s *Sim) ScheduleEvent(t int64, e *Event) {
+	if e.queued {
+		panic("engine: event scheduled while still pending")
+	}
 	if s.slots == nil {
 		s.slots = make([]bucket, wheelSize)
 	}
@@ -129,19 +153,15 @@ func (s *Sim) Schedule(t int64, h Handler) {
 	if s.seq == math.MaxInt64 {
 		panic("engine: event sequence counter exhausted")
 	}
-	n := s.alloc()
-	n.time, n.seq, n.h = t, s.seq, h
+	e.time, e.seq, e.queued = t, s.seq, true
 	s.seq++
 	s.pending++
 	if t < s.now+wheelSize {
-		s.wheelInsert(n)
+		s.wheelInsert(e)
 	} else {
-		s.overflowPush(n)
+		s.overflowPush(e)
 	}
 }
-
-// ScheduleAfter arranges for h.Handle to run d cycles from now.
-func (s *Sim) ScheduleAfter(d int64, h Handler) { s.Schedule(s.now+d, h) }
 
 // Run processes events until the queue is empty and returns the final time.
 func (s *Sim) Run() int64 {
@@ -177,15 +197,22 @@ func (s *Sim) dispatch(t int64) {
 	i := int(t & wheelMask)
 	b := &s.slots[i]
 	for b.head != nil && b.head.time == t {
-		n := b.head
-		b.head = n.next
-		if b.head == nil {
-			b.tail = nil
+		e := b.head
+		if n := e.next; n != nil {
+			b.head, e.next = n, nil
+		} else {
+			b.head, b.tail = nil, nil
 		}
+		e.queued = false
 		s.wheelCnt--
 		s.pending--
-		h := n.h
-		s.release(n)
+		h := e.h
+		if e.pooled {
+			// Drop the handler so the pool retains no caller object.
+			e.h = nil
+			e.next = s.free
+			s.free = e
+		}
 		if s.OnDispatch != nil {
 			s.OnDispatch(t)
 		}
@@ -201,17 +228,17 @@ func (s *Sim) dispatch(t int64) {
 	}
 }
 
-// wheelInsert appends n to its bucket's FIFO. Within the window each bucket
+// wheelInsert appends e to its bucket's FIFO. Within the window each bucket
 // holds exactly one distinct time, so append order is (time, seq) order.
-func (s *Sim) wheelInsert(n *node) {
-	i := int(n.time & wheelMask)
+func (s *Sim) wheelInsert(e *Event) {
+	i := int(e.time & wheelMask)
 	b := &s.slots[i]
 	if b.tail == nil {
-		b.head, b.tail = n, n
+		b.head, b.tail = e, e
 		s.occ[i>>6] |= 1 << uint(i&63)
 	} else {
-		b.tail.next = n
-		b.tail = n
+		b.tail.next = e
+		b.tail = e
 	}
 	s.wheelCnt++
 }
@@ -236,13 +263,13 @@ func (s *Sim) nextWheelTime() int64 {
 	panic("engine: wheel count positive but no occupied slot")
 }
 
-// overflowPush inserts n into the far-future min-heap ordered by (time, seq).
-func (s *Sim) overflowPush(n *node) {
-	q := append(s.overflow, n)
+// overflowPush inserts e into the far-future min-heap ordered by (time, seq).
+func (s *Sim) overflowPush(e *Event) {
+	q := append(s.overflow, e)
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !nodeLess(q[i], q[p]) {
+		if !eventLess(q[i], q[p]) {
 			break
 		}
 		q[i], q[p] = q[p], q[i]
@@ -252,7 +279,7 @@ func (s *Sim) overflowPush(n *node) {
 }
 
 // overflowPop removes and returns the (time, seq)-minimum far-future event.
-func (s *Sim) overflowPop() *node {
+func (s *Sim) overflowPop() *Event {
 	q := s.overflow
 	top := q[0]
 	last := len(q) - 1
@@ -266,10 +293,10 @@ func (s *Sim) overflowPop() *node {
 			break
 		}
 		m := l
-		if r := l + 1; r < len(q) && nodeLess(q[r], q[l]) {
+		if r := l + 1; r < len(q) && eventLess(q[r], q[l]) {
 			m = r
 		}
-		if !nodeLess(q[m], q[i]) {
+		if !eventLess(q[m], q[i]) {
 			break
 		}
 		q[i], q[m] = q[m], q[i]
@@ -279,36 +306,11 @@ func (s *Sim) overflowPop() *node {
 	return top
 }
 
-func nodeLess(a, b *node) bool {
+func eventLess(a, b *Event) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
 	return a.seq < b.seq
-}
-
-// alloc hands out a queue node: free-list first, then the current slab,
-// growing the slab only when both are empty (warm steady state never gets
-// there).
-func (s *Sim) alloc() *node {
-	if n := s.free; n != nil {
-		s.free = n.next
-		n.next = nil
-		return n
-	}
-	if len(s.slab) == 0 {
-		s.slab = make([]node, slabSize)
-	}
-	n := &s.slab[0]
-	s.slab = s.slab[1:]
-	return n
-}
-
-// release recycles a dispatched node, dropping its Handler reference so
-// pooled caller events are not retained by the queue.
-func (s *Sim) release(n *node) {
-	n.h = nil
-	n.next = s.free
-	s.free = n
 }
 
 // Resource models a FIFO-served hardware resource with a known per-use

@@ -15,7 +15,7 @@ func (f funcEvent) Handle(int64) { f() }
 func (s *Sim) At(t int64, fn func()) { s.Schedule(t, funcEvent(fn)) }
 
 // After schedules fn to run d cycles from now.
-func (s *Sim) After(d int64, fn func()) { s.ScheduleAfter(d, funcEvent(fn)) }
+func (s *Sim) After(d int64, fn func()) { s.At(s.now+d, fn) }
 
 func TestEventOrdering(t *testing.T) {
 	var s Sim
@@ -127,7 +127,7 @@ func TestOverflowHorizonOrdering(t *testing.T) {
 // TestReusedSimKeepsDeterministicOrdering is the regression test for the
 // drained-then-reused case: a Sim that ran to completion must accept new
 // events, keep its clock monotonic, and preserve (time, seq) ordering —
-// recycled nodes and a non-zero starting time must not perturb dispatch.
+// recycled Events and a non-zero starting time must not perturb dispatch.
 func TestReusedSimKeepsDeterministicOrdering(t *testing.T) {
 	var s Sim
 	var order []int64
@@ -154,6 +154,48 @@ func TestReusedSimKeepsDeterministicOrdering(t *testing.T) {
 	}
 	if s.Processed() != 5 {
 		t.Errorf("processed = %d across reuse, want 5", s.Processed())
+	}
+}
+
+// countEvent embeds its Event and counts its dispatches.
+type countEvent struct {
+	Event
+	fired []int64
+}
+
+func (c *countEvent) Handle(now int64) { c.fired = append(c.fired, now) }
+
+// TestSchedulingAPendingEventPanics: an Event is one queue node, so
+// scheduling it again while it is still pending must fail loudly rather
+// than relink it into a second bucket (which would corrupt the wheel). The
+// refused call leaves the queue as it was, and once dispatched the Event
+// may be scheduled again, from its own handler or from outside.
+func TestSchedulingAPendingEventPanics(t *testing.T) {
+	for _, second := range []int64{5, 7, 3 * wheelSize} { // same bucket, the wheel, the overflow heap
+		var s Sim
+		e := &countEvent{}
+		e.Init(e)
+		s.ScheduleEvent(5, &e.Event)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second ScheduleEvent at %d of a pending event did not panic", second)
+				}
+			}()
+			s.ScheduleEvent(second, &e.Event)
+		}()
+		if s.Pending() != 1 {
+			t.Fatalf("pending = %d after the refused call, want 1", s.Pending())
+		}
+		s.Run()
+		if len(e.fired) != 1 || e.fired[0] != 5 {
+			t.Fatalf("event fired at %v, want [5]", e.fired)
+		}
+		s.ScheduleEvent(9, &e.Event) // dispatched: no longer pending
+		s.Run()
+		if len(e.fired) != 2 || e.fired[1] != 9 {
+			t.Fatalf("rescheduled event fired at %v, want [5 9]", e.fired)
+		}
 	}
 }
 

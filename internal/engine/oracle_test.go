@@ -48,7 +48,9 @@ func (s *heapSim) Schedule(t int64, h Handler) {
 	s.seq++
 }
 
-func (s *heapSim) ScheduleAfter(d int64, h Handler) { s.Schedule(s.now+d, h) }
+// ScheduleEvent queues the Event's bound handler; the oracle keeps its own
+// nodes, so it never reads the Event's queue fields.
+func (s *heapSim) ScheduleEvent(t int64, e *Event) { s.Schedule(t, e.h) }
 
 func (s *heapSim) At(t int64, fn func()) { s.Schedule(t, funcEvent(fn)) }
 

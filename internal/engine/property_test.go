@@ -12,7 +12,7 @@ type scheduler interface {
 	At(t int64, fn func())
 	After(d int64, fn func())
 	Schedule(t int64, h Handler)
-	ScheduleAfter(d int64, h Handler)
+	ScheduleEvent(t int64, e *Event)
 	Run() int64
 }
 
@@ -44,6 +44,25 @@ type handlerEvent struct {
 
 func (h *handlerEvent) Handle(now int64) { h.d.fire(h.id, now) }
 
+// embeddedEvent is the simulator's path: a handler that embeds its own
+// Event. When it fires it may reschedule that same Event under a fresh ID,
+// the way an in-flight access walks its stages.
+type embeddedEvent struct {
+	Event
+	d  *scenarioDriver
+	id int
+}
+
+func (e *embeddedEvent) Handle(now int64) {
+	e.d.fire(e.id, now)
+	if e.d.rng.Intn(2) == 0 && e.d.budget > 0 {
+		e.d.budget--
+		e.id = e.d.nextID
+		e.d.nextID++
+		e.d.s.ScheduleEvent(e.d.s.Now()+e.d.delta(), &e.Event)
+	}
+}
+
 func (d *scenarioDriver) fire(id int, now int64) {
 	if now != d.s.Now() {
 		panic("scheduler clock disagrees with handler's now argument")
@@ -55,10 +74,25 @@ func (d *scenarioDriver) fire(id int, now int64) {
 	}
 }
 
+// delta draws a scheduling delay that exercises every queue regime: past
+// times (clamping), the same cycle (reentrant dispatch), the wheel window,
+// and far-future times that must ride the overflow heap.
+func (d *scenarioDriver) delta() int64 {
+	switch d.rng.Intn(10) {
+	case 0:
+		return -int64(d.rng.Intn(50)) // in the past: must clamp to now
+	case 1:
+		return 0 // same cycle: reentrant dispatch, FIFO within the cycle
+	case 2, 3:
+		return int64(d.rng.Intn(3 * wheelSize)) // beyond the wheel horizon
+	default:
+		return int64(d.rng.Intn(80)) // the common dense regime
+	}
+}
+
 // spawn schedules one child with a randomly chosen API (At / After /
-// Schedule / ScheduleAfter) and a delta that exercises every queue regime:
-// past times (clamping), the same cycle (reentrant dispatch), the wheel
-// window, and far-future times that must ride the overflow heap.
+// Schedule for plain handlers, ScheduleEvent for a handler that embeds its
+// Event) and a delta from delta.
 func (d *scenarioDriver) spawn() {
 	if d.budget <= 0 {
 		return
@@ -66,17 +100,7 @@ func (d *scenarioDriver) spawn() {
 	d.budget--
 	id := d.nextID
 	d.nextID++
-	var delta int64
-	switch d.rng.Intn(10) {
-	case 0:
-		delta = -int64(d.rng.Intn(50)) // in the past: must clamp to now
-	case 1:
-		delta = 0 // same cycle: reentrant dispatch, FIFO within the cycle
-	case 2, 3:
-		delta = int64(d.rng.Intn(3 * wheelSize)) // beyond the wheel horizon
-	default:
-		delta = int64(d.rng.Intn(80)) // the common dense regime
-	}
+	delta := d.delta()
 	t := d.s.Now() + delta
 	switch d.rng.Intn(4) {
 	case 0:
@@ -86,7 +110,9 @@ func (d *scenarioDriver) spawn() {
 	case 2:
 		d.s.Schedule(t, &handlerEvent{d: d, id: id})
 	default:
-		d.s.ScheduleAfter(delta, &handlerEvent{d: d, id: id})
+		e := &embeddedEvent{d: d, id: id}
+		e.Init(e)
+		d.s.ScheduleEvent(t, &e.Event)
 	}
 }
 
@@ -109,9 +135,11 @@ func runScenario(s scheduler, seed int64, budget int) (records []dispatchRecord,
 
 // TestPropertyWheelMatchesHeapOracle drives the timing-wheel scheduler and
 // the original container/heap implementation with identical pseudo-random
-// interleavings of At/After/Schedule — 10k-event schedules including
-// past-time clamping, same-cycle reentrant scheduling, and overflow-horizon
-// times — and requires bit-identical dispatch order (time, insertion seq).
+// interleavings of At/After/Schedule/ScheduleEvent — 10k-event schedules
+// mixing pooled plain handlers with handlers that embed (and reschedule)
+// their own Event, including past-time clamping, same-cycle reentrant
+// scheduling, and overflow-horizon times — and requires bit-identical
+// dispatch order (time, insertion seq).
 func TestPropertyWheelMatchesHeapOracle(t *testing.T) {
 	const budget = 10000
 	for seed := int64(0); seed < 25; seed++ {

@@ -193,6 +193,12 @@ func grownLen(n int, i int64) int {
 	return int(m)
 }
 
+// Touched reports whether vpage has a physical frame: Translate allocates
+// nothing for an address on it.
+func (as *AddressSpace) Touched(vpage int64) bool {
+	return uint64(vpage) < uint64(len(as.pages)) && as.pages[vpage] != untouched
+}
+
 // frame returns the physical page backing vpage, or false if the page has
 // never been touched.
 func (as *AddressSpace) frame(vpage int64) (int64, bool) {

@@ -112,13 +112,13 @@ func New(cfg Config) *Network {
 		for x := 0; x < cfg.MeshX; x++ {
 			from := mesh.Node{X: x, Y: y}
 			base := mesh.CoreID(from, cfg.MeshX) * 4
+			fromLabel := "from=" + from.String()
 			for d, delta := range dirDelta {
 				to := mesh.Node{X: x + delta.X, Y: y + delta.Y}
 				if to.X < 0 || to.X >= cfg.MeshX || to.Y < 0 || to.Y >= cfg.MeshY {
 					continue // mesh edge: no link in this direction
 				}
-				n.feed.Counter(&n.traversals[base+d], "noc", "link_traversals",
-					"from="+from.String(), "to="+to.String())
+				n.feed.Counter(&n.traversals[base+d], "noc", "link_traversals", fromLabel, "to="+to.String())
 			}
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -197,7 +198,7 @@ func (h *Histogram) Sum() int64 {
 type metric struct {
 	component string
 	name      string
-	labels    map[string]string
+	labels    []string // "k=v" pairs sorted by key
 	kind      string
 
 	counter *Counter
@@ -219,40 +220,38 @@ func NewRegistry() *Registry {
 	return &Registry{metrics: map[string]*metric{}}
 }
 
-// keyOf canonicalizes the metric identity. Labels are "k=v" pairs.
-func keyOf(component, name string, labels []string) (string, map[string]string) {
-	lm := make(map[string]string, len(labels))
+// labelKey returns the key of a "k=v" label.
+func labelKey(l string) string {
+	k, _, ok := strings.Cut(l, "=")
+	if !ok {
+		panic(fmt.Sprintf("obs: label %q is not k=v", l))
+	}
+	return k
+}
+
+func byKey(a, b string) int { return strings.Compare(labelKey(a), labelKey(b)) }
+
+// sortLabels returns the "k=v" labels in key order, copying them only when
+// the caller passes another order. A key may appear once.
+func sortLabels(labels []string) []string {
 	for _, l := range labels {
-		k, v, ok := strings.Cut(l, "=")
-		if !ok {
-			panic(fmt.Sprintf("obs: label %q is not k=v", l))
+		labelKey(l)
+	}
+	if !slices.IsSortedFunc(labels, byKey) {
+		labels = slices.Clone(labels)
+		slices.SortStableFunc(labels, byKey)
+	}
+	for i := 1; i < len(labels); i++ {
+		if byKey(labels[i-1], labels[i]) == 0 {
+			panic(fmt.Sprintf("obs: label key %q given twice", labelKey(labels[i])))
 		}
-		lm[k] = v
 	}
-	keys := make([]string, 0, len(lm))
-	for k := range lm {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(component)
-	b.WriteByte('/')
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(lm[k])
-	}
-	b.WriteByte('}')
-	return b.String(), lm
+	return labels
 }
 
 func (r *Registry) register(component, name, kind string, labels []string, bounds []int64) *metric {
-	key, lm := keyOf(component, name, labels)
+	labels = sortLabels(labels)
+	key := component + "/" + name + "{" + strings.Join(labels, ",") + "}"
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[key]; ok {
@@ -263,7 +262,10 @@ func (r *Registry) register(component, name, kind string, labels []string, bound
 	}
 	// The handle is built under the lock, so a concurrent Snapshot never
 	// sees a half-registered metric.
-	m := &metric{component: component, name: name, labels: lm, kind: kind}
+	m := &metric{component: component, name: name, kind: kind}
+	if len(labels) > 0 {
+		m.labels = append([]string(nil), labels...)
+	}
 	switch kind {
 	case "counter":
 		m.counter = &Counter{}
@@ -343,7 +345,7 @@ func (r *Registry) Snapshot(until int64) []Point {
 
 	out := make([]Point, 0, len(ms))
 	for _, m := range ms {
-		p := Point{Component: m.component, Name: m.name, Labels: m.labels, Type: m.kind}
+		p := Point{Component: m.component, Name: m.name, Labels: labelMap(m.labels), Type: m.kind}
 		switch m.kind {
 		case "counter":
 			p.Value = m.counter.Value()
@@ -360,6 +362,19 @@ func (r *Registry) Snapshot(until int64) []Point {
 		out = append(out, p)
 	}
 	return out
+}
+
+// labelMap returns the "k=v" labels as a map (nil for none).
+func labelMap(labels []string) map[string]string {
+	if len(labels) == 0 {
+		return nil
+	}
+	lm := make(map[string]string, len(labels))
+	for _, l := range labels {
+		k, v, _ := strings.Cut(l, "=")
+		lm[k] = v
+	}
+	return lm
 }
 
 // WriteJSONL writes one JSON object per line for each point.

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -130,6 +131,36 @@ func TestRegistryReregistrationAndKinds(t *testing.T) {
 		}
 	}()
 	reg.TimeWeighted("c", "n", "k=v")
+}
+
+// TestLabelOrder: labels are k=v strings kept sorted by key, whatever
+// order the caller passes them in, so the registry key is
+// component/name{k=v,...} in key order ("a" before "a-b", although '-'
+// sorts before '='), the same labels in any order find one handle, the
+// snapshot's Labels map holds each pair, and a key given twice is refused.
+func TestLabelOrder(t *testing.T) {
+	reg := NewRegistry()
+	a := reg.Counter("c", "n", "a-b=2", "a=1", "z=(0,1)")
+	if b := reg.Counter("c", "n", "z=(0,1)", "a=1", "a-b=2"); b != a {
+		t.Error("the same labels in another order got another handle")
+	}
+	var keys []string
+	for k := range reg.metrics {
+		keys = append(keys, k)
+	}
+	if len(keys) != 1 || keys[0] != "c/n{a=1,a-b=2,z=(0,1)}" {
+		t.Errorf("registry keys %q, want [c/n{a=1,a-b=2,z=(0,1)}]", keys)
+	}
+	pts := reg.Snapshot(0)
+	if want := map[string]string{"a": "1", "a-b": "2", "z": "(0,1)"}; len(pts) != 1 || !reflect.DeepEqual(pts[0].Labels, want) {
+		t.Errorf("snapshot %+v, want one point labelled %v", pts, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a label key given twice was accepted")
+		}
+	}()
+	reg.Counter("c", "n", "k=1", "k=2")
 }
 
 func TestNilSafety(t *testing.T) {

@@ -11,7 +11,10 @@ import (
 	"strings"
 	"testing"
 
+	"offchip/internal/core"
+	"offchip/internal/sim"
 	"offchip/internal/tracecache"
+	"offchip/internal/workloads"
 )
 
 // TestCacheDoesNotChangeOutcomes runs the heterogeneous sweep twice — cold,
@@ -246,5 +249,78 @@ func TestSampledReplayDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(want, got) {
 		t.Errorf("sampled replay differs from sweep:\nsweep:  %s\nreplay: %s", want, got)
+	}
+}
+
+// TestSingleRunJobsFetchOneTrace: a ModeBaseline or ModeOptimized job, of
+// one app or of a mix, builds only the trace its run replays, so on a fresh
+// cache it makes one lookup per app entry (building both traces made two),
+// and its canonical outcome equals that run simulated on the trace the
+// two-trace build returns for it.
+func TestSingleRunJobsFetchOneTrace(t *testing.T) {
+	for _, s := range []JobSpec{
+		{Mode: ModeBaseline, App: "apsi", Interleave: "page", Cap: 200},
+		{Mode: ModeOptimized, App: "apsi", Interleave: "page", Cap: 200},
+		{Mode: ModeBaseline, Mix: "mix2(apsi@16+gafort@0)", Interleave: "page", Cap: 200},
+		{Mode: ModeOptimized, Mix: "mix2(apsi@16+gafort@0)", Interleave: "page", Cap: 200},
+	} {
+		cache, err := tracecache.New("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Cache = cache
+		out := s.Execute()
+		if out.Err != nil {
+			t.Fatalf("%s: %v", s.ID(), out.Err)
+		}
+		entries := 1
+		if s.Mix != "" {
+			entries = 2
+		}
+		st := cache.Stats()
+		if lookups := st.Hits + st.Misses + st.DiskHits; lookups != int64(entries) {
+			t.Errorf("%s: %d trace lookups (%+v), want one per app entry (%d)", s.ID(), lookups, st, entries)
+		}
+
+		n := s.Normalized()
+		m, cm, opt, err := n.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var base, optim *sim.Workload
+		if s.Mix != "" {
+			mix, err := workloads.ParseMixSpec(s.Mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, optim, err = core.MixWorkloads(*mix, m, cm, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			app, _ := workloads.ByName(s.App)
+			if base, optim, _, err = core.Workloads(app, m, cm, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run, w := "baseline", base
+		if s.Mode == ModeOptimized {
+			run, w = "optimized", optim
+		}
+		r, err := sim.Run(core.RunConfig(run, m, cm, opt), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := (&JobOutcome{ID: out.ID, Run: r}).CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := out.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: canonical outcome differs from the two-trace build's run", s.ID())
+		}
 	}
 }

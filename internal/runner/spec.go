@@ -459,7 +459,9 @@ func (o *JobOutcome) CanonicalJSON() ([]byte, error) {
 // compiler or simulator panics are captured into Err so one bad job cannot
 // take down a sweep. The sweep workers, Replay and the single-job entry
 // points (replay with options, the profile-smoke gate) all run jobs
-// through it.
+// through it. A ModeBaseline or ModeOptimized job builds only the trace its
+// run replays, per mix entry for a mix: a baseline job runs no layout pass
+// and an optimized job generates no baseline trace.
 func (s JobSpec) Execute() (out *JobOutcome) {
 	n := s.Normalized()
 	out = &JobOutcome{
@@ -525,20 +527,20 @@ func (s JobSpec) Execute() (out *JobOutcome) {
 		out.Profiles = c.Profiles
 		out.Sampled = c.Sampled
 	case ModeBaseline, ModeOptimized:
-		var baseW, optW *sim.Workload
+		run := "baseline"
+		if n.Mode == ModeOptimized {
+			run = "optimized"
+		}
+		var w *sim.Workload
 		var err error
 		if mix != nil {
-			baseW, optW, err = core.MixWorkloads(*mix, m, cm, opt)
+			w, err = core.MixRunWorkload(*mix, run, m, cm, opt)
 		} else {
-			baseW, optW, _, err = core.Workloads(app, m, cm, opt)
+			w, err = core.RunWorkload(app, run, m, cm, opt)
 		}
 		if err != nil {
 			out.Err = err
 			return out
-		}
-		run, w := "baseline", baseW
-		if n.Mode == ModeOptimized {
-			run, w = "optimized", optW
 		}
 		cfg := core.RunConfig(run, m, cm, opt)
 		r, sr, err := core.Simulate(cfg, w, opt.Sample)

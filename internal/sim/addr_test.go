@@ -12,7 +12,7 @@ import (
 // TestNegativeAddressRejected: the machine indexes address spaces by app ID
 // and page tables by virtual page, so Run and RunSampled refuse a stream
 // with a negative virtual address or app ID, under both interleavings, and
-// name the stream.
+// name the stream, its core and app, and the access.
 func TestNegativeAddressRejected(t *testing.T) {
 	for _, il := range []layout.Granularity{layout.LineInterleave, layout.PageInterleave} {
 		cfg := testConfig(t)
@@ -22,12 +22,18 @@ func TestNegativeAddressRejected(t *testing.T) {
 		deep.Streams[1].Accesses[1500].VAddr = -8
 		negApp := sampleWorkload(4, 2000)
 		negApp.Streams[2].AppID = -1
+		// The last stream's last access, after every other stream's and its
+		// own non-negative addresses, and in an application of its own.
+		late := sampleWorkload(4, 2000)
+		late.Streams[3].AppID = 1
+		late.Streams[3].Accesses[1999].VAddr = -1 << 40
 		for name, tc := range map[string]struct {
 			w    *Workload
 			want string
 		}{
 			"one access":      {oneAccess(0, -8), "stream 0 (core 0, app 0) has negative address -8 at access 0"},
 			"deep in stream":  {deep, "stream 1 (core 1, app 0) has negative address -8 at access 1500"},
+			"later stream":    {late, "stream 3 (core 3, app 1) has negative address -1099511627776 at access 1999"},
 			"negative app ID": {negApp, "stream 2 (core 2) has negative app ID -1"},
 		} {
 			if _, err := Run(cfg, tc.w); err == nil || !strings.Contains(err.Error(), tc.want) {

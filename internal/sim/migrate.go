@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"offchip/internal/engine"
 	"offchip/internal/mem"
 	"offchip/internal/mesh"
 	"offchip/internal/noc"
@@ -110,7 +111,9 @@ func (g *migState) launch(now int64, mg mem.Migration) {
 		g.eng.Completed(mg.Page)
 		return
 	}
-	m.sim.Schedule(finish, &remapEvent{g: g, mg: mg, pages: pages, start: now})
+	e := &remapEvent{g: g, mg: mg, pages: pages, start: now}
+	e.Init(e)
+	m.sim.ScheduleEvent(finish, &e.Event)
 }
 
 // remapEvent commits one migration: an engine event at copy-finish time.
@@ -122,6 +125,7 @@ func (g *migState) launch(now int64, mg mem.Migration) {
 // shootdown for the whole cluster, and the probe stream reports the commit
 // once, after the last member.
 type remapEvent struct {
+	engine.Event
 	g     *migState
 	mg    mem.Migration
 	pages []int64 // member vpages to re-home (off-target at launch)

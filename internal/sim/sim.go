@@ -12,6 +12,7 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"offchip/internal/cache"
 	"offchip/internal/check"
@@ -511,11 +512,13 @@ const (
 	stSharedFill            // shared: fill arrives at the home bank, send to the L1
 )
 
-// accessEvent is one in-flight memory access. It implements both
-// engine.Handler (its own continuation at each stage) and dram.Completion
-// (the controller calls MemDone directly on it), and is recycled through the
-// machine's free-list at retirement.
+// accessEvent is one in-flight memory access. It embeds its own queue
+// entry (bound to itself), implements both engine.Handler (its own
+// continuation at each stage) and dram.Completion (the controller calls
+// MemDone directly on it), and is recycled through the machine's free-list
+// at retirement.
 type accessEvent struct {
+	engine.Event
 	m    *machine
 	next *accessEvent // machine free-list
 
@@ -539,7 +542,9 @@ type accessEvent struct {
 func (m *machine) allocEvent() *accessEvent {
 	e := m.freeEvents
 	if e == nil {
-		return &accessEvent{m: m}
+		e = &accessEvent{m: m}
+		e.Init(e)
+		return e
 	}
 	m.freeEvents = e.next
 	e.next = nil
@@ -573,7 +578,7 @@ func (e *accessEvent) Handle(now int64) {
 	case stPrivOptFinish:
 		tBack := m.transit(e.id, probe.Resp, e.t, e.mcNode, e.coreNode, noc.OffChip)
 		e.stage = stComplete
-		m.sim.Schedule(tBack, e)
+		m.sim.ScheduleEvent(tBack, &e.Event)
 	case stPrivSubmit, stSharedSubmit:
 		if p := m.probe; p != nil {
 			p.Stage(e.id, probe.Stage{Kind: probe.DRAMSubmit, T: now, MC: e.mcID, Addr: e.paddr, Local: e.local})
@@ -583,7 +588,7 @@ func (e *accessEvent) Handle(now int64) {
 		// Path 5: home bank → L1.
 		tData := m.transit(e.id, probe.Resp, now, e.homeNode, e.coreNode, noc.OnChip)
 		e.stage = stComplete
-		m.sim.Schedule(tData, e)
+		m.sim.ScheduleEvent(tData, &e.Event)
 	case stSharedBank:
 		// Paths 2–4, issued by the home bank.
 		tReq := m.transit(e.id, probe.Req, now, e.homeNode, e.mcNode, noc.OffChip)
@@ -593,20 +598,20 @@ func (e *accessEvent) Handle(now int64) {
 			m.res.MemServed++
 			m.stage(e, probe.DRAMIdeal, finish)
 			e.stage, e.t = stSharedOptServe, finish
-			m.sim.Schedule(finish, e)
+			m.sim.ScheduleEvent(finish, &e.Event)
 			return
 		}
 		e.stage = stSharedSubmit
-		m.sim.Schedule(tReq, e)
+		m.sim.ScheduleEvent(tReq, &e.Event)
 	case stSharedOptServe:
 		tFill := m.transit(e.id, probe.Resp, e.t, e.mcNode, e.homeNode, noc.OffChip)
 		e.stage = stSharedFill
-		m.sim.Schedule(tFill, e)
+		m.sim.ScheduleEvent(tFill, &e.Event)
 	case stSharedFill:
 		// Path 5: home bank → L1.
 		tData := m.transit(e.id, probe.Resp, now, e.homeNode, e.coreNode, noc.OnChip)
 		e.stage = stComplete
-		m.sim.Schedule(tData, e)
+		m.sim.ScheduleEvent(tData, &e.Event)
 	default:
 		panic("sim: accessEvent in unknown stage")
 	}
@@ -624,11 +629,11 @@ func (e *accessEvent) MemDone(finish int64) {
 	case stPrivSubmit:
 		tBack := m.transit(e.id, probe.Resp, finish, e.mcNode, e.coreNode, noc.OffChip)
 		e.stage = stComplete
-		m.sim.Schedule(tBack, e)
+		m.sim.ScheduleEvent(tBack, &e.Event)
 	case stSharedSubmit:
 		tFill := m.transit(e.id, probe.Resp, finish, e.mcNode, e.homeNode, noc.OffChip)
 		e.stage = stSharedFill
-		m.sim.Schedule(tFill, e)
+		m.sim.ScheduleEvent(tFill, &e.Event)
 	default:
 		panic("sim: MemDone in unknown stage")
 	}
@@ -711,11 +716,20 @@ func checkAddresses(w *Workload) error {
 	return checkStreams("warm stream", w.Warm.CacheStreams)
 }
 
+// checkStreams ORs each stream's addresses, whose sign bit is set iff one
+// of them is negative, and scans again only to name the first such access.
 func checkStreams(kind string, streams []Stream) error {
 	for i := range streams {
 		st := &streams[i]
 		if st.AppID < 0 {
 			return fmt.Errorf("sim: %s %d (core %d) has negative app ID %d", kind, i, st.Core, st.AppID)
+		}
+		var or int64
+		for _, a := range st.Accesses {
+			or |= a.VAddr
+		}
+		if or >= 0 {
+			continue
 		}
 		for j, a := range st.Accesses {
 			if a.VAddr < 0 {
@@ -740,12 +754,7 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 	}
 
 	o := obs.OrNew(cfg.Obs)
-	memCfg := mem.Config{
-		PageBytes:  cfg.Machine.PageBytes,
-		LineBytes:  cfg.Machine.LineUnit(),
-		NumMCs:     cfg.Machine.NumMCs,
-		Interleave: cfg.Machine.Interleave,
-	}
+	memCfg := memConfig(cfg.Machine)
 	nocCfg := cfg.NoC
 	nocCfg.Obs = o
 	var consumers []probe.Probe
@@ -794,11 +803,15 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 	m.feed.Counter(&m.res.L2LocalHits, "sim", "l2_local_hits")
 	m.feed.Counter(&m.res.OnChipRemote, "sim", "onchip_remote")
 	m.feed.Counter(&m.res.OffChip, "sim", "offchip")
+	mcLabels := make([]string, cfg.Machine.NumMCs)
+	for mc := range mcLabels {
+		mcLabels[mc] = "mc=" + strconv.Itoa(mc)
+	}
 	for i := range m.res.AccessMap {
 		m.res.AccessMap[i] = make([]int64, cfg.Machine.NumMCs)
+		nodeLabel := "node=" + strconv.Itoa(i)
 		for mc := range m.res.AccessMap[i] {
-			m.feed.Counter(&m.res.AccessMap[i][mc], "sim", "offchip_requests",
-				fmt.Sprintf("node=%d", i), fmt.Sprintf("mc=%d", mc))
+			m.feed.Counter(&m.res.AccessMap[i][mc], "sim", "offchip_requests", mcLabels[mc], nodeLabel)
 		}
 	}
 	for i := 0; i < cfg.Machine.NumMCs; i++ {
@@ -811,8 +824,8 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 	for i := 0; i < cores; i++ {
 		l1 := cache.New(cfg.L1Bytes, cfg.Machine.LineBytes, cfg.L1Ways)
 		l2 := cache.New(cfg.L2Bytes, cfg.Machine.LineBytes, cfg.L2Ways)
-		l1.Instrument(o, fmt.Sprintf("l1.%d", i))
-		l2.Instrument(o, fmt.Sprintf("l2.%d", i))
+		l1.Instrument(o, "l1."+strconv.Itoa(i))
+		l2.Instrument(o, "l2."+strconv.Itoa(i))
 		m.l1s = append(m.l1s, l1)
 		m.l2s = append(m.l2s, l2)
 		m.cores = append(m.cores, &coreState{})
@@ -838,16 +851,7 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 	if w.Warm != nil && w.Warm.PageUniverse != nil {
 		spaceStreams = w.Warm.PageUniverse.Streams
 	}
-	appBase := int64(0)
-	for _, s := range spaceStreams {
-		for s.AppID >= len(m.spaces) {
-			m.spaces = append(m.spaces, nil)
-		}
-		if m.spaces[s.AppID] == nil {
-			m.spaces[s.AppID] = mem.NewAddressSpace(memCfg, appBase, m.policy())
-			appBase += 1 << 34
-		}
-	}
+	m.addSpaces(spaceStreams)
 	m.appDone = make([]int64, len(m.spaces))
 
 	m.bindStreams(w.Streams)
@@ -903,7 +907,7 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 	for core := range m.cores {
 		e := m.allocEvent()
 		e.stage, e.core = stStart, core
-		m.sim.Schedule(int64(core)*cfg.StartStagger, e)
+		m.sim.ScheduleEvent(int64(core)*cfg.StartStagger, &e.Event)
 	}
 	m.sim.Run()
 
@@ -913,6 +917,31 @@ func run(cfg Config, w *Workload, extra probe.Probe) (*Result, error) {
 		p.Finish(m.res.Totals(w, &cfg))
 	}
 	return m.res, nil
+}
+
+// memConfig is the physical memory system of the machine.
+func memConfig(lm layout.Machine) mem.Config {
+	return mem.Config{
+		PageBytes:  lm.PageBytes,
+		LineBytes:  lm.LineUnit(),
+		NumMCs:     lm.NumMCs,
+		Interleave: lm.Interleave,
+	}
+}
+
+// addSpaces gives every application of the streams an address space, in
+// stream order: an application's first stream fixes its base address.
+func (m *machine) addSpaces(streams []Stream) {
+	appBase := int64(0)
+	for _, s := range streams {
+		for s.AppID >= len(m.spaces) {
+			m.spaces = append(m.spaces, nil)
+		}
+		if m.spaces[s.AppID] == nil {
+			m.spaces[s.AppID] = mem.NewAddressSpace(m.memCfg, appBase, m.policy())
+			appBase += 1 << 34
+		}
+	}
 }
 
 // Totals summarizes a drained run for check.VerifyTotals — the generalized
@@ -941,7 +970,10 @@ func (r *Result) Totals(w *Workload, cfg *Config) probe.Totals {
 // within a phase) and performs the virtual-to-physical allocations in that
 // order: the timing simulation has no inter-core barriers, but page
 // allocation must respect the program's phase structure (a serial
-// initialization phase owns the first touch of every page it visits).
+// initialization phase owns the first touch of every page it visits). Only
+// an access to a page without a frame is translated: translating an
+// allocated page changes nothing, so skipping the rest leaves the page
+// tables, the allocation order and the policies' state unchanged.
 func (m *machine) preTouch(w *Workload) {
 	maxPhases := 1
 	for i := range w.Streams {
@@ -952,9 +984,12 @@ func (m *machine) preTouch(w *Workload) {
 	for ph := 0; ph < maxPhases; ph++ {
 		for i := range w.Streams {
 			st := &w.Streams[i]
+			space := m.spaces[st.AppID]
 			lo, hi := st.PhaseRange(ph)
 			for _, acc := range st.Accesses[lo:hi] {
-				m.spaces[st.AppID].Translate(acc.VAddr, st.Core, int(acc.DesiredMC))
+				if !space.Touched(space.VPage(acc.VAddr)) {
+					space.Translate(acc.VAddr, st.Core, int(acc.DesiredMC))
+				}
 			}
 		}
 	}
@@ -1060,7 +1095,7 @@ func (m *machine) tryIssue(core int) {
 		cs.nextFree = t + gap
 		e := m.allocEvent()
 		e.stage, e.core, e.app, e.acc, e.last = stProcess, core, ss.app, acc, last
-		m.sim.Schedule(t, e)
+		m.sim.ScheduleEvent(t, &e.Event)
 	}
 }
 
@@ -1133,7 +1168,7 @@ func (m *machine) process(e *accessEvent) {
 	if hit, _ := m.l1s[e.core].Access(paddr); hit {
 		m.stage(e, probe.L1, m.sim.Now()+m.cfg.L1Latency)
 		e.stage = stComplete
-		m.sim.ScheduleAfter(m.cfg.L1Latency, e)
+		m.sim.ScheduleEvent(m.sim.Now()+m.cfg.L1Latency, &e.Event)
 		return
 	}
 	if m.cfg.Machine.L2 == layout.SharedL2 {
@@ -1155,7 +1190,7 @@ func (m *machine) processPrivate(e *accessEvent, paddr int64) {
 	if hit, evicted := m.l2s[core].Access(paddr); hit {
 		m.res.L2LocalHits++
 		e.stage = stComplete
-		m.sim.Schedule(t1, e)
+		m.sim.ScheduleEvent(t1, &e.Event)
 		return
 	} else if evicted >= 0 {
 		m.dir.Remove(evicted, core)
@@ -1187,7 +1222,7 @@ func (m *machine) processPrivate(e *accessEvent, paddr int64) {
 		m.stage(e, probe.L2, tOwn)
 		tData := m.transit(e.id, probe.Resp, tOwn, ownerNode, coreNode, noc.OnChip)
 		e.stage = stComplete
-		m.sim.Schedule(tData, e)
+		m.sim.ScheduleEvent(tData, &e.Event)
 		return
 	}
 
@@ -1206,7 +1241,7 @@ func (m *machine) processPrivate(e *accessEvent, paddr int64) {
 		m.res.MemServed++
 		m.stage(e, probe.DRAMIdeal, finish)
 		e.stage, e.t, e.mcNode = stPrivOptFinish, finish, nearNode
-		m.sim.Schedule(finish, e)
+		m.sim.ScheduleEvent(finish, &e.Event)
 		return
 	}
 	m.res.AccessMap[core][mcID]++
@@ -1215,7 +1250,7 @@ func (m *machine) processPrivate(e *accessEvent, paddr int64) {
 	m.stage(e, probe.Dir, tDir)
 	e.stage, e.mcID, e.mcNode = stPrivSubmit, mcID, mcNode
 	e.paddr, e.local = paddr, mem.LocalAddr(paddr, m.memCfg)
-	m.sim.Schedule(tDir, e)
+	m.sim.ScheduleEvent(tDir, &e.Event)
 }
 
 // processShared follows Figure 2b: the home L2 bank, then the controller.
@@ -1238,7 +1273,7 @@ func (m *machine) processShared(e *accessEvent, paddr int64) {
 	if hit, _ := m.l2s[home].Access(paddr); hit {
 		m.res.L2LocalHits++
 		e.stage = stSharedHomeHit
-		m.sim.Schedule(tBank, e)
+		m.sim.ScheduleEvent(tBank, &e.Event)
 		return
 	}
 
@@ -1252,7 +1287,7 @@ func (m *machine) processShared(e *accessEvent, paddr int64) {
 	m.res.AccessMap[home][mcID]++
 	e.stage, e.mcID, e.mcNode = stSharedBank, mcID, mcNode
 	e.paddr, e.local = paddr, mem.LocalAddr(paddr, m.memCfg)
-	m.sim.Schedule(tBank, e)
+	m.sim.ScheduleEvent(tBank, &e.Event)
 }
 
 // finishStats folds substrate statistics into the result.
