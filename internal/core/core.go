@@ -319,65 +319,31 @@ func forkJoin(fns ...func()) {
 	}
 }
 
-// MixWorkloads builds the baseline and optimized composed workloads for a
-// multiprogrammed mix: each entry's application goes through the same
-// pass-and-generate pipeline as Workloads (sharing the trace cache when one
-// is attached), and the per-app workloads are then composed by compose.
-// The baseline composition interleaves identity-layout traces; the
-// optimized one composes the transformed traces, so OS-assisted placement
-// still sees each app's desired controllers.
-func MixWorkloads(mix workloads.MixSpec, m layout.Machine, cm *layout.ClusterMapping, opt Options) (base, optim *sim.Workload, err error) {
-	if err := mix.Validate(); err != nil {
-		return nil, nil, err
-	}
-	var bases, optims []*sim.Workload
-	for _, e := range mix.Entries {
-		app, _ := workloads.ByName(e.App)
-		b, o, _, err := Workloads(app, m, cm, opt)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: mix entry %s: %w", e.App, err)
-		}
-		bases, optims = append(bases, b), append(optims, o)
-	}
-	if base, err = compose(mix, m, bases); err != nil {
-		return nil, nil, err
-	}
-	if optim, err = compose(mix, m, optims); err != nil {
-		return nil, nil, err
-	}
-	return base, optim, nil
-}
-
-// MixRunWorkload builds only the composed workload that one run of the mix
-// replays: each entry's trace as RunWorkload builds it, composed by
-// compose.
+// MixRunWorkload builds the composed workload that one run of a
+// multiprogrammed mix replays. Each entry's application gets its trace as
+// RunWorkload builds it (sharing the trace cache when one is attached):
+// identity layouts for the baseline, the transformed traces for the
+// optimized run, so OS-assisted placement still sees each app's desired
+// controllers. The entries' traces are then composed in entry order: side
+// by side for the whole run for a co-run mix (trace.Merge), or phase-major
+// with the entries' core rotations for a phase-changing one
+// (trace.ComposeMix).
 func MixRunWorkload(mix workloads.MixSpec, run string, m layout.Machine, cm *layout.ClusterMapping, opt Options) (*sim.Workload, error) {
 	if err := mix.Validate(); err != nil {
 		return nil, err
 	}
 	ws := make([]*sim.Workload, len(mix.Entries))
+	rotates := make([]int, len(mix.Entries))
 	for i, e := range mix.Entries {
 		app, _ := workloads.ByName(e.App)
 		w, err := RunWorkload(app, run, m, cm, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: mix entry %s: %w", e.App, err)
 		}
-		ws[i] = w
+		ws[i], rotates[i] = w, e.Rotate
 	}
-	return compose(mix, m, ws)
-}
-
-// compose builds a mix's workload from its entries' workloads, in entry
-// order: side by side for the whole run for a co-run mix (trace.Merge), or
-// phase-major with the entries' core rotations for a phase-changing one
-// (trace.ComposeMix).
-func compose(mix workloads.MixSpec, m layout.Machine, ws []*sim.Workload) (*sim.Workload, error) {
 	if mix.CoRun {
 		return trace.Merge(mix.String(), ws...), nil
-	}
-	rotates := make([]int, len(mix.Entries))
-	for i, e := range mix.Entries {
-		rotates[i] = e.Rotate
 	}
 	return trace.ComposeMix(mix.String(), m.Cores(), ws, rotates)
 }

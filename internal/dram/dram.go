@@ -199,7 +199,7 @@ func New(id int, cfg Config, sim *engine.Sim, o *obs.Observer) *Controller {
 	c.feed.Counter(&c.TotalMemLatency, "dram", "mem_latency_cycles", mcLabel)
 	c.feed.TimeWeighted(&c.qInt, &c.qLast, &c.qCur, "dram", "queue_len", mcLabel)
 	for b := range c.bankServed {
-		c.feed.Counter(&c.bankServed[b], "dram", "bank_served", mcLabel, "bank="+strconv.Itoa(b))
+		c.feed.Counter(&c.bankServed[b], "dram", "bank_served", "bank="+strconv.Itoa(b), mcLabel)
 	}
 	return c
 }

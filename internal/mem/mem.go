@@ -196,7 +196,8 @@ func grownLen(n int, i int64) int {
 // Touched reports whether vpage has a physical frame: Translate allocates
 // nothing for an address on it.
 func (as *AddressSpace) Touched(vpage int64) bool {
-	return uint64(vpage) < uint64(len(as.pages)) && as.pages[vpage] != untouched
+	_, ok := as.frame(vpage)
+	return ok
 }
 
 // frame returns the physical page backing vpage, or false if the page has

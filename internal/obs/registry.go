@@ -231,27 +231,28 @@ func labelKey(l string) string {
 
 func byKey(a, b string) int { return strings.Compare(labelKey(a), labelKey(b)) }
 
-// sortLabels returns the "k=v" labels in key order, copying them only when
-// the caller passes another order. A key may appear once.
+// sortLabels returns a copy of the "k=v" labels in key order. A key may
+// appear once. The copy is a new variable, not the parameter reassigned, so
+// the caller's variadic array stays on its stack.
 func sortLabels(labels []string) []string {
-	for _, l := range labels {
+	sorted := append([]string(nil), labels...)
+	for _, l := range sorted {
 		labelKey(l)
 	}
-	if !slices.IsSortedFunc(labels, byKey) {
-		labels = slices.Clone(labels)
-		slices.SortStableFunc(labels, byKey)
+	if !slices.IsSortedFunc(sorted, byKey) {
+		slices.SortStableFunc(sorted, byKey)
 	}
-	for i := 1; i < len(labels); i++ {
-		if byKey(labels[i-1], labels[i]) == 0 {
-			panic(fmt.Sprintf("obs: label key %q given twice", labelKey(labels[i])))
+	for i := 1; i < len(sorted); i++ {
+		if byKey(sorted[i-1], sorted[i]) == 0 {
+			panic(fmt.Sprintf("obs: label key %q given twice", labelKey(sorted[i])))
 		}
 	}
-	return labels
+	return sorted
 }
 
 func (r *Registry) register(component, name, kind string, labels []string, bounds []int64) *metric {
-	labels = sortLabels(labels)
-	key := component + "/" + name + "{" + strings.Join(labels, ",") + "}"
+	sorted := sortLabels(labels)
+	key := component + "/" + name + "{" + strings.Join(sorted, ",") + "}"
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m, ok := r.metrics[key]; ok {
@@ -263,8 +264,8 @@ func (r *Registry) register(component, name, kind string, labels []string, bound
 	// The handle is built under the lock, so a concurrent Snapshot never
 	// sees a half-registered metric.
 	m := &metric{component: component, name: name, kind: kind}
-	if len(labels) > 0 {
-		m.labels = append([]string(nil), labels...)
+	if len(sorted) > 0 {
+		m.labels = sorted
 	}
 	switch kind {
 	case "counter":

@@ -11,10 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"offchip/internal/core"
-	"offchip/internal/sim"
 	"offchip/internal/tracecache"
-	"offchip/internal/workloads"
 )
 
 // TestCacheDoesNotChangeOutcomes runs the heterogeneous sweep twice — cold,
@@ -254,9 +251,9 @@ func TestSampledReplayDeterminism(t *testing.T) {
 
 // TestSingleRunJobsFetchOneTrace: a ModeBaseline or ModeOptimized job, of
 // one app or of a mix, builds only the trace its run replays, so on a fresh
-// cache it makes one lookup per app entry (building both traces made two),
-// and its canonical outcome equals that run simulated on the trace the
-// two-trace build returns for it.
+// cache it makes one lookup per app entry (building both traces made two).
+// The fig goldens (figmig's app jobs, figmix's and fig25's mix jobs) pin
+// such jobs' outcomes.
 func TestSingleRunJobsFetchOneTrace(t *testing.T) {
 	for _, s := range []JobSpec{
 		{Mode: ModeBaseline, App: "apsi", Interleave: "page", Cap: 200},
@@ -269,8 +266,7 @@ func TestSingleRunJobsFetchOneTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Cache = cache
-		out := s.Execute()
-		if out.Err != nil {
+		if out := s.Execute(); out.Err != nil {
 			t.Fatalf("%s: %v", s.ID(), out.Err)
 		}
 		entries := 1
@@ -280,47 +276,6 @@ func TestSingleRunJobsFetchOneTrace(t *testing.T) {
 		st := cache.Stats()
 		if lookups := st.Hits + st.Misses + st.DiskHits; lookups != int64(entries) {
 			t.Errorf("%s: %d trace lookups (%+v), want one per app entry (%d)", s.ID(), lookups, st, entries)
-		}
-
-		n := s.Normalized()
-		m, cm, opt, err := n.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var base, optim *sim.Workload
-		if s.Mix != "" {
-			mix, err := workloads.ParseMixSpec(s.Mix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base, optim, err = core.MixWorkloads(*mix, m, cm, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			app, _ := workloads.ByName(s.App)
-			if base, optim, _, err = core.Workloads(app, m, cm, opt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run, w := "baseline", base
-		if s.Mode == ModeOptimized {
-			run, w = "optimized", optim
-		}
-		r, err := sim.Run(core.RunConfig(run, m, cm, opt), w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := (&JobOutcome{ID: out.ID, Run: r}).CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := out.CanonicalJSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: canonical outcome differs from the two-trace build's run", s.ID())
 		}
 	}
 }

@@ -37,7 +37,11 @@ func TestPreTouchMatchesPerAccessWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, optim, err := core.MixWorkloads(*mix, m, cm, opt)
+		base, err := core.MixRunWorkload(*mix, "baseline", m, cm, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		optim, err := core.MixRunWorkload(*mix, "optimized", m, cm, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
