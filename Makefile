@@ -67,7 +67,8 @@ validate:
 ## a NoC transit, which walks its XY route in place; one
 ## reference of trace generation (compiled subscripts, then the layout's
 ## Offset and DesiredMC over apsi's optimized layouts); the per-access
-## tables: a cache Access, a directory Owner+Add+Remove, a page-interleaved
+## tables: a cache Access (an L2-shaped random string and an L1-shaped
+## strided one), a directory Owner+Add+Remove, a page-interleaved
 ## Translate, and a migration-engine Touch; and a DRAM controller's SubmitTo
 ## plus completions, whose per-bank FR-FCFS queues reuse their capacity.
 ## Whole-trace generation of apsi and of fma3d (boot nests and indexed
@@ -90,8 +91,8 @@ bench-smoke:
 		| $(GO) run ./cmd/benchgate -bench 'Generate/apsi$$' -max-allocs 565
 	$(GO) test -run='^$$' -bench='^BenchmarkGenerate$$/^fma3d$$' -benchtime=3x -benchmem ./internal/trace \
 		| $(GO) run ./cmd/benchgate -bench 'Generate/fma3d$$' -max-allocs 614
-	$(GO) test -run='^$$' -bench='^Benchmark(Access|Directory)$$' -benchtime=10000x -benchmem ./internal/cache \
-		| $(GO) run ./cmd/benchgate -bench 'Access$$|Directory$$' -max-allocs 0
+	$(GO) test -run='^$$' -bench='^Benchmark(Access|AccessL1|Directory)$$' -benchtime=10000x -benchmem ./internal/cache \
+		| $(GO) run ./cmd/benchgate -bench 'Access$$|AccessL1$$|Directory$$' -max-allocs 0
 	$(GO) test -run='^$$' -bench='^Benchmark(Translate|MigratorTouch)$$' -benchtime=10000x -benchmem ./internal/mem \
 		| $(GO) run ./cmd/benchgate -bench 'Translate$$|MigratorTouch$$' -max-allocs 0
 	$(GO) test -run='^$$' -bench='^BenchmarkSubmit$$' -benchtime=10000x -benchmem ./internal/dram \

@@ -1,11 +1,11 @@
 // Package cache provides the set-associative LRU caches of the simulated
 // manycore (per-node L1s, private or shared-SNUCA L2 banks) and the
 // centralized L2 tag directory that private-L2 systems cache at the memory
-// controllers (Figure 2a). A cache keeps its tags and LRU ticks in two flat
-// arrays indexed set·ways+way, and the directory is an open-addressed hash
-// table of line → sharer bitmask, so a lookup touches no Go map. Caches
-// count hits, misses and evictions in plain fields and optionally mirror
-// them into the metrics registry (Instrument, Publish).
+// controllers (Figure 2a). A cache keeps each set as its tags alone, in
+// recency order, in one flat array, and the directory is an open-addressed
+// hash table of line → sharer bitmask, so a lookup touches no Go map.
+// Caches count hits, misses and evictions in plain fields and optionally
+// mirror them into the metrics registry (Instrument, Publish).
 package cache
 
 import (
@@ -34,12 +34,11 @@ type Cache struct {
 	lineShift int
 	setMask   int64
 
-	// Way w of set s lives at index s·ways+w. An empty way holds emptyTag
-	// with lastUse 0, below every valid line's tick, so the LRU scan fills
-	// empty ways before it evicts.
-	tags    []int64
-	lastUse []int64
-	tick    int64
+	// Set s is tags[s·ways:(s+1)·ways] in recency order: the most recently
+	// used line first, the least recently used last, and empty ways
+	// (emptyTag) at the tail. A fill takes the last way, so it uses an
+	// empty way before it evicts a valid line.
+	tags []int64
 
 	Hits, Misses, Evictions int64
 
@@ -68,23 +67,31 @@ func (c *Cache) Publish() {
 	}
 }
 
-// New builds a cache of the given total capacity. Capacity must be a
-// multiple of lineBytes×ways so the set count is a whole number (and a
-// power of two is not required).
-func New(capacityBytes, lineBytes int64, ways int) *Cache {
+// CheckGeometry reports whether New accepts a geometry: every size must be
+// positive and the capacity a whole number of sets of ways lines each (the
+// set count need not be a power of two).
+func CheckGeometry(capacityBytes, lineBytes int64, ways int) error {
 	if capacityBytes <= 0 || lineBytes <= 0 || ways <= 0 {
-		panic(fmt.Sprintf("cache: bad geometry %dB/%dB/%d-way", capacityBytes, lineBytes, ways))
+		return fmt.Errorf("geometry %dB/%dB/%d-way: sizes must be positive", capacityBytes, lineBytes, ways)
 	}
-	lines := capacityBytes / lineBytes
-	sets := int(lines) / ways
-	if sets == 0 {
-		sets = 1
+	if set := lineBytes * int64(ways); capacityBytes%set != 0 {
+		return fmt.Errorf("geometry %dB/%dB/%d-way: capacity is not a whole number of %dB sets",
+			capacityBytes, lineBytes, ways, set)
 	}
+	return nil
+}
+
+// New builds a cache of the given total capacity. It panics on a geometry
+// CheckGeometry rejects.
+func New(capacityBytes, lineBytes int64, ways int) *Cache {
+	if err := CheckGeometry(capacityBytes, lineBytes, ways); err != nil {
+		panic("cache: " + err.Error())
+	}
+	sets := int(capacityBytes/lineBytes) / ways
 	c := &Cache{
 		sets: sets, ways: ways, lineBytes: lineBytes,
 		lineShift: -1, setMask: -1,
-		tags:    make([]int64, sets*ways),
-		lastUse: make([]int64, sets*ways),
+		tags: make([]int64, sets*ways),
 	}
 	if lineBytes&(lineBytes-1) == 0 {
 		c.lineShift = bits.TrailingZeros64(uint64(lineBytes))
@@ -97,9 +104,6 @@ func New(capacityBytes, lineBytes int64, ways int) *Cache {
 	}
 	return c
 }
-
-// LineBytes returns the cache's line size.
-func (c *Cache) LineBytes() int64 { return c.lineBytes }
 
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr int64) int64 {
@@ -127,11 +131,11 @@ func (c *Cache) setOf(line int64) int {
 	return int(x % int64(c.sets))
 }
 
-// set returns the tag and LRU-tick slices of the set holding line.
-func (c *Cache) set(line int64) (tags, lastUse []int64) {
+// set returns the tags of the set holding line, most recent first.
+func (c *Cache) set(line int64) []int64 {
 	lo := c.setOf(line) * c.ways
 	hi := lo + c.ways
-	return c.tags[lo:hi:hi], c.lastUse[lo:hi:hi]
+	return c.tags[lo:hi:hi]
 }
 
 // Access looks up the line containing addr, filling it on a miss. It
@@ -139,36 +143,39 @@ func (c *Cache) set(line int64) (tags, lastUse []int64) {
 // make room (-1 when nothing valid was evicted).
 func (c *Cache) Access(addr int64) (hit bool, evicted int64) {
 	line := c.LineAddr(addr)
-	tags, lastUse := c.set(line)
-	lastUse = lastUse[:len(tags)]
-	c.tick++
-	victim, oldest := 0, lastUse[0]
-	for w, tag := range tags {
-		if tag == line {
-			lastUse[w] = c.tick
-			c.Hits++
-			return true, -1
-		}
-		if lastUse[w] < oldest {
-			victim, oldest = w, lastUse[w]
+	tags := c.set(line)
+	if tags[0] == line {
+		c.Hits++
+		return true, -1
+	}
+	// Find the line, or else take the last way: the LRU line or an empty
+	// way. Either way the line moves to the front.
+	w := 1
+	for w < len(tags) && tags[w] != line {
+		w++
+	}
+	evicted = -1
+	if w < len(tags) {
+		hit = true
+		c.Hits++
+	} else {
+		w--
+		evicted = tags[w]
+		c.Misses++
+		if evicted != emptyTag {
+			c.Evictions++
 		}
 	}
-	c.Misses++
-	evicted = tags[victim]
-	if evicted != emptyTag {
-		c.Evictions++
-	}
-	tags[victim] = line
-	lastUse[victim] = c.tick
-	return false, evicted
+	copy(tags[1:w+1], tags[:w])
+	tags[0] = line
+	return hit, evicted
 }
 
 // Contains reports whether the line containing addr is present, without
 // disturbing LRU state or statistics.
 func (c *Cache) Contains(addr int64) bool {
 	line := c.LineAddr(addr)
-	tags, _ := c.set(line)
-	for _, tag := range tags {
+	for _, tag := range c.set(line) {
 		if tag == line {
 			return true
 		}
@@ -184,22 +191,16 @@ func (c *Cache) ResetStats() {
 	c.Hits, c.Misses, c.Evictions = 0, 0, 0
 }
 
-// Snapshot captures the cache's tag and LRU state (not the statistics
-// counters) as a deep copy, so an identical warm state can be restored into
-// many runs without replaying the accesses that built it.
+// Snapshot captures the cache's tags in their recency order (not the
+// statistics counters) as a deep copy, so an identical warm state can be
+// restored into many runs without replaying the accesses that built it.
 type Snapshot struct {
-	tags    []int64
-	lastUse []int64
-	tick    int64
+	tags []int64
 }
 
 // Snapshot captures the current tag/LRU state.
 func (c *Cache) Snapshot() *Snapshot {
-	return &Snapshot{
-		tags:    append([]int64(nil), c.tags...),
-		lastUse: append([]int64(nil), c.lastUse...),
-		tick:    c.tick,
-	}
+	return &Snapshot{tags: append([]int64(nil), c.tags...)}
 }
 
 // Restore overwrites the tag/LRU state with the snapshot's. The cache must
@@ -210,29 +211,6 @@ func (c *Cache) Restore(s *Snapshot) {
 			len(s.tags), len(c.tags)))
 	}
 	copy(c.tags, s.tags)
-	copy(c.lastUse, s.lastUse)
-	c.tick = s.tick
-}
-
-// Invalidate drops the line containing addr if present.
-func (c *Cache) Invalidate(addr int64) {
-	line := c.LineAddr(addr)
-	tags, lastUse := c.set(line)
-	for w, tag := range tags {
-		if tag == line {
-			tags[w], lastUse[w] = emptyTag, 0
-			return
-		}
-	}
-}
-
-// MissRate returns misses / accesses (0 when never accessed).
-func (c *Cache) MissRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(total)
 }
 
 // MaxDirectoryCores bounds the sharer bitmask width of the directory.

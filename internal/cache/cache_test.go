@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestHitAfterFill(t *testing.T) {
 	c := New(1024, 64, 2)
@@ -15,9 +18,6 @@ func TestHitAfterFill(t *testing.T) {
 	}
 	if c.Hits != 1 || c.Misses != 2 {
 		t.Errorf("hits=%d misses=%d", c.Hits, c.Misses)
-	}
-	if c.MissRate() != 2.0/3.0 {
-		t.Errorf("miss rate = %v", c.MissRate())
 	}
 }
 
@@ -51,23 +51,10 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(256, 64, 2)
-	c.Access(0)
-	c.Invalidate(32) // same line as 0
-	if c.Contains(0) {
-		t.Error("line survived invalidation")
-	}
-	c.Invalidate(512) // absent: no-op
-}
-
 func TestLineAddr(t *testing.T) {
 	c := New(1024, 64, 2)
 	if got := c.LineAddr(130); got != 128 {
 		t.Errorf("LineAddr(130) = %d", got)
-	}
-	if c.LineBytes() != 64 {
-		t.Errorf("LineBytes = %d", c.LineBytes())
 	}
 }
 
@@ -144,11 +131,31 @@ func TestDirectoryPanicsOutOfRange(t *testing.T) {
 	d.Add(0, MaxDirectoryCores)
 }
 
+// TestGeometryPanics checks that New refuses a non-positive size and a
+// capacity that is not a whole number of sets.
 func TestGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad geometry accepted")
+	for _, g := range []struct {
+		capacity, lineBytes int64
+		ways                int
+		want                string
+	}{
+		{0, 64, 2, "cache: geometry 0B/64B/2-way: sizes must be positive"},
+		{1024, 64, 0, "cache: geometry 1024B/64B/0-way: sizes must be positive"},
+		{1000, 64, 16, "cache: geometry 1000B/64B/16-way: capacity is not a whole number of 1024B sets"},
+		{3 << 10, 64, 16, ""}, // 3 sets: not a power of two, but whole
+		{2 << 10, 64, 3, "cache: geometry 2048B/64B/3-way: capacity is not a whole number of 192B sets"},
+	} {
+		got := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			New(g.capacity, g.lineBytes, g.ways)
+			return ""
+		}()
+		if got != g.want {
+			t.Errorf("New(%d, %d, %d) panicked with %q, want %q", g.capacity, g.lineBytes, g.ways, got, g.want)
 		}
-	}()
-	New(0, 64, 2)
+	}
 }

@@ -200,6 +200,29 @@ func BenchmarkAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessL1 is the simulator's L1 (2 KB, 2-way, 64 B lines) under
+// a strided string with reuse: a stencil that reads a[i] and a[i+1] and
+// writes b[i] over 8-byte elements. Each line of a is read 16 times and
+// each line of b written 8 times, so 22 of every 24 accesses hit (91.7%),
+// near the 89.5% the simulated L1s hit on migrate-mix.
+func BenchmarkAccessL1(b *testing.B) {
+	const n = 1 << 12 // a power of two, so the loop masks instead of dividing
+	c := New(2<<10, 64, 2)
+	var addrs []int64
+	for i := int64(0); len(addrs) < n; i++ {
+		addrs = append(addrs, 8*i, 8*(i+1), 1<<20+8*i)
+	}
+	addrs = addrs[:n]
+	for _, a := range addrs {
+		c.Access(a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(addrs[i&(n-1)])
+	}
+}
+
 // BenchmarkDirectory is one miss's directory work, as the simulator does it:
 // find the nearest sharer, add the requester, and drop a line added long
 // ago, so the resident set stays bounded.

@@ -169,6 +169,12 @@ func (c Config) Validate() error {
 	if c.Machine.Cores() > cache.MaxDirectoryCores {
 		return fmt.Errorf("sim: %d cores exceed directory capacity %d", c.Machine.Cores(), cache.MaxDirectoryCores)
 	}
+	if err := cache.CheckGeometry(c.L1Bytes, c.Machine.LineBytes, c.L1Ways); err != nil {
+		return fmt.Errorf("sim: L1 cache %w", err)
+	}
+	if err := cache.CheckGeometry(c.L2Bytes, c.Machine.LineBytes, c.L2Ways); err != nil {
+		return fmt.Errorf("sim: L2 cache %w", err)
+	}
 	if c.MLPWindow <= 0 {
 		return fmt.Errorf("sim: MLP window %d", c.MLPWindow)
 	}

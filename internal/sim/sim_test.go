@@ -303,6 +303,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestCacheGeometryValidation checks that a cache capacity that is not a
+// whole number of sets is a configuration error naming the cache and its
+// geometry, which Run returns before it builds a cache.
+func TestCacheGeometryValidation(t *testing.T) {
+	for _, tc := range []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.L2Bytes = 1000 }, "sim: L2 cache geometry 1000B/64B/16-way: capacity is not a whole number of 1024B sets"},
+		{func(c *Config) { c.L1Bytes = 1 << 6 }, "sim: L1 cache geometry 64B/64B/2-way: capacity is not a whole number of 128B sets"},
+		{func(c *Config) { c.L1Ways = 0 }, "sim: L1 cache geometry 1024B/64B/0-way: sizes must be positive"},
+		{func(c *Config) { c.L2Bytes = 3 << 10; c.L2Ways = 3 }, ""},
+	} {
+		cfg := testConfig(t)
+		tc.edit(&cfg)
+		got := ""
+		if err := cfg.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("Validate() = %q, want %q", got, tc.want)
+		}
+		if _, err := Run(cfg, oneAccess(0, 0)); (err != nil) != (tc.want != "") {
+			t.Errorf("Run with %q: err = %v", tc.want, err)
+		}
+	}
+}
+
 func TestWorkloadTotalAccesses(t *testing.T) {
 	w := &Workload{Streams: []Stream{
 		{Core: 0, Accesses: make([]Access, 3)},
