@@ -60,10 +60,11 @@ validate:
 ## bench-smoke: the allocation-regression gates on the hot paths, each
 ## pinned at 0 allocs/op: the engine's steady-state dispatch of events that
 ## embed their own queue node (the simulator's path), of plain Handlers
-## through the engine's Event pool, and the pool's enqueue alone; the
-## on-disk trace cache's decoder (a reused Decoder over one delta-encoded
-## blob), so a disk hit stays allocation-free however the encoding evolves
-## (an in-process hit shares the generated workload and decodes nothing);
+## through the engine's Event pool, and the pool's enqueue alone; the OTC1
+## trace decoder (a reused Decoder over one delta-encoded blob), which no
+## longer reads disk blobs and is gated for as long as the bench module's
+## micro-benchmarks keep the codec (the trace cache's hits share the
+## generated workload and decode nothing);
 ## a NoC transit, which walks its XY route in place; one
 ## reference of trace generation (compiled subscripts, then the layout's
 ## Offset and DesiredMC over apsi's optimized layouts); the per-access

@@ -40,14 +40,13 @@ import (
 	"offchip/internal/plane"
 	"offchip/internal/prof"
 	"offchip/internal/runner"
-	"offchip/internal/sim"
 	"offchip/internal/tracecache"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (fig3..fig25, table2, figmig, figmix, figtune) or 'all'")
 	apps := flag.String("apps", "", "comma-separated application subset (default: all 13)")
-	quick := flag.Bool("quick", false, "short traces, capped at 200 accesses per thread and not sampled (fast smoke run; numbers not meaningful)")
+	quick := flag.Bool("quick", false, "short traces, capped at 200 accesses per thread (fast smoke run; numbers not meaningful)")
 	asJSON := flag.Bool("json", false, "emit JSON instead of tables")
 	parallel := flag.Int("parallel", 1, "worker count for job-sharded experiments (results identical at any count)")
 	seed := flag.Uint64("seed", 0, "sweep seed; 0 keeps the historical jitter stream of the recorded figures")
@@ -55,8 +54,7 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the app × layout-scheme example sweep")
 	jobs := flag.Bool("jobs", false, "print the example sweep's job IDs (replay handles) without running")
 	progress := flag.Bool("progress", false, "print one line per finished job")
-	cacheFlag := flag.String("trace-cache", "", `memoize trace generation across experiments: "mem" (in-process) or a directory for a persistent cache`)
-	sampleFlag := flag.String("sample", "", `sampled simulation for job-sharded experiments: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
+	cacheFlag := flag.String("trace-cache", "", `memoize trace generation across experiments in process: "mem" (the on-disk store is retired; a directory is an error)`)
 	migrateFlag := flag.String("migrate", "", `hot-page migration spec for figmig/figmix dynamic and hybrid runs: on | h<thr>w<win>c<cool>f<flits>t<stall>[g<pages>] (default: "on" for figmig; figmix retunes to per-page granularity)`)
 	profFlag := flag.Bool("prof", false, "attach the latency-attribution profiler to every job and print the attribution summed over all jobs")
 	serveAddr := flag.String("serve", "", "serve the live observability plane (/metrics, /progress, /profile, /debug/pprof/) of every finished job on this address")
@@ -73,11 +71,6 @@ func main() {
 		fail(err)
 	}
 	cfg.TraceCache = tc
-	if sp, err := sim.ParseSampleSpec(*sampleFlag); err != nil {
-		fail(err)
-	} else if sp != nil {
-		cfg.Sample = sp.String()
-	}
 	if sp, err := mem.ParseMigrationSpec(*migrateFlag); err != nil {
 		fail(err)
 	} else if sp != nil {

@@ -151,12 +151,39 @@ func TestServeAnswersHostProfiles(t *testing.T) {
 }
 
 // TestRetiredFlags: the run-registry dump is -metrics, as in offchip, so
-// -sweep-out is an undefined flag.
+// -sweep-out is an undefined flag; -sample is one too (sampled simulation
+// is reachable only through a job ID's sample= field, which -replay runs).
 func TestRetiredFlags(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-exp", "fig13", "-apps", "apsi", "-quick", "-sweep-out", filepath.Join(t.TempDir(), "s.jsonl"))
+	for _, args := range [][]string{{"-sweep-out", filepath.Join(t.TempDir(), "s.jsonl")}, {"-sample", "on"}} {
+		cmd := exec.Command(os.Args[0], append([]string{"-exp", "fig13", "-apps", "apsi", "-quick"}, args...)...)
+		cmd.Env = append(os.Environ(), "BENCHTAB_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Errorf("benchtab %s: err %v, output:\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+}
+
+// TestTraceCacheDirRetired: a -trace-cache directory names the retired
+// on-disk store, so benchtab exits 1 with that error before any job runs
+// or anything prints, and leaves nothing at the path.
+func TestTraceCacheDirRetired(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "otc")
+	cmd := exec.Command(os.Args[0], "-exp", "fig13", "-apps", "apsi", "-quick", "-trace-cache", dir)
 	cmd.Env = append(os.Environ(), "BENCHTAB_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -sweep-out") {
-		t.Errorf("benchtab -sweep-out: err %v, output:\n%s", err, out)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+		t.Errorf("benchtab -trace-cache %s: exit %d (%v), want 1", dir, code, err)
+	}
+	if len(out) != 0 {
+		t.Errorf("stdout not empty:\n%s", out)
+	}
+	if want := "benchtab: tracecache: the on-disk trace store is retired"; !strings.HasPrefix(stderr.String(), want) {
+		t.Errorf("stderr = %q, want it to start with %q", stderr.String(), want)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("%s exists after the run (stat: %v)", dir, err)
 	}
 }

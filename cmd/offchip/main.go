@@ -86,8 +86,7 @@ func run() error {
 	serveAddr := flag.String("serve", "", "serve the live observability plane (/metrics, /progress, /profile, /debug/pprof/) on this address")
 	checkRun := flag.Bool("check", false, "attach the invariant checker to every run and fail on any violation")
 	seed := flag.Uint64("seed", 0, "the job's seed, mixed with its job ID into the jitter stream as in a sweep; 0 keeps the historical stream of the recorded figures")
-	cacheFlag := flag.String("trace-cache", "", `memoize trace generation: "mem" (in-process) or a directory for a persistent cache`)
-	sampleFlag := flag.String("sample", "", `sampled simulation: off | on | w<windows>f<fraction>u<warmup>r<replicates>`)
+	cacheFlag := flag.String("trace-cache", "", `memoize trace generation in process: "mem" (the on-disk store is retired; a directory is an error)`)
 	flag.Parse()
 	start := time.Now()
 
@@ -97,7 +96,7 @@ func run() error {
 	}
 	spec := runner.JobSpec{
 		L2: *l2, Mapping: *mapping, Interleave: *interleave, Policy: *policy,
-		Migrate: *migrate, Sample: *sampleFlag, Seed: *seed, Cache: tc,
+		Migrate: *migrate, Seed: *seed, Cache: tc,
 	}
 	if *src == "" {
 		spec.App = *app
@@ -285,29 +284,9 @@ func run() error {
 	}
 	fmt.Println(t.String())
 
-	if opt.Sample != nil && len(c.Sampled) > 0 {
-		st := &stats.Table{
-			Title:   fmt.Sprintf("sampled simulation (%s): estimates with 95%% bounds", opt.Sample.String()),
-			Headers: []string{"run", "simulated", "of accesses", "exec estimate", "±", "rel"},
-		}
-		for _, run := range []string{"baseline", "optimized", "optimal"} {
-			sr := c.Sampled[run]
-			if sr == nil {
-				continue
-			}
-			mode := "sampled"
-			if sr.Exact {
-				mode = "exact"
-			}
-			st.AddF(run+" ("+mode+")", sr.SimulatedAccesses, sr.FullAccesses,
-				sr.Est.ExecTime.Mean, sr.Est.ExecTime.Half, stats.Pct(sr.Est.ExecTime.RelHalf()))
-		}
-		fmt.Println(st.String())
-	}
 	if opt.TraceCache != nil {
 		cs := opt.TraceCache.Stats()
-		fmt.Fprintf(os.Stderr, "offchip: trace cache: %d hits, %d misses, %d disk hits, %d disk writes\n",
-			cs.Hits, cs.Misses, cs.DiskHits, cs.DiskWrites)
+		fmt.Fprintf(os.Stderr, "offchip: trace cache: %d hits, %d misses\n", cs.Hits, cs.Misses)
 	}
 
 	if wantProf {
@@ -323,9 +302,6 @@ func run() error {
 			"app": bench.Name, "l2": *l2, "mapping": *mapping, "interleave": *interleave,
 			"check": strconv.FormatBool(*checkRun), "prof": strconv.FormatBool(wantProf),
 			"trace-cache": *cacheFlag, "policy": *policy,
-		}
-		if opt.Sample != nil {
-			manifest.Config["sample"] = opt.Sample.String()
 		}
 		if opt.Migrate != nil {
 			manifest.Config["migrate"] = opt.Migrate.String()

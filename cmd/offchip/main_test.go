@@ -178,13 +178,40 @@ func serveGet(t *testing.T, path string, args ...string) string {
 	return ""
 }
 
-// TestRetiredFlags: -pprof is gone (the -serve plane serves /debug/pprof/),
-// so offchip rejects it as an undefined flag.
+// TestRetiredFlags: -pprof is gone (the -serve plane serves /debug/pprof/)
+// and so is -sample (sampled simulation is reachable only through a job
+// ID's sample= field), so offchip rejects both as undefined flags.
 func TestRetiredFlags(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-app", "apsi", "-pprof", "127.0.0.1:0")
+	for _, args := range [][]string{{"-pprof", "127.0.0.1:0"}, {"-sample", "on"}} {
+		cmd := exec.Command(os.Args[0], append([]string{"-app", "apsi"}, args...)...)
+		cmd.Env = append(os.Environ(), "OFFCHIP_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined: "+args[0]) {
+			t.Errorf("offchip %s: err %v, output:\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+}
+
+// TestTraceCacheDirRetired: a -trace-cache directory names the retired
+// on-disk store, so offchip exits 1 with that error before it prints
+// anything, and leaves nothing at the path.
+func TestTraceCacheDirRetired(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "otc")
+	cmd := exec.Command(os.Args[0], "-app", "apsi", "-trace-cache", dir)
 	cmd.Env = append(os.Environ(), "OFFCHIP_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -pprof") {
-		t.Errorf("offchip -pprof: err %v, output:\n%s", err, out)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+		t.Errorf("offchip -trace-cache %s: exit %d (%v), want 1", dir, code, err)
+	}
+	if len(out) != 0 {
+		t.Errorf("stdout not empty:\n%s", out)
+	}
+	if want := "offchip: tracecache: the on-disk trace store is retired"; !strings.HasPrefix(stderr.String(), want) {
+		t.Errorf("stderr = %q, want it to start with %q", stderr.String(), want)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("%s exists after the run (stat: %v)", dir, err)
 	}
 }

@@ -2,7 +2,7 @@ package experiments
 
 import "testing"
 
-// quick config: short sampled traces, 2 apps — a smoke test of the wiring.
+// quick config: short capped traces, 2 apps — a smoke test of the wiring.
 func TestSmokeAllExperiments(t *testing.T) {
 	cfg := Config{Apps: []string{"apsi", "gafort"}, MaxAccessesPerThread: 120}
 	// TestGoldenFigures renders these through Run on the same jobs (the

@@ -45,12 +45,6 @@ type Config struct {
 	// hybrid runs use: "" means the default mem.MigrationSpec ("on"), or a
 	// compact spec like "h16w1024c2f0t64". Other experiments ignore it.
 	Migrate string
-	// Sample enables sampled simulation for every experiment's jobs: ""
-	// runs exact full simulations (the historical results), "on" the
-	// default sim.SampleSpec, or a compact spec like "w4f0.1u1r1".
-	// Sampling is part of each job's identity (the ID gains a sample=
-	// field).
-	Sample string
 }
 
 func (c Config) apps() ([]*workloads.App, error) {
@@ -72,7 +66,7 @@ func (c Config) apps() ([]*workloads.App, error) {
 // one job of the given mode on app, with the config-wide knobs.
 func (c Config) job(s runner.JobSpec, mode runner.Mode, app string) runner.JobSpec {
 	s.Mode, s.App = mode, app
-	s.Cap, s.Seed, s.Sample, s.Prof, s.Cache = c.MaxAccessesPerThread, c.Seed, c.Sample, c.Prof, c.TraceCache
+	s.Cap, s.Seed, s.Prof, s.Cache = c.MaxAccessesPerThread, c.Seed, c.Prof, c.TraceCache
 	return s
 }
 

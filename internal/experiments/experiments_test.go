@@ -3,13 +3,11 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"offchip/internal/runner"
 )
 
-// fastCfg keeps unit tests quick: two applications, sampled traces. Shape
+// fastCfg keeps unit tests quick: two applications, capped traces. Shape
 // tests that depend on cache behavior use fullCfg (and testing.Short
-// guards) instead — sampling perturbs reuse.
+// guards) instead — capping perturbs reuse.
 func fastCfg() Config {
 	return Config{Apps: []string{"apsi", "gafort"}, MaxAccessesPerThread: 150}
 }
@@ -152,30 +150,6 @@ func TestFig15CDFShape(t *testing.T) {
 	}
 	if !strings.Contains(r.Table(), "links<=") {
 		t.Error("table rendering")
-	}
-}
-
-// TestFig18SampledRowsAreRunOccupancy pins Figure 18 under sampling to its
-// jobs' own results: each row is the optimized job's Run.AvgQueueOcc, the
-// measured windows' exec-time-weighted occupancy, not one window's queue
-// integral over the whole run's estimated time.
-func TestFig18SampledRowsAreRunOccupancy(t *testing.T) {
-	cfg := Config{Apps: []string{"apsi", "gafort"}, Sample: "on", Parallel: 2}
-	f, err := Fig18(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, app := range cfg.Apps {
-		o, err := runner.Replay(cfg.job(runner.JobSpec{}, runner.ModeOptimized, app).ID())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr := o.Sampled["optimized"]; sr == nil || sr.Exact {
-			t.Fatalf("%s: the optimized job did not run sampled", app)
-		}
-		if got, want := f.Rows[i].Values[0], o.Run.AvgQueueOcc; got != want || want <= 0 {
-			t.Errorf("%s: Fig18 row %v, job's Run.AvgQueueOcc %v", app, got, want)
-		}
 	}
 }
 

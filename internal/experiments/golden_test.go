@@ -12,7 +12,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden snapshot files")
 
 // goldenConfig is the fixed quick configuration the snapshots pin: two
-// applications and short sampled traces, so the test stays fast while still
+// applications and short capped traces, so the test stays fast while still
 // exercising every substrate (caches, NoC, controllers) end to end.
 func goldenConfig() Config {
 	return Config{Apps: []string{"apsi", "gafort"}, MaxAccessesPerThread: 120}

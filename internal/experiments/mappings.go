@@ -48,8 +48,7 @@ func Fig17(cfg Config) (*FigResult, error) {
 // Fig18 reproduces Figure 18: bank queue utilization (time-averaged queue
 // occupancy, averaged over the controllers) per application under mapping
 // M1, which explains why fma3d and minighost prefer M2. Each row is its
-// optimized job's Run.AvgQueueOcc; under sampling that is the measured
-// windows' exec-time-weighted occupancy.
+// optimized job's Run.AvgQueueOcc.
 func Fig18(cfg Config) (*FigResult, error) {
 	apps, outs, err := cfg.runSuite(runner.ModeOptimized, variant{})
 	if err != nil {

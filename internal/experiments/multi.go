@@ -78,8 +78,7 @@ func (r *MixResult) Table() string {
 // application, the common alone-time reference (weighted speedup compares
 // shared throughput against one fixed baseline), then a baseline and an
 // optimized co-run of every mix, whose per-application completion times
-// are the shared times. Sampling refuses a co-run (see sim.RunSampled), so
-// under Config.Sample the figure fails unless the spec covers every stream.
+// are the shared times.
 func Fig25(cfg Config) (*MixResult, error) {
 	mixes := coRunMixes()
 	var specs []runner.JobSpec

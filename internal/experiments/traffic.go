@@ -121,19 +121,10 @@ func Fig15(cfg Config) (*CDFResult, error) {
 	r := &CDFResult{ID: "Fig15", Title: "CDF of links traversed per request"}
 	for _, o := range outs {
 		c := o.Comparison
-		// A sampled run's representative window may send no message of a
-		// class; its CDF is then nil and counts as all zeros, one entry
-		// per hop count 0..diameter.
-		cdf := func(s []float64) []float64 {
-			if s == nil {
-				return make([]float64, c.Machine.MeshX+c.Machine.MeshY-1)
-			}
-			return s
-		}
-		r.OnChipBase = accumulate(r.OnChipBase, cdf(c.Baseline.HopCDFOn))
-		r.OnChipOpt = accumulate(r.OnChipOpt, cdf(c.Optimized.HopCDFOn))
-		r.OffChipBase = accumulate(r.OffChipBase, cdf(c.Baseline.HopCDFOff))
-		r.OffChipOpt = accumulate(r.OffChipOpt, cdf(c.Optimized.HopCDFOff))
+		r.OnChipBase = accumulate(r.OnChipBase, c.Baseline.HopCDFOn)
+		r.OnChipOpt = accumulate(r.OnChipOpt, c.Optimized.HopCDFOn)
+		r.OffChipBase = accumulate(r.OffChipBase, c.Baseline.HopCDFOff)
+		r.OffChipOpt = accumulate(r.OffChipOpt, c.Optimized.HopCDFOff)
 	}
 	for _, s := range [][]float64{r.OnChipBase, r.OnChipOpt, r.OffChipBase, r.OffChipOpt} {
 		for i := range s {

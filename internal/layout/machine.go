@@ -93,9 +93,10 @@ func (m Machine) LineUnit() int64 {
 }
 
 // Default8x8 returns the paper's default configuration (Table 1): an 8×8
-// mesh, 4 memory controllers, 64-byte lines (Table 1's L1 line size; one
-// line size serves L1, L2, and the interleaving unit in this model) and
-// 4 KB pages, private L2s with cache-line interleaving.
+// mesh, 4 memory controllers, 64-byte cache lines (Table 1's L1 line size;
+// L1 and L2 both track 64 B lines), a 256-byte unit of cache-line
+// interleaving and shared-L2 home-bank selection (Table 1's L2 line size),
+// 4 KB pages, and private L2s with cache-line interleaving.
 func Default8x8() Machine {
 	return Machine{
 		MeshX:           8,

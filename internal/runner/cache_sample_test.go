@@ -274,7 +274,7 @@ func TestSingleRunJobsFetchOneTrace(t *testing.T) {
 			entries = 2
 		}
 		st := cache.Stats()
-		if lookups := st.Hits + st.Misses + st.DiskHits; lookups != int64(entries) {
+		if lookups := st.Hits + st.Misses; lookups != int64(entries) {
 			t.Errorf("%s: %d trace lookups (%+v), want one per app entry (%d)", s.ID(), lookups, st, entries)
 		}
 	}

@@ -3,14 +3,16 @@
 // access cap, machine geometry, layout result) — not on the simulator
 // configuration — so one generated workload can back every (seed, policy,
 // bank count, MLP window) job that shares those inputs. The cache keys on a
-// fingerprint of exactly those inputs, shares streams in-process through a
-// keyed singleflight map (concurrent requesters of the same key block on one
-// generation), and optionally persists the delta-encoded form (see encode.go)
-// under a content-addressed path so repeated sweeps and replays skip
-// generation entirely.
+// fingerprint of exactly those inputs and shares streams in-process through
+// a keyed singleflight map: concurrent requesters of the same key block on
+// one generation.
 //
 // Cached workloads are byte-identical to freshly generated ones; the cache
 // is purely a wall-clock lever and never changes results.
+//
+// The cache does not use the delta-encoded OTC1 codec (encode.go); it is
+// kept only for the bench module's trace_encode and trace_decode
+// micro-benchmarks.
 package tracecache
 
 import (
@@ -25,9 +27,9 @@ import (
 )
 
 // Key identifies one generated workload. All fields are comparable, so the
-// in-process map keys on the struct itself; the disk path keys on its hash.
+// in-process map keys on the struct itself.
 type Key struct {
-	Program string // program name (human-readable path component)
+	Program string // program name
 	Threads int    // effective thread count (defaults resolved)
 	Cap     int    // effective per-thread access cap (-1: unlimited)
 
@@ -39,25 +41,6 @@ type Key struct {
 	ProgFP    uint64
 	MachineFP uint64
 	LayoutFP  uint64
-}
-
-// Hash is the key's stable 64-bit fingerprint — the disk filename component
-// and the integrity tag embedded in encoded blobs.
-func (k Key) Hash() uint64 {
-	h := newHasher()
-	h.str(k.Program)
-	h.i64(int64(k.Threads))
-	h.i64(int64(k.Cap))
-	h.u64(k.ProgFP)
-	h.u64(k.MachineFP)
-	h.u64(k.LayoutFP)
-	return h.sum()
-}
-
-// filename returns the content-addressed cache file name. The program name
-// is a readability prefix; identity lives in the hash.
-func (k Key) filename() string {
-	return fmt.Sprintf("%s-%016x.otc", SanitizeName(k.Program), k.Hash())
 }
 
 // KeyOf computes the cache key for one trace.Generate call.
@@ -82,49 +65,42 @@ func KeyOf(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.DataSt
 
 // Stats counts cache traffic (atomically; safe to read mid-sweep).
 type Stats struct {
-	Hits       int64 // in-process hits (including singleflight waiters)
-	Misses     int64 // full generations
-	DiskHits   int64 // loads satisfied from the on-disk cache
-	DiskWrites int64 // encoded blobs written
+	Hits   int64 // in-process hits (including singleflight waiters)
+	Misses int64 // full generations
 }
 
 // Cache memoizes generated workloads. The zero value is not usable; New
 // builds one. A nil *Cache is valid and means "no caching" — every method
 // degrades to calling trace.Generate directly.
 type Cache struct {
-	store *Store // nil = in-process only
-
 	mu      sync.Mutex
 	entries map[Key]*entry
 
-	hits, misses, diskHits, diskWrites atomic.Int64
+	hits, misses atomic.Int64
 }
 
-// entry is one singleflight slot: the first requester generates (or loads),
-// everyone else blocks on ready.
+// entry is one singleflight slot: the first requester generates, everyone
+// else blocks on ready.
 type entry struct {
 	ready chan struct{}
 	w     *sim.Workload
 	err   error
 }
 
-// New returns a cache. A non-empty dir enables the on-disk layer (created
-// if missing); dir == "" keeps the cache in-process only.
+// New returns an in-process cache. Its parameter is the directory of the
+// retired on-disk store: "" is the only value it accepts, and any other is
+// an error, so a caller that asks for persistence never silently runs
+// without it.
 func New(dir string) (*Cache, error) {
-	c := &Cache{entries: map[Key]*entry{}}
 	if dir != "" {
-		s, err := NewStore(dir)
-		if err != nil {
-			return nil, err
-		}
-		c.store = s
+		return nil, fmt.Errorf("tracecache: the on-disk trace store is retired (asked for directory %q); use \"mem\" for the in-process cache", dir)
 	}
-	return c, nil
+	return &Cache{entries: map[Key]*entry{}}, nil
 }
 
 // Open interprets a -trace-cache flag value: "" is no cache (nil, which
-// every method accepts), "mem" an in-process cache, and anything else the
-// directory of a persistent one.
+// every method accepts) and "mem" an in-process cache. Any other value
+// named a directory of the retired on-disk store and is New's error.
 func Open(flag string) (*Cache, error) {
 	switch flag {
 	case "":
@@ -140,18 +116,13 @@ func (c *Cache) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		DiskHits:   c.diskHits.Load(),
-		DiskWrites: c.diskWrites.Load(),
-	}
+	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
 // Generate returns the workload for the given inputs, generating it at most
-// once per key per process (and per disk cache lifetime). Every caller of
-// a key gets the same workload, which must be treated as read-only,
-// exactly like a workload shared between core.Compare's three runs.
+// once per key per process. Every caller of a key gets the same workload,
+// which must be treated as read-only, exactly like a workload shared
+// between core.Compare's three runs.
 func (c *Cache) Generate(p *ir.Program, res *layout.Result, m layout.Machine, store *ir.DataStore, opt trace.Options) (*sim.Workload, error) {
 	if c == nil {
 		return trace.Generate(p, res, m, store, opt)
@@ -171,10 +142,11 @@ func (c *Cache) Generate(p *ir.Program, res *layout.Result, m layout.Machine, st
 	c.entries[key] = e
 	c.mu.Unlock()
 
-	e.w, e.err = c.fill(key, p, res, m, store, opt)
+	c.misses.Add(1)
+	e.w, e.err = trace.Generate(p, res, m, store, opt)
 	if e.err != nil {
-		// Drop the failed slot so a later call can retry (e.g. after a
-		// transient disk error); waiters already parked still see e.err.
+		// Drop the failed slot so a later call can retry; waiters already
+		// parked still see e.err.
 		c.mu.Lock()
 		delete(c.entries, key)
 		c.mu.Unlock()
@@ -184,43 +156,6 @@ func (c *Cache) Generate(p *ir.Program, res *layout.Result, m layout.Machine, st
 		return nil, e.err
 	}
 	return e.w, nil
-}
-
-// fill resolves a miss: disk first, then real generation (with write-back).
-func (c *Cache) fill(key Key, p *ir.Program, res *layout.Result, m layout.Machine, store *ir.DataStore, opt trace.Options) (*sim.Workload, error) {
-	if c.store != nil {
-		if w := c.load(key); w != nil {
-			c.diskHits.Add(1)
-			return w, nil
-		}
-	}
-	c.misses.Add(1)
-	w, err := trace.Generate(p, res, m, store, opt)
-	if err != nil {
-		return nil, err
-	}
-	if c.store != nil {
-		if c.store.Save(key.filename(), Encode(w, key.Hash())) == nil {
-			c.diskWrites.Add(1)
-		}
-	}
-	return w, nil
-}
-
-// load reads and decodes the key's cache file. Any failure — missing file,
-// corruption, key-hash mismatch — degrades to a miss; a corrupt file is
-// removed so it cannot fail every future run.
-func (c *Cache) load(key Key) *sim.Workload {
-	data := c.store.Load(key.filename())
-	if data == nil {
-		return nil
-	}
-	w, err := Decode(data, key.Hash())
-	if err != nil {
-		c.store.Remove(key.filename())
-		return nil
-	}
-	return w
 }
 
 // fingerprintProgram hashes the program's printed form (which round-trips

@@ -1,17 +1,16 @@
 package tracecache_test
 
 // The cache's contract is "byte-identical, wall-clock only": every stream a
-// cached Generate returns — in-process hit, disk hit, or miss — must match a
-// fresh trace.Generate access for access. The differential sweep below pins
-// that for every bundled workload under all three schemes (line/private,
-// page/private, line/shared), with both the identity and optimized layouts;
-// `make validate` runs this package under -race, which also exercises the
+// cached Generate returns — hit or miss — must match a fresh trace.Generate
+// access for access. The differential sweep below pins that for every
+// bundled workload under all three schemes (line/private, page/private,
+// line/shared), with both the identity and optimized layouts;
+// `make check` runs this package under -race, which also exercises the
 // singleflight paths.
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -100,9 +99,8 @@ func sameWorkload(t *testing.T, tag string, got, want *sim.Workload) {
 
 // TestCachedStreamsByteIdentical is the differential sweep: for every
 // workload × scheme × (identity, optimized) layout, the workload from a cold
-// cache (generate + disk write-back), a warm in-process hit, and a fresh
-// process's disk hit must all equal plain trace.Generate — down to the
-// encoded bytes.
+// cache (a miss that generates) and from a warm one (an in-process hit) must
+// both equal plain trace.Generate — down to the encoded bytes.
 func TestCachedStreamsByteIdentical(t *testing.T) {
 	const cap = 200
 	for _, app := range workloads.All() {
@@ -111,8 +109,7 @@ func TestCachedStreamsByteIdentical(t *testing.T) {
 			t.Parallel()
 			for _, sc := range schemes {
 				p, store, optRes, m := setup(t, app, sc)
-				dir := t.TempDir()
-				cold, err := tracecache.New(dir)
+				c, err := tracecache.New("")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,37 +123,22 @@ func TestCachedStreamsByteIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					miss, err := cold.Generate(p, lay.res, m, store, tOpt)
+					miss, err := c.Generate(p, lay.res, m, store, tOpt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameWorkload(t, tag+"/miss", miss, fresh)
-					hit, err := cold.Generate(p, lay.res, m, store, tOpt)
+					hit, err := c.Generate(p, lay.res, m, store, tOpt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameWorkload(t, tag+"/hit", hit, fresh)
-					// A second cache over the same directory simulates a new
-					// process: it must be served from disk, identically.
-					warm, err := tracecache.New(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					disk, err := warm.Generate(p, lay.res, m, store, tOpt)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameWorkload(t, tag+"/disk", disk, fresh)
-					if ws := warm.Stats(); ws.DiskHits != 1 || ws.Misses != 0 {
-						t.Errorf("%s: disk-backed cache stats %+v, want 1 disk hit and no misses", tag, ws)
-					}
 					if !bytes.Equal(tracecache.Encode(miss, 7), tracecache.Encode(fresh, 7)) {
 						t.Errorf("%s: cached workload encodes differently from fresh", tag)
 					}
 				}
-				st := cold.Stats()
-				if st.Misses != 2 || st.Hits != 2 || st.DiskWrites != 2 {
-					t.Errorf("%s/%s: cold cache stats %+v, want 2 misses, 2 hits, 2 disk writes", app.Name, sc.name, st)
+				if st := c.Stats(); st.Misses != 2 || st.Hits != 2 {
+					t.Errorf("%s/%s: cache stats %+v, want 2 misses and 2 hits", app.Name, sc.name, st)
 				}
 			}
 		})
@@ -230,64 +212,9 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestCorruptFileRegenerates: a torn or garbage cache file must degrade to a
-// miss, be removed, and be rewritten with a good copy.
-func TestCorruptFileRegenerates(t *testing.T) {
-	app := workloads.All()[0]
-	p, store, res, m := setup(t, app, schemes[0])
-	tOpt := trace.Options{MaxAccessesPerThread: 150}
-	fresh, err := trace.Generate(p, res, m, store, tOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	c1, err := tracecache.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c1.Generate(p, res, m, store, tOpt); err != nil {
-		t.Fatal(err)
-	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.otc"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("cache files = %v (err %v), want exactly one", files, err)
-	}
-	if err := os.WriteFile(files[0], []byte("OTC1 this is not a trace"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := tracecache.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := c2.Generate(p, res, m, store, tOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameWorkload(t, "after-corruption", w, fresh)
-	if st := c2.Stats(); st.DiskHits != 0 || st.Misses != 1 || st.DiskWrites != 1 {
-		t.Errorf("stats after corrupt file %+v, want 0 disk hits, 1 miss, 1 rewrite", st)
-	}
-
-	// The rewritten file must now serve a third cache from disk.
-	c3, err := tracecache.New(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w3, err := c3.Generate(p, res, m, store, tOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameWorkload(t, "rewritten", w3, fresh)
-	if st := c3.Stats(); st.DiskHits != 1 {
-		t.Errorf("rewritten file not served from disk: %+v", st)
-	}
-}
-
 // TestSingleflight: concurrent requesters of one key share a single
 // generation; everyone gets an identical workload. Run under -race via
-// `make validate`.
+// `make check`.
 func TestSingleflight(t *testing.T) {
 	app := workloads.All()[0]
 	p, store, res, m := setup(t, app, schemes[0])
@@ -296,7 +223,7 @@ func TestSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := tracecache.New("") // in-process only
+	c, err := tracecache.New("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +249,6 @@ func TestSingleflight(t *testing.T) {
 	if st.Misses != 1 || st.Hits != callers-1 {
 		t.Errorf("stats %+v, want exactly 1 miss and %d hits", st, callers-1)
 	}
-	if st.DiskHits != 0 || st.DiskWrites != 0 {
-		t.Errorf("in-process cache touched disk: %+v", st)
-	}
 }
 
 // TestKeySensitivity: anything trace generation can observe must change the
@@ -342,15 +266,12 @@ func TestKeySensitivity(t *testing.T) {
 	m2 := m
 	m2.Interleave = layout.PageInterleave
 	distinct["interleave"] = tracecache.KeyOf(p, res, m2, store, trace.Options{MaxAccessesPerThread: 200})
-	seen := map[uint64]string{base.Hash(): "base"}
+	seen := map[tracecache.Key]string{base: "base"}
 	for name, k := range distinct {
-		if k == base {
-			t.Errorf("%s: key did not change", name)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s: key equals %s's", name, prev)
 		}
-		if prev, dup := seen[k.Hash()]; dup {
-			t.Errorf("%s: hash collides with %s", name, prev)
-		}
-		seen[k.Hash()] = name
+		seen[k] = name
 	}
 
 	// Normalization: every non-positive cap means full traces, so cap 0,
@@ -385,41 +306,43 @@ func TestNilCache(t *testing.T) {
 }
 
 // TestOpen pins the -trace-cache flag values: "" is no cache, "mem" an
-// in-process cache that writes nothing to disk, and anything else a
-// directory the cache persists into.
+// in-process cache that generates once and then hits, and a directory, the
+// retired on-disk store, an error that names it. New refuses a directory
+// the same way.
 func TestOpen(t *testing.T) {
 	if c, err := tracecache.Open(""); c != nil || err != nil {
 		t.Errorf(`Open("") = %v, %v; want no cache`, c, err)
 	}
+
 	app := workloads.All()[0]
 	p, store, res, m := setup(t, app, schemes[0])
 	tOpt := trace.Options{MaxAccessesPerThread: 150}
-	dir := t.TempDir()
-	for _, tc := range []struct {
-		flag       string
-		diskWrites int64
-	}{
-		{"mem", 0},
-		{dir, 1},
-	} {
-		c, err := tracecache.Open(tc.flag)
-		if err != nil || c == nil {
-			t.Fatalf("Open(%q) = %v, %v", tc.flag, c, err)
-		}
+	c, err := tracecache.Open("mem")
+	if err != nil || c == nil {
+		t.Fatalf(`Open("mem") = %v, %v`, c, err)
+	}
+	for i := 0; i < 2; i++ {
 		if _, err := c.Generate(p, res, m, store, tOpt); err != nil {
 			t.Fatal(err)
 		}
-		if st := c.Stats(); st.Misses != 1 || st.DiskWrites != tc.diskWrites {
-			t.Errorf("Open(%q): stats %+v, want 1 miss and %d disk writes", tc.flag, st, tc.diskWrites)
-		}
+	}
+	if st := c.Stats(); st != (tracecache.Stats{Hits: 1, Misses: 1}) {
+		t.Errorf(`Open("mem"): stats %+v after two lookups, want 1 miss and 1 hit`, st)
+	}
+
+	const retired = "the on-disk trace store is retired"
+	if c, err := tracecache.Open(t.TempDir()); c != nil || err == nil || !strings.Contains(err.Error(), retired) {
+		t.Errorf("Open(dir) = %v, %v; want an error containing %q", c, err, retired)
+	}
+	if c, err := tracecache.New("x"); c != nil || err == nil || !strings.Contains(err.Error(), retired) {
+		t.Errorf(`New("x") = %v, %v; want an error containing %q`, c, err, retired)
 	}
 }
 
-// BenchmarkDecodeCacheHit is the steady-state on-disk hit's decode path —
-// a reused Decoder over one encoded blob. benchgate pins it at 0 allocs/op
-// (`make check`): the decode every disk hit pays must stay
-// allocation-free. (An in-process hit shares the generated workload and
-// decodes nothing.)
+// BenchmarkDecodeCacheHit is the OTC1 decoder's steady state — a reused
+// Decoder over one encoded blob. benchgate pins it at 0 allocs/op (`make
+// check`) for as long as the codec exists. The cache itself decodes
+// nothing: a hit shares the generated workload.
 func BenchmarkDecodeCacheHit(b *testing.B) {
 	app := workloads.All()[0]
 	m := layout.Default8x8()
